@@ -11,120 +11,96 @@ namespace dataflow
 {
 
 void
-Channel::push(const Token &tok)
+Channel::pushLocked(const Token &tok)
 {
     bool was_empty = false;
     {
-        // Serial runs skip the lock and demote the size mirror to a
-        // relaxed store (a plain move): with both endpoints on one
-        // thread, the seq_cst fence per push was the single hottest
-        // instruction in the whole engine. Parallel runs keep the full
-        // protocol — the seq_cst mirror is what the missed-wakeup
-        // proof relies on.
-        std::unique_lock<SpinLock> guard(mu_, std::defer_lock);
-        if (concurrent_)
-            guard.lock();
-        if (fifo_.size() >= capacity_) {
-            throw std::runtime_error(
-                "channel '" + (name_.empty() ? std::string("?") : name_) +
-                "' overflow: push on a full bounded channel (capacity " +
-                std::to_string(capacity_) + ") — missing canPush() guard");
-        }
-        was_empty = fifo_.empty();
-        fifo_.push_back(tok);
-        ++total_pushed_;
-        if (tok.isBarrier()) {
-            ++watch_.barriersPushed;
-        } else {
-            const Word w = tok.word();
-            const int32_t s = tok.asInt();
-            if (watch_.dataPushed == 0)
-                watch_.first = w;
-            else
-                watch_.allEqual &= w == watch_.first;
-            watch_.smin = s < watch_.smin ? s : watch_.smin;
-            watch_.smax = s > watch_.smax ? s : watch_.smax;
-            watch_.umin = w < watch_.umin ? w : watch_.umin;
-            watch_.umax = w > watch_.umax ? w : watch_.umax;
-            ++watch_.dataPushed;
-        }
-        size_.store(fifo_.size(), concurrent_
-                                      ? std::memory_order_seq_cst
-                                      : std::memory_order_relaxed);
+        // Parallel runs keep the full protocol: the seq_cst mirror is
+        // what the missed-wakeup proof relies on.
+        std::lock_guard<SpinLock> guard(mu_);
+        was_empty = append(tok, std::memory_order_seq_cst);
     }
     // Notify outside the lock: the wakeup path may run the consumer's
     // scheduler bookkeeping, and holding a channel lock across it would
     // order channel locks against deque locks.
-    if (engine_ && was_empty)
-        engine_->onTokenAvailable(this);
+    if (was_empty && engine_)
+        notifyTokenAvailable();
 }
 
 Token
-Channel::pop()
+Channel::popLocked()
 {
     bool was_full = false;
     Token tok = Token::data(0);
     {
-        std::unique_lock<SpinLock> guard(mu_, std::defer_lock);
-        if (concurrent_)
-            guard.lock();
-        if (fifo_.empty()) {
-            throw std::runtime_error(
-                "channel '" + (name_.empty() ? std::string("?") : name_) +
-                "' underflow: pop on an empty channel");
-        }
-        was_full = fifo_.size() == capacity_;
-        tok = fifo_.front();
-        fifo_.pop_front();
-        size_.store(fifo_.size(), concurrent_
-                                      ? std::memory_order_seq_cst
-                                      : std::memory_order_relaxed);
+        std::lock_guard<SpinLock> guard(mu_);
+        tok = take(std::memory_order_seq_cst, was_full);
     }
-    if (engine_ && was_full)
-        engine_->onSpaceAvailable(this);
+    if (was_full && engine_)
+        notifySpaceAvailable();
     return tok;
 }
 
-const Token &
-Channel::front() const
+Token
+Channel::frontLocked() const
 {
-    if (!concurrent_)
-        return fifo_.front();
     std::lock_guard<SpinLock> guard(mu_);
-    // Safe to hand out: deque references survive producer push_backs,
-    // and only the calling consumer ever erases (see the file comment
-    // in channel.hh).
-    return fifo_.front();
+    return ring_[head_];
+}
+
+void
+Channel::notifyTokenAvailable()
+{
+    engine_->onTokenAvailable(this);
+}
+
+void
+Channel::notifySpaceAvailable()
+{
+    engine_->onSpaceAvailable(this);
+}
+
+void
+Channel::throwOverflow() const
+{
+    throw std::runtime_error(
+        "channel '" + (name_.empty() ? std::string("?") : name_) +
+        "' overflow: push on a full bounded channel (capacity " +
+        std::to_string(capacity_) + ") — missing canPush() guard");
+}
+
+void
+Channel::throwUnderflow() const
+{
+    throw std::runtime_error(
+        "channel '" + (name_.empty() ? std::string("?") : name_) +
+        "' underflow: pop on an empty channel");
+}
+
+void
+Channel::grow()
+{
+    // Double (from 16), unwrapping the live tokens to the front.
+    std::vector<Token> bigger(ring_.empty() ? 16 : 2 * ring_.size(),
+                              Token::data(0));
+    for (size_t i = 0; i < count_; ++i)
+        bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    ring_ = std::move(bigger);
+    head_ = 0;
 }
 
 TokenStream
 Channel::drain()
 {
     std::lock_guard<SpinLock> guard(mu_);
-    TokenStream out(fifo_.begin(), fifo_.end());
-    fifo_.clear();
+    TokenStream out;
+    out.reserve(count_);
+    for (size_t i = 0; i < count_; ++i)
+        out.push_back(ring_[(head_ + i) & (ring_.size() - 1)]);
+    head_ = 0;
+    count_ = 0;
     size_.store(0, std::memory_order_seq_cst);
     return out;
-}
-
-bool
-allHaveToken(const Bundle &bundle)
-{
-    for (const Channel *ch : bundle) {
-        if (ch->empty())
-            return false;
-    }
-    return true;
-}
-
-bool
-allCanPush(const Bundle &bundle)
-{
-    for (const Channel *ch : bundle) {
-        if (!ch->canPush())
-            return false;
-    }
-    return true;
 }
 
 int
@@ -166,13 +142,6 @@ pushBundle(const Bundle &bundle, const std::vector<Token> &toks)
 {
     for (size_t i = 0; i < bundle.size(); ++i)
         bundle[i]->push(toks[i]);
-}
-
-void
-pushBarrier(const Bundle &bundle, int level)
-{
-    for (Channel *ch : bundle)
-        ch->push(Token::barrier(level));
 }
 
 } // namespace dataflow

@@ -20,17 +20,19 @@
  * Concurrency contract (Engine::Policy::parallel): every channel has at
  * most one producer and one consumer process, and the engine never runs
  * the same process on two workers at once, so each end of a channel is
- * single-threaded. The FIFO itself is guarded by a per-channel spinlock
- * (critical sections are a handful of pointer moves; a ring buffer was
- * rejected because the functional semantics need unbounded channels),
- * and the element count is mirrored in a seq_cst atomic so the
- * lock-free predicates empty()/size()/canPush() are exact snapshots.
- * The predicates are *monotone-safe* per endpoint: only the consumer
- * pops, so a non-empty observation by the consumer stays true until it
- * acts on it; only the producer pushes, so free capacity observed by
- * the producer cannot shrink. front() takes the lock for the access but
- * may safely return a reference: std::deque never invalidates element
- * references on push_back, and only the (calling) consumer erases.
+ * single-threaded. The FIFO is a power-of-two ring buffer that doubles
+ * when full (the functional semantics need unbounded channels); during
+ * a parallel run it is guarded by a per-channel spinlock (critical
+ * sections are a handful of loads and stores), and the element count
+ * is mirrored in a seq_cst atomic so the lock-free predicates
+ * empty()/size()/canPush() are exact snapshots. The predicates are
+ * *monotone-safe* per endpoint: only the consumer pops, so a non-empty
+ * observation by the consumer stays true until it acts on it; only the
+ * producer pushes, so free capacity observed by the producer cannot
+ * shrink. front() returns the head by value under the lock, because a
+ * concurrent push may regrow the ring. Serial runs (every policy but
+ * parallel) take the inline fast paths: no lock, and the size mirror
+ * is a relaxed store.
  * Mutating configuration (setCapacity, bindEngine, setProducer/
  * setConsumer) and the read-back accessors (totalPushed, watch, drain)
  * are setup/post-run-only: they must not race with an active run.
@@ -45,7 +47,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <string>
 #include <thread>
@@ -108,7 +109,7 @@ class Channel
 
     const std::string &name() const { return name_; }
 
-    // The atomic mirror of fifo_.size() makes these predicates exact,
+    // The atomic mirror of the element count makes these predicates exact,
     // lock-free snapshots; see the file comment for why each endpoint
     // may act on them without holding the lock. seq_cst (not acquire)
     // so they participate in the scheduler's single total order with
@@ -130,7 +131,16 @@ class Channel
      * Append @p tok. @throws std::runtime_error when the channel is
      * already at capacity — the caller forgot a canPush() guard.
      */
-    void push(const Token &tok);
+    void
+    push(const Token &tok)
+    {
+        if (concurrent_) {
+            pushLocked(tok);
+            return;
+        }
+        if (append(tok, std::memory_order_relaxed) && engine_)
+            notifyTokenAvailable();
+    }
 
     /** Push every token of @p stream (unbounded use only). */
     void
@@ -140,20 +150,39 @@ class Channel
             push(tok);
     }
 
-    /** Head token; consumer-side only (the reference stays valid while
-     * the producer appends — deque references are push-stable — and
-     * only the caller pops). Undefined on an empty channel, as before. */
-    const Token &front() const;
+    /** Head token, by value; consumer-side only. Undefined on an
+     * empty channel. */
+    Token
+    front() const
+    {
+        if (concurrent_)
+            return frontLocked();
+        return ring_[head_];
+    }
 
     /**
      * Remove and return the head token.
      * @throws std::runtime_error on an empty channel.
      */
-    Token pop();
+    Token
+    pop()
+    {
+        if (concurrent_)
+            return popLocked();
+        bool was_full = false;
+        const Token tok = take(std::memory_order_relaxed, was_full);
+        if (was_full && engine_)
+            notifySpaceAvailable();
+        return tok;
+    }
 
     /** Lifetime token count, for stats and link-bandwidth analysis.
      * Read-back is post-run-only. */
-    uint64_t totalPushed() const { return total_pushed_; }
+    uint64_t
+    totalPushed() const
+    {
+        return watch_.dataPushed + watch_.barriersPushed;
+    }
 
     /** Observed data-word summary over the channel's lifetime: the
      * concrete-execution side of the abstract-interpretation soundness
@@ -185,9 +214,9 @@ class Channel
     void
     resetForReuse()
     {
-        fifo_.clear();
+        head_ = 0;
+        count_ = 0;
         size_.store(0, std::memory_order_relaxed);
-        total_pushed_ = 0;
         watch_ = ValueWatch{};
     }
 
@@ -210,13 +239,75 @@ class Channel
     void setConcurrent(bool on) { concurrent_ = on; }
 
   private:
+    // Locked twins of push/pop/front for parallel runs (channel.cc).
+    void pushLocked(const Token &tok);
+    Token popLocked();
+    Token frontLocked() const;
+    void notifyTokenAvailable();
+    void notifySpaceAvailable();
+    [[noreturn]] void throwOverflow() const;
+    [[noreturn]] void throwUnderflow() const;
+    void grow();
+
+    /** Append @p tok and publish the new count with @p order; returns
+     * true on the empty -> non-empty transition. */
+    bool
+    append(const Token &tok, std::memory_order order)
+    {
+        if (count_ >= capacity_)
+            throwOverflow();
+        if (count_ == ring_.size())
+            grow();
+        ring_[(head_ + count_) & (ring_.size() - 1)] = tok;
+        ++count_;
+        record(tok);
+        size_.store(count_, order);
+        return count_ == 1;
+    }
+
+    /** Remove the head and publish the new count with @p order;
+     * @p was_full reports the full -> non-full transition. */
+    Token
+    take(std::memory_order order, bool &was_full)
+    {
+        if (count_ == 0)
+            throwUnderflow();
+        was_full = count_ == capacity_;
+        const Token tok = ring_[head_];
+        head_ = (head_ + 1) & (ring_.size() - 1);
+        --count_;
+        size_.store(count_, order);
+        return tok;
+    }
+
+    void
+    record(const Token &tok)
+    {
+        if (tok.isBarrier()) {
+            ++watch_.barriersPushed;
+            return;
+        }
+        const Word w = tok.word();
+        const int32_t s = tok.asInt();
+        if (watch_.dataPushed == 0)
+            watch_.first = w;
+        else
+            watch_.allEqual &= w == watch_.first;
+        watch_.smin = s < watch_.smin ? s : watch_.smin;
+        watch_.smax = s > watch_.smax ? s : watch_.smax;
+        watch_.umin = w < watch_.umin ? w : watch_.umin;
+        watch_.umax = w > watch_.umax ? w : watch_.umax;
+        ++watch_.dataPushed;
+    }
+
     std::string name_;
     size_t capacity_;
     bool concurrent_ = false; ///< see setConcurrent()
-    mutable SpinLock mu_;     ///< guards fifo_, total_pushed_, watch_
-    std::deque<Token> fifo_;
-    std::atomic<size_t> size_{0}; ///< mirrors fifo_.size()
-    uint64_t total_pushed_ = 0;
+    mutable SpinLock mu_; ///< guards the ring and watch_
+    std::vector<Token> ring_; ///< power-of-two size (or empty)
+    size_t head_ = 0;         ///< ring index of the oldest token
+    size_t count_ = 0;        ///< tokens queued
+    std::atomic<size_t> size_{0}; ///< mirrors count_
     ValueWatch watch_;
     Engine *engine_ = nullptr;
     Process *producer_ = nullptr;
@@ -227,10 +318,26 @@ class Channel
 using Bundle = std::vector<Channel *>;
 
 /** True when every channel of @p bundle has a token available. */
-bool allHaveToken(const Bundle &bundle);
+inline bool
+allHaveToken(const Bundle &bundle)
+{
+    for (const Channel *ch : bundle) {
+        if (ch->empty())
+            return false;
+    }
+    return true;
+}
 
 /** True when every channel of @p bundle can accept a token. */
-bool allCanPush(const Bundle &bundle);
+inline bool
+allCanPush(const Bundle &bundle)
+{
+    for (const Channel *ch : bundle) {
+        if (!ch->canPush())
+            return false;
+    }
+    return true;
+}
 
 /**
  * Classify the aligned heads of @p bundle: returns the barrier level if
@@ -250,7 +357,12 @@ std::vector<Token> popBundle(const Bundle &bundle);
 void pushBundle(const Bundle &bundle, const std::vector<Token> &toks);
 
 /** Push the same barrier onto every channel of @p bundle. */
-void pushBarrier(const Bundle &bundle, int level);
+inline void
+pushBarrier(const Bundle &bundle, int level)
+{
+    for (Channel *ch : bundle)
+        ch->push(Token::barrier(level));
+}
 
 } // namespace dataflow
 } // namespace revet

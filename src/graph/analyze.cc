@@ -167,7 +167,11 @@ counterTrips(const Node &n, const AbsintReport &vals)
     return lo > hi ? (lo - hi - step - 1) / -step : 0;
 }
 
-/** Balance-equation solver over one graph's links. */
+/** Balance-equation solver over one graph's links. Sweeps retire a
+ * constraint once its links are all known and agree: linkRate is
+ * write-once, bindings only grow, and a difference that normalizes to
+ * zero stays zero, so revisiting it could change nothing. Conflicting
+ * constraints stay live, so every sweep re-checks them. */
 struct RateSolver
 {
     /** Links that must carry equal rates (one node's bundle law). */
@@ -201,6 +205,7 @@ struct RateSolver
     std::vector<Diagnostic> diags;
     std::set<std::pair<int, std::string>> reported;
     bool consistent = true;
+    int conflicts = 0; ///< conflict() calls, repeats included
 
     RateSolver(const Dfg &dfg, const AbsintReport &vals)
         : g(dfg), vals(vals), linkRate(dfg.links.size())
@@ -264,6 +269,7 @@ struct RateSolver
              const Rate &b, const std::vector<int> &links)
     {
         consistent = false;
+        ++conflicts;
         if (!reported.insert({node, what}).second)
             return;
         if (diags.size() >= 16)
@@ -318,6 +324,8 @@ struct RateSolver
             linkRate[link] = r;
             return true;
         }
+        if (linkRate[link]->c == r.c && linkRate[link]->terms == r.terms)
+            return false; // identical: the difference is zero
         return unify(*linkRate[link], r, node, what, {link});
     }
 
@@ -416,11 +424,29 @@ struct RateSolver
         }
     }
 
+    /** Visit the live constraints in order and retire each one @p visit
+     * applied (returned true) without a conflict. */
+    template <typename C, typename Visit>
+    void
+    sweepLive(std::vector<C> &live, Visit visit)
+    {
+        size_t keep = 0;
+        for (size_t i = 0; i < live.size(); ++i) {
+            const int seen = conflicts;
+            if (visit(live[i]) && conflicts == seen)
+                continue;
+            if (keep != i)
+                live[keep] = std::move(live[i]);
+            ++keep;
+        }
+        live.resize(keep);
+    }
+
     bool
     sweep()
     {
         bool changed = false;
-        for (const auto &cls : classes) {
+        sweepLive(classes, [&](const EqCls &cls) {
             const Rate *known = nullptr;
             for (int l : cls.links) {
                 if (l >= 0 && l < static_cast<int>(linkRate.size()) &&
@@ -430,20 +456,22 @@ struct RateSolver
                 }
             }
             if (!known)
-                continue;
+                return false;
             Rate want = *known; // copy: setLink may grow linkRate users
             for (int l : cls.links)
                 changed |= setLink(l, want, cls.node, "bundle lanes");
-        }
-        for (const auto &lin : linears) {
+            return true;
+        });
+        sweepLive(linears, [&](const LinCon &lin) {
             if (lin.in < 0 || !linkRate[lin.in])
-                continue;
+                return false;
             changed |= setLink(lin.out,
                                rateScale(normalize(*linkRate[lin.in]),
                                          lin.k),
                                lin.node, "counter trip count");
-        }
-        for (const auto &sum : sums) {
+            return true;
+        });
+        sweepLive(sums, [&](const SumCon &sum) {
             const bool ko = static_cast<bool>(linkRate[sum.out]);
             const bool ka = static_cast<bool>(linkRate[sum.a]);
             const bool kb = static_cast<bool>(linkRate[sum.b]);
@@ -465,8 +493,11 @@ struct RateSolver
                     rateSub(normalize(*linkRate[sum.out]),
                             normalize(*linkRate[sum.b])),
                     sum.node, "merge conservation");
+            } else {
+                return false;
             }
-        }
+            return true;
+        });
         return changed;
     }
 
@@ -510,6 +541,18 @@ struct RateSolver
             if (!bindUnknown())
                 break;
         }
+    }
+
+    RateReport
+    report() const
+    {
+        RateReport out;
+        out.linkRates.reserve(linkRate.size());
+        for (const auto &r : linkRate)
+            out.linkRates.push_back(r ? render(*r) : std::string("?"));
+        out.diagnostics = diags;
+        out.consistent = consistent;
+        return out;
     }
 };
 
@@ -960,16 +1003,7 @@ analyzeRates(const Dfg &dfg, const AbsintReport &vals)
 {
     RateSolver solver(dfg, vals);
     solver.solve();
-    RateReport out;
-    out.linkRates.reserve(dfg.links.size());
-    for (size_t l = 0; l < dfg.links.size(); ++l) {
-        out.linkRates.push_back(solver.linkRate[l]
-                                    ? solver.render(*solver.linkRate[l])
-                                    : std::string("?"));
-    }
-    out.diagnostics = std::move(solver.diags);
-    out.consistent = solver.consistent;
-    return out;
+    return solver.report();
 }
 
 // ---------------------------------------------------------------------
@@ -992,13 +1026,15 @@ lintDeadlock(const Dfg &dfg, const BufferCaps &caps)
     return lintDeadlock(dfg, caps, analyzeValues(dfg));
 }
 
+namespace
+{
+
+/** The deadlock lint over @p solver's finished rates for @p dfg. */
 DeadlockReport
-lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
-             const AbsintReport &vals)
+deadlockReport(const Dfg &dfg, const BufferCaps &caps,
+               const RateSolver &solver)
 {
     DeadlockReport rep;
-    RateSolver solver(dfg, vals);
-    solver.solve();
 
     auto constRate = [&](int link) -> std::optional<long long> {
         if (link < 0 || link >= static_cast<int>(solver.linkRate.size()) ||
@@ -1159,6 +1195,17 @@ lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
     return rep;
 }
 
+} // namespace
+
+DeadlockReport
+lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
+             const AbsintReport &vals)
+{
+    RateSolver solver(dfg, vals);
+    solver.solve();
+    return deadlockReport(dfg, caps, solver);
+}
+
 // ---------------------------------------------------------------------
 // Combined driver
 // ---------------------------------------------------------------------
@@ -1201,11 +1248,14 @@ analyzeGraph(const Dfg &dfg, const sim::MachineConfig &machine)
 {
     AnalyzeReport rep;
     // One abstract-interpretation fixpoint feeds rate analysis (counter
-    // trip counts), the deadlock lint, and the value-range lints.
+    // trip counts), the deadlock lint, and the value-range lints; one
+    // rate solve feeds both the rate report and the deadlock lint.
     const AbsintReport vals = analyzeValues(dfg);
-    rep.rates = analyzeRates(dfg, vals);
+    RateSolver solver(dfg, vals);
+    solver.solve();
+    rep.rates = solver.report();
     rep.deadlock =
-        lintDeadlock(dfg, BufferCaps::fromMachine(machine), vals);
+        deadlockReport(dfg, BufferCaps::fromMachine(machine), solver);
     for (const ValueFinding &f : vals.findings) {
         Diagnostic d;
         d.analysis = "absint";

@@ -330,6 +330,18 @@ class BytecodeProc final : public dataflow::Process
     }
 
   private:
+    /** Move one token from each channel of @p from, starting at lane
+     * @p first, to the matching output. Executor channels are
+     * unbounded, so a pop never wakes a producer: popping lane by lane
+     * wakes consumers in the same order as popping the whole bundle
+     * before pushing, as the primitives.cc twins do. */
+    void
+    forward(const Bundle &from, size_t first = 0)
+    {
+        for (size_t i = 0; i < outs_.size(); ++i)
+            outs_[i]->push(from[first + i]->pop());
+    }
+
     // ---- per-opcode steps; each mirrors its primitives.cc twin ----
 
     bool
@@ -580,12 +592,11 @@ class BytecodeProc final : public dataflow::Process
         if (keep && !allCanPush(outs_))
             return false;
         ins_[0]->pop();
-        scratch_.clear();
-        for (size_t i = 1; i < ins_.size(); ++i)
-            scratch_.push_back(ins_[i]->pop());
         if (keep) {
-            for (size_t i = 0; i < outs_.size(); ++i)
-                outs_[i]->push(scratch_[i]);
+            forward(ins_, 1);
+        } else {
+            for (size_t i = 1; i < ins_.size(); ++i)
+                ins_[i]->pop();
         }
         return true;
     }
@@ -600,12 +611,7 @@ class BytecodeProc final : public dataflow::Process
         if (ka == 0 || kb == 0) {
             if (!allCanPush(outs_))
                 return false;
-            const Bundle &side = ka == 0 ? a_ : b_;
-            scratch_.clear();
-            for (Channel *ch : side)
-                scratch_.push_back(ch->pop());
-            for (size_t i = 0; i < outs_.size(); ++i)
-                outs_[i]->push(scratch_[i]);
+            forward(ka == 0 ? a_ : b_);
             return true;
         }
         // No data at either head: both must present the matching
@@ -659,11 +665,7 @@ class BytecodeProc final : public dataflow::Process
                 return false;
             int kind = bundleHeadKind(a_);
             if (kind == 0) {
-                scratch_.clear();
-                for (Channel *ch : a_)
-                    scratch_.push_back(ch->pop());
-                for (size_t i = 0; i < outs_.size(); ++i)
-                    outs_[i]->push(scratch_[i]);
+                forward(a_);
                 return true;
             }
             // A forward barrier: flush the loop. Terminate the batch
@@ -683,11 +685,7 @@ class BytecodeProc final : public dataflow::Process
         if (bk == 0) {
             if (!allCanPush(outs_))
                 return false;
-            scratch_.clear();
-            for (Channel *ch : b_)
-                scratch_.push_back(ch->pop());
-            for (size_t i = 0; i < outs_.size(); ++i)
-                outs_[i]->push(scratch_[i]);
+            forward(b_);
             back_data_since_barrier_ = true;
             return true;
         }
@@ -853,7 +851,6 @@ class BytecodeProc final : public dataflow::Process
     Bundle outs_;
     Bundle a_; ///< merges: forward / A side of ins_
     Bundle b_; ///< merges: backedge / B side of ins_
-    std::vector<Token> scratch_; ///< reused bundle-transfer buffer
 
     // source
     sltf::TokenStream seed_;

@@ -32,68 +32,6 @@ isDramOp(OpKind kind)
     return kind == OpKind::dramRead || kind == OpKind::dramWrite;
 }
 
-bool
-evalPureOp(const BlockOp &op, Word a, Word b, Word c, Word &out)
-{
-    const auto sa = static_cast<int32_t>(a);
-    const auto sb = static_cast<int32_t>(b);
-    switch (op.kind) {
-      case OpKind::cnst: out = op.imm; return true;
-      case OpKind::mov: out = a; return true;
-      case OpKind::add: out = a + b; return true;
-      case OpKind::sub: out = a - b; return true;
-      case OpKind::mul: out = a * b; return true;
-      case OpKind::divs:
-        if (b == 0)
-            return false;
-        // INT32_MIN / -1 overflows; define it as the wrapped result.
-        out = (sb == -1 && sa == INT32_MIN)
-            ? a
-            : static_cast<uint32_t>(sa / sb);
-        return true;
-      case OpKind::divu:
-        if (b == 0)
-            return false;
-        out = a / b;
-        return true;
-      case OpKind::rems:
-        if (b == 0)
-            return false;
-        out = (sb == -1 && sa == INT32_MIN)
-            ? 0
-            : static_cast<uint32_t>(sa % sb);
-        return true;
-      case OpKind::remu:
-        if (b == 0)
-            return false;
-        out = a % b;
-        return true;
-      case OpKind::andb: out = a & b; return true;
-      case OpKind::orb: out = a | b; return true;
-      case OpKind::xorb: out = a ^ b; return true;
-      case OpKind::shl: out = a << (b & 31); return true;
-      case OpKind::shrs:
-        out = static_cast<uint32_t>(sa >> (b & 31));
-        return true;
-      case OpKind::shru: out = a >> (b & 31); return true;
-      case OpKind::eq: out = a == b; return true;
-      case OpKind::ne: out = a != b; return true;
-      case OpKind::lts: out = sa < sb; return true;
-      case OpKind::ltu: out = a < b; return true;
-      case OpKind::les: out = sa <= sb; return true;
-      case OpKind::leu: out = a <= b; return true;
-      case OpKind::land: out = (a != 0 && b != 0) ? 1 : 0; return true;
-      case OpKind::lor: out = (a != 0 || b != 0) ? 1 : 0; return true;
-      case OpKind::lnot: out = a == 0 ? 1 : 0; return true;
-      case OpKind::bnot: out = ~a; return true;
-      case OpKind::neg: out = -a; return true;
-      case OpKind::sel: out = a != 0 ? b : c; return true;
-      case OpKind::norm: out = lang::normalize(op.elem, a); return true;
-      default:
-        return false; // memory ops: executor-only
-    }
-}
-
 std::string
 toString(NodeKind kind)
 {

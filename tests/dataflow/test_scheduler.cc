@@ -685,6 +685,45 @@ TEST(ParallelScheduler, ContendedCapacityOneChainsBitIdentical)
 }
 
 // ---------------------------------------------------------------------
+// Channel FIFO storage.
+
+TEST(ChannelRing, KeepsFifoOrderAcrossWrapAndGrowth)
+{
+    // Offset the head, wrap the ring, then force a doubling while it is
+    // wrapped: order, counts, and the drained remainder must survive.
+    Channel ch("ring");
+    Word next_in = 0;
+    Word next_out = 0;
+    for (int i = 0; i < 10; ++i)
+        ch.push(Token::data(next_in++));
+    for (int i = 0; i < 7; ++i)
+        EXPECT_EQ(ch.pop().word(), next_out++);
+    for (int i = 0; i < 40; ++i) {
+        ch.push(Token::data(next_in++));
+        if (i % 3 == 0) {
+            EXPECT_EQ(ch.pop().word(), next_out++);
+        }
+    }
+    ch.push(Token::barrier(2));
+    EXPECT_EQ(ch.front().word(), next_out);
+    EXPECT_EQ(ch.size(), static_cast<size_t>(next_in - next_out) + 1);
+    EXPECT_EQ(ch.totalPushed(), static_cast<uint64_t>(next_in) + 1);
+    EXPECT_EQ(ch.watch().barriersPushed, 1u);
+
+    TokenStream rest = ch.drain();
+    ASSERT_EQ(rest.size(), static_cast<size_t>(next_in - next_out) + 1);
+    for (size_t i = 0; i + 1 < rest.size(); ++i)
+        EXPECT_EQ(rest[i].word(), next_out + static_cast<Word>(i));
+    EXPECT_EQ(rest.back(), Token::barrier(2));
+    EXPECT_TRUE(ch.empty());
+
+    ch.resetForReuse();
+    EXPECT_EQ(ch.totalPushed(), 0u);
+    ch.push(Token::data(7));
+    EXPECT_EQ(ch.pop().word(), 7u);
+}
+
+// ---------------------------------------------------------------------
 // Bounded-channel backpressure.
 
 TEST(Backpressure, PushOnFullChannelThrows)

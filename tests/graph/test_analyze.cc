@@ -16,11 +16,23 @@
  * thread-reordering keyed park matches ExecStats::sramParkedPeak from
  * real executions, and a cycle whose contraction demand exceeds its
  * link buffering is reported.
+ *
+ * Solver goldens: for every app and language fixture, the rate and
+ * deadlock reports of each graph the default pipeline certifies (the
+ * lowered graph, the graph after each applied pass) and of the final
+ * graph under analyzeGraph() hash to recorded FNV-1a digests
+ * (analyze_goldens.txt), so solver speedups must keep the output byte
+ * for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 
 #include "apps/apps.hh"
 #include "core/revet.hh"
@@ -28,6 +40,9 @@
 #include "graph/exec.hh"
 #include "graph/optimize.hh"
 #include "lang/parse.hh"
+#include "passes/passes.hh"
+
+#include "lang_fixtures.hh"
 
 using namespace revet;
 using namespace revet::graph;
@@ -244,11 +259,12 @@ void main(int n) {
 }
 )";
 
-/** Deliberately broken rewrites for the mutation tests. */
-template <typename Fn> class BrokenPass : public GraphPass
+/** A named pass running @p fn: the mutation tests' deliberately broken
+ * rewrites, and the solver goldens' recording wrappers. */
+template <typename Fn> class FnPass : public GraphPass
 {
   public:
-    BrokenPass(std::string name, Fn fn)
+    FnPass(std::string name, Fn fn)
         : name_(std::move(name)), fn_(std::move(fn))
     {
     }
@@ -270,7 +286,7 @@ brokenPipeline(const std::string &name, Fn fn)
 {
     std::vector<std::unique_ptr<GraphPass>> out;
     out.push_back(
-        std::make_unique<BrokenPass<Fn>>(name, std::move(fn)));
+        std::make_unique<FnPass<Fn>>(name, std::move(fn)));
     return out;
 }
 
@@ -354,6 +370,55 @@ TEST(AnalyzeRates, ImbalancedBundleFlagged)
             d.nodes.end();
     }
     EXPECT_TRUE(named) << "diagnostic must name an involved node";
+}
+
+TEST(AnalyzeRates, LateMergeConflictAfterSettledBundles)
+{
+    // The source's fanout bundle and the filter's pred + data bundle
+    // agree (rate 1) in the first sweep and are settled for good. The
+    // filter's kept lanes get a rate only once bindUnknown() names a
+    // fresh symbol for them; only then does the merge see its output
+    // (tied to a kept lane by the block's bundle) against kept + 1, a
+    // constant difference no binding can absorb.
+    Dfg g;
+    auto &src = g.newNode(NodeKind::source, "__start");
+    int t = g.newLink("t");
+    g.connectOut(src.id, t);
+    auto &fan = g.newNode(NodeKind::fanout, "fan");
+    g.connectIn(fan.id, t);
+    int p = g.newLink("p"), d1 = g.newLink("d1"), d2 = g.newLink("d2"),
+        b = g.newLink("b");
+    for (int l : {p, d1, d2, b})
+        g.connectOut(fan.id, l);
+    auto &flt = g.newNode(NodeKind::filter, "keep");
+    for (int l : {p, d1, d2})
+        g.connectIn(flt.id, l);
+    int fa = g.newLink("fa"), fc = g.newLink("fc");
+    g.connectOut(flt.id, fa);
+    g.connectOut(flt.id, fc);
+    auto &m = g.newNode(NodeKind::fwdMerge, "join");
+    g.connectIn(m.id, fa);
+    g.connectIn(m.id, b);
+    int o = g.newLink("o");
+    g.connectOut(m.id, o);
+    auto &blk = g.newNode(NodeKind::block, "tie");
+    g.connectIn(blk.id, o);
+    g.connectIn(blk.id, fc);
+    blk.inputRegs = {0, 1};
+    blk.nRegs = 2;
+    g.verify();
+
+    RateReport rr = analyzeRates(g);
+    EXPECT_FALSE(rr.consistent);
+    EXPECT_EQ(rr.rate(t), "1");
+    EXPECT_EQ(rr.rate(b), "1");
+    ASSERT_EQ(rr.diagnostics.size(), 1u);
+    const Diagnostic &d = rr.diagnostics[0];
+    EXPECT_EQ(d.code, "rate-imbalance");
+    EXPECT_EQ(d.nodes, std::vector<int>{m.id});
+    EXPECT_EQ(d.message,
+              "balance conflict at 'join' (fwd-merge #3): merge "
+              "conservation require rate f2 but found f2+1");
 }
 
 TEST(AnalyzeRates, AppGraphsBalance)
@@ -641,3 +706,174 @@ TEST(AnalyzeDeadlock, AppGraphsLintClean)
                                       << rep.summary();
     }
 }
+
+// ---------------------------------------------------------------------
+// Solver goldens
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+uint64_t
+fnv1a(const std::string &s)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+hex64(uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
+    return buf;
+}
+
+/** Everything the rate solver decides about one graph, as text. */
+std::string
+solverReport(const RateReport &rates, const DeadlockReport &deadlock)
+{
+    std::ostringstream o;
+    o << "consistent " << rates.consistent << "\n";
+    for (size_t l = 0; l < rates.linkRates.size(); ++l)
+        o << "link " << l << " " << rates.linkRates[l] << "\n";
+    for (const auto &d : rates.diagnostics)
+        o << "rates " << d.json() << "\n";
+    for (const auto &d : deadlock.diagnostics)
+        o << "deadlock " << d.json() << "\n";
+    for (const auto &p : deadlock.parks) {
+        o << "park " << p.park << " rate " << p.rate << " bounded "
+          << p.bounded << " minSafeSlots " << p.minSafeSlots << "\n";
+    }
+    return o.str();
+}
+
+/** (graph label, solver report) for the lowered graph of @p source,
+ * the graph after each applied default pass, and the final graph. */
+std::vector<std::pair<std::string, std::string>>
+pipelineReports(const std::string &label, const std::string &source)
+{
+    const GraphPassOptions opts;
+    const BufferCaps caps = BufferCaps::fromMachine(opts.machine);
+    std::vector<std::pair<std::string, std::string>> out;
+    auto record = [&](const std::string &step, const Dfg &g) {
+        char idx[8];
+        std::snprintf(idx, sizeof idx, "%02zu-", out.size());
+        out.emplace_back(label + "/" + idx + step,
+                         solverReport(analyzeRates(g),
+                                      lintDeadlock(g, caps)));
+    };
+    lang::Program prog = lang::parseAndAnalyze(source);
+    passes::runPipeline(prog);
+    Dfg g = lower(prog);
+    record("lowered", g);
+    std::vector<std::unique_ptr<GraphPass>> pipeline;
+    for (auto &pass : makeDefaultPasses(opts)) {
+        const std::string name = pass->name();
+        auto recorded = [&, inner = std::move(pass)](Dfg &dfg) {
+            int applied = inner->run(dfg, opts);
+            if (applied)
+                record(inner->name(), dfg);
+            return applied;
+        };
+        pipeline.push_back(std::make_unique<FnPass<decltype(recorded)>>(
+            name, std::move(recorded)));
+    }
+    runPasses(g, pipeline, opts);
+    AnalyzeReport fin = analyzeGraph(g, opts.machine);
+    out.emplace_back(label + "/final",
+                     solverReport(fin.rates, fin.deadlock));
+    return out;
+}
+
+/** Recorded digests, "<graph label> <hex digest>" per line. */
+const std::map<std::string, std::string> &
+goldenDigests()
+{
+    static const std::map<std::string, std::string> digests = [] {
+        std::map<std::string, std::string> out;
+        std::ifstream in(REVET_ANALYZE_GOLDENS);
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            std::istringstream fields(line);
+            std::string label, digest;
+            fields >> label >> digest;
+            out[label] = digest;
+        }
+        return out;
+    }();
+    return digests;
+}
+
+/** App names and language-fixture labels: the sources under golden. */
+std::vector<std::string>
+goldenSources()
+{
+    std::vector<std::string> out;
+    for (const auto &app : apps::allApps())
+        out.push_back(app.name);
+    for (const auto &f : fixtures::languageFixtures())
+        out.push_back(f.label);
+    return out;
+}
+
+std::string
+goldenSource(const std::string &label)
+{
+    for (const auto &app : apps::allApps())
+        if (app.name == label)
+            return app.source;
+    for (const auto &f : fixtures::languageFixtures())
+        if (label == f.label)
+            return f.source;
+    return {};
+}
+
+} // namespace
+
+class AnalyzeGolden : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(AnalyzeGolden, SolverReportsMatchRecordedDigests)
+{
+    const std::string &label = GetParam();
+    const auto &goldens = goldenDigests();
+    ASSERT_FALSE(goldens.empty())
+        << "no digests in " << REVET_ANALYZE_GOLDENS;
+    auto reports = pipelineReports(label, goldenSource(label));
+
+    size_t recorded = 0;
+    for (const auto &kv : goldens)
+        recorded += kv.first.rfind(label + "/", 0) == 0;
+    EXPECT_EQ(reports.size(), recorded)
+        << label << ": the pipeline certified a different number of "
+                    "graphs than were recorded";
+    for (const auto &[graph, text] : reports) {
+        const std::string digest = hex64(fnv1a(text));
+        auto it = goldens.find(graph);
+        if (it != goldens.end() && it->second == digest)
+            continue;
+        ADD_FAILURE() << "solver report of " << graph << " hashes to "
+                      << digest << ", recorded "
+                      << (it == goldens.end() ? "<none>" : it->second)
+                      << "\ngolden-line: " << graph << " " << digest
+                      << "\n" << text;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppsAndFixtures, AnalyzeGolden, ::testing::ValuesIn(goldenSources()),
+    [](const auto &info) {
+        std::string name = info.param;
+        for (auto &c : name) {
+            if (!isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
