@@ -324,7 +324,7 @@ runScalingSweep()
 bool
 runAppIdentity()
 {
-    using revet::CompiledProgram;
+    using revet::CompiledArtifact;
     using revet::lang::DramImage;
     constexpr int scale = 4;
     constexpr int workers = 4;
@@ -333,7 +333,7 @@ runAppIdentity()
                 "(parallel @ %d workers, scale %d)\n",
                 workers, scale);
     for (const auto &app : revet::apps::allApps()) {
-        auto prog = CompiledProgram::compile(app.source);
+        auto prog = CompiledArtifact::build(app.source);
         std::vector<std::vector<std::vector<uint8_t>>> images;
         struct Cfg
         {
@@ -344,9 +344,9 @@ runAppIdentity()
                             {Engine::Policy::worklist, 0},
                             {Engine::Policy::parallel, workers}};
         for (const auto &cfg : cfgs) {
-            DramImage dram(prog.hir());
+            DramImage dram(prog->hir());
             auto args = app.generate(dram, scale);
-            prog.execute(dram, args, cfg.policy, cfg.threads);
+            prog->execute(dram, args, cfg.policy, cfg.threads);
             std::vector<std::vector<uint8_t>> bytes;
             for (int d = 0; d < dram.dramCount(); ++d)
                 bytes.push_back(dram.bytes(d));

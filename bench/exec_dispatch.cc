@@ -1,24 +1,20 @@
 /**
  * @file
- * A/B comparison of the two DFG executors: step objects (one
- * heap-allocated primitive per node, per-firing closure dispatch)
- * versus the flat bytecode program (compile-once instruction table,
- * tight dispatch loop, preallocated register file).
+ * Dispatch cost of the executor: wall time per scheduler quantum on
+ * the ALU-dense Table III apps (ip2int, murmur3), whose graphs are
+ * dominated by block firings.
  *
- * Fixtures are the ALU-dense Table III apps (murmur3, ip2int,
- * isipv4): their graphs are dominated by block firings, which is
- * exactly where the step path pays per-firing heap allocations and a
- * std::function hop and the bytecode path pays a table lookup. Each
- * fixture is compiled once; both executors then run the identical
- * artifact under the worklist policy, best-of-N wall time.
+ * Each fixture is compiled once and run under the worklist policy,
+ * best-of-N wall time; the report is ns per quantum (one stepOnce()
+ * that made progress), so runs at different scales or on graphs of
+ * different shape stay comparable.
  *
- * Acceptance gates (exit non-zero on violation, like engine_sched):
- *  - DRAM images must be byte-identical between executors.
- *  - Useful work (scheduler quanta) must be identical: the bytecode
- *    path must win by doing the same steps cheaper, not fewer.
- *  - Aggregate time per scheduler quantum must drop >= 15%.
+ * Acceptance gate (exit non-zero on violation, like engine_sched):
+ * every run drains and its DRAM image is byte-identical to the AST
+ * interpreter's. There is no timing gate: the number is a report, to
+ * be compared against earlier runs on the same host.
  *
- * Emits one JSON row per (fixture, executor) for the CI artifact.
+ * Emits one JSON row per fixture for the CI artifact.
  */
 
 #include <chrono>
@@ -29,12 +25,10 @@
 
 #include "apps/apps.hh"
 #include "core/revet.hh"
-#include "graph/bytecode.hh"
 #include "lang/dram_image.hh"
 
-using revet::CompiledProgram;
+using revet::CompiledArtifact;
 using revet::dataflow::Engine;
-using revet::graph::ExecutorKind;
 using revet::lang::DramImage;
 
 namespace
@@ -42,6 +36,15 @@ namespace
 
 constexpr int kScale = 192;
 constexpr int kRepeats = 5;
+
+std::vector<std::vector<uint8_t>>
+dramBytes(const DramImage &dram)
+{
+    std::vector<std::vector<uint8_t>> out;
+    for (int d = 0; d < dram.dramCount(); ++d)
+        out.push_back(dram.bytes(d));
+    return out;
+}
 
 struct RunResult
 {
@@ -52,16 +55,14 @@ struct RunResult
 };
 
 RunResult
-runExecutor(const CompiledProgram &prog, const revet::apps::App &app,
-            ExecutorKind executor)
+runFixture(const CompiledArtifact &art, const revet::apps::App &app)
 {
     RunResult out;
     for (int rep = 0; rep < kRepeats; ++rep) {
-        DramImage dram(prog.hir());
+        DramImage dram(art.hir());
         auto args = app.generate(dram, kScale);
         auto t0 = std::chrono::steady_clock::now();
-        auto stats = prog.executeWith(executor, dram, args,
-                                      Engine::Policy::worklist);
+        auto stats = art.execute(dram, args, Engine::Policy::worklist);
         auto t1 = std::chrono::steady_clock::now();
         const double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -70,26 +71,10 @@ runExecutor(const CompiledProgram &prog, const revet::apps::App &app,
         if (rep == 0) {
             out.quanta = stats.schedQuanta;
             out.drained = stats.drained;
-            for (int d = 0; d < dram.dramCount(); ++d)
-                out.dram.push_back(dram.bytes(d));
+            out.dram = dramBytes(dram);
         }
     }
     return out;
-}
-
-void
-printJson(const std::string &fixture, ExecutorKind executor,
-          const RunResult &r)
-{
-    const double ns_per_quantum =
-        r.quanta == 0 ? 0.0 : r.ms * 1e6 / static_cast<double>(r.quanta);
-    std::printf("{\"bench\":\"exec_dispatch\",\"fixture\":\"%s\","
-                "\"executor\":\"%s\",\"scale\":%d,\"ms\":%.3f,"
-                "\"quanta\":%llu,\"ns_per_quantum\":%.1f,"
-                "\"drained\":%s}\n",
-                fixture.c_str(), toString(executor).c_str(), kScale,
-                r.ms, static_cast<unsigned long long>(r.quanta),
-                ns_per_quantum, r.drained ? "true" : "false");
 }
 
 } // namespace
@@ -97,70 +82,48 @@ printJson(const std::string &fixture, ExecutorKind executor,
 int
 main()
 {
-    const std::vector<std::string> fixtures = {"murmur3", "ip2int"};
+    const std::vector<std::string> fixtures = {"ip2int", "murmur3"};
     bool ok = true;
-    double step_total = 0;
-    double bytecode_total = 0;
 
-    std::printf("exec_dispatch: step-object vs bytecode executor, "
-                "worklist policy, scale %d, best of %d\n",
+    std::printf("exec_dispatch: worklist policy, scale %d, best of %d\n",
                 kScale, kRepeats);
-    for (const auto &app : revet::apps::allApps()) {
-        bool selected = false;
-        for (const auto &f : fixtures)
-            selected |= app.name == f;
-        if (!selected)
-            continue;
+    for (const std::string &name : fixtures) {
+        const revet::apps::App &app = revet::apps::findApp(name);
+        auto art = CompiledArtifact::build(app.source);
+        RunResult r = runFixture(*art, app);
 
-        auto prog = CompiledProgram::compile(app.source);
-        RunResult step =
-            runExecutor(prog, app, ExecutorKind::stepObjects);
-        RunResult bytecode =
-            runExecutor(prog, app, ExecutorKind::bytecode);
-        step_total += step.ms;
-        bytecode_total += bytecode.ms;
+        DramImage ref(art->hir());
+        auto args = app.generate(ref, kScale);
+        art->interpret(ref, args);
+        const bool matches = r.dram == dramBytes(ref);
 
-        std::printf("  %-10s step %8.2f ms  bytecode %8.2f ms  "
-                    "(%.2fx, %llu quanta)\n",
-                    app.name.c_str(), step.ms, bytecode.ms,
-                    step.ms / bytecode.ms,
-                    static_cast<unsigned long long>(step.quanta));
-        printJson(app.name, ExecutorKind::stepObjects, step);
-        printJson(app.name, ExecutorKind::bytecode, bytecode);
+        const double ns_per_quantum =
+            r.quanta == 0 ? 0.0
+                          : r.ms * 1e6 / static_cast<double>(r.quanta);
+        std::printf("  %-10s %8.2f ms  %llu quanta  %.1f ns/quantum\n",
+                    name.c_str(), r.ms,
+                    static_cast<unsigned long long>(r.quanta),
+                    ns_per_quantum);
+        std::printf("{\"bench\":\"exec_dispatch\",\"fixture\":\"%s\","
+                    "\"scale\":%d,\"ms\":%.3f,\"quanta\":%llu,"
+                    "\"ns_per_quantum\":%.1f,\"drained\":%s,"
+                    "\"matches_interpreter\":%s}\n",
+                    name.c_str(), kScale, r.ms,
+                    static_cast<unsigned long long>(r.quanta),
+                    ns_per_quantum, r.drained ? "true" : "false",
+                    matches ? "true" : "false");
 
-        if (!step.drained || !bytecode.drained) {
-            std::printf("  FAIL(%s): executor did not drain\n",
-                        app.name.c_str());
+        if (!r.drained) {
+            std::printf("  FAIL(%s): execution did not drain\n",
+                        name.c_str());
             ok = false;
         }
-        if (step.dram != bytecode.dram) {
-            std::printf("  FAIL(%s): DRAM diverged between executors\n",
-                        app.name.c_str());
+        if (!matches) {
+            std::printf("  FAIL(%s): DRAM diverged from the AST "
+                        "interpreter\n",
+                        name.c_str());
             ok = false;
         }
-        if (step.quanta != bytecode.quanta) {
-            std::printf("  FAIL(%s): useful work diverged (%llu vs "
-                        "%llu quanta) — the bytecode path must do the "
-                        "same steps cheaper, not fewer\n",
-                        app.name.c_str(),
-                        static_cast<unsigned long long>(step.quanta),
-                        static_cast<unsigned long long>(
-                            bytecode.quanta));
-            ok = false;
-        }
-    }
-
-    // Quanta are identical per fixture (gated above), so the aggregate
-    // wall-time ratio *is* the per-quantum dispatch-time ratio.
-    const double reduction = 1.0 - bytecode_total / step_total;
-    std::printf("  aggregate: step %.2f ms, bytecode %.2f ms — "
-                "quantum time down %.1f%% (>= 15%% required)\n",
-                step_total, bytecode_total, reduction * 100.0);
-    if (reduction < 0.15) {
-        std::printf("  FAIL(dispatch): %.1f%% below the 15%% "
-                    "quantum-time reduction bar\n",
-                    reduction * 100.0);
-        ok = false;
     }
     return ok ? 0 : 1;
 }

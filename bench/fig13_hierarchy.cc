@@ -36,11 +36,11 @@ main()
 
     auto evaluate = [&](const std::string &src, const char *name,
                         int outer, bool barrier_flush, double area_mult) {
-        auto prog = CompiledProgram::compile(src);
-        lang::DramImage dram(prog.hir());
+        auto prog = CompiledArtifact::build(src);
+        lang::DramImage dram(prog->hir());
         auto args = murmur.generate(dram, 64);
-        auto stats = prog.execute(dram, args);
-        graph::Dfg dfg = prog.dfg();
+        auto stats = prog->execute(dram, args);
+        graph::Dfg dfg = prog->dfg();
         graph::ResourceOptions ro;
         ro.replicateOverride = 1;
         auto res = graph::analyzeResources(dfg, machine, ro);

@@ -64,24 +64,24 @@ RunResult
 runOnce(const std::string &source, const Generate &generate,
         const CompileOptions &opts, const Verify &verify = {})
 {
-    auto prog = CompiledProgram::compile(source, opts);
-    lang::DramImage dram(prog.hir());
+    auto prog = CompiledArtifact::build(source, opts);
+    lang::DramImage dram(prog->hir());
     auto args = generate(dram);
-    auto stats = prog.execute(dram, args);
+    auto stats = prog->execute(dram, args);
     RunResult out;
     out.nodes = stats.graphNodes;
     out.links = stats.graphLinks;
     out.schedSteps = stats.schedSteps;
-    graph::Dfg dfg = prog.dfg(); // copy: link analysis annotates widths
+    graph::Dfg dfg = prog->dfg(); // copy: link analysis annotates widths
     sim::MachineConfig machine;
     auto res = graph::analyzeResources(dfg, machine, {});
     out.replMU = res.replMU;
     out.bufferMU = res.bufferMU;
-    out.validatedPasses = prog.optReport().validatedPasses;
-    for (const auto &node : prog.dfg().nodes)
+    out.validatedPasses = prog->optReport().validatedPasses;
+    for (const auto &node : prog->dfg().nodes)
         out.dpackBlocks +=
             node.name.find("dpack") != std::string::npos;
-    auto analysis = graph::analyzeGraph(prog.dfg(), machine);
+    auto analysis = graph::analyzeGraph(prog->dfg(), machine);
     out.rateConsistent = analysis.rates.consistent;
     out.deadlockCycles = static_cast<int>(analysis.deadlock.cycles.size());
     out.riskyCycles = analysis.deadlock.riskyCycles;

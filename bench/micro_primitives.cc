@@ -64,9 +64,7 @@ BM_EngineReducePipeline(benchmark::State &state)
         auto *out = e.channel("out");
         e.make<dataflow::Source>(
             "src", in, bigStream(static_cast<int>(state.range(0)), 16));
-        e.make<dataflow::Reduce>(
-            "sum", in, out,
-            [](sltf::Word a, sltf::Word b) { return a + b; }, 0);
+        e.make<dataflow::Reduce>("sum", in, out, 0);
         auto *sink = e.make<dataflow::Sink>("sink", out);
         e.run();
         benchmark::DoNotOptimize(sink->collected());
@@ -142,7 +140,7 @@ BM_CompileStrlen(benchmark::State &state)
           };
         })";
     for (auto _ : state)
-        benchmark::DoNotOptimize(CompiledProgram::compile(src));
+        benchmark::DoNotOptimize(CompiledArtifact::build(src));
 }
 BENCHMARK(BM_CompileStrlen);
 

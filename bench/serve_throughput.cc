@@ -7,7 +7,7 @@
  * scale, W serving workers):
  *
  *  - naive: every request parses, analyzes, optimizes, and lowers the
- *    program from scratch (CompiledProgram::compile) before running it
+ *    program from scratch (CompiledArtifact::build) before running it
  *    — the cost a frontend pays without the serving layer.
  *  - cached: every request looks its program up in the process-wide
  *    ArtifactCache (one compile per fixture, then pure hits) and runs
@@ -70,7 +70,7 @@ percentile(std::vector<double> v, double p)
 
 /** Compile-per-request baseline: same batch shape as serveBatch (one
  * atomic work index, W threads), but each request pays a full
- * CompiledProgram::compile before executing. */
+ * CompiledArtifact::build before executing. */
 ModeResult
 runNaive(const apps::App &app)
 {
@@ -87,10 +87,10 @@ runNaive(const apps::App &app)
             if (i >= static_cast<size_t>(kRequests))
                 return;
             try {
-                auto prog = CompiledProgram::compile(app.source);
-                lang::DramImage dram(prog.hir());
+                auto prog = CompiledArtifact::build(app.source);
+                lang::DramImage dram(prog->hir());
                 auto args = app.generate(dram, kScale);
-                auto stats = prog.execute(dram, args);
+                auto stats = prog->execute(dram, args);
                 if (i == 0)
                     errors[0] = app.verify(dram, kScale);
                 (void)stats;

@@ -31,15 +31,15 @@ main()
           out[n] = total;
         })";
 
-    auto prog = revet::CompiledProgram::compile(src);
-    revet::lang::DramImage dram(prog.hir());
+    auto art = revet::CompiledArtifact::build(src);
+    revet::lang::DramImage dram(art->hir());
     std::vector<int32_t> data(16);
     for (int i = 0; i < 16; ++i)
         data[i] = i + 1;
     dram.fill("data", data);
     dram.resize("out", 17 * 4);
 
-    auto stats = prog.execute(dram, {16}); // compiled dataflow machine
+    auto stats = art->execute(dram, {16}); // compiled dataflow machine
     auto out = dram.read<int32_t>("out");
 
     std::printf("Collatz steps per thread:");
@@ -47,7 +47,7 @@ main()
         std::printf(" %d", out[i]);
     std::printf("\nreduced total = %d\n", out[16]);
     std::printf("dataflow graph: %zu nodes, %zu links, drained=%s\n",
-                prog.dfg().nodes.size(), prog.dfg().links.size(),
+                art->dfg().nodes.size(), art->dfg().links.size(),
                 stats.drained ? "yes" : "no");
     return 0;
 }

@@ -57,10 +57,10 @@ lintSource(const std::string &source)
 {
     LintResult out;
     try {
-        auto prog = CompiledProgram::compile(source);
+        auto prog = CompiledArtifact::build(source);
         out.compiled = true;
-        out.validatedPasses = prog.optReport().validatedPasses;
-        out.report = graph::analyzeGraph(prog.dfg());
+        out.validatedPasses = prog->optReport().validatedPasses;
+        out.report = graph::analyzeGraph(prog->dfg());
         out.errors = out.report.hasErrors();
     } catch (const graph::ValidationError &e) {
         out.compileDiags = e.diagnostics();

@@ -36,8 +36,8 @@ main()
           };
         })";
 
-    auto prog = revet::CompiledProgram::compile(src);
-    revet::lang::DramImage dram(prog.hir());
+    auto prog = revet::CompiledArtifact::build(src);
+    revet::lang::DramImage dram(prog->hir());
 
     std::mt19937 rng(42);
     std::vector<int8_t> text;
@@ -56,13 +56,13 @@ main()
     dram.fill("offsets", offsets);
     dram.resize("lengths", count * 4);
 
-    prog.execute(dram, {count});
+    prog->execute(dram, {count});
     auto lengths = dram.read<int32_t>("lengths");
     int bad = 0;
     for (int i = 0; i < count; ++i)
         bad += lengths[i] != expect[i];
     std::printf("strlen over %d strings: %s (graph: %zu nodes)\n", count,
                 bad ? "MISMATCH" : "all lengths correct",
-                prog.dfg().nodes.size());
+                prog->dfg().nodes.size());
     return bad != 0;
 }

@@ -153,12 +153,12 @@ if [[ "$sanitize" != OFF ]]; then
     echo "== optimizer fuzz differential (sanitized, fixed seed)"
     REVET_FUZZ_SEED="${REVET_FUZZ_SEED:-20260730}" \
         "$build_dir/tests/revet_test_fuzz"
-    # Both executors must agree token-for-token on every fixture: run
-    # the bytecode/step differential suite explicitly under the
-    # instrumented build (the fuzz sweep above also replays its
-    # executor oracle at the pinned seed).
-    echo "== bytecode/step executor differential (sanitized)"
-    "$build_dir/tests/revet_test_bytecode"
+    # The executor's oracle: every app and language fixture against
+    # the AST interpreter, with per-link traffic identical across all
+    # three policies. Run it explicitly under the instrumented build.
+    echo "== executor equivalence (sanitized)"
+    "$build_dir/tests/revet_test_dataflow" \
+        --gtest_filter='*SchedulerEquivalence*'
     # The serving layer recycles execution contexts across requests and
     # shares one immutable artifact between worker threads — lifetime
     # and aliasing bugs there are exactly ASan territory (and the
@@ -171,15 +171,12 @@ if [[ "$sanitize" != OFF ]]; then
         # ParallelScheduler section) and the fuzz differential with the
         # parallel policy forced onto several workers so every Channel
         # push/pop, steal, and quiescence handshake runs instrumented
-        # even on single-core hosts.
+        # even on single-core hosts. Its equivalence section is also the
+        # executor's parallel-policy leg, so park reclamation and the
+        # primitives run under TSan with real cross-thread traffic.
         echo "== parallel scheduler suite (TSan, 4 workers)"
         REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_dataflow" \
             --gtest_filter='*Scheduler*:*Backpressure*:*Parallel*'
-        # The bytecode executor's parallel-policy leg with the workers
-        # forced up, so its park reclamation and dispatch loop run
-        # under TSan with real cross-thread channel traffic.
-        echo "== bytecode/step executor differential (TSan, 4 workers)"
-        REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_bytecode"
         # Serving batteries under TSan: serveBatch's worker threads,
         # the context pool's acquire/release handoff, and the artifact
         # cache's compile-under-lock dedup all run with the engine's

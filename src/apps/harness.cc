@@ -19,16 +19,16 @@ runApp(const App &app, int scale, const CompileOptions &copts,
     // scales and under repeated fixtures, and only (source, options)
     // changes the artifact — re-lowering per run was pure waste (the
     // compile-count test in tests/core/test_serve.cc pins this).
-    auto prog = CompiledProgram::fromCache(app.source, co);
+    auto art = ArtifactCache::global().get(app.source, co);
 
-    lang::DramImage dram(prog.hir());
+    lang::DramImage dram(art->hir());
     auto args = app.generate(dram, scale);
-    out.stats = prog.execute(dram, args);
+    out.stats = art->execute(dram, args);
     out.verifyError = app.verify(dram, scale);
     out.verified = out.verifyError.empty();
     out.accountedBytes = app.accountedBytes(scale);
 
-    graph::Dfg dfg = prog.dfg(); // copy: link analysis annotates widths
+    graph::Dfg dfg = art->dfg(); // copy: link analysis annotates widths
     graph::ResourceOptions ro = ropts;
     // The canonical graph-level toggles live in CompileOptions; plumb
     // them through so the layers cannot drift.

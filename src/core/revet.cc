@@ -78,7 +78,7 @@ canonicalOptions(const CompileOptions &opts)
     put(oss, "targetUtilization", m.targetUtilization);
     oss << "}}graph{";
     put(oss, "hoistAllocators", opts.graph.hoistAllocators);
-    oss << "}executor=" << graph::toString(opts.executor) << ';';
+    oss << '}';
     return oss.str();
 }
 
@@ -141,18 +141,12 @@ CompiledArtifact::interpret(lang::DramImage &dram,
 }
 
 graph::ExecStats
-CompiledArtifact::executeWith(graph::ExecutorKind executor,
-                              lang::DramImage &dram,
-                              const std::vector<int32_t> &args,
-                              dataflow::Engine::Policy policy,
-                              int num_threads) const
+CompiledArtifact::execute(lang::DramImage &dram,
+                          const std::vector<int32_t> &args,
+                          dataflow::Engine::Policy policy,
+                          int num_threads) const
 {
-    if (executor == graph::ExecutorKind::bytecode) {
-        return graph::execute(bytecode_, dram, args,
-                              dataflow::Engine::defaultMaxRounds, policy,
-                              num_threads);
-    }
-    return graph::execute(dfg_, dram, args,
+    return graph::execute(bytecode_, dram, args,
                           dataflow::Engine::defaultMaxRounds, policy,
                           num_threads);
 }
@@ -201,20 +195,6 @@ ArtifactCache::clear()
     std::lock_guard<std::mutex> guard(mu_);
     buckets_.clear();
     stats_ = Stats{};
-}
-
-CompiledProgram
-CompiledProgram::compile(const std::string &source,
-                         const CompileOptions &opts)
-{
-    return CompiledProgram(CompiledArtifact::build(source, opts));
-}
-
-CompiledProgram
-CompiledProgram::fromCache(const std::string &source,
-                           const CompileOptions &opts)
-{
-    return CompiledProgram(ArtifactCache::global().get(source, opts));
 }
 
 } // namespace revet

@@ -17,16 +17,13 @@
  *    requests. core/serve.hh pools contexts over one shared artifact
  *    for concurrent batch serving.
  *
- *  - CompiledProgram — the original single-user facade, now a thin
- *    handle on a shared artifact; compile() is uncached (a fresh
- *    artifact every call), fromCache() goes through the global cache.
- *
- * Typical single-user flow:
+ * Typical single-user flow (build() is uncached; a fresh artifact
+ * every call):
  * @code
- *   auto prog = revet::CompiledProgram::compile(source);
- *   revet::lang::DramImage dram(prog.hir());
+ *   auto art = revet::CompiledArtifact::build(source);
+ *   revet::lang::DramImage dram(art->hir());
  *   dram.fill("input", data);
- *   prog.execute(dram, {n});            // compiled dataflow
+ *   art->execute(dram, {n});            // compiled dataflow
  *   auto out = dram.read<int32_t>("out");
  * @endcode
  *
@@ -76,11 +73,6 @@ struct CompileOptions
      * plumbed into graph::ResourceOptions by the evaluation harness
      * and into graph::ContextOptions by makeContext(). */
     graph::GraphToggles graph;
-    /** Which executor CompiledProgram::execute runs. Both are
-     * bit-identical by contract (the differential suite enforces it);
-     * bytecode is the compile-once fast path, stepObjects the
-     * reference oracle. */
-    graph::ExecutorKind executor = graph::ExecutorKind::bytecode;
 };
 
 /**
@@ -174,14 +166,17 @@ class CompiledArtifact
     interp::RunStats interpret(lang::DramImage &dram,
                                const std::vector<int32_t> &args) const;
 
-    /** One-shot execution under @p executor (the differential suite's
-     * entry point; serving paths use makeContext() instead). */
-    graph::ExecStats executeWith(graph::ExecutorKind executor,
-                                 lang::DramImage &dram,
-                                 const std::vector<int32_t> &args,
-                                 dataflow::Engine::Policy policy =
-                                     dataflow::Engine::Policy::worklist,
-                                 int num_threads = 0) const;
+    /** One-shot run of the compiled dataflow graph on a fresh
+     * context (serving paths reuse contexts via makeContext()). The
+     * scheduling policy is observable only through stats, never
+     * through results (see dataflow/engine.hh). @p num_threads selects
+     * the worker count for Policy::parallel (0 defers to
+     * Engine::defaultNumThreads(); ignored by serial policies). */
+    graph::ExecStats execute(lang::DramImage &dram,
+                             const std::vector<int32_t> &args,
+                             dataflow::Engine::Policy policy =
+                                 dataflow::Engine::Policy::worklist,
+                             int num_threads = 0) const;
 
   private:
     CompiledArtifact() = default;
@@ -246,113 +241,6 @@ class ArtifactCache
         std::vector<std::shared_ptr<const CompiledArtifact>>>
         buckets_;
     Stats stats_;
-};
-
-/**
- * A Revet program carried through every compilation stage: the
- * original single-user facade, now a thin handle on a shared
- * CompiledArtifact. Copying a CompiledProgram copies a shared_ptr.
- */
-class CompiledProgram
-{
-  public:
-    /**
-     * Compile @p source into a fresh artifact — uncached by design:
-     * callers that want compile-once/run-many sharing use fromCache()
-     * or ArtifactCache directly, and benchmarks that measure compile
-     * cost (bench/serve_throughput's naive baseline) stay honest.
-     * @throws lang::CompileError on invalid programs.
-     */
-    static CompiledProgram compile(const std::string &source,
-                                   const CompileOptions &opts = {});
-
-    /** As compile(), but through ArtifactCache::global(): repeated
-     * calls with the same (source, options) share one artifact. */
-    static CompiledProgram fromCache(const std::string &source,
-                                     const CompileOptions &opts = {});
-
-    /** The shared immutable artifact behind this handle. */
-    const std::shared_ptr<const CompiledArtifact> &
-    artifact() const
-    {
-        return artifact_;
-    }
-
-    /** The post-pipeline HIR (for DramImage construction and debug). */
-    const lang::Program &hir() const { return artifact_->hir(); }
-
-    /** The pre-pipeline HIR (reference-interpreter semantics). */
-    const lang::Program &
-    referenceHir() const
-    {
-        return artifact_->referenceHir();
-    }
-
-    /** The lowered (and, unless disabled, optimized) dataflow graph. */
-    const graph::Dfg &dfg() const { return artifact_->dfg(); }
-
-    /** What the DFG optimizer did (node/link deltas, per-pass counts). */
-    const graph::GraphOptReport &
-    optReport() const
-    {
-        return artifact_->optReport();
-    }
-
-    const CompileOptions &options() const { return artifact_->options(); }
-
-    /** Run on the reference AST interpreter (golden model). */
-    interp::RunStats
-    interpret(lang::DramImage &dram,
-              const std::vector<int32_t> &args) const
-    {
-        return artifact_->interpret(dram, args);
-    }
-
-    /** The dfg() compiled once into flat bytecode (cached at
-     * compile() time — the compile-once/run-many artifact). */
-    const graph::BytecodeProgram &
-    bytecode() const
-    {
-        return artifact_->bytecode();
-    }
-
-    /** Run the compiled dataflow graph functionally, under the
-     * executor selected by CompileOptions::executor. The executor and
-     * the scheduling policy are observable only through stats/perf
-     * counters, never through results (see dataflow/engine.hh and
-     * graph/bytecode.hh). @p num_threads selects the worker count for
-     * Policy::parallel (0 defers to Engine::defaultNumThreads();
-     * ignored by serial policies). */
-    graph::ExecStats
-    execute(lang::DramImage &dram, const std::vector<int32_t> &args,
-            dataflow::Engine::Policy policy =
-                dataflow::Engine::Policy::worklist,
-            int num_threads = 0) const
-    {
-        return artifact_->executeWith(options().executor, dram, args,
-                                      policy, num_threads);
-    }
-
-    /** execute() with an explicit executor, overriding the compile
-     * option — the differential suite's entry point. */
-    graph::ExecStats
-    executeWith(graph::ExecutorKind executor, lang::DramImage &dram,
-                const std::vector<int32_t> &args,
-                dataflow::Engine::Policy policy =
-                    dataflow::Engine::Policy::worklist,
-                int num_threads = 0) const
-    {
-        return artifact_->executeWith(executor, dram, args, policy,
-                                      num_threads);
-    }
-
-  private:
-    explicit CompiledProgram(
-        std::shared_ptr<const CompiledArtifact> artifact)
-        : artifact_(std::move(artifact))
-    {}
-
-    std::shared_ptr<const CompiledArtifact> artifact_;
 };
 
 } // namespace revet

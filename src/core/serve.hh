@@ -14,10 +14,10 @@
  *
  * Correctness contract: serving is bit-identical to the one-shot path.
  * Every request's final DRAM image, link token counts, and link
- * barrier counts match a serial CompiledProgram::execute of the same
+ * barrier counts match a serial CompiledArtifact::execute of the same
  * (source, args) under any scheduling policy and any worker count —
  * Kahn-network determinism end to end. tests/core/test_serve.cc
- * enforces this against the step-object oracle.
+ * enforces this against the AST interpreter and a serial worklist run.
  */
 
 #ifndef REVET_CORE_SERVE_HH

@@ -127,22 +127,5 @@ bundleHeadKind(const Bundle &bundle)
     return any_data ? 0 : level;
 }
 
-std::vector<Token>
-popBundle(const Bundle &bundle)
-{
-    std::vector<Token> toks;
-    toks.reserve(bundle.size());
-    for (Channel *ch : bundle)
-        toks.push_back(ch->pop());
-    return toks;
-}
-
-void
-pushBundle(const Bundle &bundle, const std::vector<Token> &toks)
-{
-    for (size_t i = 0; i < bundle.size(); ++i)
-        bundle[i]->push(toks[i]);
-}
-
 } // namespace dataflow
 } // namespace revet

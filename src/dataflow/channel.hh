@@ -350,12 +350,6 @@ allCanPush(const Bundle &bundle)
  */
 int bundleHeadKind(const Bundle &bundle);
 
-/** Pop one token from every channel of @p bundle. */
-std::vector<Token> popBundle(const Bundle &bundle);
-
-/** Push @p toks element-wise onto @p bundle. */
-void pushBundle(const Bundle &bundle, const std::vector<Token> &toks);
-
 /** Push the same barrier onto every channel of @p bundle. */
 inline void
 pushBarrier(const Bundle &bundle, int level)

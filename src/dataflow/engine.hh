@@ -103,7 +103,7 @@ class Engine
     enum class Policy { roundRobin, worklist, parallel };
 
     /** Default safety cap on working rounds, shared by every caller
-     * (graph::execute, CompiledProgram::execute) so all entry points
+     * (graph::execute, graph::ExecutionContext::run) so all entry points
      * diagnose livelock at the same threshold. */
     static constexpr uint64_t defaultMaxRounds = 1u << 26;
 

@@ -103,6 +103,29 @@ FwdBackMerge::stallReason() const
     return oss.str();
 }
 
+namespace
+{
+
+/** Move one token from each lane of @p from, starting at lane
+ * @p first, to the matching lane of @p outs. Unbounded channels never
+ * wake a producer on pop, so lane-by-lane wakes consumers in the same
+ * order as popping the whole bundle before pushing. */
+inline void
+forwardLanes(const Bundle &from, const Bundle &outs, size_t first = 0)
+{
+    for (size_t i = 0; i < outs.size(); ++i)
+        outs[i]->push(from[first + i]->pop());
+}
+
+inline void
+dropLanes(const Bundle &bundle)
+{
+    for (Channel *ch : bundle)
+        ch->pop();
+}
+
+} // namespace
+
 bool
 Source::stepOnce()
 {
@@ -143,7 +166,7 @@ ElementWise::stepOnce()
         return false;
     int kind = bundleHeadKind(ins_);
     if (kind > 0) {
-        popBundle(ins_);
+        dropLanes(ins_);
         pushBarrier(outs_, kind);
         return true;
     }
@@ -219,20 +242,19 @@ bool
 Counter::stepOnce()
 {
     if (mode_ == Mode::idle) {
-        Bundle ins{min_, max_, step_};
-        if (!allHaveToken(ins))
+        if (!allHaveToken(ins_))
             return false;
-        int kind = bundleHeadKind(ins);
+        int kind = bundleHeadKind(ins_);
         if (kind > 0) {
             if (!out_->canPush())
                 return false;
-            popBundle(ins);
+            dropLanes(ins_);
             out_->push(Token::barrier(kind + 1));
             return true;
         }
-        cur_ = min_->pop().asInt();
-        lim_ = max_->pop().asInt();
-        stride_ = step_->pop().asInt();
+        cur_ = ins_[0]->pop().asInt();
+        lim_ = ins_[1]->pop().asInt();
+        stride_ = ins_[2]->pop().asInt();
         if (stride_ == 0)
             throw std::runtime_error(name() + ": zero counter stride");
         mode_ = Mode::run;
@@ -259,6 +281,13 @@ Counter::stepOnce()
     return true;
 }
 
+void
+Counter::reset()
+{
+    mode_ = Mode::idle;
+    cur_ = lim_ = stride_ = 0;
+}
+
 bool
 Reduce::stepOnce()
 {
@@ -266,7 +295,7 @@ Reduce::stepOnce()
         return false;
     const Token &head = in_->front();
     if (head.isData()) {
-        acc_ = fn_(acc_, head.word());
+        acc_ += head.word();
         in_group_ = true;
         in_->pop();
         return true;
@@ -301,6 +330,13 @@ Reduce::stallReason() const
     return name() + ": " + detail;
 }
 
+void
+Reduce::reset()
+{
+    acc_ = init_;
+    in_group_ = false;
+}
+
 bool
 Flatten::stepOnce()
 {
@@ -324,25 +360,26 @@ Flatten::stepOnce()
 bool
 Filter::stepOnce()
 {
-    Bundle all = ins_;
-    all.push_back(pred_);
-    if (!allHaveToken(all))
+    if (!allHaveToken(ins_))
         return false;
-    int kind = bundleHeadKind(all);
+    int kind = bundleHeadKind(ins_);
     if (kind > 0) {
         if (!allCanPush(outs_))
             return false;
-        popBundle(all);
+        dropLanes(ins_);
         pushBarrier(outs_, kind);
         return true;
     }
-    bool keep = (pred_->front().word() != 0) == sense_;
+    bool keep = (ins_[0]->front().word() != 0) == sense_;
     if (keep && !allCanPush(outs_))
         return false;
-    pred_->pop();
-    std::vector<Token> toks = popBundle(ins_);
-    if (keep)
-        pushBundle(outs_, toks);
+    ins_[0]->pop();
+    if (keep) {
+        forwardLanes(ins_, outs_, 1);
+    } else {
+        for (size_t i = 1; i < ins_.size(); ++i)
+            ins_[i]->pop();
+    }
     return true;
 }
 
@@ -361,7 +398,7 @@ ForwardMerge::stepOnce()
     if (ka == 0 || kb == 0) {
         if (!allCanPush(outs_))
             return false;
-        pushBundle(outs_, popBundle(ka == 0 ? a_ : b_));
+        forwardLanes(ka == 0 ? a_ : b_, outs_);
         return true;
     }
     // No data at either head: both must present the matching barrier.
@@ -374,8 +411,8 @@ ForwardMerge::stepOnce()
     }
     if (!allCanPush(outs_))
         return false;
-    popBundle(a_);
-    popBundle(b_);
+    dropLanes(a_);
+    dropLanes(b_);
     pushBarrier(outs_, ka);
     return true;
 }
@@ -395,7 +432,7 @@ FwdBackMerge::stepOnce()
     // echo; swallow it wherever it surfaces.
     if (bk > 0 && !pending_echoes_.empty() &&
         bk == pending_echoes_.front()) {
-        popBundle(back_);
+        dropLanes(back_);
         pending_echoes_.pop_front();
         return true;
     }
@@ -424,12 +461,12 @@ FwdBackMerge::stepOnce()
             return false;
         int kind = bundleHeadKind(fwd_);
         if (kind == 0) {
-            pushBundle(outs_, popBundle(fwd_));
+            forwardLanes(fwd_, outs_);
             return true;
         }
         // A forward barrier: flush the loop. Terminate the batch with
         // the loop-control Omega(1) and drain.
-        popBundle(fwd_);
+        dropLanes(fwd_);
         pushBarrier(outs_, 1);
         pending_level_ = kind;
         back_data_since_barrier_ = false;
@@ -443,7 +480,7 @@ FwdBackMerge::stepOnce()
     if (bk == 0) {
         if (!allCanPush(outs_))
             return false;
-        pushBundle(outs_, popBundle(back_));
+        forwardLanes(back_, outs_);
         back_data_since_barrier_ = true;
         return true;
     }
@@ -455,7 +492,7 @@ FwdBackMerge::stepOnce()
     }
     if (!allCanPush(outs_))
         return false;
-    popBundle(back_);
+    dropLanes(back_);
     if (back_data_since_barrier_) {
         // Threads are still circulating: close this iteration batch.
         pushBarrier(outs_, 1);
@@ -467,6 +504,15 @@ FwdBackMerge::stepOnce()
     pending_echoes_.push_back(pending_level_ + 1);
     mode_ = Mode::flow;
     return true;
+}
+
+void
+FwdBackMerge::reset()
+{
+    mode_ = Mode::flow;
+    pending_level_ = 0;
+    back_data_since_barrier_ = false;
+    pending_echoes_.clear();
 }
 
 } // namespace dataflow

@@ -11,8 +11,16 @@
  *
  * Primitives are written incrementally — stepOnce() performs a bounded
  * quantum of work and never consumes an input token unless the resulting
- * outputs can be pushed — so the same objects run under the unbounded
- * functional engine and the bounded-buffer cycle simulator.
+ * outputs can be pushed — so the same objects run over unbounded and
+ * bounded channels alike.
+ *
+ * These classes are the one definition of each firing rule: compiled
+ * graphs instantiate them directly (graph::ExecutionContext, which
+ * reset()s them between requests), as do the hand-built networks of
+ * the tests and benches. Their stepOnce() bodies allocate nothing,
+ * except ElementWise's lane vectors (a convenience for hand-built
+ * networks; compiled blocks are their own process) and Sink's growing
+ * collection.
  *
  * Every primitive declares its input and output channels to the base
  * class (declareIo) at construction. The Engine uses the declaration to
@@ -111,6 +119,14 @@ class Process
      */
     virtual std::string stallReason() const;
 
+    /**
+     * Return every per-run member (stream cursors, mode machines,
+     * accumulators) to its constructed state so the same network can
+     * serve another run once its channels are reset. Setup-only, like
+     * Channel::resetForReuse; stateless primitives keep the no-op.
+     */
+    virtual void reset() {}
+
   protected:
     /** Record the channel sets this primitive reads and writes. */
     void
@@ -148,6 +164,15 @@ class Source : public Process
     bool done() const { return pos_ == stream_.size(); }
     bool idle() const override { return done(); }
     std::string stallReason() const override;
+    void reset() override { pos_ = 0; }
+
+    /** Rewind onto a new stream (a compiled graph's per-run seed). */
+    void
+    reset(TokenStream stream)
+    {
+        stream_ = std::move(stream);
+        pos_ = 0;
+    }
 
   private:
     Channel *out_;
@@ -166,6 +191,7 @@ class Sink : public Process
 
     bool stepOnce() override;
     const TokenStream &collected() const { return collected_; }
+    void reset() override { collected_.clear(); }
 
   private:
     Channel *in_;
@@ -256,22 +282,20 @@ class Counter : public Process
   public:
     Counter(std::string name, Channel *min, Channel *max, Channel *step,
             Channel *out)
-        : Process(std::move(name)), min_(min), max_(max), step_(step),
-          out_(out)
+        : Process(std::move(name)), ins_{min, max, step}, out_(out)
     {
-        declareIo({min_, max_, step_}, {out_});
+        declareIo(ins_, {out_});
     }
 
     bool stepOnce() override;
     bool idle() const override;
     std::string stallReason() const override;
+    void reset() override;
 
   private:
     enum class Mode { idle, run, term };
 
-    Channel *min_;
-    Channel *max_;
-    Channel *step_;
+    Bundle ins_; ///< min, max, step
     Channel *out_;
     Mode mode_ = Mode::idle;
     int64_t cur_ = 0;
@@ -279,21 +303,18 @@ class Counter : public Process
     int64_t stride_ = 0;
 };
 
-/** Associative binary reduction function over 32-bit words. */
-using ReduceFn = std::function<Word(Word, Word)>;
-
 /**
- * Reduction: coalesces the last tensor dimension into one element and
- * lowers every barrier by one level. Empty groups yield the initial
- * value, preserving [[]] -> [0], [[],[]] -> [0,0], [] -> [].
+ * Reduction: the machine's add-reduction. Coalesces the last tensor
+ * dimension into the wrapping sum of its elements plus @p init and
+ * lowers every barrier by one level. Empty groups yield @p init,
+ * preserving [[]] -> [0], [[],[]] -> [0,0], [] -> [].
  */
 class Reduce : public Process
 {
   public:
-    Reduce(std::string name, Channel *in, Channel *out, ReduceFn fn,
-           Word init)
-        : Process(std::move(name)), in_(in), out_(out), fn_(std::move(fn)),
-          init_(init), acc_(init)
+    Reduce(std::string name, Channel *in, Channel *out, Word init)
+        : Process(std::move(name)), in_(in), out_(out), init_(init),
+          acc_(init)
     {
         declareIo({in_}, {out_});
     }
@@ -301,11 +322,11 @@ class Reduce : public Process
     bool stepOnce() override;
     bool idle() const override;
     std::string stallReason() const override;
+    void reset() override;
 
   private:
     Channel *in_;
     Channel *out_;
-    ReduceFn fn_;
     Word init_;
     Word acc_;
     /** True while data has been folded into acc_ but the group's
@@ -343,21 +364,19 @@ class Flatten : public Process
 class Filter : public Process
 {
   public:
-    Filter(std::string name, Channel *pred, Bundle ins, Bundle outs,
+    Filter(std::string name, Channel *pred, const Bundle &ins, Bundle outs,
            bool sense = true)
-        : Process(std::move(name)), pred_(pred), ins_(std::move(ins)),
-          outs_(std::move(outs)), sense_(sense)
+        : Process(std::move(name)), ins_{pred}, outs_(std::move(outs)),
+          sense_(sense)
     {
-        std::vector<Channel *> all_ins{pred_};
-        all_ins.insert(all_ins.end(), ins_.begin(), ins_.end());
-        declareIo(std::move(all_ins), outs_);
+        ins_.insert(ins_.end(), ins.begin(), ins.end());
+        declareIo(ins_, outs_);
     }
 
     bool stepOnce() override;
 
   private:
-    Channel *pred_;
-    Bundle ins_;
+    Bundle ins_; ///< the predicate, then the thread bundle
     Bundle outs_;
     bool sense_;
 };
@@ -424,6 +443,7 @@ class FwdBackMerge : public Process
     bool stepOnce() override;
     bool idle() const override;
     std::string stallReason() const override;
+    void reset() override;
 
   private:
     enum class Mode { flow, drain };

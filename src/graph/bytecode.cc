@@ -1,14 +1,12 @@
 #include "graph/bytecode.hh"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "graph/exec_detail.hh"
+#include "dataflow/primitives.hh"
 
 namespace revet
 {
@@ -21,14 +19,8 @@ using dataflow::Bundle;
 using dataflow::bundleHeadKind;
 using dataflow::Channel;
 using dataflow::pushBarrier;
-using detail::MachineMemory;
+using lang::normalize;
 using sltf::Token;
-
-std::string
-toString(ExecutorKind kind)
-{
-    return kind == ExecutorKind::stepObjects ? "stepObjects" : "bytecode";
-}
 
 const char *
 toString(BcOp op)
@@ -77,8 +69,7 @@ BytecodeProgram::compile(const Dfg &dfg)
         switch (node.kind) {
           case NodeKind::source:
             inst.op = BcOp::source;
-            // Argument slots are assigned in node order, matching the
-            // step executor's consumption order exactly.
+            // Argument slots are assigned in source-node order.
             inst.arg = node.name == "__start"
                            ? -1
                            : static_cast<int32_t>(arg_idx++);
@@ -150,238 +141,224 @@ BytecodeProgram::compile(const Dfg &dfg)
 namespace
 {
 
-/**
- * One bytecode instruction running as an engine process.
+/** Shared mutable memory state: DRAM image + dynamically allocated SRAM
+ * buffers (the MU allocator pool, unbounded in functional mode).
  *
- * The interpreter is a single stepOnce() switch over the opcode; each
- * case mirrors the corresponding streaming primitive in
- * dataflow/primitives.cc token for token — including the
- * snapshot-once discipline the negative-observation corollary demands
- * of the merges — so link traffic is bit-identical between executors
- * under every scheduling policy. What the bytecode path eliminates is
- * the per-firing dispatch tax of the step objects: channel bundles
- * and the block register file are resolved/allocated once at bind
- * time and reused, and a block firing is a straight loop over the
- * program's flat BlockOp table (no std::function hop, no per-firing
- * vectors).
- */
-class BytecodeProc final : public dataflow::Process
+ * Unlike channels (single producer/consumer each), this state is shared
+ * by every block process, so under Engine::Policy::parallel each access
+ * runs under `mu` — callers lock, the methods stay lock-free so a
+ * locked caller can compose them (alloc inside evalMemoryOp's
+ * section). The serialization does not perturb results: every
+ * DRAM/SRAM cell has a single writer per program point in well-formed
+ * Revet programs, and rmw ops are commutative (add/sub), so operation
+ * order across threads cannot change final memory. Stats counters are
+ * pure sums.
+ *
+ * The DRAM image and stats block are per-request state: an
+ * ExecutionContext keeps one MachineMemory for its lifetime and points
+ * it at each request's image/stats via rebind(). */
+struct MachineMemory
 {
-  public:
-    BytecodeProc(const BytecodeProgram &prog, const BcInst &inst,
-                 const std::vector<Channel *> &chans,
-                 std::shared_ptr<MachineMemory> mem, int32_t arg_value)
-        : Process(prog.names[inst.name]), inst_(inst),
-          mem_(std::move(mem))
+    lang::DramImage *dram = nullptr;
+    std::vector<std::vector<uint32_t>> heap;
+    ExecStats *stats = nullptr;
+    /** Serializes heap growth, DRAM image access, and stats updates
+     * across engine worker threads. */
+    std::mutex mu;
+    /** Park slots currently occupied across all park/restore pairs;
+     * the high-water mark lands in ExecStats::sramParkedPeak and the
+     * post-run residue in ExecStats::sramParkedEnd. */
+    uint64_t parkedNow = 0;
+    /** SRAM handles live this run; handles are assigned densely from 0
+     * each run, so this (not heap.size()) is the dangling bound when
+     * the arena below outlives a request. */
+    uint32_t liveAllocs = 0;
+    /** Keep the allocator arena across runs (ContextOptions::
+     * hoistAllocators): alloc() re-zeroes and reuses the buffer a
+     * previous request left in the slot instead of growing the heap.
+     * Off: rebind() drops the arena, every run allocates from
+     * scratch. */
+    bool hoistArena = false;
+
+    /** Point this memory at the next request's image/stats and clear
+     * all per-run state. Setup-only (no run in flight). */
+    void
+    rebind(lang::DramImage &dram_ref, ExecStats &stats_ref)
     {
-        ins_.reserve(inst.nIns);
-        for (uint32_t i = 0; i < inst.nIns; ++i)
-            ins_.push_back(chans[prog.chans[inst.ins + i]]);
-        outs_.reserve(inst.nOuts);
-        for (uint32_t i = 0; i < inst.nOuts; ++i)
-            outs_.push_back(chans[prog.chans[inst.outs + i]]);
-        declareIo(ins_, outs_);
-        switch (inst.op) {
-          case BcOp::block:
-            regs_.resize(inst.nRegs, 0);
-            ops_ = prog.ops.data() + inst.ops;
-            in_regs_ = prog.regs.data() + inst.inRegs;
-            out_regs_ = prog.regs.data() + inst.outRegs;
-            break;
-          case BcOp::fwdMerge:
-          case BcOp::fbMerge:
-            a_.assign(ins_.begin(), ins_.begin() + inst.nOuts);
-            b_.assign(ins_.begin() + inst.nOuts, ins_.end());
-            break;
-          default:
-            break;
-        }
-        reset(arg_value);
+        dram = &dram_ref;
+        stats = &stats_ref;
+        if (!hoistArena)
+            heap.clear();
+        liveAllocs = 0;
+        parkedNow = 0;
     }
 
-    /**
-     * Re-arm for a fresh request: re-seed the source stream from
-     * @p arg_value and return every per-run member — stream cursor,
-     * counter/merge/reduce mode machines, keyed-park table, ordinal
-     * counter — to its initial state. The structural wiring (bundles,
-     * block op/reg pointers) set up in the constructor is untouched.
-     * Called by the constructor and by ExecutionContext::run between
-     * requests; setup-only, like Channel::resetForReuse.
-     */
-    void
-    reset(int32_t arg_value)
+    uint32_t
+    alloc(int64_t size)
     {
-        if (inst_.op == BcOp::source) {
-            seed_ = inst_.arg < 0
-                        ? sltf::StreamBuilder().d(0).b(1).build()
-                        : sltf::StreamBuilder()
-                              .d(static_cast<Word>(arg_value))
-                              .b(1)
-                              .build();
+        if (liveAllocs < heap.size()) {
+            heap[liveAllocs].assign(static_cast<size_t>(size), 0u);
+            ++stats->sramArenaReused;
+        } else {
+            heap.emplace_back(static_cast<size_t>(size), 0u);
         }
-        pos_ = 0;
-        cmode_ = CtrMode::idle;
-        cur_ = lim_ = stride_ = 0;
-        acc_ = inst_.init;
-        in_group_ = false;
-        mmode_ = MergeMode::flow;
-        pending_level_ = 0;
-        back_data_since_barrier_ = false;
-        pending_echoes_.clear();
-        buffered_.clear();
-        next_ordinal_ = 0;
-        value_batches_ = 0;
-        key_batches_ = 0;
-        count_ = 0;
+        ++stats->sramAllocs;
+        return liveAllocs++;
+    }
+
+    void
+    parkSlot()
+    {
+        ++parkedNow;
+        if (parkedNow > stats->sramParkedPeak)
+            stats->sramParkedPeak = parkedNow;
+    }
+
+    void
+    releaseSlot()
+    {
+        --parkedNow;
+    }
+
+    std::vector<uint32_t> *
+    buffer(uint32_t handle)
+    {
+        if (handle >= liveAllocs)
+            throw std::runtime_error("dangling SRAM handle in dataflow");
+        return &heap[handle];
+    }
+};
+
+/**
+ * Evaluate one block op that graph::evalPureOp declined: memory ops
+ * (SRAM heap, DRAM image, rmw) and their stats, under @p mem's mutex,
+ * plus the division/remainder-by-zero machine-model violations.
+ */
+Word
+evalMemoryOp(const BlockOp &op, const std::vector<Word> &regs,
+             MachineMemory &mem)
+{
+    auto A = [&] { return regs[op.a]; };
+    auto B = [&] { return regs[op.b]; };
+    auto C = [&] { return regs[op.c]; };
+    // One lock per op keeps workers serialized only on the memory ops
+    // themselves, never on the pure ALU fast path.
+    std::lock_guard<std::mutex> guard(mem.mu);
+    switch (op.kind) {
+      case OpKind::divs:
+      case OpKind::divu:
+        throw std::runtime_error("division by zero in dataflow");
+      case OpKind::rems:
+      case OpKind::remu:
+        throw std::runtime_error("remainder by zero in dataflow");
+      case OpKind::sramAlloc:
+        return mem.alloc(op.size);
+      case OpKind::sramRead: {
+        ++mem.stats->sramAccesses;
+        auto *buf = mem.buffer(A());
+        uint32_t idx = B();
+        return idx < buf->size() ? normalize(op.elem, (*buf)[idx]) : 0;
+      }
+      case OpKind::sramWrite: {
+        ++mem.stats->sramAccesses;
+        auto *buf = mem.buffer(A());
+        uint32_t idx = B();
+        if (idx < buf->size())
+            (*buf)[idx] = normalize(op.elem, C());
+        return 0;
+      }
+      case OpKind::rmwAdd:
+      case OpKind::rmwSub: {
+        ++mem.stats->sramAccesses;
+        auto *buf = mem.buffer(A());
+        uint32_t idx = B();
+        if (idx >= buf->size())
+            return 0;
+        uint32_t old = (*buf)[idx];
+        uint32_t next =
+            op.kind == OpKind::rmwAdd ? old + C() : old - C();
+        (*buf)[idx] = normalize(op.elem, next);
+        return normalize(op.elem, old);
+      }
+      case OpKind::dramRead: {
+        ++mem.stats->dramReadElems;
+        mem.stats->dramReadBytes += lang::dramElemBytes(op.elem);
+        return mem.dram->load(op.dram, A());
+      }
+      case OpKind::dramWrite: {
+        ++mem.stats->dramWriteElems;
+        mem.stats->dramWriteBytes += lang::dramElemBytes(op.elem);
+        mem.dram->store(op.dram, A(), B());
+        return 0;
+      }
+      default:
+        break; // pure ops are evalPureOp's
+    }
+    return 0;
+}
+
+/**
+ * Post-run bookkeeping: copy the engine's scheduler counters into
+ * @p stats, throw the stall report if the network failed to drain, and
+ * harvest per-link traffic/value watches (the engine's first
+ * @p num_links channels are the graph links, in link-id order).
+ */
+void
+collectRunStats(dataflow::Engine &engine, size_t num_links,
+                ExecStats &stats)
+{
+    const dataflow::SchedStats &sched = engine.schedStats();
+    stats.schedWakeups = sched.wakeups;
+    stats.schedSteps = sched.steps;
+    stats.schedIdleSteps = sched.idleSteps;
+    stats.schedStepsSkipped = sched.stepsSkipped;
+    stats.schedVerifyPasses = sched.verifyPasses;
+    stats.schedQuanta = sched.quanta;
+    stats.schedSteals = sched.steals;
+    stats.schedWorkers = sched.workers;
+    stats.drained = engine.drained();
+    if (!stats.drained) {
+        throw std::runtime_error("dataflow execution stalled: " +
+                                 engine.stallReport());
+    }
+    stats.linkTokens.resize(num_links, 0);
+    stats.linkBarriers.resize(num_links, 0);
+    stats.linkValues.resize(num_links);
+    const auto &channels = engine.channels();
+    for (size_t i = 0; i < num_links; ++i) {
+        stats.linkTokens[i] = channels[i]->totalPushed();
+        stats.linkBarriers[i] = channels[i]->watch().barriersPushed;
+        stats.linkValues[i] = channels[i]->watch();
+    }
+}
+
+// The ten stream roles run as the dataflow:: primitives themselves;
+// only the roles that touch MachineMemory (or, for ordinal, renumber
+// threads for the keyed parks) are processes of their own, below.
+
+/**
+ * A block: one element-wise firing over a preallocated register file.
+ * Each firing re-zeroes the file (reads-before-writes yield 0), lands
+ * the inputs by the lane map, and runs straight over this block's
+ * slice of the program's flat BlockOp table.
+ */
+class BlockProc final : public dataflow::Process
+{
+  public:
+    BlockProc(std::string name, const BytecodeProgram &prog,
+              const BcInst &inst, Bundle ins, Bundle outs,
+              MachineMemory &mem)
+        : Process(std::move(name)), ins_(std::move(ins)),
+          outs_(std::move(outs)), regs_(inst.nRegs, 0),
+          ops_(prog.ops.data() + inst.ops), num_ops_(inst.nOps),
+          in_regs_(prog.regs.data() + inst.inRegs),
+          out_regs_(prog.regs.data() + inst.outRegs), mem_(mem)
+    {
+        declareIo(ins_, outs_);
     }
 
     bool
     stepOnce() override
-    {
-        switch (inst_.op) {
-          case BcOp::source: return stepSource();
-          case BcOp::sink: return stepSink();
-          case BcOp::fanout: return stepFanout();
-          case BcOp::block: return stepBlock();
-          case BcOp::counter: return stepCounter();
-          case BcOp::broadcast: return stepBroadcast();
-          case BcOp::reduce: return stepReduce();
-          case BcOp::flatten: return stepFlatten();
-          case BcOp::filter: return stepFilter();
-          case BcOp::fwdMerge: return stepFwdMerge();
-          case BcOp::fbMerge: return stepFbMerge();
-          case BcOp::park: return stepPark();
-          case BcOp::restore: return stepRestore();
-          case BcOp::keyedRestore: return stepKeyedRestore();
-          case BcOp::ordinal: return stepOrdinal();
-        }
-        return false;
-    }
-
-    bool
-    idle() const override
-    {
-        switch (inst_.op) {
-          case BcOp::source:
-            return pos_ == seed_.size();
-          case BcOp::counter:
-            return cmode_ == CtrMode::idle && Process::idle();
-          case BcOp::reduce:
-            return !in_group_ && Process::idle();
-          case BcOp::fbMerge:
-            return mmode_ == MergeMode::flow && pending_echoes_.empty() &&
-                   Process::idle();
-          default:
-            // Leftover keyedRestore values are parks of threads that
-            // died inside the region mid-batch: quiescent, not a stall
-            // (mirrors the step executor's KeyedRestore).
-            return Process::idle();
-        }
-    }
-
-    std::string
-    stallReason() const override
-    {
-        switch (inst_.op) {
-          case BcOp::source:
-            return name() + ": " +
-                   std::to_string(seed_.size() - pos_) +
-                   " tokens pending; " + ioStallDetail();
-          case BcOp::counter: {
-            const char *mode = cmode_ == CtrMode::idle  ? "idle"
-                               : cmode_ == CtrMode::run ? "run"
-                                                        : "term";
-            return name() + ": mode=" + mode + "; " + ioStallDetail();
-          }
-          case BcOp::reduce: {
-            std::string detail = ioStallDetail();
-            if (in_group_)
-                detail = "partial reduction buffered (awaiting the "
-                         "group's closing barrier); " + detail;
-            return name() + ": " + detail;
-          }
-          case BcOp::fbMerge: {
-            std::ostringstream oss;
-            oss << name() << ": mode="
-                << (mmode_ == MergeMode::flow ? "flow" : "drain");
-            if (mmode_ == MergeMode::drain)
-                oss << " (forward input stalled, draining backedge "
-                       "toward B" << pending_level_ + 1 << ")";
-            if (!pending_echoes_.empty())
-                oss << " awaiting " << pending_echoes_.size()
-                    << " backedge echo(es) of B"
-                    << pending_echoes_.front();
-            oss << "; " << ioStallDetail();
-            return oss.str();
-          }
-          case BcOp::keyedRestore: {
-            std::string detail = ioStallDetail();
-            if (!ins_[1]->empty() && ins_[1]->front().isData()) {
-                detail = "awaiting parked value for ordinal " +
-                    std::to_string(ins_[1]->front().word()) + "; " +
-                    detail;
-            }
-            return name() + ": " + std::to_string(buffered_.size()) +
-                " value(s) parked; " + detail;
-          }
-          default:
-            return Process::stallReason();
-        }
-    }
-
-  private:
-    /** Move one token from each channel of @p from, starting at lane
-     * @p first, to the matching output. Executor channels are
-     * unbounded, so a pop never wakes a producer: popping lane by lane
-     * wakes consumers in the same order as popping the whole bundle
-     * before pushing, as the primitives.cc twins do. */
-    void
-    forward(const Bundle &from, size_t first = 0)
-    {
-        for (size_t i = 0; i < outs_.size(); ++i)
-            outs_[i]->push(from[first + i]->pop());
-    }
-
-    // ---- per-opcode steps; each mirrors its primitives.cc twin ----
-
-    bool
-    stepSource()
-    {
-        Channel *out = outs_[0];
-        if (pos_ >= seed_.size() || !out->canPush())
-            return false;
-        out->push(seed_[pos_++]);
-        return true;
-    }
-
-    bool
-    stepSink()
-    {
-        // Unlike dataflow::Sink this discards (nothing reads a compiled
-        // graph's sink stream back); traffic counting is unaffected.
-        if (ins_[0]->empty())
-            return false;
-        ins_[0]->pop();
-        return true;
-    }
-
-    bool
-    stepFanout()
-    {
-        if (ins_[0]->empty())
-            return false;
-        for (Channel *out : outs_) {
-            if (!out->canPush())
-                return false;
-        }
-        Token tok = ins_[0]->pop();
-        for (Channel *out : outs_)
-            out->push(tok);
-        return true;
-    }
-
-    bool
-    stepBlock()
     {
         if (!allHaveToken(ins_) || !allCanPush(outs_))
             return false;
@@ -392,28 +369,22 @@ class BytecodeProc final : public dataflow::Process
             pushBarrier(outs_, kind);
             return true;
         }
-        // One firing over the preallocated register file: fresh
-        // zero-init (reads-before-writes yield 0, as in the step
-        // executor), inputs landed by the lane map, then a straight
-        // run over this block's slice of the flat op table.
         std::fill(regs_.begin(), regs_.end(), 0);
         for (size_t i = 0; i < ins_.size(); ++i)
             regs_[in_regs_[i]] = ins_[i]->pop().word();
-        for (uint32_t i = 0; i < inst_.nOps; ++i) {
+        for (uint32_t i = 0; i < num_ops_; ++i) {
             const BlockOp &op = ops_[i];
             if (op.guard >= 0 && regs_[op.guard] == 0)
                 continue;
-            // ALU fast path: dispatch straight through evalPureOp (the
-            // single home of arithmetic semantics) and fall back to
-            // detail::evalOp only for the ops it declines — memory
-            // traffic and the div/rem-by-zero throw, both of which
-            // must take the shared-machine-memory lock anyway.
+            // ALU semantics live in graph::evalPureOp (shared with the
+            // optimizer's constant folder); it declines memory traffic
+            // and division by zero, which take the locked slow path.
             Word v;
             const Word a = op.a >= 0 ? regs_[op.a] : 0;
             const Word b = op.b >= 0 ? regs_[op.b] : 0;
             const Word c = op.c >= 0 ? regs_[op.c] : 0;
             if (!evalPureOp(op, a, b, c, v))
-                v = detail::evalOp(op, regs_, *mem_);
+                v = evalMemoryOp(op, regs_, mem_);
             if (op.dst >= 0)
                 regs_[op.dst] = v;
         }
@@ -422,344 +393,112 @@ class BytecodeProc final : public dataflow::Process
         return true;
     }
 
-    bool
-    stepCounter()
+  private:
+    Bundle ins_;
+    Bundle outs_;
+    std::vector<Word> regs_;
+    const BlockOp *ops_;
+    uint32_t num_ops_;
+    const int32_t *in_regs_;
+    const int32_t *out_regs_;
+    MachineMemory &mem_;
+};
+
+/**
+ * The single-lane roles around a replicate region: park (SRAM write of
+ * each data token), FIFO restore (the in-order read-back), and ordinal
+ * (tags each entering thread with its arrival index: the key a keyed
+ * park stores under and its restore looks up by). All three pass the
+ * stream through with barriers untouched.
+ */
+class LaneTap final : public dataflow::Process
+{
+  public:
+    LaneTap(std::string name, BcOp role, Channel *in, Channel *out,
+            MachineMemory &mem)
+        : Process(std::move(name)), role_(role), in_(in), out_(out),
+          mem_(mem)
     {
-        Channel *out = outs_[0];
-        if (cmode_ == CtrMode::idle) {
-            if (!allHaveToken(ins_))
-                return false;
-            int kind = bundleHeadKind(ins_);
-            if (kind > 0) {
-                if (!out->canPush())
-                    return false;
-                for (Channel *ch : ins_)
-                    ch->pop();
-                out->push(Token::barrier(kind + 1));
-                return true;
-            }
-            cur_ = ins_[0]->pop().asInt();
-            lim_ = ins_[1]->pop().asInt();
-            stride_ = ins_[2]->pop().asInt();
-            if (stride_ == 0)
-                throw std::runtime_error(name() +
-                                         ": zero counter stride");
-            cmode_ = CtrMode::run;
-            return true;
-        }
-        if (cmode_ == CtrMode::run) {
-            bool live = stride_ > 0 ? cur_ < lim_ : cur_ > lim_;
-            if (!live) {
-                cmode_ = CtrMode::term;
+        declareIo({in_}, {out_});
+    }
+
+    bool
+    stepOnce() override
+    {
+        if (in_->empty() || !out_->canPush())
+            return false;
+        Token tok = in_->pop();
+        if (tok.isData()) {
+            if (role_ == BcOp::ordinal) {
+                tok = Token::data(count_++);
             } else {
-                if (!out->canPush())
-                    return false;
-                out->push(Token::data(static_cast<Word>(
-                    static_cast<uint64_t>(cur_) & 0xffffffffu)));
-                cur_ += stride_;
-                return true;
+                std::lock_guard<std::mutex> guard(mem_.mu);
+                ++mem_.stats->sramAccesses;
+                if (role_ == BcOp::park) {
+                    ++mem_.stats->sramParkedElems;
+                    mem_.parkSlot();
+                } else {
+                    mem_.releaseSlot();
+                }
             }
         }
-        // CtrMode::term: emit the explicit group terminator.
-        if (!out->canPush())
-            return false;
-        out->push(Token::barrier(1));
-        cmode_ = CtrMode::idle;
+        out_->push(tok);
         return true;
     }
 
-    bool
-    stepBroadcast()
+    void reset() override { count_ = 0; }
+
+  private:
+    BcOp role_;
+    Channel *in_;
+    Channel *out_;
+    MachineMemory &mem_;
+    Word count_ = 0;
+};
+
+/**
+ * Associative read-back side of an ordinal-keyed park/restore pair.
+ *
+ * The park forwards the value stream in region-entry order; this
+ * process buffers each arriving value under its arrival index (the
+ * same numbering the region-entry ordinal hands out) and emits values
+ * in the order their keys appear on the key stream — the ordinal lane
+ * that rode the region's bundles, i.e. region-exit order. The output's
+ * barrier structure mirrors the key stream (the value stream's
+ * barriers carry entry-order structure and are dropped); a key whose
+ * value has not arrived yet simply waits.
+ *
+ * Slot reclamation: values whose threads died inside the region
+ * (exit/return) are never looked up, so waiting for a lookup would
+ * hold their slots forever. Both streams of a keyed pair carry the
+ * same barrier structure — keyed parking refuses thread-multiplying
+ * region bodies (counter/broadcast/reduce force a fork refusal), and
+ * every remaining in-region primitive conserves barriers end to end
+ * (flattens inside a while body cancel against the B1s its fbMerge
+ * inserts) — so barrier #k on the value stream and barrier #k on the
+ * key stream delimit the same batch of threads. When the key stream
+ * closes batch k, every still-buffered value tagged with batch k
+ * belongs to a dead thread and its slot is freed (bookkeeping only:
+ * the MU just forgets the slot, so no sramAccesses are counted).
+ * Leftover values at quiescence are such parks, not a stall.
+ */
+class KeyedRestore final : public dataflow::Process
+{
+  public:
+    KeyedRestore(std::string name, Channel *value, Channel *key,
+                 Channel *out, MachineMemory &mem)
+        : Process(std::move(name)), value_(value), key_(key), out_(out),
+          mem_(mem)
     {
-        Channel *deep = ins_[0];
-        Channel *shallow = ins_[1];
-        Channel *out = outs_[0];
-        if (deep->empty() || !out->canPush())
-            return false;
-        const Token &head = deep->front();
-        if (head.isData()) {
-            if (shallow->empty())
-                return false;
-            if (!shallow->front().isData()) {
-                throw std::runtime_error(
-                    name() + ": shallow stream has a barrier where the "
-                             "deep structure still carries data");
-            }
-            deep->pop();
-            out->push(Token::data(shallow->front().word()));
-            return true;
-        }
-        int j = head.barrierLevel();
-        if (j < inst_.level) {
-            // Barrier below the broadcast level: structure internal to
-            // one broadcast element; pass through.
-            deep->pop();
-            out->push(Token::barrier(j));
-            return true;
-        }
-        if (shallow->empty())
-            return false;
-        const Token &sh = shallow->front();
-        if (j == inst_.level) {
-            // One broadcast group ends: retire the shallow element.
-            if (!sh.isData())
-                throw std::runtime_error(name() +
-                                         ": expected shallow data");
-            deep->pop();
-            shallow->pop();
-            out->push(Token::barrier(j));
-            return true;
-        }
-        // j > level: the shallow stream's own barrier must match, one
-        // level shallower.
-        if (!sh.isBarrier() || sh.barrierLevel() != j - inst_.level) {
-            throw std::runtime_error(
-                name() + ": shallow barrier mismatch at deep B" +
-                std::to_string(j));
-        }
-        deep->pop();
-        shallow->pop();
-        out->push(Token::barrier(j));
-        return true;
+        declareIo({value_, key_}, {out_});
     }
 
     bool
-    stepReduce()
+    stepOnce() override
     {
-        Channel *in = ins_[0];
-        Channel *out = outs_[0];
-        if (in->empty())
-            return false;
-        const Token &head = in->front();
-        if (head.isData()) {
-            acc_ += head.word();
-            in_group_ = true;
-            in->pop();
-            return true;
-        }
-        if (!out->canPush())
-            return false;
-        int j = head.barrierLevel();
-        in->pop();
-        if (j == 1) {
-            out->push(Token::data(acc_));
-            acc_ = inst_.init;
-            in_group_ = false;
-        } else {
-            out->push(Token::barrier(j - 1));
-        }
-        return true;
-    }
-
-    bool
-    stepFlatten()
-    {
-        Channel *in = ins_[0];
-        Channel *out = outs_[0];
-        if (in->empty())
-            return false;
-        const Token &head = in->front();
-        if (head.isBarrier() && head.barrierLevel() == 1) {
-            in->pop(); // the stripped level vanishes
-            return true;
-        }
-        if (!out->canPush())
-            return false;
-        Token tok = in->pop();
-        if (tok.isBarrier())
-            out->push(Token::barrier(tok.barrierLevel() - 1));
-        else
-            out->push(tok);
-        return true;
-    }
-
-    bool
-    stepFilter()
-    {
-        // ins_[0] is the predicate; the thread bundle follows.
-        if (!allHaveToken(ins_))
-            return false;
-        const int kind = bundleHeadKind(ins_);
-        if (kind > 0) {
-            if (!allCanPush(outs_))
-                return false;
-            for (Channel *ch : ins_)
-                ch->pop();
-            pushBarrier(outs_, kind);
-            return true;
-        }
-        bool keep = (ins_[0]->front().word() != 0) == inst_.sense;
-        if (keep && !allCanPush(outs_))
-            return false;
-        ins_[0]->pop();
-        if (keep) {
-            forward(ins_, 1);
-        } else {
-            for (size_t i = 1; i < ins_.size(); ++i)
-                ins_[i]->pop();
-        }
-        return true;
-    }
-
-    bool
-    stepFwdMerge()
-    {
-        // Snapshot each side's head exactly once (-1 = no token yet);
-        // see the negative-observation corollary in primitives.hh.
-        const int ka = allHaveToken(a_) ? bundleHeadKind(a_) : -1;
-        const int kb = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
-        if (ka == 0 || kb == 0) {
-            if (!allCanPush(outs_))
-                return false;
-            forward(ka == 0 ? a_ : b_);
-            return true;
-        }
-        // No data at either head: both must present the matching
-        // barrier.
-        if (ka < 0 || kb < 0)
-            return false;
-        if (ka != kb) {
-            throw std::runtime_error(
-                name() + ": branch barrier mismatch B" +
-                std::to_string(ka) + " vs B" + std::to_string(kb));
-        }
-        if (!allCanPush(outs_))
-            return false;
-        for (Channel *ch : a_)
-            ch->pop();
-        for (Channel *ch : b_)
-            ch->pop();
-        pushBarrier(outs_, ka);
-        return true;
-    }
-
-    bool
-    stepFbMerge()
-    {
-        // Snapshot the backedge head exactly once for the whole step
-        // (-1 = no token yet), as in dataflow::FwdBackMerge — the echo
-        // check, the flow-mode sanity check, and the drain all branch
-        // on this one observation.
-        const int bk = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
-
-        // The released flush's barrier recirculates through the body
-        // as an echo; swallow it wherever it surfaces.
-        if (bk > 0 && !pending_echoes_.empty() &&
-            bk == pending_echoes_.front()) {
-            for (Channel *ch : b_)
-                ch->pop();
-            pending_echoes_.pop_front();
-            return true;
-        }
-
-        if (mmode_ == MergeMode::flow) {
-            // Only the forward input flows before the flush (see
-            // FwdBackMerge::stepOnce for why this batching discipline
-            // is what keeps link traffic schedule-independent).
-            if (bk > 0) {
-                throw std::runtime_error(
-                    name() + ": unexpected backedge barrier B" +
-                    std::to_string(bk) + " outside a flush");
-            }
-            if (!allHaveToken(a_) || !allCanPush(outs_))
-                return false;
-            int kind = bundleHeadKind(a_);
-            if (kind == 0) {
-                forward(a_);
-                return true;
-            }
-            // A forward barrier: flush the loop. Terminate the batch
-            // with the loop-control Omega(1) and drain.
-            for (Channel *ch : a_)
-                ch->pop();
-            pushBarrier(outs_, 1);
-            pending_level_ = kind;
-            back_data_since_barrier_ = false;
-            mmode_ = MergeMode::drain;
-            return true;
-        }
-
-        // MergeMode::drain: forward input stalled; iterate the body dry.
-        if (bk < 0)
-            return false;
-        if (bk == 0) {
-            if (!allCanPush(outs_))
-                return false;
-            forward(b_);
-            back_data_since_barrier_ = true;
-            return true;
-        }
-        if (bk != 1) {
-            throw std::runtime_error(name() + ": backedge barrier B" +
-                                     std::to_string(bk) +
-                                     " during drain (expected B1)");
-        }
-        if (!allCanPush(outs_))
-            return false;
-        for (Channel *ch : b_)
-            ch->pop();
-        if (back_data_since_barrier_) {
-            // Threads are still circulating: close this iteration
-            // batch.
-            pushBarrier(outs_, 1);
-            back_data_since_barrier_ = false;
-            return true;
-        }
-        // Two barriers in a row: the body is empty. Release the flush.
-        pushBarrier(outs_, pending_level_ + 1);
-        pending_echoes_.push_back(pending_level_ + 1);
-        mmode_ = MergeMode::flow;
-        return true;
-    }
-
-    bool
-    stepPark()
-    {
-        Channel *in = ins_[0];
-        Channel *out = outs_[0];
-        if (in->empty() || !out->canPush())
-            return false;
-        Token tok = in->pop();
-        if (tok.isData()) {
-            std::lock_guard<std::mutex> guard(mem_->mu);
-            ++mem_->stats->sramAccesses;
-            ++mem_->stats->sramParkedElems;
-            mem_->parkSlot();
-        }
-        out->push(tok);
-        return true;
-    }
-
-    bool
-    stepRestore()
-    {
-        // FIFO restore: an in-order pop, identity on the stream.
-        Channel *in = ins_[0];
-        Channel *out = outs_[0];
-        if (in->empty() || !out->canPush())
-            return false;
-        Token tok = in->pop();
-        if (tok.isData()) {
-            std::lock_guard<std::mutex> guard(mem_->mu);
-            ++mem_->stats->sramAccesses;
-            mem_->releaseSlot();
-        }
-        out->push(tok);
-        return true;
-    }
-
-    bool
-    stepKeyedRestore()
-    {
-        // Associative read-back of an ordinal-keyed park/restore pair;
-        // mirrors exec.cc's KeyedRestore, including the batch-close
-        // slot reclamation (see that class comment for the barrier
-        // correspondence argument).
-        Channel *value = ins_[0];
-        Channel *key = ins_[1];
-        Channel *out = outs_[0];
-        if (!value->empty()) {
-            Token tok = value->pop();
+        // Absorb the park stream first: values land in the keyed SRAM.
+        if (!value_->empty()) {
+            Token tok = value_->pop();
             if (tok.isBarrier()) {
                 ++value_batches_;
                 return true;
@@ -767,19 +506,19 @@ class BytecodeProc final : public dataflow::Process
             if (value_batches_ < key_batches_) {
                 // Dead on arrival: the value's batch already closed on
                 // the key side, so no key can ever look it up.
-                std::lock_guard<std::mutex> guard(mem_->mu);
-                mem_->releaseSlot();
+                std::lock_guard<std::mutex> guard(mem_.mu);
+                mem_.releaseSlot();
             } else {
                 buffered_[next_ordinal_] = {tok.word(), value_batches_};
             }
             ++next_ordinal_;
             return true;
         }
-        if (key->empty() || !out->canPush())
+        if (key_->empty() || !out_->canPush())
             return false;
-        const Token &head = key->front();
+        const Token &head = key_->front();
         if (head.isBarrier()) {
-            out->push(key->pop());
+            out_->push(key_->pop());
             ++key_batches_;
             reclaimClosedBatches();
             return true;
@@ -787,16 +526,46 @@ class BytecodeProc final : public dataflow::Process
         auto it = buffered_.find(head.word());
         if (it == buffered_.end())
             return false; // the key ran ahead of its parked value
-        key->pop();
+        key_->pop();
         {
-            std::lock_guard<std::mutex> guard(mem_->mu);
-            ++mem_->stats->sramAccesses;
-            mem_->releaseSlot();
+            std::lock_guard<std::mutex> guard(mem_.mu);
+            ++mem_.stats->sramAccesses;
+            mem_.releaseSlot();
         }
-        out->push(Token::data(it->second.value));
+        out_->push(Token::data(it->second.value));
         buffered_.erase(it);
         return true;
     }
+
+    std::string
+    stallReason() const override
+    {
+        std::string detail = ioStallDetail();
+        if (!key_->empty() && key_->front().isData()) {
+            detail = "awaiting parked value for ordinal " +
+                std::to_string(key_->front().word()) + "; " + detail;
+        }
+        return name() + ": " + std::to_string(buffered_.size()) +
+            " value(s) parked; " + detail;
+    }
+
+    void
+    reset() override
+    {
+        buffered_.clear();
+        next_ordinal_ = 0;
+        value_batches_ = 0;
+        key_batches_ = 0;
+    }
+
+  private:
+    struct Parked
+    {
+        Word value = 0;
+        /** Value-stream barrier count at arrival: which batch the
+         * value's thread entered the region in. */
+        uint64_t batch = 0;
+    };
 
     void
     reclaimClosedBatches()
@@ -812,75 +581,30 @@ class BytecodeProc final : public dataflow::Process
         }
         if (freed == 0)
             return;
-        std::lock_guard<std::mutex> guard(mem_->mu);
+        std::lock_guard<std::mutex> guard(mem_.mu);
         for (size_t i = 0; i < freed; ++i)
-            mem_->releaseSlot();
+            mem_.releaseSlot();
     }
 
-    bool
-    stepOrdinal()
-    {
-        // Tag each thread entering a replicate region with its arrival
-        // index (the keyed-park key); barriers pass through.
-        Channel *in = ins_[0];
-        Channel *out = outs_[0];
-        if (in->empty() || !out->canPush())
-            return false;
-        Token tok = in->pop();
-        if (tok.isData())
-            out->push(Token::data(count_++));
-        else
-            out->push(tok);
-        return true;
-    }
-
-    struct Parked
-    {
-        Word value = 0;
-        /** Value-stream barrier count at arrival: which batch the
-         * value's thread entered the region in. */
-        uint64_t batch = 0;
-    };
-
-    enum class CtrMode : uint8_t { idle, run, term };
-    enum class MergeMode : uint8_t { flow, drain };
-
-    const BcInst &inst_;
-    std::shared_ptr<MachineMemory> mem_;
-    Bundle ins_;
-    Bundle outs_;
-    Bundle a_; ///< merges: forward / A side of ins_
-    Bundle b_; ///< merges: backedge / B side of ins_
-
-    // source
-    sltf::TokenStream seed_;
-    size_t pos_ = 0;
-    // block
-    std::vector<Word> regs_;
-    const BlockOp *ops_ = nullptr;
-    const int32_t *in_regs_ = nullptr;
-    const int32_t *out_regs_ = nullptr;
-    // counter
-    CtrMode cmode_ = CtrMode::idle;
-    int64_t cur_ = 0;
-    int64_t lim_ = 0;
-    int64_t stride_ = 0;
-    // reduce
-    Word acc_ = 0;
-    bool in_group_ = false;
-    // fbMerge
-    MergeMode mmode_ = MergeMode::flow;
-    int pending_level_ = 0;
-    bool back_data_since_barrier_ = false;
-    std::deque<int> pending_echoes_;
-    // keyedRestore
+    Channel *value_;
+    Channel *key_;
+    Channel *out_;
+    MachineMemory &mem_;
     std::unordered_map<Word, Parked> buffered_;
     Word next_ordinal_ = 0;
+    /** Barriers seen on each stream so far; equal counts delimit the
+     * same thread batch (see the class comment). */
     uint64_t value_batches_ = 0;
     uint64_t key_batches_ = 0;
-    // ordinal
-    Word count_ = 0;
 };
+
+/** main()'s one-token seed for a source: its argument (or 0 for
+ * `__start`), closed by Omega(1). */
+sltf::TokenStream
+sourceSeed(Word value)
+{
+    return sltf::StreamBuilder().d(value).b(1).build();
+}
 
 } // namespace
 
@@ -888,34 +612,97 @@ class BytecodeProc final : public dataflow::Process
  * Everything one context instantiates once and rebinds per request:
  * the engine (which owns the channels and processes), raw views onto
  * both for the per-run reset sweep, and the machine memory whose
- * DRAM/stats pointers move from request to request. BytecodeProc has
- * internal linkage, which is why the context is pimpl'd.
+ * DRAM/stats pointers move from request to request.
  */
 struct ExecutionContext::Impl
 {
     const BytecodeProgram &prog;
+    MachineMemory mem;
     dataflow::Engine engine;
     std::vector<Channel *> chans;
-    std::vector<BytecodeProc *> procs;
-    std::shared_ptr<MachineMemory> mem;
+    std::vector<dataflow::Process *> procs;
+    /** Each source and the main-args index it seeds from (-1: the
+     * `__start` seed). */
+    std::vector<std::pair<dataflow::Source *, int32_t>> sources;
     uint64_t runs = 0;
     bool poisoned = false;
 
     Impl(const BytecodeProgram &p, const ContextOptions &opts)
-        : prog(p), engine(dataflow::Engine::Policy::worklist),
-          mem(std::make_shared<MachineMemory>())
+        : prog(p), engine(dataflow::Engine::Policy::worklist)
     {
-        mem->hoistArena = opts.hoistAllocators;
+        mem.hoistArena = opts.hoistAllocators;
         chans.resize(prog.numLinks, nullptr);
         for (size_t i = 0; i < prog.numLinks; ++i)
             chans[i] = engine.channel(prog.linkNames[i]);
         procs.reserve(prog.insts.size());
-        for (const BcInst &inst : prog.insts) {
-            // Seeded with arg 0 for now; every run() re-seeds from the
-            // request's actual arguments before the engine moves.
-            procs.push_back(
-                engine.make<BytecodeProc>(prog, inst, chans, mem, 0));
+        for (const BcInst &inst : prog.insts)
+            procs.push_back(instantiate(inst));
+    }
+
+    /** The channels of @p count operands starting at pool offset
+     * @p at. */
+    Bundle
+    lanes(uint32_t at, uint32_t count) const
+    {
+        Bundle b;
+        b.reserve(count);
+        for (uint32_t i = 0; i < count; ++i)
+            b.push_back(chans[prog.chans[at + i]]);
+        return b;
+    }
+
+    dataflow::Process *
+    instantiate(const BcInst &inst)
+    {
+        using namespace dataflow;
+        const std::string &name = prog.names[inst.name];
+        auto in = [&](uint32_t i) { return chans[prog.chans[inst.ins + i]]; };
+        Channel *out = inst.nOuts > 0 ? chans[prog.chans[inst.outs]] : nullptr;
+        Bundle outs = lanes(inst.outs, inst.nOuts);
+        switch (inst.op) {
+          case BcOp::source: {
+            // Seeded per run from the request's arguments.
+            auto *src = engine.make<Source>(name, out, sltf::TokenStream{});
+            sources.emplace_back(src, inst.arg);
+            return src;
+          }
+          case BcOp::sink:
+            return engine.make<Sink>(name, in(0));
+          case BcOp::fanout:
+            return engine.make<Fanout>(name, in(0), std::move(outs));
+          case BcOp::block:
+            return engine.make<BlockProc>(name, prog, inst,
+                                          lanes(inst.ins, inst.nIns),
+                                          std::move(outs), mem);
+          case BcOp::counter:
+            return engine.make<Counter>(name, in(0), in(1), in(2), out);
+          case BcOp::broadcast:
+            return engine.make<Broadcast>(name, in(0), in(1), out,
+                                          inst.level);
+          case BcOp::reduce:
+            return engine.make<Reduce>(name, in(0), out, inst.init);
+          case BcOp::flatten:
+            return engine.make<Flatten>(name, in(0), out);
+          case BcOp::filter:
+            return engine.make<Filter>(name, in(0),
+                                       lanes(inst.ins + 1, inst.nIns - 1),
+                                       std::move(outs), inst.sense);
+          case BcOp::fwdMerge:
+            return engine.make<ForwardMerge>(
+                name, lanes(inst.ins, inst.nOuts),
+                lanes(inst.ins + inst.nOuts, inst.nOuts), std::move(outs));
+          case BcOp::fbMerge:
+            return engine.make<FwdBackMerge>(
+                name, lanes(inst.ins, inst.nOuts),
+                lanes(inst.ins + inst.nOuts, inst.nOuts), std::move(outs));
+          case BcOp::park:
+          case BcOp::restore:
+          case BcOp::ordinal:
+            return engine.make<LaneTap>(name, inst.op, in(0), out, mem);
+          case BcOp::keyedRestore:
+            return engine.make<KeyedRestore>(name, in(0), in(1), out, mem);
         }
+        throw std::logic_error("unknown bytecode op");
     }
 };
 
@@ -960,18 +747,15 @@ ExecutionContext::run(lang::DramImage &dram,
 
     // Full per-request reset *before* the run, so a request never
     // inherits residue: memory pointed at this request's image/stats,
-    // channels to empty, every instruction's mode machines re-armed
-    // with this request's arguments.
-    im.mem->rebind(dram, stats);
-    im.mem->beginRun();
+    // channels to empty, every process's mode machines re-armed and
+    // every source re-seeded with this request's arguments.
+    im.mem.rebind(dram, stats);
     for (Channel *ch : im.chans)
         ch->resetForReuse();
-    for (size_t i = 0; i < im.procs.size(); ++i) {
-        const BcInst &inst = im.prog.insts[i];
-        const int32_t arg_value =
-            inst.op == BcOp::source && inst.arg >= 0 ? args[inst.arg] : 0;
-        im.procs[i]->reset(arg_value);
-    }
+    for (dataflow::Process *proc : im.procs)
+        proc->reset();
+    for (const auto &[src, arg] : im.sources)
+        src->reset(sourceSeed(arg < 0 ? 0 : static_cast<Word>(args[arg])));
 
     im.engine.setPolicy(policy);
     im.engine.setNumThreads(num_threads);
@@ -981,8 +765,8 @@ ExecutionContext::run(lang::DramImage &dram,
     // run safe regardless, but pools read this to retire the context.
     im.poisoned = true;
     stats.engineRounds = im.engine.run(max_rounds);
-    detail::collectRunStats(im.engine, im.prog.numLinks, stats);
-    stats.sramParkedEnd = im.mem->parkedNow;
+    collectRunStats(im.engine, im.prog.numLinks, stats);
+    stats.sramParkedEnd = im.mem.parkedNow;
     im.poisoned = false;
     ++im.runs;
     return stats;
@@ -994,8 +778,7 @@ execute(const BytecodeProgram &prog, lang::DramImage &dram,
         dataflow::Engine::Policy policy, int num_threads)
 {
     // One-shot path: a throwaway context with arena hoisting off (there
-    // is no second request to reuse it). Keeps a single implementation
-    // of the run sequence for both the one-shot and serving paths.
+    // is no second request to reuse it).
     ContextOptions opts;
     opts.hoistAllocators = false;
     ExecutionContext ctx(prog, opts);

@@ -1,24 +1,22 @@
 /**
  * @file
- * Bytecode executor: the compile-once form of a dataflow graph.
+ * The executor for compiled dataflow graphs.
  *
- * graph::execute(Dfg, ...) re-derives everything about a node on every
- * instantiation — bundle vectors, per-firing register files, a
- * std::function per block — and the resulting step objects pay a heap
- * allocation triple plus an indirect call per block firing. For a
- * compile-once/run-many serving path that overhead is pure dispatch
- * tax. BytecodeProgram::compile flattens the optimized Dfg once into
+ * BytecodeProgram::compile flattens an optimized Dfg once into
  * position-independent tables: one fixed-width instruction per node,
  * channel *indices* (not pointers) into a shared operand pool, and the
- * block bodies concatenated into a single BlockOp table dispatched
- * through graph::evalPureOp / detail::evalOp. The interpreter
- * (bytecode.cc) instantiates each instruction as one dataflow::Process
- * whose stepOnce() is a single switch over the opcode, so the program
- * plugs into the existing dataflow::Engine unchanged — all three
- * scheduling policies (roundRobin / worklist / parallel) run bytecode
- * exactly as they run step objects, and the step-object executor
- * remains the differential oracle: both executors must produce
- * bit-identical DRAM images and per-link token/barrier counts.
+ * block bodies concatenated into a single BlockOp table. An
+ * ExecutionContext instantiates each instruction once as an engine
+ * process: the ten stream roles (source, sink, fanout, counter,
+ * broadcast, reduce, flatten, filter, and both merges) as the
+ * dataflow:: primitives themselves, so every firing rule has exactly
+ * one definition; blocks, parks, restores, and ordinals as small
+ * processes over the shared machine memory (bytecode.cc). The program
+ * plugs into dataflow::Engine unchanged, so all three scheduling
+ * policies run it and none is observable through results. Its DRAM
+ * output is held bit-identical to the AST interpreter's by the test
+ * suites; the per-link token counts it returns feed the link-bandwidth
+ * analysis and the cycle model.
  */
 
 #ifndef REVET_GRAPH_BYTECODE_HH
@@ -38,17 +36,6 @@ namespace revet
 {
 namespace graph
 {
-
-/** Which implementation runs a compiled graph (CompileOptions::executor).
- * Semantically interchangeable by construction; the step-object path is
- * the reference oracle, the bytecode path is the fast dispatch loop. */
-enum class ExecutorKind
-{
-    stepObjects, ///< one virtual Process object per node (graph/exec.cc)
-    bytecode,    ///< flat compiled tables + switch dispatch (default)
-};
-
-std::string toString(ExecutorKind kind);
 
 /** Bytecode opcodes: one per streaming-primitive role. The FIFO and
  * keyed restore variants get distinct opcodes (they share a NodeKind
@@ -89,8 +76,8 @@ const char *toString(BcOp op);
  *    its lane-to-register maps in BytecodeProgram::regs (inRegs is
  *    nIns entries, outRegs is nOuts entries).
  *  - name: index into BytecodeProgram::names — "kind(node#id)", so
- *    Engine::stallReport() names bytecode processes as usefully as
- *    step objects.
+ *    Engine::stallReport() names each process by its role and source
+ *    node.
  */
 struct BcInst
 {
@@ -114,7 +101,7 @@ struct BcInst
 /**
  * A dataflow graph compiled to flat tables. Immutable after compile()
  * and holds no pointers, so one program can be cached (see
- * core::CompiledProgram) and executed any number of times, under any
+ * core::CompiledArtifact) and executed any number of times, under any
  * scheduling policy, from any thread.
  */
 struct BytecodeProgram
@@ -176,10 +163,10 @@ class ExecutionContext
 
     /**
      * Serve one request: reset all per-run state, bind @p dram /
-     * @p args, and run the program to quiescence. Identical results
-     * contract to graph::execute — the policy, thread count, and
-     * whether the context is fresh or reused are observable only
-     * through stats. @throws std::runtime_error on machine-model
+     * @p args, and run the program to quiescence. Same results as a
+     * one-shot graph::execute — the policy, thread count, and whether
+     * the context is fresh or reused are observable only through
+     * stats. @throws std::runtime_error on machine-model
      * violations, livelock, or missing arguments (the context remains
      * reusable: the next run() starts from a full reset, but
      * poisoned() reports the failure so pools can discard).
@@ -209,11 +196,16 @@ class ExecutionContext
 
 /**
  * Execute compiled @p prog against @p dram with main's @p args.
- * Identical contract to graph::execute(const Dfg &, ...) — same stats,
- * same policies, same machine-model exceptions — and bit-identical
- * DRAM/link traffic to it on every program (the differential suite
- * enforces this). One-shot convenience over ExecutionContext: builds a
- * fresh context, runs once, tears it down.
+ * One-shot convenience over ExecutionContext: builds a fresh context,
+ * runs once, tears it down.
+ *
+ * @param policy scheduling policy for the streaming engine; all
+ *        policies are semantically interchangeable (Kahn-network
+ *        determinism) and the worklist default is the serial fast path.
+ * @param num_threads worker threads for Policy::parallel (0 defers to
+ *        Engine::defaultNumThreads(); ignored by serial policies).
+ * @throws std::runtime_error on machine-model violations, livelock, or
+ *         missing arguments.
  */
 ExecStats execute(const BytecodeProgram &prog, lang::DramImage &dram,
                   const std::vector<int32_t> &args,

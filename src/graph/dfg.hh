@@ -6,8 +6,9 @@
  * straight-line element-wise op sequences (one virtual context each,
  * split against the Table II limits by the resource model); every other
  * node kind is one of the Section III-B streaming primitives. The same
- * graph drives the functional executor (graph/exec.hh), the resource
- * model (graph/resources.hh), and the cycle-level simulator (sim/).
+ * graph drives the executor (compiled to graph/bytecode.hh, run on the
+ * dataflow:: primitives), the resource model (graph/resources.hh), and
+ * the cycle-level simulator (sim/).
  */
 
 #ifndef REVET_GRAPH_DFG_HH

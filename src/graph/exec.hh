@@ -1,12 +1,8 @@
 /**
  * @file
- * Functional executor for compiled dataflow graphs.
- *
- * Instantiates a Dfg as a network of streaming primitives (dataflow/)
- * over a DramImage and runs it to quiescence. This is the semantic
- * reference for the compiled path: tests require its DRAM output to be
- * bit-identical to the AST interpreter's. The per-link token counts it
- * returns feed the link-bandwidth analysis and the cycle model.
+ * What one execution of a compiled dataflow graph reports: scheduler,
+ * memory, and per-link traffic counters. The executor itself is
+ * graph/bytecode.hh.
  */
 
 #ifndef REVET_GRAPH_EXEC_HH
@@ -15,9 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dataflow/engine.hh"
-#include "graph/dfg.hh"
-#include "lang/dram_image.hh"
+#include "dataflow/channel.hh"
 
 namespace revet
 {
@@ -26,8 +20,8 @@ namespace graph
 
 struct ExecStats
 {
-    /** Working scheduler rounds (same counting rule for both
-     * dataflow::Engine policies: rounds that moved at least one
+    /** Working scheduler rounds (same counting rule for every
+     * dataflow::Engine policy: rounds that moved at least one
      * token; the final certification pass is excluded). */
     uint64_t engineRounds = 0;
     /** Scheduler observability (see dataflow::SchedStats). */
@@ -36,9 +30,8 @@ struct ExecStats
     uint64_t schedIdleSteps = 0;
     uint64_t schedStepsSkipped = 0;
     uint64_t schedVerifyPasses = 0;
-    /** stepOnce() quanta that made progress. Executor-invariant for a
-     * given graph and policy (each quantum moves the same tokens), so
-     * bench/exec_dispatch.cc can report dispatch cost per quantum. */
+    /** stepOnce() quanta that made progress, so bench/exec_dispatch.cc
+     * can report dispatch cost per quantum. */
     uint64_t schedQuanta = 0;
     /** Cross-worker deque steals (Policy::parallel only). */
     uint64_t schedSteals = 0;
@@ -89,23 +82,6 @@ struct ExecStats
      * constant must observe allEqual with the predicted word. */
     std::vector<dataflow::Channel::ValueWatch> linkValues;
 };
-
-/**
- * Execute @p dfg against @p dram with main's @p args.
- *
- * @param policy scheduling policy for the streaming engine; all
- *        policies are semantically interchangeable (Kahn-network
- *        determinism) and the worklist default is the serial fast path.
- * @param num_threads worker threads for Policy::parallel (0 defers to
- *        Engine::defaultNumThreads(); ignored by serial policies).
- * @throws std::runtime_error on machine-model violations or livelock.
- */
-ExecStats execute(const Dfg &dfg, lang::DramImage &dram,
-                  const std::vector<int32_t> &args,
-                  uint64_t max_rounds = dataflow::Engine::defaultMaxRounds,
-                  dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist,
-                  int num_threads = 0);
 
 } // namespace graph
 } // namespace revet

@@ -17,7 +17,7 @@
  * Lowering emits straightforwardly — a (possibly passthrough) block at
  * every control boundary, a fanout node for every copy, a sink on
  * every dead link — and leaves cleanup to the DFG optimizer
- * (graph/optimize.hh), which core::CompiledProgram::compile runs
+ * (graph/optimize.hh), which core::CompiledArtifact::build runs
  * between lowering and execution.
  */
 

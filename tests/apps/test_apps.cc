@@ -18,22 +18,22 @@ class AppCorrectness : public ::testing::TestWithParam<std::string>
 TEST_P(AppCorrectness, InterpreterMatchesGolden)
 {
     const apps::App &app = apps::findApp(GetParam());
-    auto prog = CompiledProgram::compile(app.source);
+    auto prog = CompiledArtifact::build(app.source);
     const int scale = 4;
-    lang::DramImage dram(prog.hir());
+    lang::DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    prog.interpret(dram, args);
+    prog->interpret(dram, args);
     EXPECT_EQ(app.verify(dram, scale), "");
 }
 
 TEST_P(AppCorrectness, CompiledDataflowMatchesGolden)
 {
     const apps::App &app = apps::findApp(GetParam());
-    auto prog = CompiledProgram::compile(app.source);
+    auto prog = CompiledArtifact::build(app.source);
     const int scale = 4;
-    lang::DramImage dram(prog.hir());
+    lang::DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    auto stats = prog.execute(dram, args);
+    auto stats = prog->execute(dram, args);
     EXPECT_TRUE(stats.drained);
     EXPECT_EQ(app.verify(dram, scale), "");
 }
@@ -41,11 +41,11 @@ TEST_P(AppCorrectness, CompiledDataflowMatchesGolden)
 TEST_P(AppCorrectness, LargerScaleDataflow)
 {
     const apps::App &app = apps::findApp(GetParam());
-    auto prog = CompiledProgram::compile(app.source);
+    auto prog = CompiledArtifact::build(app.source);
     const int scale = 12;
-    lang::DramImage dram(prog.hir());
+    lang::DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    prog.execute(dram, args);
+    prog->execute(dram, args);
     EXPECT_EQ(app.verify(dram, scale), "");
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Public-API and whole-pipeline ablation tests: every pass-pipeline
  * configuration must preserve program semantics end to end (the
- * Figure 12 ablation study depends on this), and the CompiledProgram
+ * Figure 12 ablation study depends on this), and the CompiledArtifact
  * API must behave as documented.
  */
 
@@ -20,35 +20,35 @@ using namespace revet;
 
 TEST(CoreApi, CompileRejectsBadPrograms)
 {
-    EXPECT_THROW(CompiledProgram::compile("void main(int n) { x = 1; }"),
+    EXPECT_THROW(CompiledArtifact::build("void main(int n) { x = 1; }"),
                  lang::CompileError);
-    EXPECT_THROW(CompiledProgram::compile("int f() { return 1; }"),
+    EXPECT_THROW(CompiledArtifact::build("int f() { return 1; }"),
                  lang::CompileError); // no main
 }
 
 TEST(CoreApi, InterpretAndExecuteAgree)
 {
-    auto prog = CompiledProgram::compile(R"(
+    auto prog = CompiledArtifact::build(R"(
         DRAM<int> out;
         void main(int n) {
           int acc = foreach (n) { int i => return i * 3; };
           out[0] = acc;
         })");
-    lang::DramImage a(prog.hir()), b(prog.hir());
+    lang::DramImage a(prog->hir()), b(prog->hir());
     a.resize("out", 4);
     b.resize("out", 4);
-    prog.interpret(a, {10});
-    prog.execute(b, {10});
+    prog->interpret(a, {10});
+    prog->execute(b, {10});
     EXPECT_EQ(a.bytes(0), b.bytes(0));
     EXPECT_EQ(a.read<int32_t>("out")[0], 135);
 }
 
 TEST(CoreApi, GraphIsInspectable)
 {
-    auto prog = CompiledProgram::compile(
+    auto prog = CompiledArtifact::build(
         "DRAM<int> out; void main(int n) { out[0] = n; }");
-    EXPECT_GT(prog.dfg().nodes.size(), 0u);
-    EXPECT_NE(prog.dfg().toDot().find("digraph"), std::string::npos);
+    EXPECT_GT(prog->dfg().nodes.size(), 0u);
+    EXPECT_NE(prog->dfg().toDot().find("digraph"), std::string::npos);
 }
 
 struct AblationCase
@@ -80,10 +80,10 @@ TEST_P(PipelineAblation, EveryConfigurationPreservesAppSemantics)
         opts.passes.eliminateHierarchy = false;
         break;
     }
-    auto prog = CompiledProgram::compile(app.source, opts);
-    lang::DramImage dram(prog.hir());
+    auto prog = CompiledArtifact::build(app.source, opts);
+    lang::DramImage dram(prog->hir());
     auto args = app.generate(dram, 4);
-    prog.execute(dram, args);
+    prog->execute(dram, args);
     EXPECT_EQ(app.verify(dram, 4), "")
         << app.name << " under config " << config;
 }
@@ -121,10 +121,10 @@ TEST(CoreApi, GraphTogglesReachResourceModel)
 TEST(CoreApi, OptReportSurfacesGraphOptimizerWin)
 {
     const auto &app = apps::findApp("murmur3");
-    auto prog = CompiledProgram::compile(app.source);
-    const auto &rep = prog.optReport();
+    auto prog = CompiledArtifact::build(app.source);
+    const auto &rep = prog->optReport();
     EXPECT_LT(rep.nodesAfter, rep.nodesBefore);
-    EXPECT_EQ(rep.nodesAfter, static_cast<int>(prog.dfg().nodes.size()));
+    EXPECT_EQ(rep.nodesAfter, static_cast<int>(prog->dfg().nodes.size()));
     int total_rewrites = 0;
     for (const auto &[pass, count] : rep.rewrites)
         total_rewrites += count;
@@ -135,7 +135,7 @@ TEST(CoreApi, RandomizedCollatzStress)
 {
     // Property sweep: random inputs through a control-heavy kernel on
     // both execution paths.
-    auto prog = CompiledProgram::compile(R"(
+    auto prog = CompiledArtifact::build(R"(
         DRAM<int> data; DRAM<int> out;
         void main(int n) {
           foreach (n) { int i =>
@@ -153,13 +153,13 @@ TEST(CoreApi, RandomizedCollatzStress)
         std::vector<int32_t> data(40);
         for (auto &d : data)
             d = 1 + rng() % 10000;
-        lang::DramImage a(prog.hir()), b(prog.hir());
+        lang::DramImage a(prog->hir()), b(prog->hir());
         a.fill("data", data);
         a.resize("out", 40 * 4);
         b.fill("data", data);
         b.resize("out", 40 * 4);
-        prog.interpret(a, {40});
-        prog.execute(b, {40});
+        prog->interpret(a, {40});
+        prog->execute(b, {40});
         EXPECT_EQ(a.bytes(1), b.bytes(1)) << "trial " << trial;
     }
 }

@@ -7,10 +7,10 @@
  * The central contract under test: serving is invisible in results.
  * Whether a request ran on a fresh context or a recycled one, alone or
  * concurrently with others on the same shared artifact, under any
- * scheduling policy — its DRAM image and per-link token/barrier counts
- * must be bit-identical to a serial one-shot run of the step-object
- * oracle. Everything the serving layer is allowed to change is in
- * stats (arena-reuse counters, pool accounting, latency).
+ * scheduling policy — its DRAM image must be bit-identical to the AST
+ * interpreter's and its per-link token/barrier counts to a serial
+ * one-shot worklist run. Everything the serving layer is allowed to
+ * change is in stats (arena-reuse counters, pool accounting, latency).
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +27,6 @@
 
 using namespace revet;
 using dataflow::Engine;
-using graph::ExecutorKind;
 
 namespace
 {
@@ -48,18 +47,22 @@ struct Oracle
     std::vector<uint64_t> linkBarriers;
 };
 
-/** Serial step-object run: the reference the serving path must match
- * bit for bit (the step/bytecode differential suite separately pins
- * the two executors to each other). */
+/** The reference the serving path must match bit for bit: DRAM from
+ * the AST interpreter, link counts from a serial one-shot worklist run
+ * on a fresh context (the scheduler equivalence suite separately pins
+ * those counts across policies). */
 Oracle
-stepObjectOracle(const CompiledArtifact &artifact, const apps::App &app,
-                 int scale)
+serialOracle(const CompiledArtifact &artifact, const apps::App &app,
+             int scale)
 {
+    lang::DramImage ref(artifact.hir());
+    auto ref_args = app.generate(ref, scale);
+    artifact.interpret(ref, ref_args);
+
     lang::DramImage dram(artifact.hir());
     auto args = app.generate(dram, scale);
-    auto stats =
-        artifact.executeWith(ExecutorKind::stepObjects, dram, args);
-    return {dramBytes(dram), stats.linkTokens, stats.linkBarriers};
+    auto stats = artifact.execute(dram, args);
+    return {dramBytes(ref), stats.linkTokens, stats.linkBarriers};
 }
 
 /** N serving workers x K requests over one shared artifact under
@@ -73,7 +76,7 @@ runConcurrentBattery(Engine::Policy policy, int engine_threads)
         const std::vector<int> scales = {4, 9, 16, 7};
         std::map<int, Oracle> oracles;
         for (int s : scales)
-            oracles.emplace(s, stepObjectOracle(*artifact, app, s));
+            oracles.emplace(s, serialOracle(*artifact, app, s));
 
         constexpr int kRequests = 16;
         std::vector<serve::Request> requests(kRequests);
@@ -150,7 +153,7 @@ TEST(ServeConcurrency, RawThreadsShareOneArtifact)
     const std::vector<int> scales = {3, 8, 13, 6};
     std::map<int, Oracle> oracles;
     for (int s : scales)
-        oracles.emplace(s, stepObjectOracle(*artifact, app, s));
+        oracles.emplace(s, serialOracle(*artifact, app, s));
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 5;
@@ -379,16 +382,12 @@ TEST(ServeCache, FingerprintStableAndOptionSensitive)
     perturbed([](CompileOptions &o) {
         o.graph.hoistAllocators = false;
     });
-    perturbed([](CompileOptions &o) {
-        o.executor = ExecutorKind::stepObjects;
-    });
 
     // Spot-pin the serialization format so accidental reorderings
     // (which silently invalidate every persisted fingerprint) show up.
     const std::string key = canonicalOptions(base);
     EXPECT_NE(key.find("hoistAllocators=1"), std::string::npos);
     EXPECT_NE(key.find("muBanks=16"), std::string::npos);
-    EXPECT_NE(key.find("executor=bytecode"), std::string::npos);
 }
 
 TEST(ServeCache, ConcurrentGetsCompileOnce)

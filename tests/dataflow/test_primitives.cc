@@ -163,8 +163,7 @@ TEST(Reduce, SumsGroupsAndLowersBarriers)
                                   .d(1).d(2).d(3).b(1)
                                   .d(10).b(1)
                                   .b(2));
-    e.make<Reduce>("sum", in, o,
-                   [](Word a, Word b) { return a + b; }, 0);
+    e.make<Reduce>("sum", in, o, 0);
     auto *sink = e.make<Sink>("sink", o);
     e.run();
     EXPECT_EQ(sink->collected(),
@@ -189,8 +188,7 @@ TEST(Reduce, EmptyTensorComposability)
         auto *in = e.channel("in");
         auto *o = e.channel("o");
         e.make<Source>("src", in, c.in);
-        e.make<Reduce>("sum", in, o,
-                       [](Word a, Word b) { return a + b; }, 0);
+        e.make<Reduce>("sum", in, o, 0);
         auto *sink = e.make<Sink>("sink", o);
         e.run();
         EXPECT_EQ(sink->collected(), c.expect)
@@ -416,8 +414,7 @@ TEST(ForeachPipeline, CounterBroadcastReduce)
         [](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(in[0] + 10 * in[1]);
         });
-    e.make<Reduce>("red", body, red,
-                   [](Word a, Word b) { return a + b; }, 0);
+    e.make<Reduce>("red", body, red, 0);
     auto *sink = e.make<Sink>("sink", red);
     e.run();
     // p=3: 0+1+2 + 3*30 = 93;  p=4: 0+1+2+3 + 4*40 = 166.

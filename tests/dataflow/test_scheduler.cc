@@ -3,16 +3,19 @@
  * Scheduler translation validation (WaveCert-style) and backpressure
  * tests.
  *
- * The equivalence suite runs every Table III app fixture and a set of
- * language fixtures under ALL Engine::Policy values — roundRobin,
- * worklist, and parallel at 4 worker threads — and asserts the
- * executions are bit-identical — same DRAM bytes, same per-link token
- * counts, same drained flag — and that all of them match the AST
- * reference interpreter. Kahn-network determinism says scheduling order
- * cannot be observable; these tests certify our schedulers actually
- * keep that promise (including under true concurrency), so the hot
- * path can be refactored without risking the semantic-reference
- * guarantee in graph/exec.hh.
+ * The equivalence suite runs every Table III app fixture and every
+ * shared language fixture (tests/graph/lang_fixtures.hh) under ALL
+ * Engine::Policy values — roundRobin, worklist, and parallel at 4
+ * worker threads — and asserts the executions are bit-identical — same
+ * DRAM bytes, same per-link token and barrier counts, same drained
+ * flag, no park slot left occupied, the same serial park high-water
+ * mark — and that all of them match the AST reference interpreter.
+ * Kahn-network determinism says scheduling order cannot be observable;
+ * these tests certify our schedulers actually keep that promise
+ * (including under true concurrency). With a single executor, this
+ * suite and the interpreter are the compiled path's correctness
+ * oracle, so the primitives can be refactored without losing the
+ * guarantee.
  *
  * The backpressure tests exercise the bounded-channel fixes: push on a
  * full channel throws (capacity 1 and the degenerate capacity 0),
@@ -34,6 +37,8 @@
 #include "lang/parse.hh"
 #include "passes/passes.hh"
 #include "sltf/codec.hh"
+
+#include "../graph/lang_fixtures.hh"
 
 using namespace revet;
 using namespace revet::dataflow;
@@ -64,7 +69,7 @@ struct PolicyRun
 
 /** Execute @p prog under @p policy on a freshly generated image. */
 PolicyRun
-runUnderPolicy(const CompiledProgram &prog,
+runUnderPolicy(const CompiledArtifact &prog,
                const std::function<std::vector<int32_t>(DramImage &)>
                    &generate,
                Engine::Policy policy, int num_threads = 0)
@@ -88,17 +93,17 @@ expectPoliciesEquivalent(
     const std::function<std::vector<int32_t>(DramImage &)> &generate,
     const std::string &label)
 {
-    auto prog = CompiledProgram::compile(source);
+    auto prog = CompiledArtifact::build(source);
 
-    DramImage ref(prog.hir());
+    DramImage ref(prog->hir());
     auto args = generate(ref);
-    prog.interpret(ref, args);
+    prog->interpret(ref, args);
 
-    PolicyRun rr = runUnderPolicy(prog, generate,
+    PolicyRun rr = runUnderPolicy(*prog, generate,
                                   Engine::Policy::roundRobin);
-    PolicyRun wl = runUnderPolicy(prog, generate,
+    PolicyRun wl = runUnderPolicy(*prog, generate,
                                   Engine::Policy::worklist);
-    PolicyRun pl = runUnderPolicy(prog, generate,
+    PolicyRun pl = runUnderPolicy(*prog, generate,
                                   Engine::Policy::parallel,
                                   kTestWorkers);
 
@@ -112,6 +117,14 @@ expectPoliciesEquivalent(
         << ": per-link token counts diverged under the parallel policy";
     EXPECT_EQ(rr.stats.linkBarriers, wl.stats.linkBarriers) << label;
     EXPECT_EQ(wl.stats.linkBarriers, pl.stats.linkBarriers) << label;
+    // Every park slot is released by the end of the run (dead threads'
+    // slots by the keyed restore's batch-close reclamation).
+    EXPECT_EQ(rr.stats.sramParkedEnd, 0u) << label;
+    EXPECT_EQ(wl.stats.sramParkedEnd, 0u) << label;
+    EXPECT_EQ(pl.stats.sramParkedEnd, 0u) << label;
+    // The park-occupancy high-water mark races parks against restores,
+    // so it is schedule-deterministic only under the serial policies.
+    EXPECT_EQ(rr.stats.sramParkedPeak, wl.stats.sramParkedPeak) << label;
     ASSERT_EQ(rr.dram_bytes.size(), wl.dram_bytes.size()) << label;
     ASSERT_EQ(rr.dram_bytes.size(), pl.dram_bytes.size()) << label;
     for (size_t d = 0; d < rr.dram_bytes.size(); ++d) {
@@ -157,16 +170,16 @@ TEST_P(SchedulerEquivalence, AppBitIdenticalUnderAllPolicies)
         app.name);
 
     // And the golden verifier must pass under the worklist policy...
-    auto prog = CompiledProgram::compile(app.source);
-    DramImage dram(prog.hir());
+    auto prog = CompiledArtifact::build(app.source);
+    DramImage dram(prog->hir());
     auto args = app.generate(dram, scale);
-    prog.execute(dram, args, Engine::Policy::worklist);
+    prog->execute(dram, args, Engine::Policy::worklist);
     EXPECT_EQ(app.verify(dram, scale), "") << app.name;
 
     // ...and under the parallel policy with real worker threads.
-    DramImage pdram(prog.hir());
+    DramImage pdram(prog->hir());
     auto pargs = app.generate(pdram, scale);
-    prog.execute(pdram, pargs, Engine::Policy::parallel, kTestWorkers);
+    prog->execute(pdram, pargs, Engine::Policy::parallel, kTestWorkers);
     EXPECT_EQ(app.verify(pdram, scale), "")
         << app.name << " (parallel)";
 }
@@ -185,132 +198,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Equivalence: language fixtures covering every lowering construct
-// (branches, while loops, nested loops, foreach, fork, SRAM, iterators).
+// Equivalence: the shared language fixtures, covering every lowering
+// construct (branches, loops, foreach, fork, SRAM, iterators, narrow
+// lanes, and replicate regions with FIFO and ordinal-keyed parks).
 
 TEST(SchedulerEquivalence, LanguageFixtures)
 {
-    struct Fixture
-    {
-        const char *label;
-        const char *source;
-        std::function<std::vector<int32_t>(DramImage &)> generate;
-    };
-    const std::vector<Fixture> fixtures = {
-        {"branchy-if",
-         R"(
-         DRAM<int> out;
-         void main(int n) {
-           int x = 7;
-           if (n != 0) { x = 1000 / n; };
-           out[0] = x;
-         })",
-         [](DramImage &d) {
-             d.resize("out", 4);
-             return std::vector<int32_t>{8};
-         }},
-        {"while-loop",
-         R"(
-         DRAM<int> out;
-         void main(int n) {
-           int i = 0; int acc = 0;
-           while (i < n) { acc = acc + i * i; i++; };
-           out[0] = acc;
-         })",
-         [](DramImage &d) {
-             d.resize("out", 4);
-             return std::vector<int32_t>{37};
-         }},
-        {"nested-while",
-         R"(
-         DRAM<int> out;
-         void main(int n) {
-           int i = 0; int acc = 0;
-           while (i < n) {
-             int j = 0;
-             while (j < i) { acc = acc + 1; j++; };
-             i++;
-           };
-           out[0] = acc;
-         })",
-         [](DramImage &d) {
-             d.resize("out", 4);
-             return std::vector<int32_t>{12};
-         }},
-        {"collatz-while-in-foreach",
-         R"(
-         DRAM<int> data; DRAM<int> out;
-         void main(int n) {
-           foreach (n) { int i =>
-             int v = data[i];
-             int steps = 0;
-             while (v != 1) {
-               if (v % 2 == 0) { v = v / 2; } else { v = v * 3 + 1; };
-               steps++;
-             };
-             out[i] = steps;
-           };
-         })",
-         [](DramImage &d) {
-             std::vector<int32_t> data(24);
-             for (int i = 0; i < 24; ++i)
-                 data[i] = i + 1;
-             d.fill("data", data);
-             d.resize("out", 24 * 4);
-             return std::vector<int32_t>{24};
-         }},
-        {"nested-foreach-reduce",
-         R"(
-         DRAM<int> out;
-         void main(int n) {
-           int total = foreach (n) { int i =>
-             int inner = foreach (i + 1) { int j =>
-               return i * 10 + j;
-             };
-             return inner;
-           };
-           out[0] = total;
-         })",
-         [](DramImage &d) {
-             d.resize("out", 4);
-             return std::vector<int32_t>{6};
-         }},
-        {"fork-and-rmw",
-         R"(
-         DRAM<int> out;
-         void main(int n) {
-           SRAM<int, 16> acc;
-           foreach (1) { int t =>
-             int i = fork(n);
-             int j = fork(2);
-             fetch_add(acc, i * 2 + j, 1);
-           };
-           foreach (16) { int k =>
-             out[k] = acc[k];
-           };
-         })",
-         [](DramImage &d) {
-             d.resize("out", 64);
-             return std::vector<int32_t>{5};
-         }},
-        {"read-iterator",
-         R"(
-         DRAM<char> text; DRAM<int> out;
-         void main(int n) {
-           ReadIt<8> it(text, 0);
-           int len = 0;
-           while (*it) { len++; it++; };
-           out[0] = len;
-         })",
-         [](DramImage &d) {
-             std::vector<int8_t> text(60, 'x');
-             text[47] = 0;
-             d.fill("text", text);
-             d.resize("out", 4);
-             return std::vector<int32_t>{0};
-         }},
-    };
-    for (const auto &f : fixtures)
+    for (const auto &f : fixtures::languageFixtures())
         expectPoliciesEquivalent(f.source, f.generate, f.label);
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Language fixtures shared by the graph test suites: small Revet
- * programs covering every lowering construct (branchy ifs, nested
- * loops, foreach with exit, fork, read iterators, SRAM scratchpads,
- * narrow loop-carried lanes, and replicate regions with pass-over
- * values), each with the DRAM image and arguments it runs on.
+ * Language fixtures shared by the graph and scheduler test suites:
+ * small Revet programs covering every lowering construct (branchy ifs,
+ * while loops, foreach with exit, fork, read iterators, SRAM
+ * scratchpads, narrow loop-carried lanes, and replicate regions with
+ * pass-over values), each with the DRAM image and arguments it runs
+ * on.
  */
 
 #ifndef REVET_TESTS_GRAPH_LANG_FIXTURES_HH
@@ -47,6 +48,18 @@ languageFixtures()
          [](DramImage &d) {
              d.resize("out", 4);
              return std::vector<int32_t>{8};
+         }},
+        {"while-loop",
+         R"(
+         DRAM<int> out;
+         void main(int n) {
+           int i = 0; int acc = 0;
+           while (i < n) { acc = acc + i * i; i++; };
+           out[0] = acc;
+         })",
+         [](DramImage &d) {
+             d.resize("out", 4);
+             return std::vector<int32_t>{37};
          }},
         {"nested-while",
          R"(

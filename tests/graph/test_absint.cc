@@ -49,25 +49,25 @@ expectOptimizedEquivalent(const std::string &source,
 {
     CompileOptions raw;
     raw.graphOpt.enable = false;
-    auto ref_prog = CompiledProgram::compile(source, raw);
+    auto ref_prog = CompiledArtifact::build(source, raw);
 
     CompileOptions opt;
     opt.graphOpt = gopts;
-    auto opt_prog = CompiledProgram::compile(source, opt);
-    EXPECT_NO_THROW(opt_prog.dfg().verify()) << label;
+    auto opt_prog = CompiledArtifact::build(source, opt);
+    EXPECT_NO_THROW(opt_prog->dfg().verify()) << label;
 
-    DramImage ref(ref_prog.hir());
+    DramImage ref(ref_prog->hir());
     auto args = generate(ref);
-    ref_prog.interpret(ref, args);
+    ref_prog->interpret(ref, args);
 
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
-        DramImage a(ref_prog.hir());
+        DramImage a(ref_prog->hir());
         generate(a);
-        auto sa = ref_prog.execute(a, args, policy);
-        DramImage b(opt_prog.hir());
+        auto sa = ref_prog->execute(a, args, policy);
+        DramImage b(opt_prog->hir());
         generate(b);
-        auto sb = opt_prog.execute(b, args, policy);
+        auto sb = opt_prog->execute(b, args, policy);
         EXPECT_TRUE(sa.drained && sb.drained) << label;
         for (int d = 0; d < ref.dramCount(); ++d) {
             EXPECT_EQ(a.bytes(d), b.bytes(d))
@@ -78,7 +78,7 @@ expectOptimizedEquivalent(const std::string &source,
                 << " diverged from the AST interpreter";
         }
     }
-    return opt_prog.dfg();
+    return opt_prog->dfg();
 }
 
 int
@@ -217,9 +217,9 @@ void main(int n) {
 )";
     CompileOptions raw;
     raw.graphOpt.enable = false;
-    auto prog = CompiledProgram::compile(src, raw);
-    AbsintReport r = analyzeValues(prog.dfg());
-    ASSERT_EQ(r.links.size(), prog.dfg().links.size());
+    auto prog = CompiledArtifact::build(src, raw);
+    AbsintReport r = analyzeValues(prog->dfg());
+    ASSERT_EQ(r.links.size(), prog->dfg().links.size());
     EXPECT_GT(r.iterations, 0);
 
     // The solver must prove the derived flags constant somewhere in the
@@ -274,7 +274,7 @@ void main(int n) {
 
     CompileOptions raw;
     raw.graphOpt.enable = false;
-    Dfg unopt = CompiledProgram::compile(src, raw).dfg();
+    Dfg unopt = CompiledArtifact::build(src, raw)->dfg();
     EXPECT_LT(g.nodes.size(), unopt.nodes.size());
     // The pass itself splices every const-steered diamond: the
     // always-keep filters and the single-arm merges disappear (the
@@ -413,8 +413,8 @@ void main(int n) {
 )";
     CompileOptions raw;
     raw.graphOpt.enable = false;
-    auto prog = CompiledProgram::compile(src, raw);
-    AnalyzeReport rep = analyzeGraph(prog.dfg());
+    auto prog = CompiledArtifact::build(src, raw);
+    AnalyzeReport rep = analyzeGraph(prog->dfg());
 
     auto count = [&](const std::string &code) {
         int k = 0;

@@ -424,8 +424,8 @@ TEST(AnalyzeRates, LateMergeConflictAfterSettledBundles)
 TEST(AnalyzeRates, AppGraphsBalance)
 {
     for (const auto &app : apps::allApps()) {
-        auto prog = CompiledProgram::compile(app.source);
-        RateReport rr = analyzeRates(prog.dfg());
+        auto prog = CompiledArtifact::build(app.source);
+        RateReport rr = analyzeRates(prog->dfg());
         EXPECT_TRUE(rr.consistent) << app.name;
         for (const auto &d : rr.diagnostics)
             ADD_FAILURE() << app.name << ": " << d.message;
@@ -438,8 +438,8 @@ TEST(AnalyzeRates, AppGraphsBalance)
 
 TEST(AnalyzeAccount, SnapshotsSourcesEffectsAndParks)
 {
-    auto prog = CompiledProgram::compile(writeSrc);
-    TokenAccount acc = accountTokens(prog.dfg());
+    auto prog = CompiledArtifact::build(writeSrc);
+    TokenAccount acc = accountTokens(prog->dfg());
     ASSERT_GE(acc.sources.size(), 2u);
     EXPECT_EQ(acc.sources[0], "__start");
     int writes = 0;
@@ -448,8 +448,8 @@ TEST(AnalyzeAccount, SnapshotsSourcesEffectsAndParks)
             writes += kv.second;
     EXPECT_EQ(writes, 1);
 
-    auto repl = CompiledProgram::compile(replSrc);
-    TokenAccount racc = accountTokens(repl.dfg());
+    auto repl = CompiledArtifact::build(replSrc);
+    TokenAccount racc = accountTokens(repl->dfg());
     int parks = 0;
     for (const auto &kv : racc.parks)
         parks += kv.second.fifoParks + kv.second.keyedParks;
@@ -464,12 +464,12 @@ TEST(AnalyzeAccount, SnapshotsSourcesEffectsAndParks)
 TEST(AnalyzeValidate, DefaultPipelineCertifiesEveryApplication)
 {
     for (const char *src : {writeSrc, replSrc}) {
-        auto prog = CompiledProgram::compile(src);
-        EXPECT_GT(prog.optReport().validatedPasses, 0);
+        auto prog = CompiledArtifact::build(src);
+        EXPECT_GT(prog->optReport().validatedPasses, 0);
     }
     for (const auto &app : apps::allApps()) {
-        auto prog = CompiledProgram::compile(app.source);
-        EXPECT_GT(prog.optReport().validatedPasses, 0) << app.name;
+        auto prog = CompiledArtifact::build(app.source);
+        EXPECT_GT(prog->optReport().validatedPasses, 0) << app.name;
     }
 }
 
@@ -479,7 +479,7 @@ TEST(AnalyzeValidate, DefaultPipelineCertifiesEveryApplication)
 
 TEST(AnalyzeValidate, DroppedEffectRejected)
 {
-    auto prog = CompiledProgram::compile(writeSrc);
+    auto prog = CompiledArtifact::build(writeSrc);
     auto pipeline =
         brokenPipeline("broken-drop-effect", [](Dfg &g) {
             for (auto &n : g.nodes) {
@@ -493,7 +493,7 @@ TEST(AnalyzeValidate, DroppedEffectRejected)
             }
             return 0;
         });
-    std::string what = runBrokenExpectThrow(prog.dfg(), pipeline);
+    std::string what = runBrokenExpectThrow(prog->dfg(), pipeline);
     ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
     EXPECT_NE(what.find("effect-dropped"), std::string::npos) << what;
     EXPECT_NE(what.find("dramWrite"), std::string::npos) << what;
@@ -501,7 +501,7 @@ TEST(AnalyzeValidate, DroppedEffectRejected)
 
 TEST(AnalyzeValidate, ReorderedSourcesRejected)
 {
-    auto prog = CompiledProgram::compile(writeSrc);
+    auto prog = CompiledArtifact::build(writeSrc);
     auto pipeline =
         brokenPipeline("broken-swap-sources", [](Dfg &g) {
             std::vector<Node *> sources;
@@ -513,15 +513,15 @@ TEST(AnalyzeValidate, ReorderedSourcesRejected)
             std::swap(sources[0]->name, sources[1]->name);
             return 1;
         });
-    std::string what = runBrokenExpectThrow(prog.dfg(), pipeline);
+    std::string what = runBrokenExpectThrow(prog->dfg(), pipeline);
     ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
     EXPECT_NE(what.find("source-changed"), std::string::npos) << what;
 }
 
 TEST(AnalyzeValidate, MispairedParkRejected)
 {
-    auto prog = CompiledProgram::compile(replSrc);
-    ASSERT_GT(accountTokens(prog.dfg()).parks.size(), 0u);
+    auto prog = CompiledArtifact::build(replSrc);
+    ASSERT_GT(accountTokens(prog->dfg()).parks.size(), 0u);
     auto pipeline =
         brokenPipeline("broken-flip-keyed", [](Dfg &g) {
             for (auto &n : g.nodes) {
@@ -535,7 +535,7 @@ TEST(AnalyzeValidate, MispairedParkRejected)
     // verify() would also reject this; turn it off so the validator's
     // own pairing check is what catches the mutation.
     std::string what =
-        runBrokenExpectThrow(prog.dfg(), pipeline, false);
+        runBrokenExpectThrow(prog->dfg(), pipeline, false);
     ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
     EXPECT_NE(what.find("park-mispaired"), std::string::npos) << what;
     EXPECT_NE(what.find("park"), std::string::npos) << what;
@@ -603,7 +603,7 @@ TEST(AnalyzeValidate, UnsolicitedParkRejected)
 
 TEST(AnalyzeValidate, ValidateOffSkipsCertification)
 {
-    auto prog = CompiledProgram::compile(writeSrc);
+    auto prog = CompiledArtifact::build(writeSrc);
     auto pipeline =
         brokenPipeline("broken-drop-effect", [](Dfg &g) {
             for (auto &n : g.nodes) {
@@ -617,7 +617,7 @@ TEST(AnalyzeValidate, ValidateOffSkipsCertification)
             }
             return 0;
         });
-    Dfg g = prog.dfg();
+    Dfg g = prog->dfg();
     GraphPassOptions opts;
     opts.validate = false;
     GraphOptReport rep;
@@ -644,7 +644,8 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
                         dataflow::Engine::Policy::worklist}) {
         DramImage dram(prog);
         dram.resize("out", n * 4);
-        auto stats = graph::execute(g, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(graph::BytecodeProgram::compile(g),
+                                    dram, {}, 1u << 24, policy);
         EXPECT_TRUE(stats.drained);
         EXPECT_EQ(stats.sramParkedPeak,
                   static_cast<uint64_t>(rep.parks[0].minSafeSlots))
@@ -700,8 +701,8 @@ TEST(AnalyzeDeadlock, ContractionCycleOverflowReported)
 TEST(AnalyzeDeadlock, AppGraphsLintClean)
 {
     for (const auto &app : apps::allApps()) {
-        auto prog = CompiledProgram::compile(app.source);
-        AnalyzeReport rep = analyzeGraph(prog.dfg());
+        auto prog = CompiledArtifact::build(app.source);
+        AnalyzeReport rep = analyzeGraph(prog->dfg());
         EXPECT_FALSE(rep.hasErrors()) << app.name << ": "
                                       << rep.summary();
     }

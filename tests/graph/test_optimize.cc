@@ -76,25 +76,25 @@ expectOptimizedEquivalent(const std::string &source,
 {
     CompileOptions raw;
     raw.graphOpt.enable = false;
-    auto ref_prog = CompiledProgram::compile(source, raw);
+    auto ref_prog = CompiledArtifact::build(source, raw);
 
     CompileOptions opt;
     opt.graphOpt = gopts;
-    auto opt_prog = CompiledProgram::compile(source, opt);
-    EXPECT_NO_THROW(opt_prog.dfg().verify()) << label;
+    auto opt_prog = CompiledArtifact::build(source, opt);
+    EXPECT_NO_THROW(opt_prog->dfg().verify()) << label;
 
-    DramImage ref(ref_prog.hir());
+    DramImage ref(ref_prog->hir());
     auto args = generate(ref);
-    ref_prog.interpret(ref, args);
+    ref_prog->interpret(ref, args);
 
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
-        DramImage a(ref_prog.hir());
+        DramImage a(ref_prog->hir());
         generate(a);
-        auto sa = ref_prog.execute(a, args, policy);
-        DramImage b(opt_prog.hir());
+        auto sa = ref_prog->execute(a, args, policy);
+        DramImage b(opt_prog->hir());
         generate(b);
-        auto sb = opt_prog.execute(b, args, policy);
+        auto sb = opt_prog->execute(b, args, policy);
         EXPECT_TRUE(sa.drained && sb.drained) << label;
         for (int d = 0; d < ref.dramCount(); ++d) {
             EXPECT_EQ(a.bytes(d), b.bytes(d))
@@ -1167,34 +1167,34 @@ TEST(GraphOptStructure, OrdinalLaneCountedInBundleWidth)
     // resource model's merge width (outs.size()) must include it.
     CompileOptions off;
     off.graphOpt.enable = false;
-    auto raw = CompiledProgram::compile(kReorderReplicateSrc, off);
+    auto raw = CompiledArtifact::build(kReorderReplicateSrc, off);
     // Cross-block constant propagation would fold the constant token
     // ride away before bufferize ever sees it; pin it off so all four
     // rides reach the park rewrite this fixture is about.
     CompileOptions on;
     on.graphOpt.crossBlockConstProp = false;
-    auto opt = CompiledProgram::compile(kReorderReplicateSrc, on);
+    auto opt = CompiledArtifact::build(kReorderReplicateSrc, on);
 
-    int wraw = fbMergeWidth(raw.dfg());
-    int wopt = fbMergeWidth(opt.dfg());
+    int wraw = fbMergeWidth(raw->dfg());
+    int wopt = fbMergeWidth(opt->dfg());
     ASSERT_GT(wraw, 0);
     ASSERT_GT(wopt, 0);
     EXPECT_EQ(wopt, wraw - 3);
-    EXPECT_EQ(countOrdinals(opt.dfg()), 1);
+    EXPECT_EQ(countOrdinals(opt->dfg()), 1);
     int keyed = 0;
-    for (const auto &n : opt.dfg().nodes)
+    for (const auto &n : opt->dfg().nodes)
         keyed += n.kind == NodeKind::park && n.keyed;
     EXPECT_EQ(keyed, 4);
 
     // The raw graph pays the per-replica retiming fallback for its
     // riding pass-overs; the rewritten one pays keyed slots + the
     // ordinal lane instead.
-    graph::Dfg don = opt.dfg(), doff = raw.dfg();
+    graph::Dfg don = opt->dfg(), doff = raw->dfg();
     sim::MachineConfig machine;
     auto ron = analyzeResources(don, machine, {});
     auto roff = analyzeResources(doff, machine, {});
-    EXPECT_EQ(raw.dfg().replicateRideLanes(0).size(), 4u);
-    EXPECT_TRUE(opt.dfg().replicateRideLanes(0).empty());
+    EXPECT_EQ(raw->dfg().replicateRideLanes(0).size(), 4u);
+    EXPECT_TRUE(opt->dfg().replicateRideLanes(0).empty());
     EXPECT_GT(ron.bufferMU, 0);
     EXPECT_LT(ron.bufferMU, roff.bufferMU);
     EXPECT_LT(ron.replCU, roff.replCU);
@@ -1202,8 +1202,8 @@ TEST(GraphOptStructure, OrdinalLaneCountedInBundleWidth)
 
 TEST(GraphOptStructure, RewrittenReorderingRegionIsIdempotent)
 {
-    auto prog = CompiledProgram::compile(kReorderReplicateSrc);
-    graph::Dfg g = prog.dfg();
+    auto prog = CompiledArtifact::build(kReorderReplicateSrc);
+    graph::Dfg g = prog->dfg();
     GraphOptReport again = optimize(g);
     EXPECT_EQ(again.nodesBefore, again.nodesAfter);
     for (const auto &[pass, count] : again.rewrites)
@@ -1367,10 +1367,10 @@ TEST(GraphOptPipeline, DisabledOptimizerLeavesGraphUntouched)
 {
     CompileOptions off;
     off.graphOpt.enable = false;
-    auto prog = CompiledProgram::compile(
+    auto prog = CompiledArtifact::build(
         "DRAM<int> out; void main(int n) { out[0] = n; }", off);
-    EXPECT_EQ(prog.optReport().nodesBefore, prog.optReport().nodesAfter);
-    EXPECT_EQ(prog.optReport().iterations, 0);
+    EXPECT_EQ(prog->optReport().nodesBefore, prog->optReport().nodesAfter);
+    EXPECT_EQ(prog->optReport().iterations, 0);
 }
 
 TEST(GraphOptPipeline, ReplicateParkRoundTripExecutes)
@@ -1393,26 +1393,26 @@ TEST(GraphOptPipeline, ReplicateParkRoundTripExecutes)
             out[t] = h + k1 - k2;
           };
         })";
-    auto prog = CompiledProgram::compile(src);
+    auto prog = CompiledArtifact::build(src);
     int parks = 0;
-    for (const auto &n : prog.dfg().nodes)
+    for (const auto &n : prog->dfg().nodes)
         parks += n.kind == NodeKind::park;
     ASSERT_GT(parks, 0);
-    ASSERT_EQ(prog.dfg().replicates.size(), 1u);
-    EXPECT_EQ(prog.dfg().replicates[0].bufferized, parks);
-    EXPECT_EQ(prog.dfg().replicateParkedValues(0), parks);
+    ASSERT_EQ(prog->dfg().replicates.size(), 1u);
+    EXPECT_EQ(prog->dfg().replicates[0].bufferized, parks);
+    EXPECT_EQ(prog->dfg().replicateParkedValues(0), parks);
 
-    lang::DramImage ref(prog.hir());
+    lang::DramImage ref(prog->hir());
     std::vector<int32_t> data(16);
     for (int i = 0; i < 16; ++i)
         data[i] = i * 37 + 11;
     ref.fill("data", data);
     ref.resize("out", 64);
-    prog.interpret(ref, {16});
-    lang::DramImage dram(prog.hir());
+    prog->interpret(ref, {16});
+    lang::DramImage dram(prog->hir());
     dram.fill("data", data);
     dram.resize("out", 64);
-    auto stats = prog.execute(dram, {16});
+    auto stats = prog->execute(dram, {16});
     EXPECT_EQ(ref.bytes(1), dram.bytes(1));
     EXPECT_GT(stats.sramParkedElems, 0u);
 
@@ -1420,8 +1420,8 @@ TEST(GraphOptPipeline, ReplicateParkRoundTripExecutes)
     // region's trees instead: more bufferMU, wider replicate trees.
     CompileOptions off;
     off.graphOpt.enable = false;
-    auto raw = CompiledProgram::compile(src, off);
-    graph::Dfg don = prog.dfg(), doff = raw.dfg();
+    auto raw = CompiledArtifact::build(src, off);
+    graph::Dfg don = prog->dfg(), doff = raw->dfg();
     sim::MachineConfig machine;
     auto ron = analyzeResources(don, machine, {});
     auto roff = analyzeResources(doff, machine, {});
@@ -1437,31 +1437,31 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
     // through the keyed SRAM detour (visible in the stats, including
     // the occupancy high-water mark), and the DRAM output stays
     // bit-identical to the AST interpreter under both policies.
-    auto prog = CompiledProgram::compile(kReorderReplicateSrc);
+    auto prog = CompiledArtifact::build(kReorderReplicateSrc);
     int buffered = 0;
-    for (const auto &[pass, count] : prog.optReport().rewrites) {
+    for (const auto &[pass, count] : prog->optReport().rewrites) {
         if (pass == "replicate-bufferize")
             buffered = count;
     }
-    EXPECT_GT(buffered, 0) << prog.optReport().summary();
-    ASSERT_EQ(prog.dfg().replicates.size(), 1u);
-    EXPECT_EQ(prog.dfg().replicates[0].bufferized,
-              prog.dfg().replicateParkedValues(0));
-    EXPECT_GT(prog.dfg().replicates[0].bufferized, 0);
+    EXPECT_GT(buffered, 0) << prog->optReport().summary();
+    ASSERT_EQ(prog->dfg().replicates.size(), 1u);
+    EXPECT_EQ(prog->dfg().replicates[0].bufferized,
+              prog->dfg().replicateParkedValues(0));
+    EXPECT_GT(prog->dfg().replicates[0].bufferized, 0);
 
     std::vector<int32_t> data(20);
     for (int i = 0; i < 20; ++i)
         data[i] = i * 91 + 5;
-    lang::DramImage ref(prog.hir());
+    lang::DramImage ref(prog->hir());
     ref.fill("data", data);
     ref.resize("out", 80);
-    prog.interpret(ref, {20});
+    prog->interpret(ref, {20});
     for (auto policy : {dataflow::Engine::Policy::roundRobin,
                         dataflow::Engine::Policy::worklist}) {
-        lang::DramImage dram(prog.hir());
+        lang::DramImage dram(prog->hir());
         dram.fill("data", data);
         dram.resize("out", 80);
-        auto stats = prog.execute(dram, {20}, policy);
+        auto stats = prog->execute(dram, {20}, policy);
         EXPECT_EQ(ref.bytes(1), dram.bytes(1));
         EXPECT_GT(stats.sramParkedElems, 0u);
         EXPECT_GT(stats.sramParkedPeak, 0u);
@@ -1473,11 +1473,11 @@ TEST(GraphOptPipeline, SourceOrderSurvivesOptimization)
 {
     // The executor seeds main()'s arguments by source order; the
     // optimizer must preserve it even when argument streams are unused.
-    auto prog = CompiledProgram::compile(R"(
+    auto prog = CompiledArtifact::build(R"(
         DRAM<int> out;
         void main(int unused, int used) { out[0] = used; })");
     std::vector<std::string> sources;
-    for (const auto &n : prog.dfg().nodes) {
+    for (const auto &n : prog->dfg().nodes) {
         if (n.kind == NodeKind::source)
             sources.push_back(n.name);
     }
@@ -1486,8 +1486,8 @@ TEST(GraphOptPipeline, SourceOrderSurvivesOptimization)
     EXPECT_EQ(sources[1], "__arg0");
     EXPECT_EQ(sources[2], "__arg1");
 
-    lang::DramImage dram(prog.hir());
+    lang::DramImage dram(prog->hir());
     dram.resize("out", 4);
-    prog.execute(dram, {11, 22});
+    prog->execute(dram, {11, 22});
     EXPECT_EQ(dram.read<int32_t>("out")[0], 22);
 }
