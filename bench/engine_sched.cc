@@ -1,35 +1,39 @@
 /**
  * @file
- * A/B comparison of the dataflow engine's scheduling policies.
+ * Gates and numbers for the dataflow engine's two scheduling policies.
  *
- * Four sections, all over identical graphs and inputs per section:
+ * Four sections:
  *
  *  - deep: one dense 64-stage pipeline over unbounded channels under
- *    roundRobin vs worklist. Every stage is busy every round, so this
- *    bounds the worklist's bookkeeping overhead on graphs where
- *    round-robin is already good.
+ *    the worklist. Every stage is busy every round, so this times the
+ *    worklist's bookkeeping on the graph shape where a full scan per
+ *    round would already be good; the sink must see the expected
+ *    stream.
  *
  *  - sparse: a load-balance region array — 64 replicated 64-stage
  *    pipelines over capacity-1 channels with all input skewed onto
  *    replica 0 (the pathological skew the Figure 14 allocator model
- *    studies). Round-robin rescans ~4k idle primitives per round;
- *    the worklist only steps the active chain.
+ *    studies). A full scan per round would step ~4k idle primitives
+ *    each round; the worklist only steps the active chain. The gate is
+ *    a deterministic count: the worklist must take at most half the
+ *    steps of a full scan per round (steps * 2 <= steps +
+ *    stepsSkipped).
  *
  *  - scaling: the same skewed region array shape with compute-weighted
  *    stages and capacity-64 channels, swept across 1/2/4/8 parallel
  *    workers against the single-threaded worklist baseline. Emits one
  *    JSON row per configuration (the CI bench artifact) and gates
- *    >= 2x speedup at 4 workers — skipped with a note when the host
- *    has fewer than 4 hardware threads, since the gate would measure
- *    the kernel's timeslicing, not our scheduler.
+ *    >= 2x speedup at 4 workers. A host with fewer than 4 hardware
+ *    threads cannot measure that gate (it would time the kernel's
+ *    timeslicing, not our scheduler): it prints an UNMEASURED line and
+ *    a JSON row carrying the 2-worker speedup as data instead.
  *
- *  - apps: every Table III app executed under all three policies with
- *    DRAM compared byte-for-byte (the bit-identity acceptance bar).
+ *  - apps: every Table III app executed under worklist and parallel
+ *    with DRAM compared byte-for-byte (the bit-identity acceptance
+ *    bar).
  *
- * The bench asserts policies produce identical sink streams and
- * identical useful work (quanta), and that the worklist is >= 2x
- * faster on the sparse topology (the ISSUE 2 acceptance bar). Exits
- * non-zero on violation so CI can run it as a guardrail.
+ * Exits non-zero on any violated gate so CI can run it as a
+ * guardrail.
  */
 
 #include <chrono>
@@ -71,6 +75,34 @@ inputStream(int tokens)
     return sb;
 }
 
+/** Hash of a sink's stream: every data word, then barriers by level. */
+uint64_t
+streamChecksum(const revet::sltf::TokenStream &stream)
+{
+    uint64_t cs = 0;
+    for (const auto &tok : stream)
+        cs = cs * 31 +
+            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
+    return cs;
+}
+
+/** Run @p eng to quiescence and summarize it, with @p sink as the
+ * observed output. */
+RunResult
+timedRun(Engine &eng, Sink *sink)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    eng.run();
+    auto t1 = std::chrono::steady_clock::now();
+    RunResult out;
+    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+    out.checksum = streamChecksum(sink->collected());
+    out.collected = sink->collected().size();
+    out.sched = eng.schedStats();
+    out.drained = eng.drained();
+    return out;
+}
+
 /** Append a @p stages-deep chain of +1 ElementWise stages to @p eng. */
 Sink *
 buildChain(Engine &eng, Channel *head, const std::string &prefix,
@@ -92,31 +124,20 @@ buildChain(Engine &eng, Channel *head, const std::string &prefix,
 }
 
 RunResult
-runDeep(Engine::Policy policy, int stages, int tokens)
+runDeep(int stages, int tokens)
 {
-    Engine eng(policy);
+    Engine eng;
     Channel *head = eng.channel("deep.in");
     eng.make<Source>("deep.src", head, inputStream(tokens));
     Sink *sink = buildChain(eng, head, "deep", stages,
                             Channel::unbounded);
-    auto t0 = std::chrono::steady_clock::now();
-    eng.run();
-    auto t1 = std::chrono::steady_clock::now();
-    RunResult out;
-    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const auto &tok : sink->collected())
-        out.checksum = out.checksum * 31 +
-            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
-    out.collected = sink->collected().size();
-    out.sched = eng.schedStats();
-    out.drained = eng.drained();
-    return out;
+    return timedRun(eng, sink);
 }
 
 RunResult
-runSparse(Engine::Policy policy, int replicas, int stages, int tokens)
+runSparse(int replicas, int stages, int tokens)
 {
-    Engine eng(policy);
+    Engine eng;
     Sink *sink = nullptr;
     for (int r = 0; r < replicas; ++r) {
         const std::string prefix = "rgn" + std::to_string(r);
@@ -130,18 +151,7 @@ runSparse(Engine::Policy policy, int replicas, int stages, int tokens)
         if (r == 0)
             sink = s;
     }
-    auto t0 = std::chrono::steady_clock::now();
-    eng.run();
-    auto t1 = std::chrono::steady_clock::now();
-    RunResult out;
-    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const auto &tok : sink->collected())
-        out.checksum = out.checksum * 31 +
-            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
-    out.collected = sink->collected().size();
-    out.sched = eng.schedStats();
-    out.drained = eng.drained();
-    return out;
+    return timedRun(eng, sink);
 }
 
 /**
@@ -190,18 +200,7 @@ runScaling(Engine::Policy policy, int workers, int replicas, int stages,
         if (r == 0)
             sink = s;
     }
-    auto t0 = std::chrono::steady_clock::now();
-    eng.run();
-    auto t1 = std::chrono::steady_clock::now();
-    RunResult out;
-    out.ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    for (const auto &tok : sink->collected())
-        out.checksum = out.checksum * 31 +
-            (tok.isData() ? tok.word() : 0x80000000u + tok.barrierLevel());
-    out.collected = sink->collected().size();
-    out.sched = eng.schedStats();
-    out.drained = eng.drained();
-    return out;
+    return timedRun(eng, sink);
 }
 
 void
@@ -238,33 +237,61 @@ printJson(const char *fixture, const char *policy, const RunResult &r,
         r.drained ? "true" : "false");
 }
 
+/** Worklist run @p wl drained, never needed its certification
+ * rescan to find work, and its sink saw inputStream(@p tokens) raised
+ * by one per stage over @p stages stages. */
 bool
-checkIdentical(const char *label, const RunResult &rr,
-               const RunResult &wl)
+checkWorklist(const char *label, const RunResult &wl, int tokens,
+              int stages)
 {
+    StreamBuilder want;
+    for (int i = 0; i < tokens; ++i)
+        want.d(static_cast<Word>(i + stages));
+    want.b(1);
     bool ok = true;
-    if (!rr.drained || !wl.drained) {
+    if (!wl.drained) {
         std::printf("  FAIL(%s): engine did not drain\n", label);
         ok = false;
     }
-    if (rr.checksum != wl.checksum || rr.collected != wl.collected) {
-        std::printf("  FAIL(%s): sink streams diverged between "
-                    "policies\n",
+    if (wl.checksum != streamChecksum(want) ||
+        wl.collected != static_cast<uint64_t>(tokens) + 1) {
+        std::printf("  FAIL(%s): sink stream differs from the expected "
+                    "one\n",
                     label);
-        ok = false;
-    }
-    if (rr.sched.quanta != wl.sched.quanta) {
-        std::printf("  FAIL(%s): useful work diverged (%llu vs %llu "
-                    "quanta)\n",
-                    label,
-                    static_cast<unsigned long long>(rr.sched.quanta),
-                    static_cast<unsigned long long>(wl.sched.quanta));
         ok = false;
     }
     if (wl.sched.missedWakeups != 0) {
         std::printf("  FAIL(%s): worklist missed %llu wakeups\n", label,
                     static_cast<unsigned long long>(
                         wl.sched.missedWakeups));
+        ok = false;
+    }
+    return ok;
+}
+
+/** Parallel run @p pl drained with the same sink stream and the same
+ * useful work (quanta) as worklist run @p wl. */
+bool
+checkIdentical(const char *label, const RunResult &wl,
+               const RunResult &pl)
+{
+    bool ok = true;
+    if (!pl.drained) {
+        std::printf("  FAIL(%s): engine did not drain\n", label);
+        ok = false;
+    }
+    if (wl.checksum != pl.checksum || wl.collected != pl.collected) {
+        std::printf("  FAIL(%s): sink streams diverged between "
+                    "policies\n",
+                    label);
+        ok = false;
+    }
+    if (wl.sched.quanta != pl.sched.quanta) {
+        std::printf("  FAIL(%s): useful work diverged (%llu vs %llu "
+                    "quanta)\n",
+                    label,
+                    static_cast<unsigned long long>(wl.sched.quanta),
+                    static_cast<unsigned long long>(pl.sched.quanta));
         ok = false;
     }
     return ok;
@@ -289,6 +316,7 @@ runScalingSweep()
                                 stages, tokens);
     printRow("worklist", base);
     printJson("skewed-region-array", "worklist", base, 1.0);
+    double speedup2 = 0;
     for (int workers : {1, 2, 4, 8}) {
         RunResult r = runScaling(Engine::Policy::parallel, workers,
                                  replicas, stages, tokens);
@@ -299,12 +327,23 @@ runScalingSweep()
         const std::string label =
             "scaling@" + std::to_string(workers);
         ok &= checkIdentical(label.c_str(), base, r);
+        if (workers == 2)
+            speedup2 = speedup;
         if (workers == 4) {
             if (hw < 4) {
-                std::printf("  SKIP: >=2x @ 4-worker gate needs >= 4 "
-                            "hardware threads (host has %u); measured "
-                            "%.2fx informationally\n",
-                            hw, speedup);
+                // Not a pass: the gate stays unmeasured here, and the
+                // 2-worker speedup is what this host can report.
+                std::printf("  UNMEASURED: >=2x @ 4-worker gate needs "
+                            ">= 4 hardware threads (host has %u); "
+                            "2-worker speedup %.2fx recorded as data\n",
+                            hw, speedup2);
+                std::printf(
+                    "{\"bench\":\"engine_sched\",\"fixture\":"
+                    "\"skewed-region-array\",\"gate\":"
+                    "\"parallel@4>=2x\",\"status\":\"unmeasured\","
+                    "\"hardware_threads\":%u,"
+                    "\"speedup_2_workers\":%.3f}\n",
+                    hw, speedup2);
             } else if (speedup < 2.0) {
                 std::printf("  FAIL(scaling): parallel @ 4 workers "
                             "%.2fx below the 2x acceptance bar\n",
@@ -320,7 +359,7 @@ runScalingSweep()
     return ok;
 }
 
-/** Section 4: all-apps DRAM bit-identity across the three policies. */
+/** Section 4: all-apps DRAM bit-identity across both policies. */
 bool
 runAppIdentity()
 {
@@ -329,8 +368,8 @@ runAppIdentity()
     constexpr int scale = 4;
     constexpr int workers = 4;
     bool ok = true;
-    std::printf("\nengine_sched: app DRAM bit-identity, all policies "
-                "(parallel @ %d workers, scale %d)\n",
+    std::printf("\nengine_sched: app DRAM bit-identity, worklist vs "
+                "parallel @ %d workers, scale %d\n",
                 workers, scale);
     for (const auto &app : revet::apps::allApps()) {
         auto prog = CompiledArtifact::build(app.source);
@@ -340,8 +379,7 @@ runAppIdentity()
             Engine::Policy policy;
             int threads;
         };
-        const Cfg cfgs[] = {{Engine::Policy::roundRobin, 0},
-                            {Engine::Policy::worklist, 0},
+        const Cfg cfgs[] = {{Engine::Policy::worklist, 0},
                             {Engine::Policy::parallel, workers}};
         for (const auto &cfg : cfgs) {
             DramImage dram(prog->hir());
@@ -352,8 +390,7 @@ runAppIdentity()
                 bytes.push_back(dram.bytes(d));
             images.push_back(std::move(bytes));
         }
-        const bool identical =
-            images[0] == images[1] && images[1] == images[2];
+        const bool identical = images[0] == images[1];
         std::printf("  %-12s %s\n", app.name.c_str(),
                     identical ? "identical" : "DIVERGED");
         std::printf("{\"bench\":\"engine_sched\",\"fixture\":"
@@ -384,33 +421,28 @@ main()
     std::printf("engine_sched: dense 64-stage pipeline, %d tokens, "
                 "unbounded channels\n",
                 deep_tokens);
-    RunResult deep_rr = runDeep(Engine::Policy::roundRobin, stages,
-                                deep_tokens);
-    RunResult deep_wl = runDeep(Engine::Policy::worklist, stages,
-                                deep_tokens);
-    printRow("roundRobin", deep_rr);
-    printRow("worklist", deep_wl);
-    std::printf("  worklist speedup: %.2fx (dense — parity expected)\n",
-                deep_rr.ms / deep_wl.ms);
-    ok &= checkIdentical("deep", deep_rr, deep_wl);
+    RunResult deep = runDeep(stages, deep_tokens);
+    printRow("worklist", deep);
+    ok &= checkWorklist("deep", deep, deep_tokens, stages);
 
     std::printf("\nengine_sched: sparse load-balance array, %d x "
                 "%d-stage regions, all %d tokens skewed to region 0, "
                 "capacity-1 channels\n",
                 replicas, stages, sparse_tokens);
-    RunResult sparse_rr = runSparse(Engine::Policy::roundRobin,
-                                    replicas, stages, sparse_tokens);
-    RunResult sparse_wl = runSparse(Engine::Policy::worklist, replicas,
-                                    stages, sparse_tokens);
-    printRow("roundRobin", sparse_rr);
-    printRow("worklist", sparse_wl);
-    double speedup = sparse_rr.ms / sparse_wl.ms;
-    std::printf("  worklist speedup: %.2fx (>= 2x required)\n", speedup);
-    ok &= checkIdentical("sparse", sparse_rr, sparse_wl);
-    if (speedup < 2.0) {
-        std::printf("  FAIL(sparse): worklist speedup %.2fx below the "
-                    "2x acceptance bar\n",
-                    speedup);
+    RunResult sparse = runSparse(replicas, stages, sparse_tokens);
+    printRow("worklist", sparse);
+    ok &= checkWorklist("sparse", sparse, sparse_tokens, stages);
+    // steps + stepsSkipped is what scanning every process each round
+    // would have stepped over the same rounds.
+    const uint64_t full_scan =
+        sparse.sched.steps + sparse.sched.stepsSkipped;
+    std::printf("  worklist steps: %llu of %llu for a full scan per "
+                "round (<= half required)\n",
+                static_cast<unsigned long long>(sparse.sched.steps),
+                static_cast<unsigned long long>(full_scan));
+    if (sparse.sched.steps * 2 > full_scan) {
+        std::printf("  FAIL(sparse): worklist stepped more than half of "
+                    "a full scan per round\n");
         ok = false;
     }
 

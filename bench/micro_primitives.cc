@@ -74,19 +74,15 @@ BM_EngineReducePipeline(benchmark::State &state)
 BENCHMARK(BM_EngineReducePipeline)->Arg(100)->Arg(1000);
 
 /**
- * Scheduler policy A/B on a skewed region array: 16 replicated 8-stage
- * pipelines, all tokens routed to replica 0 (see bench_engine_sched
- * for the full 64x64 comparison with pass/fail gating). Arg 0 =
- * roundRobin, 1 = worklist.
+ * The worklist scheduler on a skewed region array: 16 replicated
+ * 8-stage pipelines, all tokens routed to replica 0 (see
+ * bench_engine_sched for the full 64x64 array with pass/fail gating).
  */
 static void
 BM_EngineSchedSkewed(benchmark::State &state)
 {
-    const auto policy = state.range(0) == 0
-                            ? dataflow::Engine::Policy::roundRobin
-                            : dataflow::Engine::Policy::worklist;
     for (auto _ : state) {
-        dataflow::Engine e(policy);
+        dataflow::Engine e;
         dataflow::Sink *sink = nullptr;
         for (int rep = 0; rep < 16; ++rep) {
             auto *cur = e.channel("in" + std::to_string(rep), 1);
@@ -116,7 +112,7 @@ BM_EngineSchedSkewed(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 64 * 17);
 }
-BENCHMARK(BM_EngineSchedSkewed)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineSchedSkewed);
 
 static void
 BM_CompileStrlen(benchmark::State &state)

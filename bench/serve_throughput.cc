@@ -149,6 +149,8 @@ runCached(const apps::App &app)
             req.args = app.generate(dram, kScale);
         };
     }
+    // keepDram stays on (the default): the first request's image feeds
+    // the golden verifier below.
     serve::ServeOptions opts;
     opts.workers = kWorkers;
     serve::BatchReport rep = serve::serveBatch(artifact, requests, opts);

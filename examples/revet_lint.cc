@@ -16,8 +16,8 @@
  * JSON summary then carries one count per lint code so diagnostic
  * drift across apps is diffable.
  *
- * Translation validation runs inside the compile itself (the default
- * GraphPassOptions::validate knob): a pass application that breaks
+ * Translation validation runs inside the compile itself (runPasses()
+ * validates every applied rewrite): a pass application that breaks
  * token conservation aborts compilation with a ValidationError, which
  * this driver reports as diagnostics. The rate-balance and deadlock
  * analyses then run on the surviving graph.

@@ -13,7 +13,7 @@
  *       -> per-request DramImage + ExecStats
  *
  * Usage: example_revet_serve [app=murmur3] [requests=64] [workers=4]
- *                            [policy=worklist|roundRobin|parallel]
+ *                            [policy=worklist|parallel]
  */
 
 #include <cstdio>
@@ -36,9 +36,7 @@ main(int argc, char **argv)
 
     serve::ServeOptions opts;
     opts.workers = workers;
-    if (policy_name == "roundRobin")
-        opts.policy = dataflow::Engine::Policy::roundRobin;
-    else if (policy_name == "parallel")
+    if (policy_name == "parallel")
         opts.policy = dataflow::Engine::Policy::parallel;
     else if (policy_name != "worklist") {
         std::fprintf(stderr, "unknown policy '%s'\n",

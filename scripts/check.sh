@@ -154,8 +154,8 @@ if [[ "$sanitize" != OFF ]]; then
     REVET_FUZZ_SEED="${REVET_FUZZ_SEED:-20260730}" \
         "$build_dir/tests/revet_test_fuzz"
     # The executor's oracle: every app and language fixture against
-    # the AST interpreter, with per-link traffic identical across all
-    # three policies. Run it explicitly under the instrumented build.
+    # the AST interpreter, with per-link traffic identical across both
+    # policies. Run it explicitly under the instrumented build.
     echo "== executor equivalence (sanitized)"
     "$build_dir/tests/revet_test_dataflow" \
         --gtest_filter='*SchedulerEquivalence*'
@@ -167,7 +167,7 @@ if [[ "$sanitize" != OFF ]]; then
     "$build_dir/tests/revet_test_serve"
     if [[ "$sanitize" == thread ]]; then
         # The parallel work-stealing scheduler is the reason the TSan
-        # preset exists: re-run the scheduler suite (tri-policy matrix +
+        # preset exists: re-run the scheduler suite (two-policy matrix +
         # ParallelScheduler section) and the fuzz differential with the
         # parallel policy forced onto several workers so every Channel
         # push/pop, steal, and quiescence handshake runs instrumented

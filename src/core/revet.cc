@@ -42,17 +42,8 @@ canonicalOptions(const CompileOptions &opts)
     put(oss, "ifToSelect", opts.passes.ifToSelect);
     oss << "}graphOpt{";
     put(oss, "enable", opts.graphOpt.enable);
-    put(oss, "constFold", opts.graphOpt.constFold);
-    put(oss, "crossBlockConstProp", opts.graphOpt.crossBlockConstProp);
-    put(oss, "copyProp", opts.graphOpt.copyProp);
-    put(oss, "fanoutCoalesce", opts.graphOpt.fanoutCoalesce);
-    put(oss, "blockFusion", opts.graphOpt.blockFusion);
-    put(oss, "deadNodeElim", opts.graphOpt.deadNodeElim);
     put(oss, "replicateBufferize", opts.graphOpt.replicateBufferize);
     put(oss, "subwordPack", opts.graphOpt.subwordPack);
-    put(oss, "verifyBetweenPasses", opts.graphOpt.verifyBetweenPasses);
-    put(oss, "validate", opts.graphOpt.validate);
-    put(oss, "maxIterations", opts.graphOpt.maxIterations);
     const sim::MachineConfig &m = opts.graphOpt.machine;
     oss << "machine{";
     put(oss, "numCU", m.numCU);
@@ -128,9 +119,7 @@ CompiledArtifact::build(const std::string &source,
 std::unique_ptr<graph::ExecutionContext>
 CompiledArtifact::makeContext() const
 {
-    graph::ContextOptions ctx_opts;
-    ctx_opts.hoistAllocators = opts_.graph.hoistAllocators;
-    return std::make_unique<graph::ExecutionContext>(bytecode_, ctx_opts);
+    return std::make_unique<graph::ExecutionContext>(bytecode_);
 }
 
 interp::RunStats

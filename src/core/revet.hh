@@ -70,8 +70,8 @@ struct CompileOptions
     passes::PassOptions passes;      ///< HIR pass pipeline
     graph::GraphPassOptions graphOpt; ///< DFG optimizer (Fig. 8 right half)
     /** Graph-level resource toggles — the single canonical copy,
-     * plumbed into graph::ResourceOptions by the evaluation harness
-     * and into graph::ContextOptions by makeContext(). */
+     * plumbed into graph::ResourceOptions by build() and the
+     * evaluation harness. */
     graph::GraphToggles graph;
 };
 
@@ -154,11 +154,10 @@ class CompiledArtifact
 
     /**
      * Instantiate the mutable half: a fresh per-request execution
-     * context over this artifact's bytecode, with allocator hoisting
-     * taken from options().graph. The artifact must outlive the
-     * context — callers holding the artifact through shared_ptr (the
-     * only way build() hands one out) get this for free by keeping
-     * their reference.
+     * context over this artifact's bytecode. The artifact must outlive
+     * the context — callers holding the artifact through shared_ptr
+     * (the only way build() hands one out) get this for free by
+     * keeping their reference.
      */
     std::unique_ptr<graph::ExecutionContext> makeContext() const;
 

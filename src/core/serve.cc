@@ -119,23 +119,15 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                 lang::DramImage dram(artifact->hir());
                 if (req.prepare)
                     req.prepare(dram);
-                if (opts.reuseContexts) {
-                    auto ctx = pool.acquire(&res.contextReused);
-                    try {
-                        res.stats =
-                            ctx->run(dram, req.args, opts.policy,
-                                     opts.engineThreads, opts.maxRounds);
-                    } catch (...) {
-                        pool.release(std::move(ctx)); // discards: poisoned
-                        throw;
-                    }
-                    pool.release(std::move(ctx));
-                } else {
-                    auto ctx = artifact->makeContext();
-                    res.stats =
-                        ctx->run(dram, req.args, opts.policy,
-                                 opts.engineThreads, opts.maxRounds);
+                auto ctx = pool.acquire(&res.contextReused);
+                try {
+                    res.stats = ctx->run(dram, req.args, opts.policy,
+                                         opts.engineThreads);
+                } catch (...) {
+                    pool.release(std::move(ctx)); // discards: poisoned
+                    throw;
                 }
+                pool.release(std::move(ctx));
                 if (opts.keepDram)
                     res.dram.emplace(std::move(dram));
                 res.ok = true;
@@ -175,8 +167,7 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                            ? static_cast<double>(requests.size()) /
                                  (report.wallMs / 1000.0)
                            : 0.0;
-    if (opts.reuseContexts)
-        report.pool = pool.stats();
+    report.pool = pool.stats();
     return report;
 }
 

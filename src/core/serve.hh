@@ -5,8 +5,8 @@
  * One immutable CompiledArtifact (revet.hh) is shared by every worker;
  * each request gets a mutable graph::ExecutionContext, which the
  * ContextPool resets and recycles instead of rebuilding — the engine,
- * channels, per-instruction state, and (with hoistAllocators) the SRAM
- * arena survive from request to request. serveBatch() drives M
+ * channels, per-instruction state, and the SRAM arena survive from
+ * request to request. serveBatch() drives M
  * requests through W worker threads and reports per-request latency
  * split into queue wait and execution time plus batch-level
  * percentiles, so bench/serve_throughput.cc can hold the serving path
@@ -94,15 +94,9 @@ struct ServeOptions
     /** Engine worker threads per request (Policy::parallel only; 0
      * defers to Engine::defaultNumThreads()). */
     int engineThreads = 0;
-    /** Recycle contexts through a ContextPool. Off: every request
-     * builds and tears down its own context (the ablation the
-     * throughput bench compares against). */
-    bool reuseContexts = true;
-    /** Per-request livelock cap. */
-    uint64_t maxRounds = dataflow::Engine::defaultMaxRounds;
     /** Keep each request's final DRAM image in its result (the
-     * correctness suite reads them back; throughput benches turn this
-     * off to keep memory flat). */
+     * correctness suite reads them back; off keeps a long batch's
+     * memory flat). */
     bool keepDram = true;
 };
 
@@ -144,13 +138,15 @@ struct BatchReport
     double reqPerSec = 0;
     double p50Ms = 0;
     double p99Ms = 0;
-    ContextPool::Stats pool; ///< zeroed when reuseContexts is off
+    ContextPool::Stats pool; ///< the batch's context pool
 };
 
 /**
- * Serve @p requests over @p artifact with a pool of worker threads.
- * All requests are considered submitted at call time (queueMs measures
- * head-of-line wait under the worker limit). Request failures are
+ * Serve @p requests over @p artifact with a pool of worker threads,
+ * recycling execution contexts through one ContextPool per call; each
+ * run is capped at Engine::defaultMaxRounds. All requests are
+ * considered submitted at call time (queueMs measures head-of-line
+ * wait under the worker limit). Request failures are
  * reported per-result, never thrown: one poisoned request must not
  * take down the batch.
  */

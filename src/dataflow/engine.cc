@@ -500,40 +500,9 @@ uint64_t
 Engine::run(uint64_t max_rounds)
 {
     sched_ = SchedStats{};
-    switch (policy_) {
-    case Policy::roundRobin:
-        return runRoundRobin(max_rounds);
-    case Policy::parallel:
+    if (policy_ == Policy::parallel)
         return runParallel(max_rounds);
-    case Policy::worklist:
-        break;
-    }
     return runWorklist(max_rounds);
-}
-
-uint64_t
-Engine::runRoundRobin(uint64_t max_rounds)
-{
-    while (true) {
-        bool progress = false;
-        for (auto &proc : procs_) {
-            int quanta = proc->runQuanta(burst_);
-            ++sched_.steps;
-            if (quanta == 0)
-                ++sched_.idleSteps;
-            sched_.quanta += quanta;
-            progress |= quanta > 0;
-        }
-        if (!progress) {
-            // The final certification pass is not a working round: a
-            // network that quiesces in exactly max_rounds rounds is
-            // done, not livelocked.
-            ++sched_.verifyPasses;
-            return sched_.rounds;
-        }
-        if (++sched_.rounds > max_rounds)
-            throwLivelock(max_rounds);
-    }
 }
 
 uint64_t
@@ -556,8 +525,8 @@ Engine::runWorklist(uint64_t max_rounds)
                 // Certify quiescence with one full rescan. With correct
                 // notification wiring this never finds progress; when a
                 // channel bypasses the engine (constructed outside
-                // Engine::channel) it degrades to round-robin instead
-                // of silently dropping work.
+                // Engine::channel) it degrades to one full scan per
+                // round instead of silently dropping work.
                 ++sched_.verifyPasses;
                 bool progress = false;
                 for (auto &proc : procs_) {

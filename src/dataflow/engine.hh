@@ -7,11 +7,7 @@
  * channels this computes the denotational (Kahn-network) semantics of
  * the graph; the result is independent of scheduling order because
  * every primitive is a deterministic stream transformer. That freedom
- * is what allows three interchangeable scheduling policies:
- *
- *  - Policy::roundRobin — the original model: every round scans every
- *    primitive, stopping at the first full no-progress pass. Simple,
- *    but O(processes) per round even when one pipeline stage is active.
+ * is what allows two interchangeable scheduling policies:
  *
  *  - Policy::worklist (default) — readiness-driven: channels notify the
  *    engine on empty->non-empty (wakes the consumer) and full->non-full
@@ -65,9 +61,9 @@ namespace dataflow
  * them after the join, so no counter is ever contended. */
 struct SchedStats
 {
-    /** Scheduler rounds: full passes (roundRobin), ready-deque
+    /** Scheduler rounds that moved at least one token: ready-deque
      * generations (worklist), or progress-runs normalized by process
-     * count (parallel) that moved at least one token. */
+     * count (parallel). */
     uint64_t rounds = 0;
     /** Process step() invocations. */
     uint64_t steps = 0;
@@ -86,8 +82,9 @@ struct SchedStats
      * race (notification landing while its target was mid-run) can
      * produce one; the rescan certifies the fixed point either way. */
     uint64_t missedWakeups = 0;
-    /** step() calls the round-robin model would have made for the same
-     * number of rounds minus the calls actually made (worklist only). */
+    /** step() calls a full scan of every process per round would have
+     * made (rounds x processes) minus the calls actually made
+     * (worklist only). */
     uint64_t stepsSkipped = 0;
     /** Processes taken from another worker's deque (parallel only). */
     uint64_t steals = 0;
@@ -100,7 +97,7 @@ class Engine
 {
   public:
     /** Scheduling policy for run(); see the file comment. */
-    enum class Policy { roundRobin, worklist, parallel };
+    enum class Policy { worklist, parallel };
 
     /** Default safety cap on working rounds, shared by every caller
      * (graph::execute, graph::ExecutionContext::run) so all entry points
@@ -229,7 +226,6 @@ class Engine
      * no worklist run is active). Returns true if it was inserted;
      * only channel-event insertions count as SchedStats::wakeups. */
     bool enqueue(Process *proc);
-    uint64_t runRoundRobin(uint64_t max_rounds);
     uint64_t runWorklist(uint64_t max_rounds);
     uint64_t runParallel(uint64_t max_rounds);
     /** Parallel-mode readiness notification for @p proc. */

@@ -15,9 +15,9 @@
  *    permissions (permissionsFor()) and structurally checks
  *    park/restore pairing, keyed-ordinal coverage, filter/merge
  *    bundle element-width consistency, and replicate-region boundary
- *    discipline. runPasses() invokes it after every applied pass when
- *    GraphPassOptions::validate is set and rejects the rewrite with a
- *    ValidationError naming the offending nodes;
+ *    discipline. runPasses() invokes it after every applied pass,
+ *    always, and rejects the rewrite with a ValidationError naming
+ *    the offending nodes;
  *
  *  - token-rate balance: analyzeRates() solves SDF-style balance
  *    equations over the links, assigning every link a symbolic affine

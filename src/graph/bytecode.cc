@@ -170,15 +170,11 @@ struct MachineMemory
      * post-run residue in ExecStats::sramParkedEnd. */
     uint64_t parkedNow = 0;
     /** SRAM handles live this run; handles are assigned densely from 0
-     * each run, so this (not heap.size()) is the dangling bound when
-     * the arena below outlives a request. */
+     * each run, so this (not heap.size()) is the dangling bound: the
+     * heap is the context's allocator arena and outlives requests —
+     * alloc() re-zeroes and reuses the buffer a previous request left
+     * in the slot instead of growing the heap. */
     uint32_t liveAllocs = 0;
-    /** Keep the allocator arena across runs (ContextOptions::
-     * hoistAllocators): alloc() re-zeroes and reuses the buffer a
-     * previous request left in the slot instead of growing the heap.
-     * Off: rebind() drops the arena, every run allocates from
-     * scratch. */
-    bool hoistArena = false;
 
     /** Point this memory at the next request's image/stats and clear
      * all per-run state. Setup-only (no run in flight). */
@@ -187,8 +183,6 @@ struct MachineMemory
     {
         dram = &dram_ref;
         stats = &stats_ref;
-        if (!hoistArena)
-            heap.clear();
         liveAllocs = 0;
         parkedNow = 0;
     }
@@ -627,10 +621,9 @@ struct ExecutionContext::Impl
     uint64_t runs = 0;
     bool poisoned = false;
 
-    Impl(const BytecodeProgram &p, const ContextOptions &opts)
+    explicit Impl(const BytecodeProgram &p)
         : prog(p), engine(dataflow::Engine::Policy::worklist)
     {
-        mem.hoistArena = opts.hoistAllocators;
         chans.resize(prog.numLinks, nullptr);
         for (size_t i = 0; i < prog.numLinks; ++i)
             chans[i] = engine.channel(prog.linkNames[i]);
@@ -706,9 +699,8 @@ struct ExecutionContext::Impl
     }
 };
 
-ExecutionContext::ExecutionContext(const BytecodeProgram &prog,
-                                   const ContextOptions &opts)
-    : impl_(new Impl(prog, opts))
+ExecutionContext::ExecutionContext(const BytecodeProgram &prog)
+    : impl_(new Impl(prog))
 {}
 
 ExecutionContext::~ExecutionContext() = default;
@@ -777,11 +769,8 @@ execute(const BytecodeProgram &prog, lang::DramImage &dram,
         const std::vector<int32_t> &args, uint64_t max_rounds,
         dataflow::Engine::Policy policy, int num_threads)
 {
-    // One-shot path: a throwaway context with arena hoisting off (there
-    // is no second request to reuse it).
-    ContextOptions opts;
-    opts.hoistAllocators = false;
-    ExecutionContext ctx(prog, opts);
+    // One-shot path: a throwaway context, whose arena starts empty.
+    ExecutionContext ctx(prog);
     return ctx.run(dram, args, policy, num_threads, max_rounds);
 }
 

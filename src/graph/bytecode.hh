@@ -12,8 +12,8 @@
  * dataflow:: primitives themselves, so every firing rule has exactly
  * one definition; blocks, parks, restores, and ordinals as small
  * processes over the shared machine memory (bytecode.cc). The program
- * plugs into dataflow::Engine unchanged, so all three scheduling
- * policies run it and none is observable through results. Its DRAM
+ * plugs into dataflow::Engine unchanged, so both scheduling policies
+ * run it and neither is observable through results. Its DRAM
  * output is held bit-identical to the AST interpreter's by the test
  * suites; the per-link token counts it returns feed the link-bandwidth
  * analysis and the cycle model.
@@ -120,19 +120,6 @@ struct BytecodeProgram
     static BytecodeProgram compile(const Dfg &dfg);
 };
 
-/** Per-context executor knobs. Derived from core::CompileOptions by
- * the serving layer; semantics-neutral (results never depend on them,
- * only allocation behavior and stats). */
-struct ContextOptions
-{
-    /** Hoist SRAM allocation into the reusable context: a reused
-     * ExecutionContext re-zeroes and hands back the arena buffers the
-     * previous request grew instead of allocating fresh ones
-     * (GraphToggles::hoistAllocators landing in the executor; arena
-     * hits are counted in ExecStats::sramArenaReused). */
-    bool hoistAllocators = true;
-};
-
 /**
  * The per-request half of the compile-once/run-many split.
  *
@@ -144,18 +131,19 @@ struct ContextOptions
  * fresh request on every run() instead of rebuilding it: channels are
  * cleared, per-instruction state is re-armed with the request's
  * arguments, and the machine memory is pointed at the request's DRAM
- * image and stats. Contexts are single-request-at-a-time (pool them
- * for concurrency — core/serve.hh); handing a context between threads
- * across requests is safe when the handoff synchronizes (the pool's
- * mutex does).
+ * image and stats. The SRAM arena is kept: a reused context hands the
+ * next request the buffers the previous one grew, re-zeroed
+ * (ExecStats::sramArenaReused). Contexts are single-request-at-a-time
+ * (pool them for concurrency — core/serve.hh); handing a context
+ * between threads across requests is safe when the handoff
+ * synchronizes (the pool's mutex does).
  *
  * The referenced program must outlive the context.
  */
 class ExecutionContext
 {
   public:
-    explicit ExecutionContext(const BytecodeProgram &prog,
-                              const ContextOptions &opts = {});
+    explicit ExecutionContext(const BytecodeProgram &prog);
     ~ExecutionContext();
 
     ExecutionContext(const ExecutionContext &) = delete;

@@ -46,7 +46,7 @@ struct ExecStats
     /** sramAllocs satisfied from a reused execution context's SRAM
      * arena (no host allocation: the slot was hoisted into the context
      * by a previous request). Nonzero only on reused
-     * graph::ExecutionContext runs with hoistAllocators on. */
+     * graph::ExecutionContext runs. */
     uint64_t sramArenaReused = 0;
     /** Elements that round-tripped through a replicate park/restore
      * pair (each element costs one SRAM write and one read, also

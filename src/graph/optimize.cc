@@ -2153,21 +2153,15 @@ std::vector<std::unique_ptr<GraphPass>>
 makeDefaultPasses(const GraphPassOptions &opts)
 {
     std::vector<std::unique_ptr<GraphPass>> out;
-    if (opts.constFold)
-        out.push_back(makeConstFoldPass());
+    out.push_back(makeConstFoldPass());
     // Cross-block propagation right after in-block folding: folded
     // cnst outputs become whole-graph facts, and the cnst wiring it
     // injects is folded/fused by the passes behind it next iteration.
-    if (opts.crossBlockConstProp)
-        out.push_back(makeCrossBlockConstPropPass());
-    if (opts.copyProp)
-        out.push_back(makeCopyPropPass());
-    if (opts.fanoutCoalesce)
-        out.push_back(makeFanoutCoalescePass());
-    if (opts.blockFusion)
-        out.push_back(makeBlockFusionPass());
-    if (opts.deadNodeElim)
-        out.push_back(makeDeadNodeElimPass());
+    out.push_back(makeCrossBlockConstPropPass());
+    out.push_back(makeCopyPropPass());
+    out.push_back(makeFanoutCoalescePass());
+    out.push_back(makeBlockFusionPass());
+    out.push_back(makeDeadNodeElimPass());
     // The structural rewrites run after cleanup so parks and packed
     // lanes are decided on the settled graph, not on wiring blocks and
     // dead cones the earlier passes are about to erase.
@@ -2177,6 +2171,9 @@ makeDefaultPasses(const GraphPassOptions &opts)
         out.push_back(makeSubwordPackPass());
     return out;
 }
+
+/** Fixpoint sweep cap of runPasses(). */
+constexpr int kMaxPassIterations = 8;
 
 GraphOptReport
 runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
@@ -2188,27 +2185,20 @@ runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
     for (const auto &pass : passes)
         rep.rewrites.emplace_back(pass->name(), 0);
 
-    const int max_iters = std::max(1, opts.maxIterations);
-    for (int iter = 0; iter < max_iters; ++iter) {
+    for (int iter = 0; iter < kMaxPassIterations; ++iter) {
         int any = 0;
         for (size_t pi = 0; pi < passes.size(); ++pi) {
-            TokenAccount before;
-            if (opts.validate)
-                before = accountTokens(dfg);
+            const TokenAccount before = accountTokens(dfg);
             int applied = passes[pi]->run(dfg, opts);
             rep.rewrites[pi].second += applied;
             any += applied;
-            if (applied && opts.verifyBetweenPasses)
-                dfg.verify();
-            if (applied && opts.validate) {
-                auto diags =
-                    validateRewrite(passes[pi]->name(), before, dfg);
-                if (hasErrors(diags)) {
-                    throw ValidationError(passes[pi]->name(),
-                                          std::move(diags));
-                }
-                ++rep.validatedPasses;
-            }
+            if (!applied)
+                continue;
+            dfg.verify();
+            auto diags = validateRewrite(passes[pi]->name(), before, dfg);
+            if (hasErrors(diags))
+                throw ValidationError(passes[pi]->name(), std::move(diags));
+            ++rep.validatedPasses;
         }
         ++rep.iterations;
         if (!any)

@@ -72,35 +72,15 @@ namespace revet
 namespace graph
 {
 
-/** Optimizer configuration, owned by core::CompileOptions. */
+/** Optimizer configuration, owned by core::CompileOptions. The
+ * pipeline itself is fixed (makeDefaultPasses); runPasses() always
+ * verifies and translation-validates every applied rewrite. */
 struct GraphPassOptions
 {
     bool enable = true; ///< master switch (off: lowered graph untouched)
-    bool constFold = true;
-    /** Cross-block constant/copy propagation driven by the abstract
-     * interpreter (graph/absint.hh): replaces proven-constant input
-     * links with local cnst wiring, splices always-keep filters and
-     * merges with a provably-dead arm, reroutes pass-through output
-     * lanes onto the producing fanout, and strips memory effects from
-     * blocks that provably never receive data (needs the dropEffects
-     * validation permission). */
-    bool crossBlockConstProp = true;
-    bool copyProp = true;
-    bool fanoutCoalesce = true;
-    bool blockFusion = true;
-    bool deadNodeElim = true;
+    /** The two Section V rewrites the Figure 12 ablation turns off. */
     bool replicateBufferize = true;
     bool subwordPack = true;
-    /** Run Dfg::verify() after every pass application. */
-    bool verifyBetweenPasses = true;
-    /** WaveCert-style translation validation (graph/analyze.hh): after
-     * every applied pass, account token production/consumption against
-     * the pre-pass snapshot and reject the rewrite with a
-     * ValidationError if conservation, park pairing, bundle widths, or
-     * rate balance broke. */
-    bool validate = true;
-    /** Fixpoint iteration cap for the whole pipeline. */
-    int maxIterations = 8;
     /** Table II limits consulted by blockFusion's cost hooks and by
      * replicateBufferize's per-region SRAM park budget (muBanks). */
     sim::MachineConfig machine;
@@ -139,7 +119,8 @@ struct GraphOptReport
     std::string summary() const;
 };
 
-/** Individual pass factories (used by the per-pass test matrix). */
+/** Individual pass factories (the per-pass test matrices build
+ * one-pass pipelines from these). */
 std::unique_ptr<GraphPass> makeConstFoldPass();
 std::unique_ptr<GraphPass> makeCrossBlockConstPropPass();
 std::unique_ptr<GraphPass> makeCopyPropPass();
@@ -149,13 +130,17 @@ std::unique_ptr<GraphPass> makeDeadNodeElimPass();
 std::unique_ptr<GraphPass> makeReplicateBufferizePass();
 std::unique_ptr<GraphPass> makeSubwordPackPass();
 
-/** The default pipeline honoring the per-pass toggles in @p opts. */
+/** The default pipeline, in its fixed order, minus the Section V
+ * rewrites @p opts turns off. */
 std::vector<std::unique_ptr<GraphPass>>
 makeDefaultPasses(const GraphPassOptions &opts);
 
 /**
- * Run @p passes over @p dfg to fixpoint (bounded by
- * opts.maxIterations), verifying between passes per the options.
+ * Run @p passes over @p dfg to fixpoint (at most 8 sweeps). After every applied pass the graph is Dfg::verify()-checked
+ * and WaveCert-style translation-validated (graph/analyze.hh): token
+ * production/consumption is accounted against the pre-pass snapshot,
+ * and a rewrite that broke conservation, park pairing, bundle widths,
+ * or rate balance is rejected with a ValidationError.
  */
 GraphOptReport
 runPasses(Dfg &dfg,

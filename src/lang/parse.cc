@@ -30,6 +30,34 @@ class Parser
     }
 
   private:
+    /** Holds one level of AST nesting (kMaxNestingDepth) for its
+     * lifetime. */
+    class Nest
+    {
+      public:
+        explicit Nest(Parser &parser) : parser_(parser) { parser_.deeper(); }
+        ~Nest() { --parser_.depth_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+      private:
+        Parser &parser_;
+    };
+
+    /** Enter one more nesting level, or throw at the next token once
+     * the bound is reached. */
+    void
+    deeper()
+    {
+        if (depth_ >= kMaxNestingDepth) {
+            throw CompileError("nesting deeper than " +
+                                   std::to_string(kMaxNestingDepth) +
+                                   " levels",
+                               peek().line, peek().col);
+        }
+        ++depth_;
+    }
+
     const Lexeme &peek(int ahead = 0) const
     {
         size_t i = pos_ + ahead;
@@ -169,6 +197,7 @@ class Parser
     StmtPtr
     parseStmt()
     {
+        Nest nest(*this);
         switch (peek().kind) {
           case Tok::lbrace:
             return parseBlock();
@@ -253,6 +282,7 @@ class Parser
         s->body = std::move(then->body);
         if (accept(Tok::kwElse)) {
             if (peek().kind == Tok::kwIf) {
+                Nest nest(*this);
                 s->other.push_back(parseIf());
             } else {
                 auto els = parseBlock();
@@ -531,6 +561,7 @@ class Parser
     ExprPtr
     parseExpr()
     {
+        Nest nest(*this);
         return parseTernary();
     }
 
@@ -585,8 +616,11 @@ class Parser
     parseBinary(int min_prec)
     {
         auto lhs = parseUnary();
+        // Each operator nests the chain built so far one level deeper.
+        const int outer = depth_;
         OpInfo info;
         while (binOpInfo(peek().kind, info) && info.prec >= min_prec) {
+            deeper();
             advance();
             auto rhs = parseBinary(info.prec + 1);
             auto e = std::make_unique<Expr>();
@@ -596,7 +630,16 @@ class Parser
             e->b = std::move(rhs);
             lhs = std::move(e);
         }
+        depth_ = outer;
         return lhs;
+    }
+
+    /** The operand of a prefix operator: one nesting level deeper. */
+    ExprPtr
+    parseOperand()
+    {
+        Nest nest(*this);
+        return parseUnary();
     }
 
     ExprPtr
@@ -605,19 +648,19 @@ class Parser
         if (accept(Tok::minus)) {
             auto e = newExpr(ExprKind::unary);
             e->uop = UnOp::neg;
-            e->a = parseUnary();
+            e->a = parseOperand();
             return e;
         }
         if (accept(Tok::bang)) {
             auto e = newExpr(ExprKind::unary);
             e->uop = UnOp::logNot;
-            e->a = parseUnary();
+            e->a = parseOperand();
             return e;
         }
         if (accept(Tok::tilde)) {
             auto e = newExpr(ExprKind::unary);
             e->uop = UnOp::bitNot;
-            e->a = parseUnary();
+            e->a = parseOperand();
             return e;
         }
         if (accept(Tok::star)) {
@@ -693,6 +736,7 @@ class Parser
 
     std::vector<Lexeme> toks_;
     size_t pos_ = 0;
+    int depth_ = 0; ///< open nesting levels (see kMaxNestingDepth)
 };
 
 } // namespace

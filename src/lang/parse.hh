@@ -19,7 +19,22 @@ namespace revet
 namespace lang
 {
 
-/** Parse Revet source text into an unanalyzed Program. */
+/**
+ * Deepest AST nesting parse() accepts. Each statement nested inside
+ * another, each parenthesized, unary, ternary, call-argument or index
+ * subexpression, and each operator of a left-deep binary chain
+ * (`1+1+...+1`) counts one level. Sema, the passes, lowering and the
+ * interpreter all recurse over the AST, so source nested deeper than
+ * this is rejected with a positioned CompileError instead of being
+ * allowed to overflow the stack anywhere downstream. The deepest
+ * Table III app nests 11 levels; under ASan+UBSan, parse and sema alone
+ * overflow an 8 MiB stack at ~750 nested `if`s, so 256 keeps a 3x
+ * margin on the instrumented build.
+ */
+constexpr int kMaxNestingDepth = 256;
+
+/** Parse Revet source text into an unanalyzed Program.
+ * @throws CompileError on malformed or too deeply nested source. */
 Program parse(const std::string &source);
 
 /** Parse + run semantic analysis; the normal entry point. */

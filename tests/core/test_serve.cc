@@ -130,11 +130,6 @@ TEST(ServeConcurrency, BitIdenticalUnderWorklist)
     runConcurrentBattery(Engine::Policy::worklist, 0);
 }
 
-TEST(ServeConcurrency, BitIdenticalUnderRoundRobin)
-{
-    runConcurrentBattery(Engine::Policy::roundRobin, 0);
-}
-
 TEST(ServeConcurrency, BitIdenticalUnderParallel)
 {
     // Serving workers *and* engine workers: 4 x 2 threads over one
@@ -228,8 +223,8 @@ TEST(ServeResidue, ReusedContextMatchesFreshContext)
 TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
 {
     // Find an allocating fixture, then require that a reused context
-    // with hoistAllocators on serves its second request from the
-    // arena — and that the arena is invisible in results.
+    // serves its second request from the arena — and that the arena is
+    // invisible in results.
     bool found = false;
     for (const auto &app : apps::allApps()) {
         auto artifact = CompiledArtifact::build(app.source);
@@ -253,19 +248,28 @@ TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
         EXPECT_EQ(dramBytes(dram1), dramBytes(dram2))
             << app.name << ": arena reuse changed results";
 
-        // hoistAllocators off: every run allocates from scratch.
+        // A one-shot execute() runs on a fresh context, whose arena
+        // starts empty.
+        lang::DramImage dram3(artifact->hir());
+        auto args3 = app.generate(dram3, 4);
+        EXPECT_EQ(artifact->execute(dram3, args3).sramArenaReused, 0u)
+            << app.name << ": a one-shot run has no arena to reuse";
+
+        // hoistAllocators sizes the resource model only: a context over
+        // an artifact compiled with it off keeps its arena just the
+        // same.
         CompileOptions nohoist;
         nohoist.graph.hoistAllocators = false;
         auto art_off = CompiledArtifact::build(app.source, nohoist);
         auto ctx_off = art_off->makeContext();
+        graph::ExecStats off_stats;
         for (int run = 0; run < 2; ++run) {
             lang::DramImage dram(art_off->hir());
             auto args = app.generate(dram, 4);
-            auto stats = ctx_off->run(dram, args);
-            EXPECT_EQ(stats.sramArenaReused, 0u)
-                << app.name << ": hoistAllocators=false must never "
-                               "reuse arena slots";
+            off_stats = ctx_off->run(dram, args);
         }
+        EXPECT_EQ(off_stats.sramArenaReused, second.sramArenaReused)
+            << app.name;
         break;
     }
     ASSERT_TRUE(found) << "no Table III app allocates SRAM; the arena "
@@ -274,8 +278,8 @@ TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
 
 TEST(ServeResidue, HoistToggleDifferentialOverAppFixtures)
 {
-    // The toggle may move allocator MUs around the resource model and
-    // arena slots into the context — never results.
+    // The toggle may move allocator MUs around the resource model —
+    // never results.
     for (const char *fixture : {"isipv4", "murmur3", "search"}) {
         const apps::App &app = apps::findApp(fixture);
         CompileOptions on, off;
@@ -330,7 +334,7 @@ TEST(ServeCache, HitMissAndKeying)
 
     // Any option edit is a different artifact.
     CompileOptions alt;
-    alt.graphOpt.constFold = false;
+    alt.graphOpt.replicateBufferize = false;
     auto c = cache.get(app.source, alt);
     EXPECT_NE(a.get(), c.get());
     EXPECT_NE(a->fingerprint(), c->fingerprint());
@@ -373,8 +377,10 @@ TEST(ServeCache, FingerprintStableAndOptionSensitive)
                   artifactFingerprint("src", o));
     };
     perturbed([](CompileOptions &o) { o.passes.ifToSelect = false; });
-    perturbed([](CompileOptions &o) { o.graphOpt.blockFusion = false; });
-    perturbed([](CompileOptions &o) { o.graphOpt.maxIterations = 9; });
+    perturbed([](CompileOptions &o) {
+        o.graphOpt.replicateBufferize = false;
+    });
+    perturbed([](CompileOptions &o) { o.graphOpt.subwordPack = false; });
     perturbed([](CompileOptions &o) { o.graphOpt.machine.muBanks = 17; });
     perturbed([](CompileOptions &o) {
         o.graphOpt.machine.clockGHz = 1.7;
@@ -538,20 +544,11 @@ TEST(ServeBatch, ReportAccounting)
         EXPECT_LE(res.queueMs + res.execMs, rep.wallMs + 1.0);
     }
 
-    // Ablation: reuseContexts off builds one context per request and
-    // reports an empty pool — and results are still identical.
-    serve::ServeOptions fresh = opts;
-    fresh.reuseContexts = false;
-    serve::BatchReport rep2 =
-        serve::serveBatch(artifact, requests, fresh);
-    EXPECT_EQ(rep2.succeeded, static_cast<size_t>(kRequests));
-    EXPECT_EQ(rep2.pool.created + rep2.pool.reused, 0u);
-    for (int i = 0; i < kRequests; ++i) {
-        ASSERT_TRUE(rep.results[i].dram && rep2.results[i].dram);
-        EXPECT_EQ(dramBytes(*rep.results[i].dram),
-                  dramBytes(*rep2.results[i].dram));
-        EXPECT_FALSE(rep2.results[i].contextReused);
-    }
+    // Three workers never need more than three contexts; the other
+    // requests ran on recycled ones.
+    EXPECT_LE(rep.pool.created, 3u);
+    EXPECT_EQ(rep.pool.created + rep.pool.reused,
+              static_cast<uint64_t>(kRequests));
 }
 
 TEST(ServeBatch, RequestFailureIsIsolated)

@@ -4,12 +4,12 @@
  * tests.
  *
  * The equivalence suite runs every Table III app fixture and every
- * shared language fixture (tests/graph/lang_fixtures.hh) under ALL
- * Engine::Policy values — roundRobin, worklist, and parallel at 4
- * worker threads — and asserts the executions are bit-identical — same
+ * shared language fixture (tests/graph/lang_fixtures.hh) under both
+ * Engine::Policy values — worklist, and parallel at 4 worker
+ * threads — and asserts the executions are bit-identical — same
  * DRAM bytes, same per-link token and barrier counts, same drained
- * flag, no park slot left occupied, the same serial park high-water
- * mark — and that all of them match the AST reference interpreter.
+ * flag, no park slot left occupied — and that both match the AST
+ * reference interpreter.
  * Kahn-network determinism says scheduling order cannot be observable;
  * these tests certify our schedulers actually keep that promise
  * (including under true concurrency). With a single executor, this
@@ -49,14 +49,10 @@ using revet::sltf::TokenStream;
 namespace
 {
 
-constexpr Engine::Policy kPolicies[] = {Engine::Policy::roundRobin,
-                                        Engine::Policy::worklist};
-
-/** All three policies; parallel tests pin the worker count so the
- * matrix exercises real cross-thread traffic even when the host (or
+/** Both policies; parallel tests pin the worker count so the matrix
+ * exercises real cross-thread traffic even when the host (or
  * REVET_NUM_THREADS) would default to 1. */
-constexpr Engine::Policy kAllPolicies[] = {Engine::Policy::roundRobin,
-                                           Engine::Policy::worklist,
+constexpr Engine::Policy kAllPolicies[] = {Engine::Policy::worklist,
                                            Engine::Policy::parallel};
 
 constexpr int kTestWorkers = 4;
@@ -84,8 +80,8 @@ runUnderPolicy(const CompiledArtifact &prog,
 }
 
 /**
- * Compile @p source, run it under all three policies plus the
- * interpreter, and assert all four agree bit-for-bit.
+ * Compile @p source, run it under both policies plus the
+ * interpreter, and assert all three agree bit-for-bit.
  */
 void
 expectPoliciesEquivalent(
@@ -99,38 +95,24 @@ expectPoliciesEquivalent(
     auto args = generate(ref);
     prog->interpret(ref, args);
 
-    PolicyRun rr = runUnderPolicy(*prog, generate,
-                                  Engine::Policy::roundRobin);
     PolicyRun wl = runUnderPolicy(*prog, generate,
                                   Engine::Policy::worklist);
     PolicyRun pl = runUnderPolicy(*prog, generate,
                                   Engine::Policy::parallel,
                                   kTestWorkers);
 
-    EXPECT_TRUE(rr.stats.drained) << label;
     EXPECT_TRUE(wl.stats.drained) << label;
     EXPECT_TRUE(pl.stats.drained) << label;
-    EXPECT_EQ(rr.stats.linkTokens, wl.stats.linkTokens)
-        << label << ": per-link token counts diverged between policies";
     EXPECT_EQ(wl.stats.linkTokens, pl.stats.linkTokens)
         << label
         << ": per-link token counts diverged under the parallel policy";
-    EXPECT_EQ(rr.stats.linkBarriers, wl.stats.linkBarriers) << label;
     EXPECT_EQ(wl.stats.linkBarriers, pl.stats.linkBarriers) << label;
     // Every park slot is released by the end of the run (dead threads'
     // slots by the keyed restore's batch-close reclamation).
-    EXPECT_EQ(rr.stats.sramParkedEnd, 0u) << label;
     EXPECT_EQ(wl.stats.sramParkedEnd, 0u) << label;
     EXPECT_EQ(pl.stats.sramParkedEnd, 0u) << label;
-    // The park-occupancy high-water mark races parks against restores,
-    // so it is schedule-deterministic only under the serial policies.
-    EXPECT_EQ(rr.stats.sramParkedPeak, wl.stats.sramParkedPeak) << label;
-    ASSERT_EQ(rr.dram_bytes.size(), wl.dram_bytes.size()) << label;
-    ASSERT_EQ(rr.dram_bytes.size(), pl.dram_bytes.size()) << label;
-    for (size_t d = 0; d < rr.dram_bytes.size(); ++d) {
-        EXPECT_EQ(rr.dram_bytes[d], wl.dram_bytes[d])
-            << label << ": DRAM region " << d
-            << " diverged between policies";
+    ASSERT_EQ(wl.dram_bytes.size(), pl.dram_bytes.size()) << label;
+    for (size_t d = 0; d < wl.dram_bytes.size(); ++d) {
         EXPECT_EQ(wl.dram_bytes[d], pl.dram_bytes[d])
             << label << ": DRAM region " << d
             << " diverged under the parallel policy";
@@ -214,55 +196,54 @@ TEST(SchedulerEquivalence, LanguageFixtures)
 TEST(WorklistScheduler, SparsePipelineSkipsIdleStages)
 {
     // 8 identical 8-stage pipelines; only pipeline 0 has input. The
-    // worklist policy must not burn steps scanning the 7 idle replicas.
-    Engine rr(Engine::Policy::roundRobin);
-    Engine wl(Engine::Policy::worklist);
-    TokenStream collected_rr;
-    for (Engine *e : {&rr, &wl}) {
-        Sink *sink = nullptr;
-        for (int rep = 0; rep < 8; ++rep) {
-            Channel *cur =
-                e->channel("p" + std::to_string(rep) + ".in", 1);
-            if (rep == 0) {
-                StreamBuilder sb;
-                for (int i = 0; i < 50; ++i)
-                    sb.d(i);
-                sb.b(1);
-                e->make<Source>("src", cur, sb.build());
-            }
-            for (int stage = 0; stage < 8; ++stage) {
-                Channel *next = e->channel(
-                    "p" + std::to_string(rep) + ".s" +
-                        std::to_string(stage),
-                    1);
-                e->make<ElementWise>(
-                    "ew", Bundle{cur}, Bundle{next},
-                    [](const std::vector<Word> &in,
-                       std::vector<Word> &out) {
-                        out.push_back(in[0] + 1);
-                    });
-                cur = next;
-            }
-            Sink *s = e->make<Sink>("sink", cur);
-            if (rep == 0)
-                sink = s;
+    // worklist policy must not burn steps scanning the 7 idle replicas:
+    // it may take at most half the steps that scanning every process
+    // each round would (steps + stepsSkipped).
+    constexpr int kTokens = 50;
+    constexpr int kStages = 8;
+    Engine e;
+    Sink *sink = nullptr;
+    for (int rep = 0; rep < 8; ++rep) {
+        Channel *cur = e.channel("p" + std::to_string(rep) + ".in", 1);
+        if (rep == 0) {
+            StreamBuilder sb;
+            for (int i = 0; i < kTokens; ++i)
+                sb.d(i);
+            sb.b(1);
+            e.make<Source>("src", cur, sb.build());
         }
-        e->run();
-        EXPECT_TRUE(e->drained());
-        ASSERT_NE(sink, nullptr);
-        if (e == &rr)
-            collected_rr = sink->collected();
-        else
-            EXPECT_EQ(sink->collected(), collected_rr);
+        for (int stage = 0; stage < kStages; ++stage) {
+            Channel *next = e.channel("p" + std::to_string(rep) + ".s" +
+                                          std::to_string(stage),
+                                      1);
+            e.make<ElementWise>(
+                "ew", Bundle{cur}, Bundle{next},
+                [](const std::vector<Word> &in, std::vector<Word> &out) {
+                    out.push_back(in[0] + 1);
+                });
+            cur = next;
+        }
+        Sink *s = e.make<Sink>("sink", cur);
+        if (rep == 0)
+            sink = s;
     }
-    const SchedStats &srr = rr.schedStats();
-    const SchedStats &swl = wl.schedStats();
-    EXPECT_EQ(swl.missedWakeups, 0u);
-    EXPECT_LT(swl.steps, srr.steps / 2)
+    e.run();
+    EXPECT_TRUE(e.drained());
+    ASSERT_NE(sink, nullptr);
+    StreamBuilder want;
+    for (int i = 0; i < kTokens; ++i)
+        want.d(i + kStages);
+    want.b(1);
+    EXPECT_EQ(sink->collected(), want.build());
+
+    const SchedStats &st = e.schedStats();
+    EXPECT_EQ(st.missedWakeups, 0u);
+    EXPECT_LE(st.steps * 2, st.steps + st.stepsSkipped)
         << "worklist should step far fewer primitives on a sparse graph";
-    EXPECT_GT(swl.stepsSkipped, 0u);
-    EXPECT_EQ(srr.quanta, swl.quanta)
-        << "both policies must do identical useful work";
+    // Every token moves once through the source, each stage, and the
+    // sink: one quantum per hop, no more.
+    EXPECT_EQ(st.quanta,
+              static_cast<uint64_t>((kTokens + 1) * (kStages + 2)));
 }
 
 TEST(WorklistScheduler, ExternalPushesBetweenRunsAreScheduled)
@@ -287,31 +268,29 @@ TEST(WorklistScheduler, QuiescingInExactlyMaxRoundsIsNotLivelock)
     // Regression for the off-by-one: the final no-progress pass used to
     // count as a round and trip the cap on networks that finish right
     // at max_rounds.
-    for (Engine::Policy policy : kPolicies) {
-        Engine e(policy);
-        e.setBurst(1); // one token per round -> deterministic round count
-        auto *in = e.channel("in");
-        auto *out = e.channel("out");
-        e.make<Source>("src", in, StreamBuilder().d(1).b(1));
-        e.make<Sink>("sink", out);
-        e.make<Flatten>("flat", in, out);
-        // First measure the exact working-round count...
-        uint64_t rounds = 0;
-        {
-            Engine m(policy);
-            m.setBurst(1);
-            auto *mi = m.channel("in");
-            auto *mo = m.channel("out");
-            m.make<Source>("src", mi, StreamBuilder().d(1).b(1));
-            m.make<Sink>("sink", mo);
-            m.make<Flatten>("flat", mi, mo);
-            rounds = m.run();
-        }
-        ASSERT_GT(rounds, 0u);
-        // ...then a cap of exactly that count must succeed.
-        EXPECT_EQ(e.run(rounds), rounds);
-        EXPECT_TRUE(e.drained());
+    Engine e;
+    e.setBurst(1); // one token per round -> deterministic round count
+    auto *in = e.channel("in");
+    auto *out = e.channel("out");
+    e.make<Source>("src", in, StreamBuilder().d(1).b(1));
+    e.make<Sink>("sink", out);
+    e.make<Flatten>("flat", in, out);
+    // First measure the exact working-round count...
+    uint64_t rounds = 0;
+    {
+        Engine m;
+        m.setBurst(1);
+        auto *mi = m.channel("in");
+        auto *mo = m.channel("out");
+        m.make<Source>("src", mi, StreamBuilder().d(1).b(1));
+        m.make<Sink>("sink", mo);
+        m.make<Flatten>("flat", mi, mo);
+        rounds = m.run();
     }
+    ASSERT_GT(rounds, 0u);
+    // ...then a cap of exactly that count must succeed.
+    EXPECT_EQ(e.run(rounds), rounds);
+    EXPECT_TRUE(e.drained());
 }
 
 TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)

@@ -26,6 +26,8 @@
 #include "graph/optimize.hh"
 #include "lang/type.hh"
 
+#include "single_pass.hh"
+
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
@@ -36,7 +38,8 @@ namespace
 using Generate = std::function<std::vector<int32_t>(DramImage &)>;
 
 /**
- * Compile @p source unoptimized and with @p gopts, run both graphs and
+ * Compile @p source unoptimized, optimize a copy of its lowered graph
+ * with @p config (fixtures::singlePassPipeline), run both graphs and
  * the AST interpreter on identically generated images, and assert every
  * DRAM region is bit-identical under both scheduling policies. Returns
  * the optimized graph for structural assertions.
@@ -44,30 +47,31 @@ using Generate = std::function<std::vector<int32_t>(DramImage &)>;
 Dfg
 expectOptimizedEquivalent(const std::string &source,
                           const Generate &generate,
-                          const GraphPassOptions &gopts,
+                          const std::string &config,
                           const std::string &label)
 {
     CompileOptions raw;
     raw.graphOpt.enable = false;
     auto ref_prog = CompiledArtifact::build(source, raw);
 
-    CompileOptions opt;
-    opt.graphOpt = gopts;
-    auto opt_prog = CompiledArtifact::build(source, opt);
-    EXPECT_NO_THROW(opt_prog->dfg().verify()) << label;
+    Dfg opt = lower(ref_prog->hir());
+    runPasses(opt, fixtures::singlePassPipeline(config), GraphPassOptions{});
+    EXPECT_NO_THROW(opt.verify()) << label;
+    const BytecodeProgram opt_bc = BytecodeProgram::compile(opt);
 
     DramImage ref(ref_prog->hir());
     auto args = generate(ref);
     ref_prog->interpret(ref, args);
 
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         DramImage a(ref_prog->hir());
         generate(a);
-        auto sa = ref_prog->execute(a, args, policy);
-        DramImage b(opt_prog->hir());
+        auto sa = ref_prog->execute(a, args, policy, 2);
+        DramImage b(ref_prog->hir());
         generate(b);
-        auto sb = opt_prog->execute(b, args, policy);
+        auto sb = execute(opt_bc, b, args,
+                          dataflow::Engine::defaultMaxRounds, policy, 2);
         EXPECT_TRUE(sa.drained && sb.drained) << label;
         for (int d = 0; d < ref.dramCount(); ++d) {
             EXPECT_EQ(a.bytes(d), b.bytes(d))
@@ -78,7 +82,7 @@ expectOptimizedEquivalent(const std::string &source,
                 << " diverged from the AST interpreter";
         }
     }
-    return opt_prog->dfg();
+    return opt;
 }
 
 int
@@ -261,16 +265,8 @@ void main(int n) {
         return std::vector<int32_t>{48};
     };
 
-    GraphPassOptions only;
-    only.constFold = false;
-    only.crossBlockConstProp = true;
-    only.copyProp = false;
-    only.fanoutCoalesce = false;
-    only.blockFusion = false;
-    only.deadNodeElim = false;
-    only.replicateBufferize = false;
-    only.subwordPack = false;
-    Dfg g = expectOptimizedEquivalent(src, gen, only, "cbcp-two-boundaries");
+    Dfg g = expectOptimizedEquivalent(src, gen, "cross-block-const-prop",
+                                      "cbcp-two-boundaries");
 
     CompileOptions raw;
     raw.graphOpt.enable = false;
@@ -290,7 +286,7 @@ void main(int n) {
 
     // With the cleanup passes back on, the const-steered diamonds
     // collapse outright: well under half the unoptimized graph.
-    Dfg full = expectOptimizedEquivalent(src, gen, GraphPassOptions{},
+    Dfg full = expectOptimizedEquivalent(src, gen, "full",
                                          "cbcp-two-boundaries-full");
     EXPECT_LT(full.nodes.size() * 2, unopt.nodes.size())
         << "full pipeline left the const-steered diamonds intact";
@@ -324,7 +320,7 @@ void main(int n) {
         dram.resize("out", n * 4);
         return std::vector<int32_t>{n};
     };
-    Dfg g = expectOptimizedEquivalent(src, gen, GraphPassOptions{},
+    Dfg g = expectOptimizedEquivalent(src, gen, "full",
                                       "dpack-diamond");
     EXPECT_GE(countNamed(g, "dpack"), 1)
         << "no sub-word pack group in the optimized diamond";
@@ -378,17 +374,9 @@ void main(int count) {
         dram.resize("lengths", count * 4);
         return std::vector<int32_t>{count};
     };
-    GraphPassOptions only;
-    only.constFold = false;
-    only.crossBlockConstProp = false;
-    only.copyProp = false;
-    only.fanoutCoalesce = false;
-    only.blockFusion = false;
-    only.deadNodeElim = false;
-    only.replicateBufferize = false;
-    only.subwordPack = true;
-    expectOptimizedEquivalent(src, gen, only, "strlen-handle-subword-only");
-    expectOptimizedEquivalent(src, gen, GraphPassOptions{},
+    expectOptimizedEquivalent(src, gen, "subword-pack",
+                              "strlen-handle-subword-only");
+    expectOptimizedEquivalent(src, gen, "full",
                               "strlen-handle-full");
 }
 

@@ -292,13 +292,10 @@ brokenPipeline(const std::string &name, Fn fn)
 
 std::string
 runBrokenExpectThrow(Dfg g,
-                     const std::vector<std::unique_ptr<GraphPass>> &p,
-                     bool verifyBetween = true)
+                     const std::vector<std::unique_ptr<GraphPass>> &p)
 {
-    GraphPassOptions opts;
-    opts.verifyBetweenPasses = verifyBetween;
     try {
-        runPasses(g, p, opts);
+        runPasses(g, p, GraphPassOptions{});
     } catch (const ValidationError &e) {
         return e.what();
     }
@@ -521,24 +518,21 @@ TEST(AnalyzeValidate, ReorderedSourcesRejected)
 TEST(AnalyzeValidate, MispairedParkRejected)
 {
     auto prog = CompiledArtifact::build(replSrc);
-    ASSERT_GT(accountTokens(prog->dfg()).parks.size(), 0u);
-    auto pipeline =
-        brokenPipeline("broken-flip-keyed", [](Dfg &g) {
-            for (auto &n : g.nodes) {
-                if (n.kind == NodeKind::park) {
-                    n.keyed = !n.keyed;
-                    return 1;
-                }
-            }
-            return 0;
-        });
-    // verify() would also reject this; turn it off so the validator's
-    // own pairing check is what catches the mutation.
-    std::string what =
-        runBrokenExpectThrow(prog->dfg(), pipeline, false);
-    ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
-    EXPECT_NE(what.find("park-mispaired"), std::string::npos) << what;
-    EXPECT_NE(what.find("park"), std::string::npos) << what;
+    const TokenAccount before = accountTokens(prog->dfg());
+    ASSERT_GT(before.parks.size(), 0u);
+    Dfg g = prog->dfg();
+    auto park = std::find_if(g.nodes.begin(), g.nodes.end(),
+                             [](const Node &n) {
+                                 return n.kind == NodeKind::park;
+                             });
+    ASSERT_NE(park, g.nodes.end());
+    park->keyed = !park->keyed;
+    // runPasses() would verify() first, which also rejects this; ask
+    // the validator directly so its own pairing check is what catches
+    // the mutation.
+    auto diags = validateRewrite("broken-flip-keyed", before, g);
+    ASSERT_TRUE(hasErrors(diags)) << "broken rewrite was not rejected";
+    EXPECT_TRUE(hasCode(diags, "park-mispaired"));
 }
 
 TEST(AnalyzeValidate, WidenedBundleLaneRejected)
@@ -601,30 +595,6 @@ TEST(AnalyzeValidate, UnsolicitedParkRejected)
     EXPECT_NE(what.find("park-added"), std::string::npos) << what;
 }
 
-TEST(AnalyzeValidate, ValidateOffSkipsCertification)
-{
-    auto prog = CompiledArtifact::build(writeSrc);
-    auto pipeline =
-        brokenPipeline("broken-drop-effect", [](Dfg &g) {
-            for (auto &n : g.nodes) {
-                for (size_t i = 0; i < n.ops.size(); ++i) {
-                    if (n.ops[i].kind == OpKind::dramWrite) {
-                        n.ops.erase(n.ops.begin() +
-                                    static_cast<long>(i));
-                        return 1;
-                    }
-                }
-            }
-            return 0;
-        });
-    Dfg g = prog->dfg();
-    GraphPassOptions opts;
-    opts.validate = false;
-    GraphOptReport rep;
-    EXPECT_NO_THROW(rep = runPasses(g, pipeline, opts));
-    EXPECT_EQ(rep.validatedPasses, 0);
-}
-
 // ---------------------------------------------------------------------
 // Finite-buffer deadlock lint
 // ---------------------------------------------------------------------
@@ -640,12 +610,12 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
     EXPECT_FALSE(hasErrors(rep.diagnostics));
 
     lang::Program prog = outProgram();
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         DramImage dram(prog);
         dram.resize("out", n * 4);
         auto stats = graph::execute(graph::BytecodeProgram::compile(g),
-                                    dram, {}, 1u << 24, policy);
+                                    dram, {}, 1u << 24, policy, 2);
         EXPECT_TRUE(stats.drained);
         EXPECT_EQ(stats.sramParkedPeak,
                   static_cast<uint64_t>(rep.parks[0].minSafeSlots))

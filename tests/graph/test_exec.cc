@@ -734,12 +734,12 @@ TEST(DataflowExec, KeyedRestoreRepairsOutOfOrderThreads)
 {
     const int n = 8;
     Dfg g = reversedRestoreGraph(n);
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
         auto stats = graph::execute(graph::BytecodeProgram::compile(g),
-                                    dram, {}, 1u << 24, policy);
+                                    dram, {}, 1u << 24, policy, 2);
         EXPECT_TRUE(stats.drained);
         auto out = dram.read<int32_t>("out");
         for (int i = 0; i < n; ++i) {
@@ -757,12 +757,12 @@ TEST(DataflowExec, ParkedSlotHighWaterMark)
     // occupancy high-water mark is exactly n, regardless of schedule.
     const int n = 8;
     Dfg g = reversedRestoreGraph(n);
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
         auto stats = graph::execute(graph::BytecodeProgram::compile(g),
-                                    dram, {}, 1u << 24, policy);
+                                    dram, {}, 1u << 24, policy, 2);
         EXPECT_EQ(stats.sramParkedPeak, static_cast<uint64_t>(n));
     }
 }
@@ -776,11 +776,11 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
     // used to read n/2 here).
     const int n = 8;
     auto bc = graph::BytecodeProgram::compile(deadThreadRestoreGraph(n));
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy);
+        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy, 2);
         EXPECT_TRUE(stats.drained);
         // All n values parked; none left behind after batch close.
         EXPECT_EQ(stats.sramParkedElems, static_cast<uint64_t>(n));

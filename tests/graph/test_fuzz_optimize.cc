@@ -55,6 +55,8 @@
 #include "lang/parse.hh"
 #include "lang/type.hh"
 
+#include "single_pass.hh"
+
 using namespace revet;
 using namespace revet::graph;
 using lang::DramImage;
@@ -862,24 +864,6 @@ class RandomDfg
     }
 };
 
-/** Optimizer configuration with exactly one pass enabled (or "full"). */
-GraphPassOptions
-passConfig(const std::string &which)
-{
-    GraphPassOptions o;
-    if (which == "full")
-        return o;
-    o.constFold = which == "const-fold";
-    o.crossBlockConstProp = which == "cross-block-const-prop";
-    o.copyProp = which == "copy-prop";
-    o.fanoutCoalesce = which == "fanout-coalesce";
-    o.blockFusion = which == "block-fusion";
-    o.deadNodeElim = which == "dead-node-elim";
-    o.replicateBufferize = which == "replicate-bufferize";
-    o.subwordPack = which == "subword-pack";
-    return o;
-}
-
 std::vector<std::vector<uint8_t>>
 runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
          dataflow::Engine::Policy policy, int num_threads = 0,
@@ -953,12 +937,13 @@ checkValueSoundness(const Dfg &g, const graph::ExecStats &stats,
 /** One differential run; returns an empty string on success, else a
  * description of the divergence. */
 std::string
-diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
+diffOnce(uint32_t seed, int stages, const std::string &config)
 {
     RandomDfg gen(seed, stages);
     Dfg optimized = gen.graph; // copy
     try {
-        runPasses(optimized, makeDefaultPasses(gopts), gopts);
+        runPasses(optimized, fixtures::singlePassPipeline(config),
+                  GraphPassOptions{});
         optimized.verify();
     } catch (const std::exception &err) {
         return std::string("optimizer/verify threw: ") + err.what();
@@ -973,7 +958,6 @@ diffOnce(uint32_t seed, int stages, const GraphPassOptions &gopts)
     // channel traffic (and TSan evidence) without oversubscribing the
     // 3200-execution sweep.
     const PolicyCase cases[] = {
-        {dataflow::Engine::Policy::roundRobin, 0, "roundRobin"},
         {dataflow::Engine::Policy::worklist, 0, "worklist"},
         {dataflow::Engine::Policy::parallel, 2, "parallel"},
     };
@@ -1025,7 +1009,6 @@ class FuzzOptimize : public ::testing::TestWithParam<std::string>
 TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 {
     const std::string config = GetParam();
-    const GraphPassOptions gopts = passConfig(config);
     const int iters = envInt("REVET_FUZZ_ITERS", 200);
     const uint32_t base =
         static_cast<uint32_t>(envInt("REVET_FUZZ_SEED", 20260730));
@@ -1033,7 +1016,7 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 
     for (int i = 0; i < iters; ++i) {
         uint32_t seed = base + static_cast<uint32_t>(i) * 7919u;
-        std::string err = diffOnce(seed, maxStages, gopts);
+        std::string err = diffOnce(seed, maxStages, config);
         if (err.empty())
             continue;
         // Shrink: same seed, fewer stages, report the smallest still-
@@ -1041,7 +1024,7 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
         int failingStages = maxStages;
         std::string failingErr = err;
         for (int s = maxStages - 1; s >= 0; --s) {
-            std::string e = diffOnce(seed, s, gopts);
+            std::string e = diffOnce(seed, s, config);
             if (e.empty())
                 break;
             failingStages = s;

@@ -29,6 +29,7 @@
 #include "passes/passes.hh"
 
 #include "lang_fixtures.hh"
+#include "single_pass.hh"
 
 using namespace revet;
 using namespace revet::graph;
@@ -36,25 +37,6 @@ using lang::DramImage;
 
 namespace
 {
-
-/** Optimizer configuration with exactly one pass enabled ("full" and
- * "off" are also accepted). */
-GraphPassOptions
-passConfig(const std::string &which)
-{
-    GraphPassOptions o;
-    if (which == "full")
-        return o;
-    o.constFold = which == "const-fold";
-    o.crossBlockConstProp = which == "cross-block-const-prop";
-    o.copyProp = which == "copy-prop";
-    o.fanoutCoalesce = which == "fanout-coalesce";
-    o.blockFusion = which == "block-fusion";
-    o.deadNodeElim = which == "dead-node-elim";
-    o.replicateBufferize = which == "replicate-bufferize";
-    o.subwordPack = which == "subword-pack";
-    return o;
-}
 
 const std::vector<std::string> kPassConfigs = {
     "const-fold",   "cross-block-const-prop", "copy-prop",
@@ -64,37 +46,39 @@ const std::vector<std::string> kPassConfigs = {
 using fixtures::Generate;
 
 /**
- * Compile @p source unoptimized and with @p gopts, run both graphs and
+ * Compile @p source unoptimized, optimize a copy of its lowered graph
+ * with @p config (fixtures::singlePassPipeline), run both graphs and
  * the AST interpreter on identically generated images, and assert every
  * DRAM region is bit-identical under both scheduling policies.
  */
 void
 expectOptimizedEquivalent(const std::string &source,
                           const Generate &generate,
-                          const GraphPassOptions &gopts,
+                          const std::string &config,
                           const std::string &label)
 {
     CompileOptions raw;
     raw.graphOpt.enable = false;
     auto ref_prog = CompiledArtifact::build(source, raw);
 
-    CompileOptions opt;
-    opt.graphOpt = gopts;
-    auto opt_prog = CompiledArtifact::build(source, opt);
-    EXPECT_NO_THROW(opt_prog->dfg().verify()) << label;
+    Dfg opt = lower(ref_prog->hir());
+    runPasses(opt, fixtures::singlePassPipeline(config), GraphPassOptions{});
+    EXPECT_NO_THROW(opt.verify()) << label;
+    const BytecodeProgram opt_bc = BytecodeProgram::compile(opt);
 
     DramImage ref(ref_prog->hir());
     auto args = generate(ref);
     ref_prog->interpret(ref, args);
 
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         DramImage a(ref_prog->hir());
         generate(a);
-        auto sa = ref_prog->execute(a, args, policy);
-        DramImage b(opt_prog->hir());
+        auto sa = ref_prog->execute(a, args, policy, 2);
+        DramImage b(ref_prog->hir());
         generate(b);
-        auto sb = opt_prog->execute(b, args, policy);
+        auto sb = execute(opt_bc, b, args,
+                          dataflow::Engine::defaultMaxRounds, policy, 2);
         EXPECT_TRUE(sa.drained && sb.drained) << label;
         for (int d = 0; d < ref.dramCount(); ++d) {
             EXPECT_EQ(a.bytes(d), b.bytes(d))
@@ -141,7 +125,7 @@ TEST_P(GraphOptEquivApps, BitIdenticalToUnoptimizedAndInterp)
     expectOptimizedEquivalent(
         app.source,
         [&](DramImage &dram) { return app.generate(dram, scale); },
-        passConfig(config), app.name + "/" + config);
+        config, app.name + "/" + config);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -169,7 +153,7 @@ TEST(GraphOptEquiv, LanguageFixtures)
     for (const auto &f : fixtures::languageFixtures()) {
         for (const std::string &config : kPassConfigs) {
             expectOptimizedEquivalent(
-                f.source, f.generate, passConfig(config),
+                f.source, f.generate, config,
                 std::string(f.label) + "/" + config);
         }
     }
@@ -1169,32 +1153,39 @@ TEST(GraphOptStructure, OrdinalLaneCountedInBundleWidth)
     off.graphOpt.enable = false;
     auto raw = CompiledArtifact::build(kReorderReplicateSrc, off);
     // Cross-block constant propagation would fold the constant token
-    // ride away before bufferize ever sees it; pin it off so all four
-    // rides reach the park rewrite this fixture is about.
-    CompileOptions on;
-    on.graphOpt.crossBlockConstProp = false;
-    auto opt = CompiledArtifact::build(kReorderReplicateSrc, on);
+    // ride away before bufferize ever sees it; run the default pipeline
+    // without it so all four rides reach the park rewrite this fixture
+    // is about.
+    auto passes = makeDefaultPasses(GraphPassOptions{});
+    passes.erase(std::remove_if(passes.begin(), passes.end(),
+                                [](const auto &pass) {
+                                    return pass->name() ==
+                                           "cross-block-const-prop";
+                                }),
+                 passes.end());
+    Dfg opt = lower(raw->hir());
+    runPasses(opt, passes, GraphPassOptions{});
 
     int wraw = fbMergeWidth(raw->dfg());
-    int wopt = fbMergeWidth(opt->dfg());
+    int wopt = fbMergeWidth(opt);
     ASSERT_GT(wraw, 0);
     ASSERT_GT(wopt, 0);
     EXPECT_EQ(wopt, wraw - 3);
-    EXPECT_EQ(countOrdinals(opt->dfg()), 1);
+    EXPECT_EQ(countOrdinals(opt), 1);
     int keyed = 0;
-    for (const auto &n : opt->dfg().nodes)
+    for (const auto &n : opt.nodes)
         keyed += n.kind == NodeKind::park && n.keyed;
     EXPECT_EQ(keyed, 4);
 
     // The raw graph pays the per-replica retiming fallback for its
     // riding pass-overs; the rewritten one pays keyed slots + the
     // ordinal lane instead.
-    graph::Dfg don = opt->dfg(), doff = raw->dfg();
+    graph::Dfg doff = raw->dfg();
     sim::MachineConfig machine;
-    auto ron = analyzeResources(don, machine, {});
+    auto ron = analyzeResources(opt, machine, {});
     auto roff = analyzeResources(doff, machine, {});
     EXPECT_EQ(raw->dfg().replicateRideLanes(0).size(), 4u);
-    EXPECT_TRUE(opt->dfg().replicateRideLanes(0).empty());
+    EXPECT_TRUE(opt.replicateRideLanes(0).empty());
     EXPECT_GT(ron.bufferMU, 0);
     EXPECT_LT(ron.bufferMU, roff.bufferMU);
     EXPECT_LT(ron.replCU, roff.replCU);
@@ -1456,8 +1447,8 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
     ref.fill("data", data);
     ref.resize("out", 80);
     prog->interpret(ref, {20});
-    for (auto policy : {dataflow::Engine::Policy::roundRobin,
-                        dataflow::Engine::Policy::worklist}) {
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
         lang::DramImage dram(prog->hir());
         dram.fill("data", data);
         dram.resize("out", 80);

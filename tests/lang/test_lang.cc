@@ -118,6 +118,73 @@ TEST(Parse, PaperStrlenFigure7)
     EXPECT_EQ(repl->replicas, 4);
 }
 
+// ---------------------------------------------------------------------------
+// Nesting bound: source nested past kMaxNestingDepth is a positioned
+// CompileError, never a stack overflow.
+
+namespace
+{
+
+const std::string kMainOpen = "void main(int n) { ";
+
+std::string
+nestedParens(int depth)
+{
+    return kMainOpen + "int x = " + std::string(depth, '(') + "1" +
+           std::string(depth, ')') + "; }";
+}
+
+std::string
+binaryChain(int terms)
+{
+    std::string src = kMainOpen + "int x = 1";
+    for (int i = 1; i < terms; ++i)
+        src += "+1";
+    return src + "; }";
+}
+
+std::string
+nestedBlocks(int depth)
+{
+    return kMainOpen + std::string(depth, '{') + std::string(depth, '}') +
+           " }";
+}
+
+void
+expectTooDeep(const std::string &src, const char *shape)
+{
+    try {
+        parse(src);
+        ADD_FAILURE() << shape << ": expected CompileError";
+    } catch (const CompileError &err) {
+        EXPECT_EQ(err.line, 1) << shape;
+        EXPECT_GT(err.col, static_cast<int>(kMainOpen.size())) << shape;
+        EXPECT_NE(std::string(err.what()).find("nesting"),
+                  std::string::npos)
+            << shape << ": " << err.what();
+    }
+}
+
+} // namespace
+
+TEST(Parse, HundredThousandDeepSourceThrowsPositionedError)
+{
+    constexpr int kHostile = 100000;
+    expectTooDeep(nestedParens(kHostile), "parentheses");
+    expectTooDeep(binaryChain(kHostile), "binary chain");
+    expectTooDeep(nestedBlocks(kHostile), "blocks");
+}
+
+TEST(Parse, NestingJustUnderTheBoundCompiles)
+{
+    // The statement and its expression hold a level each; stay a few
+    // levels short of the bound.
+    const int depth = kMaxNestingDepth - 4;
+    EXPECT_NO_THROW(parseAndAnalyze(nestedParens(depth)));
+    EXPECT_NO_THROW(parseAndAnalyze(binaryChain(depth)));
+    EXPECT_NO_THROW(parseAndAnalyze(nestedBlocks(depth)));
+}
+
 TEST(Sema, RejectsUndeclared)
 {
     EXPECT_THROW(parseAndAnalyze("void main(int n) { x = 1; }"),
