@@ -1,13 +1,17 @@
 /**
  * @file
- * Dispatch cost of the executor: wall time per scheduler quantum on
- * the ALU-dense Table III apps (ip2int, murmur3), whose graphs are
- * dominated by block firings.
+ * Dispatch cost of the executor on the ALU-dense Table III apps
+ * (ip2int, murmur3), whose graphs are dominated by block firings:
+ * wall time per scheduler quantum and per token.
  *
  * Each fixture is compiled once and run under the worklist policy,
- * best-of-N wall time; the report is ns per quantum (one stepOnce()
- * that made progress), so runs at different scales or on graphs of
- * different shape stay comparable.
+ * best-of-N wall time. Two normalizations are reported. ns per quantum
+ * (one stepOnce() that made progress) prices a process firing; fanouts
+ * run no process (Engine::multicast), so their traffic costs no
+ * quanta. ns per token (summed over every link's traffic,
+ * ExecStats::linkTokens, which a graph's shape fixes) prices the work
+ * itself, and is the figure to compare across executor changes that
+ * alter what a quantum is.
  *
  * Acceptance gate (exit non-zero on violation, like engine_sched):
  * every run drains and its DRAM image is byte-identical to the AST
@@ -50,6 +54,7 @@ struct RunResult
 {
     double ms = 0; ///< best-of-kRepeats wall time
     uint64_t quanta = 0;
+    uint64_t tokens = 0; ///< summed over every link
     bool drained = false;
     std::vector<std::vector<uint8_t>> dram;
 };
@@ -70,6 +75,8 @@ runFixture(const CompiledArtifact &art, const revet::apps::App &app)
             out.ms = ms;
         if (rep == 0) {
             out.quanta = stats.schedQuanta;
+            for (uint64_t n : stats.linkTokens)
+                out.tokens += n;
             out.drained = stats.drained;
             out.dram = dramBytes(dram);
         }
@@ -97,20 +104,28 @@ main()
         art->interpret(ref, args);
         const bool matches = r.dram == dramBytes(ref);
 
-        const double ns_per_quantum =
-            r.quanta == 0 ? 0.0
-                          : r.ms * 1e6 / static_cast<double>(r.quanta);
-        std::printf("  %-10s %8.2f ms  %llu quanta  %.1f ns/quantum\n",
+        auto per = [&](uint64_t n) {
+            return n == 0 ? 0.0 : r.ms * 1e6 / static_cast<double>(n);
+        };
+        const double ns_per_quantum = per(r.quanta);
+        const double ns_per_token = per(r.tokens);
+        std::printf("  %-10s %8.2f ms  %llu quanta  %.1f ns/quantum  "
+                    "%llu tokens  %.1f ns/token\n",
                     name.c_str(), r.ms,
                     static_cast<unsigned long long>(r.quanta),
-                    ns_per_quantum);
+                    ns_per_quantum,
+                    static_cast<unsigned long long>(r.tokens),
+                    ns_per_token);
         std::printf("{\"bench\":\"exec_dispatch\",\"fixture\":\"%s\","
                     "\"scale\":%d,\"ms\":%.3f,\"quanta\":%llu,"
-                    "\"ns_per_quantum\":%.1f,\"drained\":%s,"
+                    "\"ns_per_quantum\":%.1f,\"tokens\":%llu,"
+                    "\"ns_per_token\":%.1f,\"drained\":%s,"
                     "\"matches_interpreter\":%s}\n",
                     name.c_str(), kScale, r.ms,
                     static_cast<unsigned long long>(r.quanta),
-                    ns_per_quantum, r.drained ? "true" : "false",
+                    ns_per_quantum,
+                    static_cast<unsigned long long>(r.tokens), ns_per_token,
+                    r.drained ? "true" : "false",
                     matches ? "true" : "false");
 
         if (!r.drained) {

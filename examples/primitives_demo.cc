@@ -36,7 +36,7 @@ main()
 
     auto *tap = e.channel("tap");
     auto *body = e.channel("body");
-    e.make<Fanout>("tap", mid, std::vector<Channel *>{tap, body});
+    e.multicast(mid, {tap, body});
     auto *bsink = e.make<Sink>("B", tap);
 
     Bundle outs;

@@ -173,10 +173,12 @@ if [[ "$sanitize" != OFF ]]; then
         # push/pop, steal, and quiescence handshake runs instrumented
         # even on single-core hosts. Its equivalence section is also the
         # executor's parallel-policy leg, so park reclamation and the
-        # primitives run under TSan with real cross-thread traffic.
+        # primitives run under TSan with real cross-thread traffic. The
+        # multicast suite runs each group-protocol case (shared ring,
+        # per-cursor counts and wakeups, bounded cursors) on 4 workers.
         echo "== parallel scheduler suite (TSan, 4 workers)"
         REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_dataflow" \
-            --gtest_filter='*Scheduler*:*Backpressure*:*Parallel*'
+            --gtest_filter='*Scheduler*:*Backpressure*:*Parallel*:*Multicast*'
         # Serving batteries under TSan: serveBatch's worker threads,
         # the context pool's acquire/release handoff, and the artifact
         # cache's compile-under-lock dedup all run with the engine's

@@ -9,33 +9,55 @@
  * full bounded channel throws: primitives must guard with canPush(),
  * and a missing guard is a machine-model violation, not silent growth.
  *
+ * Multicast (link fan-out). On the vRDA the network delivers one
+ * producer's vector to every consumer; no compute unit copies it.
+ * Engine::multicast(in, outs) models that: each `out` becomes a *read
+ * cursor* over `in`'s ring. The producer writes (and records) each
+ * token once into the group's shared ring; every cursor has its own
+ * head and count, so each consumer reads the whole stream at its own
+ * pace, and the ring grows only when the cursor furthest behind would
+ * otherwise be overwritten. `in` itself (the group's *root*) and any
+ * earlier link of a fanout chain hold no tokens and have no reader —
+ * a multicast from a cursor joins the root's group, so chains of
+ * fanouts become one group. Every link of a group reports the group's
+ * totalPushed() and watch(), which is exactly what a copying fanout
+ * would have pushed onto it. A bounded cursor throttles the producer:
+ * the root's canPush() checks every cursor (the root's own capacity
+ * no longer applies).
+ *
  * Channels created through Engine::channel() carry back-references to
  * their producer and consumer Process (filled in when the process is
  * registered) and notify the engine's worklist scheduler on readiness
  * transitions: empty -> non-empty wakes the consumer, full -> non-full
- * wakes the producer. Primitives only ever examine channel heads,
- * emptiness, and free capacity, so these two edges are exactly the
- * events that can turn a blocked process runnable.
+ * wakes the producer. For a cursor these are the cursor's own edges,
+ * and its producer is the group's producer. Primitives only ever
+ * examine channel heads, emptiness, and free capacity, so these two
+ * edges are exactly the events that can turn a blocked process
+ * runnable.
  *
  * Concurrency contract (Engine::Policy::parallel): every channel has at
- * most one producer and one consumer process, and the engine never runs
+ * most one producer and one consumer process — a multicast group has
+ * one producer and one consumer per cursor — and the engine never runs
  * the same process on two workers at once, so each end of a channel is
  * single-threaded. The FIFO is a power-of-two ring buffer that doubles
  * when full (the functional semantics need unbounded channels); during
  * a parallel run it is guarded by a per-channel spinlock (critical
- * sections are a handful of loads and stores), and the element count
- * is mirrored in a seq_cst atomic so the lock-free predicates
- * empty()/size()/canPush() are exact snapshots. The predicates are
- * *monotone-safe* per endpoint: only the consumer pops, so a non-empty
- * observation by the consumer stays true until it acts on it; only the
- * producer pushes, so free capacity observed by the producer cannot
- * shrink. front() returns the head by value under the lock, because a
- * concurrent push may regrow the ring. Serial runs (every policy but
- * parallel) take the inline fast paths: no lock, and the size mirror
- * is a relaxed store.
+ * sections are a handful of loads and stores) — one per group for a
+ * multicast: the producer's push and ring growth and every cursor's
+ * pop/front take the root's lock — and the element count is mirrored
+ * in a seq_cst atomic (per cursor, for a group) so the lock-free
+ * predicates empty()/size()/canPush() are exact snapshots. The
+ * predicates are *monotone-safe* per endpoint: only the consumer pops,
+ * so a non-empty observation by the consumer stays true until it acts
+ * on it; only the producer pushes, so free capacity observed by the
+ * producer cannot shrink. front() returns the head by value under the
+ * lock, because a concurrent push may regrow the ring. Serial runs
+ * take the inline fast paths: no lock, and the size mirror is a
+ * relaxed store.
  * Mutating configuration (setCapacity, bindEngine, setProducer/
- * setConsumer) and the read-back accessors (totalPushed, watch, drain)
- * are setup/post-run-only: they must not race with an active run.
+ * setConsumer, multicast wiring) and the read-back accessors
+ * (totalPushed, watch, drain) are setup/post-run-only: they must not
+ * race with an active run.
  *
  * A Bundle is a set of channels that move one thread's live values
  * together: primitives that reorder threads (merges, filters) operate on
@@ -48,6 +70,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,6 +86,7 @@ using sltf::Token;
 using sltf::TokenStream;
 using sltf::Word;
 
+class Channel;
 class Engine;
 class Process;
 
@@ -96,6 +120,27 @@ class SpinLock
     std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
 };
 
+/**
+ * The shared state of one multicast group (see the file comment),
+ * owned by its root channel and referenced by every member.
+ */
+struct MulticastGroup
+{
+    Channel *root = nullptr;
+    /** Read ends, in wiring order; each is one consumer's cursor. */
+    std::vector<Channel *> cursors;
+    /** Every member that is not a cursor: the root, then the retired
+     * links of a fanout chain. They hold no tokens. */
+    std::vector<Channel *> links;
+    /** Power-of-two size (empty until the first push), written once
+     * per token. */
+    std::vector<Token> ring;
+    size_t tail = 0;         ///< ring index of the next write
+    /** Cursors whose empty -> non-empty edge a locked push must
+     * announce once the lock is released; only the producer uses it. */
+    std::vector<Channel *> woken;
+};
+
 /** One on-chip link: a FIFO of SLTF tokens with optional capacity. */
 class Channel
 {
@@ -119,21 +164,38 @@ class Channel
     size_t size() const { return size_.load(std::memory_order_seq_cst); }
     size_t capacity() const { return capacity_; }
     /** Setup-only: must not race with an active run. */
-    void setCapacity(size_t capacity) { capacity_ = capacity; }
+    void setCapacity(size_t capacity);
 
+    /** True when a push would be accepted: free capacity here, or, on
+     * a multicast root with a bounded cursor, on every cursor. */
     bool
     canPush() const
     {
+        if (gated_)
+            return cursorsCanPush();
         return size_.load(std::memory_order_seq_cst) < capacity_;
     }
 
     /**
      * Append @p tok. @throws std::runtime_error when the channel is
-     * already at capacity — the caller forgot a canPush() guard.
+     * already at capacity — the caller forgot a canPush() guard — or
+     * when it is a multicast link other than the root.
      */
     void
     push(const Token &tok)
     {
+        if (group_ != nullptr) {
+            if (concurrent_ || group_->root != this) {
+                multicastPushLocked(tok);
+                return;
+            }
+            multicastAppend(tok, std::memory_order_relaxed,
+                            [](Channel *c) {
+                                if (c->engine_)
+                                    c->notifyTokenAvailable();
+                            });
+            return;
+        }
         if (concurrent_) {
             pushLocked(tok);
             return;
@@ -157,7 +219,7 @@ class Channel
     {
         if (concurrent_)
             return frontLocked();
-        return ring_[head_];
+        return buf_[head_];
     }
 
     /**
@@ -176,12 +238,13 @@ class Channel
         return tok;
     }
 
-    /** Lifetime token count, for stats and link-bandwidth analysis.
-     * Read-back is post-run-only. */
+    /** Lifetime token count, for stats and link-bandwidth analysis
+     * (a multicast link reports its group's). Read-back is
+     * post-run-only. */
     uint64_t
     totalPushed() const
     {
-        return watch_.dataPushed + watch_.barriersPushed;
+        return watch().dataPushed + watch().barriersPushed;
     }
 
     /** Observed data-word summary over the channel's lifetime: the
@@ -201,7 +264,13 @@ class Channel
         Word umax = 0;
     };
 
-    const ValueWatch &watch() const { return watch_; }
+    /** The value summary; every link of a multicast group reports the
+     * group's, recorded once per token by the root. */
+    const ValueWatch &
+    watch() const
+    {
+        return group_ != nullptr ? group_->root->watch_ : watch_;
+    }
 
     /** Drain the remaining contents into a TokenStream (post-run). */
     TokenStream drain();
@@ -209,21 +278,27 @@ class Channel
     /** Return the channel to its just-constructed state — FIFO, the
      * lifetime token count, and the value watch all cleared — so an
      * execution context can serve a fresh request over the same wiring
-     * (graph::ExecutionContext). Setup-only, like setCapacity: must
-     * not race with an active run. */
-    void
-    resetForReuse()
-    {
-        head_ = 0;
-        count_ = 0;
-        size_.store(0, std::memory_order_relaxed);
-        watch_ = ValueWatch{};
-    }
+     * (graph::ExecutionContext). On a multicast cursor it drops only
+     * that cursor's pending tokens; on any other member of a group it
+     * resets the whole group. Setup-only, like setCapacity: must not
+     * race with an active run. */
+    void resetForReuse();
 
-    /** The process that pushes into this channel (may be null). */
-    Process *producer() const { return producer_; }
+    /** The process that pushes into this channel (may be null); for a
+     * multicast link, the group's producer. */
+    Process *
+    producer() const
+    {
+        return group_ != nullptr ? group_->root->producer_ : producer_;
+    }
     /** The process that pops from this channel (may be null). */
     Process *consumer() const { return consumer_; }
+
+    /** This channel's multicast group, or null on a point-to-point
+     * link. */
+    const MulticastGroup *multicastGroup() const { return group_; }
+    /** True when this channel is a read cursor of a multicast group. */
+    bool isMulticastCursor() const { return cursor_; }
 
     /** Scheduler wiring — called by Engine at registration time. */
     void bindEngine(Engine *engine) { engine_ = engine; }
@@ -239,8 +314,20 @@ class Channel
     void setConcurrent(bool on) { concurrent_ = on; }
 
   private:
+    friend class Engine;
+
+    /** Engine::multicast's wiring: make every channel of @p outs a
+     * read cursor over @p in's ring (joining @p in's group when it is
+     * itself a cursor, and folding in any group an out already roots).
+     * @throws std::logic_error on a wiring that would give a link two
+     * writers or two readers, or on a non-empty channel. */
+    static void wireMulticast(Channel *in,
+                              const std::vector<Channel *> &outs);
+
     // Locked twins of push/pop/front for parallel runs (channel.cc).
+    // multicastPushLocked also rejects a push on a non-root member.
     void pushLocked(const Token &tok);
+    void multicastPushLocked(const Token &tok);
     Token popLocked();
     Token frontLocked() const;
     void notifyTokenAvailable();
@@ -248,6 +335,26 @@ class Channel
     [[noreturn]] void throwOverflow() const;
     [[noreturn]] void throwUnderflow() const;
     void grow();
+    void growMulticast();
+    void refreshGate();
+
+    /** The lock guarding this channel's ring: its own, or for a cursor
+     * the group root's. */
+    SpinLock &
+    ringLock() const
+    {
+        return cursor_ ? group_->root->mu_ : mu_;
+    }
+
+    bool
+    cursorsCanPush() const
+    {
+        for (const Channel *c : group_->cursors) {
+            if (c->size_.load(std::memory_order_seq_cst) >= c->capacity_)
+                return false;
+        }
+        return true;
+    }
 
     /** Append @p tok and publish the new count with @p order; returns
      * true on the empty -> non-empty transition. */
@@ -258,23 +365,55 @@ class Channel
             throwOverflow();
         if (count_ == ring_.size())
             grow();
-        ring_[(head_ + count_) & (ring_.size() - 1)] = tok;
+        ring_[(head_ + count_) & mask_] = tok;
         ++count_;
         record(tok);
         size_.store(count_, order);
         return count_ == 1;
     }
 
+    /** Producer side of a multicast push (called on the root): write
+     * @p tok once, advance every cursor's count with @p order, and
+     * hand each cursor that went empty -> non-empty to @p on_edge.
+     * The ring grows first when the cursor furthest behind still holds
+     * a token in every slot. */
+    template <typename OnEdge>
+    void
+    multicastAppend(const Token &tok, std::memory_order order,
+                    OnEdge &&on_edge)
+    {
+        MulticastGroup &g = *group_;
+        bool full = false;
+        for (const Channel *c : g.cursors) {
+            if (c->count_ >= c->capacity_)
+                c->throwOverflow();
+            full |= c->count_ == g.ring.size();
+        }
+        if (full)
+            growMulticast();
+        g.ring[g.tail] = tok;
+        g.tail = (g.tail + 1) & (g.ring.size() - 1);
+        record(tok);
+        for (Channel *c : g.cursors) {
+            ++c->count_;
+            c->size_.store(c->count_, order);
+            if (c->count_ == 1)
+                on_edge(c);
+        }
+    }
+
     /** Remove the head and publish the new count with @p order;
-     * @p was_full reports the full -> non-full transition. */
+     * @p was_full reports the full -> non-full transition. The same
+     * code serves plain channels and multicast cursors: buf_/mask_
+     * view whichever ring holds this channel's tokens. */
     Token
     take(std::memory_order order, bool &was_full)
     {
         if (count_ == 0)
             throwUnderflow();
         was_full = count_ == capacity_;
-        const Token tok = ring_[head_];
-        head_ = (head_ + 1) & (ring_.size() - 1);
+        const Token tok = buf_[head_];
+        head_ = (head_ + 1) & mask_;
         --count_;
         size_.store(count_, order);
         return tok;
@@ -303,8 +442,17 @@ class Channel
     std::string name_;
     size_t capacity_;
     bool concurrent_ = false; ///< see setConcurrent()
-    mutable SpinLock mu_; ///< guards the ring and watch_
+    bool cursor_ = false;     ///< a multicast group's read cursor
+    /** A multicast root with a bounded cursor: canPush() checks every
+     * cursor. */
+    bool gated_ = false;
+    /** Guards the ring and watch_; a root's guards its whole group. */
+    mutable SpinLock mu_;
     std::vector<Token> ring_; ///< power-of-two size (or empty)
+    /** The ring this channel reads: ring_, or for a cursor its
+     * group's; mask_ is that ring's size minus one. */
+    Token *buf_ = nullptr;
+    size_t mask_ = 0;
     size_t head_ = 0;         ///< ring index of the oldest token
     size_t count_ = 0;        ///< tokens queued
     std::atomic<size_t> size_{0}; ///< mirrors count_
@@ -312,6 +460,8 @@ class Channel
     Engine *engine_ = nullptr;
     Process *producer_ = nullptr;
     Process *consumer_ = nullptr;
+    MulticastGroup *group_ = nullptr; ///< null on a point-to-point link
+    std::unique_ptr<MulticastGroup> ownedGroup_; ///< set on a root
 };
 
 /** A group of channels carrying one thread's live values in lockstep. */

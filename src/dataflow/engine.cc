@@ -54,7 +54,11 @@ constexpr uint8_t kProcRunning = 2; ///< claimed by exactly one worker
  * sizes/inflight/idleCount use seq_cst, so "notifier saw non-idle" and
  * "runner saw empty channel" cannot both order before their respective
  * writes in the single total order — a wakeup may be *deferred* to the
- * latch re-check but never lost.
+ * latch re-check but never lost. A multicast group (channel.hh) is the
+ * same argument once per cursor: each cursor has its own seq_cst size
+ * mirror and its own empty->non-empty edge to its consumer, and a
+ * bounded cursor's full->non-full edge notifies the group's producer,
+ * whose canPush() reads every cursor's mirror.
  *
  * Termination (distributed quiescence): `inflight` counts processes in
  * {queued, running} and `idleCount` counts workers that found both
@@ -422,11 +426,42 @@ thread_local Engine::Par::Worker *Engine::Par::tlWorker = nullptr;
 void
 Engine::registerProcess(Process *proc)
 {
-    proc->sched_id_ = procs_.size() - 1;
+    for (const Channel *ch : proc->inputs()) {
+        if (ch->multicastGroup() != nullptr && !ch->isMulticastCursor()) {
+            throw std::logic_error(
+                proc->name() + ": channel '" + ch->name() +
+                "' feeds a multicast; read one of its cursors");
+        }
+    }
+    for (const Channel *ch : proc->outputs()) {
+        const MulticastGroup *g = ch->multicastGroup();
+        if (g != nullptr && g->root != ch) {
+            throw std::logic_error(
+                proc->name() + ": channel '" + ch->name() +
+                "' is written by its multicast group's root '" +
+                g->root->name() + "'");
+        }
+    }
+    proc->sched_id_ = procs_.size();
     for (Channel *ch : proc->inputs())
         ch->setConsumer(proc);
     for (Channel *ch : proc->outputs())
         ch->setProducer(proc);
+}
+
+void
+Engine::multicast(Channel *in, const std::vector<Channel *> &outs)
+{
+    auto foreign = [this](const Channel *ch) {
+        if (ch->engine_ != this) {
+            throw std::logic_error("multicast: channel '" + ch->name() +
+                                   "' belongs to another engine");
+        }
+    };
+    foreign(in);
+    for (const Channel *out : outs)
+        foreign(out);
+    Channel::wireMulticast(in, outs);
 }
 
 bool
@@ -676,7 +711,13 @@ Engine::stallReport() const
         if (!ch->empty()) {
             any = true;
             oss << " " << (ch->name().empty() ? "?" : ch->name()) << "("
-                << ch->size() << " head=" << ch->front().str() << ")";
+                << ch->size() << " head=" << ch->front().str();
+            if (ch->isMulticastCursor()) {
+                const Process *writer = ch->producer();
+                oss << ", multicast of " << ch->multicastGroup()->root->name()
+                    << " from " << (writer ? writer->name() : "?");
+            }
+            oss << ")";
         }
     }
     if (!any)

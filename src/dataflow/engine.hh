@@ -144,6 +144,19 @@ class Engine
         return channels_.back().get();
     }
 
+    /**
+     * Link fan-out as the network does it: every channel of @p outs
+     * becomes a read cursor over @p in's ring (see channel.hh), so each
+     * token pushed into @p in is written once and delivered to every
+     * out's consumer, and no process copies it. When @p in is itself a
+     * cursor, @p outs join its group, so a chain of fanouts is one
+     * group. Setup-only, on empty channels of this engine; @p in gains
+     * no reader and @p outs no writer of their own.
+     * @throws std::logic_error on a wiring that would give a link two
+     *         writers or two readers.
+     */
+    void multicast(Channel *in, const std::vector<Channel *> &outs);
+
     /** Construct and register a primitive. */
     template <typename P, typename... Args>
     P *
@@ -151,8 +164,8 @@ class Engine
     {
         auto proc = std::make_unique<P>(std::forward<Args>(args)...);
         P *raw = proc.get();
-        procs_.push_back(std::move(proc));
         registerProcess(raw);
+        procs_.push_back(std::move(proc));
         return raw;
     }
 
@@ -221,6 +234,9 @@ class Engine
   private:
     struct Par; // one parallel run's scheduler state (engine.cc)
 
+    /** Wire @p proc's channel back-references and give it the next
+     * scheduler id. @throws std::logic_error (wiring nothing) when it
+     * would read a multicast root or write a multicast cursor. */
     void registerProcess(Process *proc);
     /** Put @p proc on the ready deque unless it is already queued (or
      * no worklist run is active). Returns true if it was inserted;

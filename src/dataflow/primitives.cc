@@ -43,6 +43,17 @@ Process::ioStallDetail() const
                                             "full outputs:["));
             oss << (ch->name().empty() ? "?" : ch->name());
             full = true;
+            // A multicast root is full through its bounded cursors.
+            if (const MulticastGroup *g = ch->multicastGroup()) {
+                const char *sep = "->{";
+                for (const Channel *c : g->cursors) {
+                    if (!c->canPush()) {
+                        oss << sep << c->name();
+                        sep = " ";
+                    }
+                }
+                oss << "}";
+            }
         }
     }
     if (full)
@@ -141,21 +152,6 @@ Sink::stepOnce()
     if (in_->empty())
         return false;
     collected_.push_back(in_->pop());
-    return true;
-}
-
-bool
-Fanout::stepOnce()
-{
-    if (in_->empty())
-        return false;
-    for (Channel *out : outs_) {
-        if (!out->canPush())
-            return false;
-    }
-    Token tok = in_->pop();
-    for (Channel *out : outs_)
-        out->push(tok);
     return true;
 }
 

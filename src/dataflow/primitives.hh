@@ -22,6 +22,12 @@
  * networks; compiled blocks are their own process) and Sink's growing
  * collection.
  *
+ * Link fan-out is not a primitive here. As on the vRDA, where the
+ * network delivers a vector to every consumer, Engine::multicast makes
+ * each fanout output a read cursor over the producer's channel
+ * (channel.hh): no process copies tokens, and every consumer still
+ * sees an ordinary channel.
+ *
  * Every primitive declares its input and output channels to the base
  * class (declareIo) at construction. The Engine uses the declaration to
  * wire channel back-references for the worklist scheduler, and the base
@@ -196,23 +202,6 @@ class Sink : public Process
   private:
     Channel *in_;
     TokenStream collected_;
-};
-
-/** Copies one input stream to several consumers (link fan-out). */
-class Fanout : public Process
-{
-  public:
-    Fanout(std::string name, Channel *in, std::vector<Channel *> outs)
-        : Process(std::move(name)), in_(in), outs_(std::move(outs))
-    {
-        declareIo({in_}, outs_);
-    }
-
-    bool stepOnce() override;
-
-  private:
-    Channel *in_;
-    std::vector<Channel *> outs_;
 };
 
 /** Per-lane function: maps aligned input words to output words. */

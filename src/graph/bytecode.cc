@@ -326,9 +326,10 @@ collectRunStats(dataflow::Engine &engine, size_t num_links,
     }
 }
 
-// The ten stream roles run as the dataflow:: primitives themselves;
-// only the roles that touch MachineMemory (or, for ordinal, renumber
-// threads for the keyed parks) are processes of their own, below.
+// The nine stream roles run as the dataflow:: primitives themselves,
+// and fanouts as Engine::multicast cursors with no process; only the
+// roles that touch MachineMemory (or, for ordinal, renumber threads
+// for the keyed parks) are processes of their own, below.
 
 /**
  * A block: one element-wise firing over a preallocated register file.
@@ -628,8 +629,10 @@ struct ExecutionContext::Impl
         for (size_t i = 0; i < prog.numLinks; ++i)
             chans[i] = engine.channel(prog.linkNames[i]);
         procs.reserve(prog.insts.size());
-        for (const BcInst &inst : prog.insts)
-            procs.push_back(instantiate(inst));
+        for (const BcInst &inst : prog.insts) {
+            if (dataflow::Process *proc = instantiate(inst))
+                procs.push_back(proc);
+        }
     }
 
     /** The channels of @p count operands starting at pool offset
@@ -644,6 +647,8 @@ struct ExecutionContext::Impl
         return b;
     }
 
+    /** The process running @p inst, or null for a fanout (wired as a
+     * multicast instead). */
     dataflow::Process *
     instantiate(const BcInst &inst)
     {
@@ -662,7 +667,10 @@ struct ExecutionContext::Impl
           case BcOp::sink:
             return engine.make<Sink>(name, in(0));
           case BcOp::fanout:
-            return engine.make<Fanout>(name, in(0), std::move(outs));
+            // Link fan-out is the network's job: the outputs become
+            // read cursors over the input's ring, with no process.
+            engine.multicast(in(0), outs);
+            return nullptr;
           case BcOp::block:
             return engine.make<BlockProc>(name, prog, inst,
                                           lanes(inst.ins, inst.nIns),

@@ -6,12 +6,16 @@
  * position-independent tables: one fixed-width instruction per node,
  * channel *indices* (not pointers) into a shared operand pool, and the
  * block bodies concatenated into a single BlockOp table. An
- * ExecutionContext instantiates each instruction once as an engine
- * process: the ten stream roles (source, sink, fanout, counter,
- * broadcast, reduce, flatten, filter, and both merges) as the
- * dataflow:: primitives themselves, so every firing rule has exactly
- * one definition; blocks, parks, restores, and ordinals as small
- * processes over the shared machine memory (bytecode.cc). The program
+ * ExecutionContext instantiates each instruction once: the nine
+ * stream roles with a firing rule (source, sink, counter, broadcast,
+ * reduce, flatten, filter, and both merges) as the dataflow::
+ * primitives themselves, so every firing rule has exactly one
+ * definition; blocks, parks, restores, and ordinals as small
+ * processes over the shared machine memory (bytecode.cc). A fanout
+ * runs no process: as in the vRDA network, Engine::multicast turns
+ * its outputs into read cursors over its input's ring, so each token
+ * is written once and every output link still reports the whole
+ * stream in its per-link counts. The program
  * plugs into dataflow::Engine unchanged, so both scheduling policies
  * run it and neither is observable through results. Its DRAM
  * output is held bit-identical to the AST interpreter's by the test

@@ -324,7 +324,7 @@ class DeadNodeElim : public GraphPass
 
 // ---- fanout coalescing -------------------------------------------------
 
-class FanoutCoalesce : public GraphPass
+class CoalesceFanouts : public GraphPass
 {
   public:
     std::string name() const override { return "fanout-coalesce"; }
@@ -2122,7 +2122,7 @@ makeCopyPropPass()
 std::unique_ptr<GraphPass>
 makeFanoutCoalescePass()
 {
-    return std::make_unique<FanoutCoalesce>();
+    return std::make_unique<CoalesceFanouts>();
 }
 
 std::unique_ptr<GraphPass>

@@ -397,7 +397,7 @@ TEST(ForeachPipeline, CounterBroadcastReduce)
     auto *red = e.channel("red");
 
     e.make<Source>("src", par, StreamBuilder().d(3).d(4).b(1));
-    e.make<Fanout>("fan", par, std::vector<Channel *>{par_ctr, par_bc});
+    e.multicast(par, {par_ctr, par_bc});
     e.make<ElementWise>(
         "bounds", Bundle{par_ctr}, Bundle{mn, mx, st},
         [](const std::vector<Word> &in, std::vector<Word> &out) {
@@ -406,8 +406,7 @@ TEST(ForeachPipeline, CounterBroadcastReduce)
             out.push_back(1);
         });
     e.make<Counter>("ctr", mn, mx, st, iter);
-    e.make<Fanout>("fan2", iter,
-                   std::vector<Channel *>{iter_bc, iter_ew});
+    e.multicast(iter, {iter_bc, iter_ew});
     e.make<Broadcast>("bc", iter_bc, par_bc, expanded, 1);
     e.make<ElementWise>(
         "body", Bundle{iter_ew, expanded}, Bundle{body},
@@ -455,8 +454,7 @@ struct WhileLoopHarness
         // Tap the body stream for inspection.
         auto *mid_tap = e.channel("midTap");
         auto *mid_body = e.channel("midBody");
-        e.make<Fanout>("tap", mid,
-                       std::vector<Channel *>{mid_tap, mid_body});
+        e.multicast(mid, {mid_tap, mid_body});
         body_ids = e.make<Sink>("bodySink", mid_tap);
 
         // Body: cnt' = cnt-1; continue while cnt' > 0.
