@@ -1,6 +1,5 @@
 #include "dataflow/channel.hh"
 
-#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
@@ -14,41 +13,31 @@ namespace dataflow
 void
 Channel::pushLocked(const Token &tok)
 {
-    bool was_empty = false;
+    if (ring_ != this) {
+        throw std::runtime_error(
+            "channel '" + (name_.empty() ? std::string("?") : name_) +
+            "' is a multicast " + (reader_ ? "cursor" : "chain link") +
+            " of '" + root()->name() + "': only the root is written");
+    }
     {
         // Parallel runs keep the full protocol: the seq_cst mirror is
-        // what the missed-wakeup proof relies on.
+        // what the missed-wakeup proof relies on, and the readers'
+        // pops take this lock too.
         std::lock_guard<SpinLock> guard(mu_);
-        was_empty = append(tok, std::memory_order_seq_cst);
+        append(tok, std::memory_order_seq_cst,
+               [](Channel *c) { c->woken_ = true; });
     }
     // Notify outside the lock: the wakeup path may run the consumer's
     // scheduler bookkeeping, and holding a channel lock across it would
-    // order channel locks against deque locks.
-    if (was_empty && engine_)
-        notifyTokenAvailable();
-}
-
-void
-Channel::multicastPushLocked(const Token &tok)
-{
-    MulticastGroup &g = *group_;
-    if (g.root != this) {
-        throw std::runtime_error(
-            "channel '" + (name_.empty() ? std::string("?") : name_) +
-            "' is a multicast " + (cursor_ ? "cursor" : "chain link") +
-            " of '" + g.root->name() + "': only the root is written");
-    }
-    {
-        // One lock per group: the cursors' pops take it too.
-        std::lock_guard<SpinLock> guard(mu_);
-        multicastAppend(tok, std::memory_order_seq_cst,
-                        [&g](Channel *c) { g.woken.push_back(c); });
-    }
-    for (Channel *c : g.woken) {
+    // order channel locks against deque locks. The reader list is
+    // fixed during a run, and only the producer touches woken_.
+    for (Channel *c = readers_; c != nullptr; c = c->next_) {
+        if (!c->woken_)
+            continue;
+        c->woken_ = false;
         if (c->engine_)
             c->notifyTokenAvailable();
     }
-    g.woken.clear();
 }
 
 Token
@@ -57,7 +46,7 @@ Channel::popLocked()
     bool was_full = false;
     Token tok = Token::data(0);
     {
-        std::lock_guard<SpinLock> guard(ringLock());
+        std::lock_guard<SpinLock> guard(ring_->mu_);
         tok = take(std::memory_order_seq_cst, was_full);
     }
     if (was_full && engine_)
@@ -68,7 +57,7 @@ Channel::popLocked()
 Token
 Channel::frontLocked() const
 {
-    std::lock_guard<SpinLock> guard(ringLock());
+    std::lock_guard<SpinLock> guard(ring_->mu_);
     return buf_[head_];
 }
 
@@ -104,35 +93,22 @@ Channel::throwUnderflow() const
 void
 Channel::grow()
 {
-    // Double (from 16), unwrapping the live tokens to the front.
-    std::vector<Token> bigger(ring_.empty() ? 16 : 2 * ring_.size(),
-                              Token::data(0));
-    for (size_t i = 0; i < count_; ++i)
-        bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-    ring_ = std::move(bigger);
-    buf_ = ring_.data();
-    mask_ = ring_.size() - 1;
-    head_ = 0;
-}
-
-void
-Channel::growMulticast()
-{
-    // Double (from 16). The furthest-behind cursor has filled the
-    // ring, so its tokens are all n slots starting at the write
-    // position: unwrap them to the front, and every other cursor's
+    // The write that just landed filled the ring, so the reader
+    // furthest behind holds all n slots starting at the write position:
+    // double, unwrapping them to the front, and every other reader's
     // tokens are their suffix.
-    MulticastGroup &g = *group_;
-    const size_t n = g.ring.size();
-    std::vector<Token> bigger(n == 0 ? 16 : 2 * n, Token::data(0));
+    const size_t n = slots_.size();
+    std::vector<Token> bigger(2 * n, Token::data(0));
     for (size_t i = 0; i < n; ++i)
-        bigger[i] = g.ring[(g.tail + i) & (n - 1)];
-    g.ring = std::move(bigger);
-    g.tail = n;
-    for (Channel *c : g.cursors) {
+        bigger[i] = slots_[(tail_ + i) & mask_];
+    slots_ = std::move(bigger);
+    buf_ = slots_.data();
+    mask_ = 2 * n - 1;
+    tail_ = n;
+    for (Channel *c = readers_; c != nullptr; c = c->next_) {
         c->head_ = n - c->count_;
-        c->buf_ = g.ring.data();
-        c->mask_ = g.ring.size() - 1;
+        c->buf_ = buf_;
+        c->mask_ = mask_;
     }
 }
 
@@ -140,50 +116,49 @@ void
 Channel::setCapacity(size_t capacity)
 {
     capacity_ = capacity;
-    if (group_ != nullptr)
-        group_->root->refreshGate();
+    root()->refreshGate();
 }
 
 void
 Channel::refreshGate()
 {
-    // The root holds no tokens, so its own capacity never applies: a
-    // bounded root takes the cursor check too (which ignores it).
-    gated_ = capacity_ != unbounded;
-    for (const Channel *c : group_->cursors)
+    gated_ = false;
+    for (const Channel *c = readers_; c != nullptr; c = c->next_)
         gated_ |= c->capacity_ != unbounded;
+}
+
+std::vector<const Channel *>
+Channel::readers() const
+{
+    std::vector<const Channel *> out;
+    for (const Channel *c = readers_; c != nullptr; c = c->next_)
+        out.push_back(c);
+    return out;
 }
 
 void
 Channel::resetForReuse()
 {
-    if (group_ == nullptr) {
-        head_ = 0;
-        count_ = 0;
-        size_.store(0, std::memory_order_relaxed);
-        watch_ = ValueWatch{};
-        return;
-    }
-    if (cursor_) {
-        head_ = group_->tail;
-        count_ = 0;
-        size_.store(0, std::memory_order_relaxed);
-        return;
-    }
-    MulticastGroup &g = *group_;
-    g.tail = 0;
-    g.root->watch_ = ValueWatch{};
-    for (Channel *c : g.cursors) {
-        c->head_ = 0;
+    auto resetCursor = [](Channel *c) {
+        c->head_ = c->ring_->tail_;
         c->count_ = 0;
         c->size_.store(0, std::memory_order_relaxed);
+    };
+    if (isMulticastCursor()) {
+        resetCursor(this);
+        return;
     }
+    Channel &r = *root();
+    r.tail_ = 0;
+    r.watch_ = ValueWatch{};
+    for (Channel *c = r.readers_; c != nullptr; c = c->next_)
+        resetCursor(c);
 }
 
 TokenStream
 Channel::drain()
 {
-    std::lock_guard<SpinLock> guard(ringLock());
+    std::lock_guard<SpinLock> guard(ring_->mu_);
     TokenStream out;
     out.reserve(count_);
     for (size_t i = 0; i < count_; ++i)
@@ -204,12 +179,13 @@ Channel::wireMulticast(Channel *in, const std::vector<Channel *> &outs)
     };
     if (in->consumer_ != nullptr)
         fail(in, "already has a reader");
-    if (in->group_ != nullptr && !in->cursor_)
+    if (!in->reader_)
         fail(in, "already feeds a multicast");
     if (in->count_ != 0)
         fail(in, "is not empty");
     if (outs.empty())
         fail(in, "has no outputs");
+    Channel *r = in->ring_; // the ring in reads, and every out joins
     for (size_t i = 0; i < outs.size(); ++i) {
         const Channel *out = outs[i];
         if (out == in)
@@ -218,58 +194,47 @@ Channel::wireMulticast(Channel *in, const std::vector<Channel *> &outs)
             if (outs[j] == out)
                 fail(out, "is listed twice");
         }
-        if (out->producer_ != nullptr || out->cursor_ ||
-            (out->group_ != nullptr && out->group_->root != out))
+        if (out->producer_ != nullptr || out->ring_ != out)
             fail(out, "already has a writer");
-        if (out->group_ != nullptr && out->group_ == in->group_)
+        if (out == r)
             fail(out, "would close a multicast cycle");
-        if (out->count_ != 0)
-            fail(out, "is not empty");
+        for (const Channel *c = out->readers_; c != nullptr; c = c->next_) {
+            if (c->count_ != 0)
+                fail(c, "is not empty");
+        }
     }
 
-    MulticastGroup *g = in->group_;
-    if (g == nullptr) {
-        in->ownedGroup_ = std::make_unique<MulticastGroup>();
-        g = in->ownedGroup_.get();
-        g->root = in;
-        g->links.push_back(in);
-        in->group_ = g;
-    } else {
-        // A fanout fed by a cursor: the cursor retires to a chain link
-        // and its readers join the root's group.
-        auto &cs = g->cursors;
-        cs.erase(std::find(cs.begin(), cs.end(), in));
-        in->cursor_ = false;
-        g->links.push_back(in);
-    }
+    // in stops reading its ring.
+    Channel **link = &r->readers_;
+    while (*link != in)
+        link = &(*link)->next_;
+    *link = in->next_;
+    in->next_ = nullptr;
+    in->reader_ = false;
+    while (*link != nullptr)
+        link = &(*link)->next_;
 
-    auto addCursor = [g](Channel *c) {
-        c->group_ = g;
-        c->cursor_ = true;
-        c->ring_ = std::vector<Token>();
-        c->buf_ = g->ring.data();
-        c->mask_ = g->ring.empty() ? 0 : g->ring.size() - 1;
-        c->head_ = g->tail;
-        g->cursors.push_back(c);
-    };
+    // Each out's ring folds into r: its readers (the out itself, unless
+    // it already roots a multicast) become r's cursors in wiring order,
+    // and its own slots are dropped.
     for (Channel *out : outs) {
-        if (out->group_ == nullptr) {
-            addCursor(out);
-            continue;
+        for (Channel *c = out->readers_; c != nullptr;) {
+            Channel *next = c->next_;
+            c->ring_ = r;
+            c->buf_ = r->buf_;
+            c->mask_ = r->mask_;
+            c->head_ = r->tail_;
+            c->next_ = nullptr;
+            *link = c;
+            link = &c->next_;
+            c = next;
         }
-        // The out already roots a group (its fanout was wired first):
-        // fold that group into this one. The out becomes a chain link.
-        std::unique_ptr<MulticastGroup> old = std::move(out->ownedGroup_);
+        out->readers_ = nullptr;
+        out->ring_ = r;
         out->gated_ = false;
-        for (Channel *link : old->links) {
-            link->group_ = g;
-            g->links.push_back(link);
-        }
-        for (Channel *c : old->cursors)
-            addCursor(c);
+        std::vector<Token>().swap(out->slots_);
     }
-    g->woken.reserve(g->cursors.size());
-    g->root->refreshGate();
+    r->refreshGate();
 }
 
 int

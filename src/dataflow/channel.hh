@@ -2,58 +2,64 @@
  * @file
  * Channels: on-chip SLTF links between streaming primitives.
  *
- * A Channel carries Tokens from one producer to one consumer in FIFO
+ * A Channel carries Tokens from one producer to its consumers in FIFO
  * order (the vRDA network guarantees exactly-once, in-order delivery).
- * Channels default to unbounded (functional semantics); the cycle
- * simulator bounds them to model finite input buffers. Pushing onto a
- * full bounded channel throws: primitives must guard with canPush(),
- * and a missing guard is a machine-model violation, not silent growth.
+ *
+ * One model: a ring per writer and a cursor per reader. Every channel
+ * owns a token ring (a power-of-two buffer, its write position, the
+ * value watch and the writer's lock) and reads through one cursor
+ * (head, count, capacity and a size mirror). A new channel is a
+ * point-to-point link: a one-reader ring whose only cursor is its own.
+ * A push writes and records the token once and advances every reader's
+ * count; the ring doubles right after the write that fills it, i.e.
+ * once the reader furthest behind holds a token in every slot.
  *
  * Multicast (link fan-out). On the vRDA the network delivers one
  * producer's vector to every consumer; no compute unit copies it.
- * Engine::multicast(in, outs) models that: each `out` becomes a *read
- * cursor* over `in`'s ring. The producer writes (and records) each
- * token once into the group's shared ring; every cursor has its own
- * head and count, so each consumer reads the whole stream at its own
- * pace, and the ring grows only when the cursor furthest behind would
- * otherwise be overwritten. `in` itself (the group's *root*) and any
- * earlier link of a fanout chain hold no tokens and have no reader —
- * a multicast from a cursor joins the root's group, so chains of
- * fanouts become one group. Every link of a group reports the group's
- * totalPushed() and watch(), which is exactly what a copying fanout
- * would have pushed onto it. A bounded cursor throttles the producer:
- * the root's canPush() checks every cursor (the root's own capacity
- * no longer applies).
+ * Engine::multicast(in, outs) models that by rewiring rings: `in`
+ * stops reading its ring, and each out's ring is folded into `in`'s,
+ * so each out — and every cursor that already read the out's ring —
+ * becomes a *cursor* of that one ring, reading the whole stream at its
+ * own pace. The channel that owns the ring is its *root*; `in`, when
+ * it was itself a cursor, and every out that was a root become *chain
+ * links*, so a chain of fanouts wired in any order is one ring. Roots
+ * and chain links hold no tokens and have no reader, and every link of
+ * a ring reports the ring's totalPushed() and watch(): exactly what a
+ * copying fanout would have pushed onto it.
+ *
+ * Capacity belongs to the reader. Channels default to unbounded
+ * (functional semantics); the cycle simulator bounds them to model
+ * finite input buffers. canPush() holds while every bounded reader of
+ * the ring has room, so a bounded cursor throttles the ring's producer
+ * (a root reads nothing, so its own capacity never applies). A push
+ * that finds a bounded reader full throws before it changes anything:
+ * primitives must guard with canPush(), and a missing guard is a
+ * machine-model violation, not silent growth.
  *
  * Channels created through Engine::channel() carry back-references to
  * their producer and consumer Process (filled in when the process is
- * registered) and notify the engine's worklist scheduler on readiness
- * transitions: empty -> non-empty wakes the consumer, full -> non-full
- * wakes the producer. For a cursor these are the cursor's own edges,
- * and its producer is the group's producer. Primitives only ever
- * examine channel heads, emptiness, and free capacity, so these two
- * edges are exactly the events that can turn a blocked process
- * runnable.
+ * registered; the engine rejects a second writer or reader) and notify
+ * the engine's worklist scheduler on each reader's readiness
+ * transitions: empty -> non-empty wakes that reader's consumer, full
+ * -> non-full wakes the ring's producer. Primitives only ever examine
+ * channel heads, emptiness, and free capacity, so these two edges are
+ * exactly the events that can turn a blocked process runnable.
  *
- * Concurrency contract (Engine::Policy::parallel): every channel has at
- * most one producer and one consumer process — a multicast group has
- * one producer and one consumer per cursor — and the engine never runs
- * the same process on two workers at once, so each end of a channel is
- * single-threaded. The FIFO is a power-of-two ring buffer that doubles
- * when full (the functional semantics need unbounded channels); during
- * a parallel run it is guarded by a per-channel spinlock (critical
- * sections are a handful of loads and stores) — one per group for a
- * multicast: the producer's push and ring growth and every cursor's
- * pop/front take the root's lock — and the element count is mirrored
- * in a seq_cst atomic (per cursor, for a group) so the lock-free
- * predicates empty()/size()/canPush() are exact snapshots. The
- * predicates are *monotone-safe* per endpoint: only the consumer pops,
- * so a non-empty observation by the consumer stays true until it acts
- * on it; only the producer pushes, so free capacity observed by the
- * producer cannot shrink. front() returns the head by value under the
- * lock, because a concurrent push may regrow the ring. Serial runs
- * take the inline fast paths: no lock, and the size mirror is a
- * relaxed store.
+ * Concurrency contract (Engine::Policy::parallel): every ring has one
+ * producer process and one consumer process per reader, and the engine
+ * never runs the same process on two workers at once, so each end of a
+ * link is single-threaded. During a parallel run the root's spinlock
+ * guards its ring: the producer's push and ring growth and every
+ * reader's pop/front take it (critical sections are a handful of loads
+ * and stores). Each reader's element count is mirrored in a seq_cst
+ * atomic so the lock-free predicates empty()/size()/canPush() are
+ * exact snapshots. The predicates are *monotone-safe* per endpoint:
+ * only the consumer pops, so a non-empty observation by the consumer
+ * stays true until it acts on it; only the producer pushes, so free
+ * capacity observed by the producer cannot shrink. front() returns the
+ * head by value under the lock, because a concurrent push may regrow
+ * the ring. Serial runs take the inline fast paths: no lock, and the
+ * size mirror is a relaxed store.
  * Mutating configuration (setCapacity, bindEngine, setProducer/
  * setConsumer, multicast wiring) and the read-back accessors
  * (totalPushed, watch, drain) are setup/post-run-only: they must not
@@ -70,7 +76,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,28 +125,8 @@ class SpinLock
     std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
 };
 
-/**
- * The shared state of one multicast group (see the file comment),
- * owned by its root channel and referenced by every member.
- */
-struct MulticastGroup
-{
-    Channel *root = nullptr;
-    /** Read ends, in wiring order; each is one consumer's cursor. */
-    std::vector<Channel *> cursors;
-    /** Every member that is not a cursor: the root, then the retired
-     * links of a fanout chain. They hold no tokens. */
-    std::vector<Channel *> links;
-    /** Power-of-two size (empty until the first push), written once
-     * per token. */
-    std::vector<Token> ring;
-    size_t tail = 0;         ///< ring index of the next write
-    /** Cursors whose empty -> non-empty edge a locked push must
-     * announce once the lock is released; only the producer uses it. */
-    std::vector<Channel *> woken;
-};
-
-/** One on-chip link: a FIFO of SLTF tokens with optional capacity. */
+/** One on-chip link: a token ring and this link's read cursor on a
+ * ring (its own, unless it is a multicast cursor). */
 class Channel
 {
   public:
@@ -149,7 +134,8 @@ class Channel
         std::numeric_limits<size_t>::max();
 
     explicit Channel(std::string name = "", size_t capacity = unbounded)
-        : name_(std::move(name)), capacity_(capacity)
+        : name_(std::move(name)), capacity_(capacity),
+          gated_(capacity != unbounded)
     {}
 
     const std::string &name() const { return name_; }
@@ -166,42 +152,27 @@ class Channel
     /** Setup-only: must not race with an active run. */
     void setCapacity(size_t capacity);
 
-    /** True when a push would be accepted: free capacity here, or, on
-     * a multicast root with a bounded cursor, on every cursor. */
-    bool
-    canPush() const
-    {
-        if (gated_)
-            return cursorsCanPush();
-        return size_.load(std::memory_order_seq_cst) < capacity_;
-    }
+    /** True when a push would be accepted: every bounded reader of
+     * this channel's ring has room. */
+    bool canPush() const { return !gated_ || fullReader() == nullptr; }
 
     /**
-     * Append @p tok. @throws std::runtime_error when the channel is
-     * already at capacity — the caller forgot a canPush() guard — or
-     * when it is a multicast link other than the root.
+     * Append @p tok. @throws std::runtime_error when a bounded reader
+     * is already full — the caller forgot a canPush() guard — or when
+     * this channel is a multicast cursor or chain link, which only the
+     * ring's root writes.
      */
     void
     push(const Token &tok)
     {
-        if (group_ != nullptr) {
-            if (concurrent_ || group_->root != this) {
-                multicastPushLocked(tok);
-                return;
-            }
-            multicastAppend(tok, std::memory_order_relaxed,
-                            [](Channel *c) {
-                                if (c->engine_)
-                                    c->notifyTokenAvailable();
-                            });
-            return;
-        }
-        if (concurrent_) {
+        if (concurrent_ || ring_ != this) {
             pushLocked(tok);
             return;
         }
-        if (append(tok, std::memory_order_relaxed) && engine_)
-            notifyTokenAvailable();
+        append(tok, std::memory_order_relaxed, [](Channel *c) {
+            if (c->engine_)
+                c->notifyTokenAvailable();
+        });
     }
 
     /** Push every token of @p stream (unbounded use only). */
@@ -238,9 +209,8 @@ class Channel
         return tok;
     }
 
-    /** Lifetime token count, for stats and link-bandwidth analysis
-     * (a multicast link reports its group's). Read-back is
-     * post-run-only. */
+    /** Lifetime token count of this channel's ring, for stats and
+     * link-bandwidth analysis. Read-back is post-run-only. */
     uint64_t
     totalPushed() const
     {
@@ -264,41 +234,39 @@ class Channel
         Word umax = 0;
     };
 
-    /** The value summary; every link of a multicast group reports the
-     * group's, recorded once per token by the root. */
-    const ValueWatch &
-    watch() const
-    {
-        return group_ != nullptr ? group_->root->watch_ : watch_;
-    }
+    /** The value summary of this channel's ring, recorded once per
+     * token by its root. */
+    const ValueWatch &watch() const { return root()->watch_; }
 
     /** Drain the remaining contents into a TokenStream (post-run). */
     TokenStream drain();
 
-    /** Return the channel to its just-constructed state — FIFO, the
-     * lifetime token count, and the value watch all cleared — so an
-     * execution context can serve a fresh request over the same wiring
-     * (graph::ExecutionContext). On a multicast cursor it drops only
-     * that cursor's pending tokens; on any other member of a group it
-     * resets the whole group. Setup-only, like setCapacity: must not
-     * race with an active run. */
+    /** Return the channel to its just-constructed state — pending
+     * tokens, the lifetime token count, and the value watch all cleared
+     * — so an execution context can serve a fresh request over the same
+     * wiring (graph::ExecutionContext). On a multicast cursor it drops
+     * only that cursor's pending tokens; on any other channel it resets
+     * its whole ring. Setup-only, like setCapacity: must not race with
+     * an active run. */
     void resetForReuse();
 
-    /** The process that pushes into this channel (may be null); for a
-     * multicast link, the group's producer. */
-    Process *
-    producer() const
-    {
-        return group_ != nullptr ? group_->root->producer_ : producer_;
-    }
+    /** The process that pushes into this channel's ring (may be
+     * null). */
+    Process *producer() const { return root()->producer_; }
     /** The process that pops from this channel (may be null). */
     Process *consumer() const { return consumer_; }
 
-    /** This channel's multicast group, or null on a point-to-point
-     * link. */
-    const MulticastGroup *multicastGroup() const { return group_; }
-    /** True when this channel is a read cursor of a multicast group. */
-    bool isMulticastCursor() const { return cursor_; }
+    /** The channel whose ring carries this link's tokens: the channel
+     * itself, unless it is a multicast cursor or chain link. */
+    const Channel *ringRoot() const { return root(); }
+    /** True when this channel reads another channel's ring. */
+    bool isMulticastCursor() const { return reader_ && ring_ != this; }
+    /** The readers of this channel's own ring, in wiring order: the
+     * channel itself on a point-to-point link, its cursors on a
+     * multicast root, none on a cursor or chain link. */
+    std::vector<const Channel *> readers() const;
+    /** Slots in this channel's ring (16, doubling as it grows). */
+    size_t ringSlots() const { return root()->slots_.size(); }
 
     /** Scheduler wiring — called by Engine at registration time. */
     void bindEngine(Engine *engine) { engine_ = engine; }
@@ -316,18 +284,16 @@ class Channel
   private:
     friend class Engine;
 
-    /** Engine::multicast's wiring: make every channel of @p outs a
-     * read cursor over @p in's ring (joining @p in's group when it is
-     * itself a cursor, and folding in any group an out already roots).
+    /** Engine::multicast's wiring: @p in stops reading its ring and
+     * every ring of @p outs is folded into it (see the file comment).
      * @throws std::logic_error on a wiring that would give a link two
      * writers or two readers, or on a non-empty channel. */
     static void wireMulticast(Channel *in,
                               const std::vector<Channel *> &outs);
 
     // Locked twins of push/pop/front for parallel runs (channel.cc).
-    // multicastPushLocked also rejects a push on a non-root member.
+    // pushLocked also rejects a push on a cursor or chain link.
     void pushLocked(const Token &tok);
-    void multicastPushLocked(const Token &tok);
     Token popLocked();
     Token frontLocked() const;
     void notifyTokenAvailable();
@@ -335,77 +301,61 @@ class Channel
     [[noreturn]] void throwOverflow() const;
     [[noreturn]] void throwUnderflow() const;
     void grow();
-    void growMulticast();
     void refreshGate();
 
-    /** The lock guarding this channel's ring: its own, or for a cursor
-     * the group root's. */
-    SpinLock &
-    ringLock() const
+    /** The root of this channel's ring. Every reader points at it
+     * directly; a chain link may reach it through a folded root. */
+    Channel *
+    root() const
     {
-        return cursor_ ? group_->root->mu_ : mu_;
+        Channel *c = ring_;
+        while (c->ring_ != c)
+            c = c->ring_;
+        return c;
     }
 
-    bool
-    cursorsCanPush() const
+    /** The first reader of this channel's ring with no room left, or
+     * null. */
+    const Channel *
+    fullReader() const
     {
-        for (const Channel *c : group_->cursors) {
+        for (const Channel *c = readers_; c != nullptr; c = c->next_) {
             if (c->size_.load(std::memory_order_seq_cst) >= c->capacity_)
-                return false;
+                return c;
         }
-        return true;
+        return nullptr;
     }
 
-    /** Append @p tok and publish the new count with @p order; returns
-     * true on the empty -> non-empty transition. */
-    bool
-    append(const Token &tok, std::memory_order order)
-    {
-        if (count_ >= capacity_)
-            throwOverflow();
-        if (count_ == ring_.size())
-            grow();
-        ring_[(head_ + count_) & mask_] = tok;
-        ++count_;
-        record(tok);
-        size_.store(count_, order);
-        return count_ == 1;
-    }
-
-    /** Producer side of a multicast push (called on the root): write
-     * @p tok once, advance every cursor's count with @p order, and
-     * hand each cursor that went empty -> non-empty to @p on_edge.
-     * The ring grows first when the cursor furthest behind still holds
-     * a token in every slot. */
+    /** Producer side of a push (on the ring's root): write @p tok
+     * once, advance every reader's count with @p order, and hand each
+     * reader that went empty -> non-empty to @p on_edge. The ring
+     * doubles right after the write that fills it, so it always has a
+     * free slot for the next one. */
     template <typename OnEdge>
     void
-    multicastAppend(const Token &tok, std::memory_order order,
-                    OnEdge &&on_edge)
+    append(const Token &tok, std::memory_order order, OnEdge &&on_edge)
     {
-        MulticastGroup &g = *group_;
-        bool full = false;
-        for (const Channel *c : g.cursors) {
-            if (c->count_ >= c->capacity_)
-                c->throwOverflow();
-            full |= c->count_ == g.ring.size();
+        if (gated_) {
+            if (const Channel *full = fullReader())
+                full->throwOverflow();
         }
-        if (full)
-            growMulticast();
-        g.ring[g.tail] = tok;
-        g.tail = (g.tail + 1) & (g.ring.size() - 1);
+        buf_[tail_] = tok;
+        tail_ = (tail_ + 1) & mask_;
         record(tok);
-        for (Channel *c : g.cursors) {
+        bool filled = false;
+        for (Channel *c = readers_; c != nullptr; c = c->next_) {
             ++c->count_;
             c->size_.store(c->count_, order);
+            filled |= c->count_ > mask_;
             if (c->count_ == 1)
                 on_edge(c);
         }
+        if (filled)
+            grow();
     }
 
     /** Remove the head and publish the new count with @p order;
-     * @p was_full reports the full -> non-full transition. The same
-     * code serves plain channels and multicast cursors: buf_/mask_
-     * view whichever ring holds this channel's tokens. */
+     * @p was_full reports the full -> non-full transition. */
     Token
     take(std::memory_order order, bool &was_full)
     {
@@ -440,28 +390,41 @@ class Channel
     }
 
     std::string name_;
-    size_t capacity_;
+    size_t capacity_; ///< bounds this channel's reads
     bool concurrent_ = false; ///< see setConcurrent()
-    bool cursor_ = false;     ///< a multicast group's read cursor
-    /** A multicast root with a bounded cursor: canPush() checks every
-     * cursor. */
-    bool gated_ = false;
-    /** Guards the ring and watch_; a root's guards its whole group. */
+    bool reader_ = true;      ///< reads ring_ (false on a root/chain link)
+    /** Some reader of this ring is bounded: pushes check for room. */
+    bool gated_;
+    /** Set by a locked push on each reader it woke, cleared once the
+     * producer has notified it outside the lock. */
+    bool woken_ = false;
+    /** Guards this channel's ring during a parallel run. */
     mutable SpinLock mu_;
-    std::vector<Token> ring_; ///< power-of-two size (or empty)
-    /** The ring this channel reads: ring_, or for a cursor its
-     * group's; mask_ is that ring's size minus one. */
-    Token *buf_ = nullptr;
-    size_t mask_ = 0;
-    size_t head_ = 0;         ///< ring index of the oldest token
-    size_t count_ = 0;        ///< tokens queued
-    std::atomic<size_t> size_{0}; ///< mirrors count_
+
+    // The ring (used on a root: ring_ == this).
+    std::vector<Token> slots_ = std::vector<Token>(16, Token::data(0));
+    /** The slots of ring_'s ring and their count minus one, as the
+     * root writes and each reader reads them: growth refreshes the
+     * root's and every reader's copy, so neither end chases ring_ (a
+     * chain link reads nothing, and its copy may go stale). */
+    Token *buf_ = slots_.data();
+    size_t mask_ = 15;
+    size_t tail_ = 0;         ///< slot of the next write
     ValueWatch watch_;
+    Channel *readers_ = this; ///< intrusive list through next_
+
+    // The cursor (used on a reader).
+    /** The channel whose ring this one reads, or for a chain link the
+     * channel its ring was folded into. */
+    Channel *ring_ = this;
+    Channel *next_ = nullptr; ///< next reader of ring_
+    size_t head_ = 0;         ///< slot of the oldest pending token
+    size_t count_ = 0;        ///< tokens pending for this reader
+    std::atomic<size_t> size_{0}; ///< mirrors count_
+
     Engine *engine_ = nullptr;
     Process *producer_ = nullptr;
     Process *consumer_ = nullptr;
-    MulticastGroup *group_ = nullptr; ///< null on a point-to-point link
-    std::unique_ptr<MulticastGroup> ownedGroup_; ///< set on a root
 };
 
 /** A group of channels carrying one thread's live values in lockstep. */

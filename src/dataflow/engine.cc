@@ -30,6 +30,9 @@ constexpr uint8_t kProcIdle = 0;    ///< not queued, not running
 constexpr uint8_t kProcQueued = 1;  ///< on exactly one worker's deque
 constexpr uint8_t kProcRunning = 2; ///< claimed by exactly one worker
 
+/** Work quanta a primitive may run per scheduling decision. */
+constexpr int kBurst = 4096;
+
 } // namespace
 
 /**
@@ -54,11 +57,11 @@ constexpr uint8_t kProcRunning = 2; ///< claimed by exactly one worker
  * sizes/inflight/idleCount use seq_cst, so "notifier saw non-idle" and
  * "runner saw empty channel" cannot both order before their respective
  * writes in the single total order — a wakeup may be *deferred* to the
- * latch re-check but never lost. A multicast group (channel.hh) is the
- * same argument once per cursor: each cursor has its own seq_cst size
- * mirror and its own empty->non-empty edge to its consumer, and a
- * bounded cursor's full->non-full edge notifies the group's producer,
- * whose canPush() reads every cursor's mirror.
+ * latch re-check but never lost. A ring with several readers
+ * (channel.hh) is the same argument once per reader: each has its own
+ * seq_cst size mirror and its own empty->non-empty edge to its
+ * consumer, and a bounded reader's full->non-full edge notifies the
+ * ring's producer, whose canPush() reads every bounded reader's mirror.
  *
  * Termination (distributed quiescence): `inflight` counts processes in
  * {queued, running} and `idleCount` counts workers that found both
@@ -250,7 +253,7 @@ struct Engine::Par
         note[id].store(0, std::memory_order_seq_cst);
         int quanta = 0;
         try {
-            quanta = proc->runQuanta(eng.burst_);
+            quanta = proc->runQuanta(kBurst);
         } catch (...) {
             state[id].store(kProcIdle, std::memory_order_seq_cst);
             inflight.fetch_sub(1, std::memory_order_seq_cst);
@@ -270,7 +273,7 @@ struct Engine::Par
                 wakeAll();
             }
         }
-        if (quanta == eng.burst_) {
+        if (quanta == kBurst) {
             // A full burst means the primitive is still runnable on its
             // own; no channel event will requeue it, so requeue here
             // (same rule as the single-threaded worklist).
@@ -426,20 +429,32 @@ thread_local Engine::Par::Worker *Engine::Par::tlWorker = nullptr;
 void
 Engine::registerProcess(Process *proc)
 {
+    // One writer and one reader per link, checked before anything is
+    // wired: a second endpoint would silently steal the first one's
+    // wakeups.
     for (const Channel *ch : proc->inputs()) {
-        if (ch->multicastGroup() != nullptr && !ch->isMulticastCursor()) {
+        if (!ch->reader_) {
             throw std::logic_error(
                 proc->name() + ": channel '" + ch->name() +
                 "' feeds a multicast; read one of its cursors");
         }
-    }
-    for (const Channel *ch : proc->outputs()) {
-        const MulticastGroup *g = ch->multicastGroup();
-        if (g != nullptr && g->root != ch) {
+        if (ch->consumer_ != nullptr) {
             throw std::logic_error(
                 proc->name() + ": channel '" + ch->name() +
-                "' is written by its multicast group's root '" +
-                g->root->name() + "'");
+                "' is already read by " + ch->consumer_->name());
+        }
+    }
+    for (const Channel *ch : proc->outputs()) {
+        if (ch->ring_ != ch) {
+            throw std::logic_error(
+                proc->name() + ": channel '" + ch->name() +
+                "' carries multicast root '" + ch->ringRoot()->name() +
+                "''s ring; write the root");
+        }
+        if (ch->producer_ != nullptr) {
+            throw std::logic_error(
+                proc->name() + ": channel '" + ch->name() +
+                "' is already written by " + ch->producer_->name());
         }
     }
     proc->sched_id_ = procs_.size();
@@ -565,7 +580,7 @@ Engine::runWorklist(uint64_t max_rounds)
                 ++sched_.verifyPasses;
                 bool progress = false;
                 for (auto &proc : procs_) {
-                    int quanta = proc->runQuanta(burst_);
+                    int quanta = proc->runQuanta(kBurst);
                     ++sched_.steps;
                     if (quanta == 0)
                         ++sched_.idleSteps;
@@ -591,7 +606,7 @@ Engine::runWorklist(uint64_t max_rounds)
                 Process *proc = ready_.front();
                 ready_.pop_front();
                 in_queue_[proc->sched_id_] = false;
-                int quanta = proc->runQuanta(burst_);
+                int quanta = proc->runQuanta(kBurst);
                 ++sched_.steps;
                 if (quanta == 0)
                     ++sched_.idleSteps;
@@ -601,7 +616,7 @@ Engine::runWorklist(uint64_t max_rounds)
                 // its own (no channel event will requeue it); anything
                 // less means it blocked and channel transitions own its
                 // next wakeup.
-                if (quanta == burst_)
+                if (quanta == kBurst)
                     enqueue(proc);
             }
             if (progress && ++sched_.rounds > max_rounds)
@@ -714,7 +729,7 @@ Engine::stallReport() const
                 << ch->size() << " head=" << ch->front().str();
             if (ch->isMulticastCursor()) {
                 const Process *writer = ch->producer();
-                oss << ", multicast of " << ch->multicastGroup()->root->name()
+                oss << ", multicast of " << ch->ringRoot()->name()
                     << " from " << (writer ? writer->name() : "?");
             }
             oss << ")";

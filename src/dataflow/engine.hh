@@ -114,9 +114,6 @@ class Engine
     Policy policy() const { return policy_; }
     void setPolicy(Policy policy) { policy_ = policy; }
 
-    /** Work quanta a primitive may run per scheduling decision. */
-    void setBurst(int burst) { burst_ = burst < 1 ? 1 : burst; }
-
     /** Worker threads for Policy::parallel. 0 (the default) defers to
      * defaultNumThreads(); values are clamped to at least 1. Ignored by
      * the single-threaded policies. */
@@ -145,12 +142,13 @@ class Engine
     }
 
     /**
-     * Link fan-out as the network does it: every channel of @p outs
-     * becomes a read cursor over @p in's ring (see channel.hh), so each
-     * token pushed into @p in is written once and delivered to every
+     * Link fan-out as the network does it: @p in stops reading its
+     * ring and every ring of @p outs is folded into it (see
+     * channel.hh), so each out becomes a read cursor of that ring, each
+     * token pushed into it is written once and delivered to every
      * out's consumer, and no process copies it. When @p in is itself a
-     * cursor, @p outs join its group, so a chain of fanouts is one
-     * group. Setup-only, on empty channels of this engine; @p in gains
+     * cursor, @p outs join its ring, so a chain of fanouts is one
+     * ring. Setup-only, on empty channels of this engine; @p in gains
      * no reader and @p outs no writer of their own.
      * @throws std::logic_error on a wiring that would give a link two
      *         writers or two readers.
@@ -236,7 +234,8 @@ class Engine
 
     /** Wire @p proc's channel back-references and give it the next
      * scheduler id. @throws std::logic_error (wiring nothing) when it
-     * would read a multicast root or write a multicast cursor. */
+     * would read a multicast root, write a multicast cursor, or give a
+     * channel a second reader or writer. */
     void registerProcess(Process *proc);
     /** Put @p proc on the ready deque unless it is already queued (or
      * no worklist run is active). Returns true if it was inserted;
@@ -249,7 +248,6 @@ class Engine
     [[noreturn]] void throwLivelock(uint64_t max_rounds) const;
 
     Policy policy_;
-    int burst_ = 4096;
     int num_threads_ = 0;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<Process>> procs_;

@@ -44,16 +44,13 @@ Process::ioStallDetail() const
             oss << (ch->name().empty() ? "?" : ch->name());
             full = true;
             // A multicast root is full through its bounded cursors.
-            if (const MulticastGroup *g = ch->multicastGroup()) {
-                const char *sep = "->{";
-                for (const Channel *c : g->cursors) {
-                    if (!c->canPush()) {
-                        oss << sep << c->name();
-                        sep = " ";
-                    }
-                }
-                oss << "}";
+            std::string cursors;
+            for (const Channel *c : ch->readers()) {
+                if (c != ch && c->size() >= c->capacity())
+                    cursors += (cursors.empty() ? "" : " ") + c->name();
             }
+            if (!cursors.empty())
+                oss << "->{" << cursors << "}";
         }
     }
     if (full)

@@ -23,10 +23,11 @@
  * collection.
  *
  * Link fan-out is not a primitive here. As on the vRDA, where the
- * network delivers a vector to every consumer, Engine::multicast makes
- * each fanout output a read cursor over the producer's channel
- * (channel.hh): no process copies tokens, and every consumer still
- * sees an ordinary channel.
+ * network delivers a vector to every consumer, every channel is a ring
+ * its producer writes once and each reader reads through its own
+ * cursor (channel.hh); Engine::multicast gives a producer's ring one
+ * cursor per fanout output. No process copies tokens, and every
+ * consumer still sees an ordinary channel.
  *
  * Every primitive declares its input and output channels to the base
  * class (declareIo) at construction. The Engine uses the declaration to

@@ -12,10 +12,11 @@
  * primitives themselves, so every firing rule has exactly one
  * definition; blocks, parks, restores, and ordinals as small
  * processes over the shared machine memory (bytecode.cc). A fanout
- * runs no process: as in the vRDA network, Engine::multicast turns
- * its outputs into read cursors over its input's ring, so each token
- * is written once and every output link still reports the whole
- * stream in its per-link counts. The program
+ * runs no process: as in the vRDA network, Engine::multicast folds
+ * its outputs' rings into its input's, so each output reads the one
+ * ring through its own cursor, each token is written once, and every
+ * output link still reports the whole stream in its per-link counts.
+ * The program
  * plugs into dataflow::Engine unchanged, so both scheduling policies
  * run it and neither is observable through results. Its DRAM
  * output is held bit-identical to the AST interpreter's by the test

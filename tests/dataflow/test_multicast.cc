@@ -1,17 +1,20 @@
 /**
  * @file
- * Multicast groups: link fan-out as read cursors over one producer's
- * ring (Engine::multicast, channel.hh).
+ * Rings and cursors: link fan-out as read cursors over one producer's
+ * ring (Engine::multicast, channel.hh), and the one-reader rings of
+ * point-to-point links.
  *
  * Every engine-run case runs under the worklist and under the parallel
- * policy at 4 workers, so the group protocol (one lock per group, a
- * size mirror per cursor, per-cursor wakeups) also runs with real
- * cross-thread traffic; scripts/check.sh --tsan re-runs this suite
- * under ThreadSanitizer.
+ * policy at 4 workers, so the ring protocol (one lock per ring, a size
+ * mirror per cursor, per-cursor wakeups) also runs with real
+ * cross-thread traffic; direct-traffic cases take both the serial and
+ * the locked push/pop paths. scripts/check.sh --tsan re-runs this
+ * suite under ThreadSanitizer.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -71,6 +74,32 @@ slowChain(Engine &e, Channel *in, const std::string &name, int stages)
         in = next;
     }
     return in;
+}
+
+/** Flip every channel of @p e between the serial and the locked
+ * (Policy::parallel) push/pop paths, as a parallel run does. */
+void
+setConcurrent(Engine &e, bool on)
+{
+    for (const auto &ch : e.channels())
+        ch->setConcurrent(on);
+}
+
+/** @p fn throws std::logic_error whose message names every one of
+ * @p parts. */
+template <typename Fn>
+void
+expectLogicError(Fn fn, const std::vector<std::string> &parts)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "no std::logic_error";
+    } catch (const std::logic_error &err) {
+        for (const std::string &part : parts) {
+            EXPECT_NE(std::string(err.what()).find(part), std::string::npos)
+                << "'" << part << "' missing from: " << err.what();
+        }
+    }
 }
 
 void
@@ -219,16 +248,13 @@ TEST(Multicast, FanoutChainResolvesToOneGroup)
             }
             const std::string label = std::string(policyName(policy)) +
                 (parent_first ? " parent-first" : " child-first");
-            for (const Channel *ch : {in, a, b, c, d}) {
-                ASSERT_NE(ch->multicastGroup(), nullptr) << label;
-                EXPECT_EQ(ch->multicastGroup()->root, in)
-                    << label << ch->name();
-            }
+            for (const Channel *ch : {in, a, b, c, d})
+                EXPECT_EQ(ch->ringRoot(), in) << label << ch->name();
             EXPECT_FALSE(in->isMulticastCursor()) << label;
             EXPECT_FALSE(a->isMulticastCursor()) << label;
             for (const Channel *ch : {b, c, d})
                 EXPECT_TRUE(ch->isMulticastCursor()) << label << ch->name();
-            EXPECT_EQ(in->multicastGroup()->cursors.size(), 3u) << label;
+            EXPECT_EQ(in->readers().size(), 3u) << label;
 
             e.make<Source>("src", in, stream);
             auto *sb = e.make<Sink>("sinkB", b);
@@ -477,4 +503,149 @@ TEST(Multicast, RejectsWiringThatBreaksOneWriterOneReader)
     EXPECT_THROW(e.make<Source>("writesCursor", a, TokenStream{}),
                  std::logic_error);
     EXPECT_THROW(a->push(Token::data(1)), std::runtime_error);
+
+    // A point-to-point link is a one-reader ring: a second reader or a
+    // second writer is refused by name, and leaves the first wired.
+    Channel *plain = e.channel("plain");
+    auto *first = e.make<Sink>("firstReader", plain);
+    expectLogicError([&] { e.make<Sink>("secondReader", plain); },
+                     {"secondReader", "'plain'", "firstReader"});
+    EXPECT_EQ(plain->consumer(), first);
+    expectLogicError(
+        [&] { e.make<Source>("secondWriter", fed, TokenStream{}); },
+        {"secondWriter", "'fed'", "src"});
+    EXPECT_EQ(fed->producer()->name(), "src");
+}
+
+TEST(Multicast, OverflowOnTheSecondBoundedCursorChangesNothing)
+{
+    // Two bounded cursors; the second fills first. The push that finds
+    // it full throws before writing, recording or counting anything.
+    for (bool locked : {false, true}) {
+        Engine e;
+        Channel *root = e.channel("root");
+        Channel *roomy = e.channel("roomy", 3);
+        Channel *tight = e.channel("tight", 2);
+        e.multicast(root, {roomy, tight});
+        setConcurrent(e, locked);
+        const std::string label = locked ? "locked" : "serial";
+        root->push(Token::data(7));
+        root->push(Token::data(9));
+        EXPECT_FALSE(root->canPush()) << label;
+        const Channel::ValueWatch before = root->watch();
+        try {
+            root->push(Token::data(11));
+            ADD_FAILURE() << label << ": push on a full cursor did not throw";
+        } catch (const std::runtime_error &err) {
+            EXPECT_NE(std::string(err.what()).find("'tight' overflow"),
+                      std::string::npos)
+                << label << ": " << err.what();
+        }
+        for (const Channel *ch : {root, roomy, tight}) {
+            EXPECT_EQ(ch->totalPushed(), 2u) << label << " " << ch->name();
+            expectSameWatch(ch->watch(), before, label + " " + ch->name());
+        }
+        EXPECT_EQ(roomy->size(), 2u) << label;
+        EXPECT_EQ(tight->size(), 2u) << label;
+        // The rejected token is nowhere: popping the full cursor frees
+        // room, and the next push lands after the two accepted ones.
+        EXPECT_EQ(tight->pop(), Token::data(7)) << label;
+        EXPECT_TRUE(root->canPush()) << label;
+        root->push(Token::data(13));
+        setConcurrent(e, false);
+        EXPECT_EQ(roomy->drain(), (TokenStream)StreamBuilder().d(7).d(9).d(13))
+            << label;
+        EXPECT_EQ(tight->drain(), (TokenStream)StreamBuilder().d(9).d(13))
+            << label;
+    }
+}
+
+TEST(Multicast, ResetForReuseInAnyMemberOrder)
+{
+    // Members of one ring — root, chain link, three cursors — and a
+    // plain channel, reset in every order: all end empty with a clean
+    // count, and the next push reaches every cursor.
+    Engine e;
+    Channel *in = e.channel("in");
+    Channel *a = e.channel("a");
+    Channel *b = e.channel("b");
+    Channel *c = e.channel("c");
+    Channel *d = e.channel("d");
+    Channel *plain = e.channel("plain");
+    e.multicast(in, {a, b});
+    e.multicast(a, {c, d}); // a retires to a chain link
+    std::vector<Channel *> members = {in, a, b, c, d, plain};
+    std::vector<size_t> order = {0, 1, 2, 3, 4, 5};
+    int orders = 0;
+    do {
+        const std::string label = "order " + std::to_string(orders);
+        for (Word i = 0; i < 20; ++i)
+            in->push(Token::data(i));
+        for (Word i = 0; i < 5; ++i)
+            plain->push(Token::data(100 + i));
+        for (int k = 0; k < 7; ++k)
+            c->pop();
+        plain->pop();
+        for (size_t i : order)
+            members[i]->resetForReuse();
+        for (const Channel *ch : members) {
+            EXPECT_TRUE(ch->empty()) << label << " " << ch->name();
+            EXPECT_EQ(ch->totalPushed(), 0u) << label << " " << ch->name();
+        }
+        in->push(Token::barrier(1));
+        plain->push(Token::data(5));
+        for (Channel *ch : {b, c, d})
+            EXPECT_EQ(ch->pop(), Token::barrier(1)) << label << ch->name();
+        EXPECT_EQ(plain->pop(), Token::data(5)) << label;
+        for (const Channel *ch : members)
+            EXPECT_EQ(ch->totalPushed(), 1u) << label << " " << ch->name();
+        ++orders;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(orders, 720);
+}
+
+TEST(Multicast, RingGrowsRightAfterTheWriteThatFillsIt)
+{
+    // The ring starts at 16 slots and doubles on the write that leaves
+    // its slowest reader holding a token in every slot: at exactly 16
+    // and 32 pending tokens. Pops first move the head off slot 0, so
+    // each growth unwraps a wrapped ring.
+    for (bool locked : {false, true}) {
+        const std::string label = locked ? "locked" : "serial";
+        Engine e;
+        Channel *solo = e.channel("solo");
+        Channel *root = e.channel("root");
+        Channel *fast = e.channel("fast");
+        Channel *slow = e.channel("slow");
+        e.multicast(root, {fast, slow}); // the slowest reader is second
+        setConcurrent(e, locked);
+        for (Channel *ring : {solo, root}) {
+            const std::vector<Channel *> readers =
+                ring == solo ? std::vector<Channel *>{solo}
+                             : std::vector<Channel *>{fast, slow};
+            Channel *full = readers.back(); // pops nothing below
+            for (Word i = 0; i < 5; ++i) {
+                ring->push(Token::data(1000 + i));
+                for (Channel *r : readers)
+                    r->pop();
+            }
+            for (Word i = 0; i < 40; ++i) {
+                ring->push(Token::data(i));
+                if (ring == root) {
+                    EXPECT_EQ(fast->pop(), Token::data(i)) << label;
+                }
+                const size_t pending = i + 1;
+                const size_t want =
+                    pending < 16 ? 16 : pending < 32 ? 32 : 64;
+                for (const Channel *r : readers) {
+                    EXPECT_EQ(r->ringSlots(), want)
+                        << label << " " << r->name() << " at " << pending;
+                }
+            }
+            TokenStream rest = full->drain();
+            ASSERT_EQ(rest.size(), 40u) << label;
+            for (Word i = 0; i < 40; ++i)
+                EXPECT_EQ(rest[i], Token::data(i)) << label << ring->name();
+        }
+    }
 }

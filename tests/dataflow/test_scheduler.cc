@@ -269,7 +269,6 @@ TEST(WorklistScheduler, QuiescingInExactlyMaxRoundsIsNotLivelock)
     // count as a round and trip the cap on networks that finish right
     // at max_rounds.
     Engine e;
-    e.setBurst(1); // one token per round -> deterministic round count
     auto *in = e.channel("in");
     auto *out = e.channel("out");
     e.make<Source>("src", in, StreamBuilder().d(1).b(1));
@@ -279,7 +278,6 @@ TEST(WorklistScheduler, QuiescingInExactlyMaxRoundsIsNotLivelock)
     uint64_t rounds = 0;
     {
         Engine m;
-        m.setBurst(1);
         auto *mi = m.channel("in");
         auto *mo = m.channel("out");
         m.make<Source>("src", mi, StreamBuilder().d(1).b(1));
