@@ -1,7 +1,7 @@
 /**
  * @file
- * revet-lint: compile a Revet program and run the static DFG analyses
- * (graph/analyze.hh) over the optimized graph, printing
+ * revet-lint: compile a Revet program and print the static DFG
+ * analyses (graph/analyze.hh) of its optimized graph as
  * machine-readable diagnostics.
  *
  *   revet-lint --list                 # registered app names
@@ -19,8 +19,9 @@
  * Translation validation runs inside the compile itself (runPasses()
  * validates every applied rewrite): a pass application that breaks
  * token conservation aborts compilation with a ValidationError, which
- * this driver reports as diagnostics. The rate-balance and deadlock
- * analyses then run on the surviving graph.
+ * this driver reports as diagnostics. The rate-balance, deadlock and
+ * value-range reports of the surviving graph are the ones the compiled
+ * artifact carries (CompiledArtifact::analysis()).
  *
  * Exit status: 0 clean (warnings allowed), 1 any error diagnostic or
  * failed compile, 2 usage. With --json every diagnostic is one JSON
@@ -60,7 +61,7 @@ lintSource(const std::string &source)
         auto prog = CompiledArtifact::build(source);
         out.compiled = true;
         out.validatedPasses = prog->optReport().validatedPasses;
-        out.report = graph::analyzeGraph(prog->dfg());
+        out.report = prog->analysis();
         out.errors = out.report.hasErrors();
     } catch (const graph::ValidationError &e) {
         out.compileDiags = e.diagnostics();

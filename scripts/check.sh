@@ -178,22 +178,35 @@ if [[ "$sanitize" != OFF ]]; then
     if [[ "$sanitize" == thread ]]; then
         # The parallel work-stealing scheduler is the reason the TSan
         # preset exists: re-run the scheduler suite (two-policy matrix +
-        # ParallelScheduler section) and the fuzz differential with the
-        # parallel policy forced onto several workers so every Channel
-        # push/pop, steal, and quiescence handshake runs instrumented
-        # even on single-core hosts. Its equivalence section is also the
+        # ParallelScheduler section) so every Channel push/pop, steal,
+        # and quiescence handshake runs instrumented even on
+        # single-core hosts. Its equivalence section is also the
         # executor's parallel-policy leg, so park reclamation and the
         # primitives run under TSan with real cross-thread traffic. The
         # multicast suite runs each group-protocol case (shared ring,
-        # per-cursor counts and wakeups, bounded cursors) on 4 workers.
+        # per-cursor counts and wakeups, bounded cursors). Both suites
+        # pin 4 workers in the tests themselves (one scheduler case
+        # uses 8, two use 2); REVET_NUM_THREADS=4 reaches only the
+        # cases that leave the count unset. The fuzz differential
+        # (above) pins its parallel leg to 2 workers, so the
+        # environment does not reach it either.
         echo "== parallel scheduler suite (TSan, 4 workers)"
         REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_dataflow" \
             --gtest_filter='*Scheduler*:*Backpressure*:*Parallel*:*Multicast*'
+        # A rewrite that drops memory ordering races only under some
+        # interleavings: the strlen-handle stress case runs the default
+        # pipeline's graph 30 times on 8 workers (pinned in the test),
+        # each run compared with the AST interpreter.
+        echo "== strlen-handle parallel stress (TSan, 8 workers)"
+        "$build_dir/tests/revet_test_absint" \
+            --gtest_filter='Absint.StrlenHandleParallelStress'
         # Serving batteries under TSan: serveBatch's worker threads,
         # the context pool's acquire/release handoff, and the artifact
-        # cache's compile-under-lock dedup all run with the engine's
-        # parallel policy forced onto 4 workers, so artifact sharing is
-        # exercised with real cross-thread traffic.
+        # cache's compile-under-lock dedup, so artifact sharing is
+        # exercised with real cross-thread traffic. The parallel-policy
+        # battery pins 2 engine workers per request under 4 serving
+        # workers; REVET_NUM_THREADS=4 sets the engine count of the
+        # cases that leave it unset.
         echo "== serving layer suite (TSan, 4 workers)"
         REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_serve"
         echo "== check.sh: all green (TSan)"

@@ -1,6 +1,7 @@
 /**
  * @file
- * Worklist fixpoint solver for value analysis over the DFG.
+ * Worklist fixpoint solver for value analysis over the DFG, and the
+ * value-range lint sweep over its solved facts (`lintValues`).
  *
  * The abstract domain is per-link: bottom ("no data token is ever
  * pushed") or a pair of intervals over the signed and unsigned
@@ -16,6 +17,7 @@
  */
 
 #include "graph/absint.hh"
+#include "graph/analyze.hh"
 
 #include <algorithm>
 #include <cassert>
@@ -490,6 +492,60 @@ opTransfer(const BlockOp &op, const AbsVal &a, const AbsVal &b,
     }
 }
 
+constexpr Diagnostic::Severity kWarning = Diagnostic::Severity::warning;
+
+/**
+ * Abstract execution of one block's op list over the link facts
+ * @p links. Registers start as const 0 (the executor zero-initializes),
+ * bundle inputs load their link values, ops run in order with guard
+ * awareness, and outputs are read from the output registers. With
+ * @p lint set, effect ops are evaluated too and every op that wraps
+ * int32 on every input is reported as a "guaranteed-overflow" warning.
+ */
+void
+blockEval(const Node &n, const std::vector<AbsVal> &links,
+          std::vector<AbsVal> &outs, std::vector<Diagnostic> *lint)
+{
+    std::vector<AbsVal> regs(static_cast<size_t>(std::max(n.nRegs, 1)),
+                             AbsVal::word(0));
+    for (size_t i = 0; i < n.ins.size(); ++i)
+        if (n.inputRegs[i] >= 0)
+            regs[static_cast<size_t>(n.inputRegs[i])] =
+                links[static_cast<size_t>(n.ins[i])];
+    auto reg = [&](int r) {
+        return r >= 0 ? regs[static_cast<size_t>(r)] : AbsVal::word(0);
+    };
+    for (const BlockOp &op : n.ops) {
+        if (op.dst < 0 && !lint)
+            continue; // effect ops don't feed the value lattice
+        AbsVal gv = AbsVal::word(1);
+        if (op.guard >= 0) {
+            gv = reg(op.guard);
+            if (gv.isZero())
+                continue; // provably skipped
+        }
+        bool overflow = false;
+        AbsVal r =
+            opTransfer(op, reg(op.a), reg(op.b), reg(op.c), overflow);
+        if (overflow && lint)
+            lint->push_back({"absint", "guaranteed-overflow", kWarning,
+                             "block '" + n.name +
+                                 "' op always wraps int32 (guaranteed "
+                                 "overflow)",
+                             {n.id}, {}});
+        if (op.dst < 0)
+            continue;
+        if (gv.excludesZero())
+            regs[static_cast<size_t>(op.dst)] = r;
+        else
+            regs[static_cast<size_t>(op.dst)] =
+                joinVal(regs[static_cast<size_t>(op.dst)], r);
+    }
+    outs.clear();
+    for (size_t k = 0; k < n.outs.size(); ++k)
+        outs.push_back(reg(n.outputRegs[k]));
+}
+
 struct Solver
 {
     const Dfg &g;
@@ -523,56 +579,6 @@ struct Solver
             j = AbsVal::top();
         old = j;
         return true;
-    }
-
-    /**
-     * Abstract execution of one block's op list. Registers start as
-     * const 0 (the executor zero-initializes), bundle inputs load
-     * their link values, ops run in order with guard awareness, and
-     * outputs are read from the output registers.
-     */
-    void blockEval(const Node &n, std::vector<AbsVal> &outs,
-                   std::vector<ValueFinding> *lint) const
-    {
-        std::vector<AbsVal> regs(static_cast<size_t>(std::max(n.nRegs, 1)),
-                                 AbsVal::word(0));
-        for (size_t i = 0; i < n.ins.size(); ++i)
-            if (n.inputRegs[i] >= 0)
-                regs[static_cast<size_t>(n.inputRegs[i])] = val(n.ins[i]);
-        auto reg = [&](int r) {
-            return r >= 0 ? regs[static_cast<size_t>(r)] : AbsVal::word(0);
-        };
-        for (const BlockOp &op : n.ops) {
-            if (op.dst < 0 && !lint)
-                continue; // effect ops don't feed the value lattice
-            AbsVal gv = AbsVal::word(1);
-            if (op.guard >= 0) {
-                gv = reg(op.guard);
-                if (gv.isZero())
-                    continue; // provably skipped
-            }
-            bool overflow = false;
-            AbsVal r =
-                opTransfer(op, reg(op.a), reg(op.b), reg(op.c), overflow);
-            if (overflow && lint) {
-                ValueFinding f;
-                f.kind = ValueFinding::overflow;
-                f.node = n.id;
-                f.detail = "block '" + n.name +
-                           "' op always wraps int32 (guaranteed overflow)";
-                lint->push_back(f);
-            }
-            if (op.dst < 0)
-                continue;
-            if (gv.excludesZero())
-                regs[static_cast<size_t>(op.dst)] = r;
-            else
-                regs[static_cast<size_t>(op.dst)] =
-                    joinVal(regs[static_cast<size_t>(op.dst)], r);
-        }
-        outs.clear();
-        for (size_t k = 0; k < n.outs.size(); ++k)
-            outs.push_back(reg(n.outputRegs[k]));
     }
 
     /** Refine a filter output lane when its data provably passes. */
@@ -623,7 +629,7 @@ struct Solver
             if (n.ins.empty() || anyInBottom())
                 break; // a block without live data never fires
             std::vector<AbsVal> outs;
-            blockEval(n, outs, nullptr);
+            blockEval(n, rep.links, outs, nullptr);
             for (size_t k = 0; k < n.outs.size(); ++k)
                 changed |= update(n.outs[k], outs[k]);
             break;
@@ -753,61 +759,6 @@ struct Solver
             }
         }
     }
-
-    /** Post-fixpoint lint sweep over the stable facts. */
-    void lint()
-    {
-        for (const Node &n : g.nodes) {
-            if (n.kind == NodeKind::filter) {
-                const AbsVal &pred = val(n.ins[0]);
-                bool dropProof =
-                    !pred.bottom &&
-                    (n.sense ? pred.isZero() : pred.excludesZero());
-                bool anyLaneLive = false;
-                for (size_t j = 1; j < n.ins.size(); ++j)
-                    anyLaneLive |= !val(n.ins[j]).bottom;
-                if (dropProof && anyLaneLive) {
-                    ValueFinding f;
-                    f.kind = ValueFinding::deadArm;
-                    f.node = n.id;
-                    f.link = n.ins[0];
-                    f.detail = "filter '" + n.name +
-                               "' predicate is constant-" +
-                               (n.sense ? "false" : "true") +
-                               ": the arm never passes data";
-                    rep.findings.push_back(f);
-                }
-                continue;
-            }
-            if (n.kind != NodeKind::block)
-                continue;
-            bool deadIn = false;
-            for (int l : n.ins)
-                deadIn |= val(l).bottom;
-            bool hasEffect = false;
-            for (const BlockOp &op : n.ops)
-                hasEffect |= op.kind == OpKind::sramWrite ||
-                             op.kind == OpKind::dramWrite ||
-                             op.kind == OpKind::rmwAdd ||
-                             op.kind == OpKind::rmwSub;
-            if (deadIn && !n.ins.empty()) {
-                if (hasEffect) {
-                    ValueFinding f;
-                    f.kind = ValueFinding::unreachableEffect;
-                    f.node = n.id;
-                    f.detail = "effectful block '" + n.name +
-                               "' never receives data: its memory "
-                               "effects cannot fire";
-                    rep.findings.push_back(f);
-                }
-                continue;
-            }
-            if (!n.ins.empty()) {
-                std::vector<AbsVal> outs;
-                blockEval(n, outs, &rep.findings);
-            }
-        }
-    }
 };
 
 } // namespace
@@ -817,8 +768,58 @@ analyzeValues(const Dfg &g)
 {
     Solver s(g);
     s.solve();
-    s.lint();
     return std::move(s.rep);
+}
+
+std::vector<Diagnostic>
+lintValues(const Dfg &g, const AbsintReport &vals)
+{
+    std::vector<Diagnostic> out;
+    auto val = [&](int link) -> const AbsVal & {
+        return vals.links[static_cast<size_t>(link)];
+    };
+    for (const Node &n : g.nodes) {
+        if (n.kind == NodeKind::filter) {
+            const AbsVal &pred = val(n.ins[0]);
+            bool dropProof =
+                !pred.bottom &&
+                (n.sense ? pred.isZero() : pred.excludesZero());
+            bool anyLaneLive = false;
+            for (size_t j = 1; j < n.ins.size(); ++j)
+                anyLaneLive |= !val(n.ins[j]).bottom;
+            if (dropProof && anyLaneLive)
+                out.push_back({"absint", "dead-filter-arm", kWarning,
+                               "filter '" + n.name +
+                                   "' predicate is constant-" +
+                                   (n.sense ? "false" : "true") +
+                                   ": the arm never passes data",
+                               {n.id}, {n.ins[0]}});
+            continue;
+        }
+        if (n.kind != NodeKind::block || n.ins.empty())
+            continue;
+        bool deadIn = false;
+        for (int l : n.ins)
+            deadIn |= val(l).bottom;
+        if (!deadIn) {
+            std::vector<AbsVal> outs;
+            blockEval(n, vals.links, outs, &out);
+            continue;
+        }
+        bool hasEffect = false;
+        for (const BlockOp &op : n.ops)
+            hasEffect |= op.kind == OpKind::sramWrite ||
+                         op.kind == OpKind::dramWrite ||
+                         op.kind == OpKind::rmwAdd ||
+                         op.kind == OpKind::rmwSub;
+        if (hasEffect)
+            out.push_back({"absint", "unreachable-effect", kWarning,
+                           "effectful block '" + n.name +
+                               "' never receives data: its memory "
+                               "effects cannot fire",
+                           {n.id}, {}});
+    }
+    return out;
 }
 
 } // namespace graph

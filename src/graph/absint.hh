@@ -12,10 +12,14 @@
  * merges (join over arms, const-predicate arm pruning), fanouts,
  * replicate plumbing, and park/restore pairs.
  *
- * Consumers: `CrossBlockConstProp` (graph rewrites from constancy and
- * bottom facts), width-driven `SubwordPack` (packs i32 lanes whose
- * range fits 8/16 bits), and `analyzeGraph()` (counter trip counts for
- * rate analysis plus value-range lints).
+ * Consumers of the fixpoint (`analyzeValues`): `CrossBlockConstProp`
+ * (graph rewrites from constancy and bottom facts), width-driven
+ * `SubwordPack` (packs i32 lanes whose range fits 8/16 bits),
+ * `validateRewrite()` and `analyzeGraph()` (counter trip counts for
+ * rate analysis and the deadlock lint), and the fuzz harness's
+ * soundness oracle. The value-range lints are a separate sweep over a
+ * solved report, `lintValues`, which returns `Diagnostic`s and is run
+ * only by `analyzeGraph()`.
  *
  * Soundness contract, checked by the fuzz harness's runtime oracle:
  * for every data word w observed on link L in a completed execution,
@@ -28,7 +32,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "graph/dfg.hh"
@@ -100,27 +103,11 @@ AbsVal typeClamp(lang::Scalar elem);
  */
 std::optional<lang::Scalar> packElem(const AbsVal &v);
 
-/** A lint-worthy fact discovered during value analysis. */
-struct ValueFinding
-{
-    enum Kind
-    {
-        overflow,          ///< ALU op wraps int32 on every input
-        deadArm,           ///< filter with const pred never passes data
-        unreachableEffect, ///< effectful block whose inputs carry no data
-    };
-    Kind kind;
-    int node = -1; ///< node the finding is anchored on
-    int link = -1; ///< related link, or -1
-    std::string detail;
-};
-
 /** Result of a value-analysis fixpoint. */
 struct AbsintReport
 {
-    std::vector<AbsVal> links;          ///< per link id
-    std::vector<ValueFinding> findings; ///< post-fixpoint lints
-    int iterations = 0;                 ///< worklist pops until fixpoint
+    std::vector<AbsVal> links; ///< per link id
+    int iterations = 0;        ///< worklist pops until fixpoint
 
     /** Constant value of a link (signed view), if proven. */
     std::optional<int32_t> constantOf(int link) const;
@@ -131,6 +118,17 @@ struct AbsintReport
  * terminates (interval widening after repeated updates per link).
  */
 AbsintReport analyzeValues(const Dfg &g);
+
+struct Diagnostic; // graph/analyze.hh
+
+/**
+ * Value-range lints over the solved facts @p vals of @p g, all
+ * warnings of analysis "absint": "guaranteed-overflow" (a block op
+ * wraps int32 on every input), "dead-filter-arm" (a filter's constant
+ * predicate never passes data) and "unreachable-effect" (an effectful
+ * block never receives data).
+ */
+std::vector<Diagnostic> lintValues(const Dfg &g, const AbsintReport &vals);
 
 } // namespace graph
 } // namespace revet

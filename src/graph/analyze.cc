@@ -556,9 +556,10 @@ struct RateSolver
     }
 };
 
-/** Structural checks over one graph: park/restore pairing, keyed
- * ordinal coverage, region boundary discipline, bundle element
- * widths. Shared by validateRewrite (post-pass) and revet-lint. */
+/** The structural discipline Dfg::verify() does not see (it owns
+ * arity, wiring and park/restore pairing, and has already passed on
+ * @p g): park machinery outside region interiors, bundle element
+ * widths, region membership, and keyed ordinal coverage. */
 void
 structuralChecks(const Dfg &g, std::vector<Diagnostic> &out)
 {
@@ -575,53 +576,8 @@ structuralChecks(const Dfg &g, std::vector<Diagnostic> &out)
     };
 
     const int n_nodes = static_cast<int>(g.nodes.size());
-    const int n_links = static_cast<int>(g.links.size());
 
     for (const Node &n : g.nodes) {
-        // Park/restore pairing and keyed agreement, without relying on
-        // Dfg::verify() (the validator must catch what a broken pass
-        // breaks even when verification is off).
-        if (n.kind == NodeKind::park) {
-            int dst = n.outs.size() == 1 && n.outs[0] >= 0 &&
-                    n.outs[0] < n_links
-                ? g.links[n.outs[0]].dst
-                : -1;
-            const Node *r = dst >= 0 && dst < n_nodes ? &g.nodes[dst]
-                                                      : nullptr;
-            if (!r || r->kind != NodeKind::restore ||
-                r->parkRegion != n.parkRegion || r->keyed != n.keyed) {
-                emit("park-mispaired",
-                     "park " + nodeRef(g, n.id) + " for region " +
-                         std::to_string(n.parkRegion) +
-                         (r ? " feeds " + nodeRef(g, r->id) +
-                                  " which is not its matching restore "
-                                  "(region/keyed disagree)"
-                            : " has no matching restore"),
-                     r ? std::vector<int>{n.id, r->id}
-                       : std::vector<int>{n.id},
-                     n.outs);
-            }
-        }
-        if (n.kind == NodeKind::restore) {
-            int src = !n.ins.empty() && n.ins[0] >= 0 && n.ins[0] < n_links
-                ? g.links[n.ins[0]].src
-                : -1;
-            const Node *p = src >= 0 && src < n_nodes ? &g.nodes[src]
-                                                      : nullptr;
-            if (!p || p->kind != NodeKind::park ||
-                p->parkRegion != n.parkRegion || p->keyed != n.keyed) {
-                emit("park-mispaired",
-                     "restore " + nodeRef(g, n.id) + " for region " +
-                         std::to_string(n.parkRegion) +
-                         (p ? " is fed by " + nodeRef(g, p->id) +
-                                  " which is not its matching park "
-                                  "(region/keyed disagree)"
-                            : " is not fed by a park"),
-                     p ? std::vector<int>{n.id, p->id}
-                       : std::vector<int>{n.id},
-                     n.ins);
-            }
-        }
         // Park machinery is boundary equipment: it buffers *around* a
         // region and must never be placed inside one.
         if ((n.kind == NodeKind::park || n.kind == NodeKind::restore ||
@@ -637,12 +593,8 @@ structuralChecks(const Dfg &g, std::vector<Diagnostic> &out)
         // Bundle element-width consistency: filter lanes and merge
         // lanes must carry the same element type end to end (the
         // sub-word packing invariant).
-        if (n.kind == NodeKind::filter &&
-            n.ins.size() == n.outs.size() + 1) {
+        if (n.kind == NodeKind::filter) {
             for (size_t j = 0; j < n.outs.size(); ++j) {
-                if (n.ins[j + 1] < 0 || n.ins[j + 1] >= n_links ||
-                    n.outs[j] < 0 || n.outs[j] >= n_links)
-                    continue;
                 if (g.links[n.ins[j + 1]].elem != g.links[n.outs[j]].elem) {
                     emit("bundle-elem",
                          "filter " + nodeRef(g, n.id) + " lane " +
@@ -652,15 +604,10 @@ structuralChecks(const Dfg &g, std::vector<Diagnostic> &out)
                 }
             }
         }
-        if ((n.kind == NodeKind::fwdMerge ||
-             n.kind == NodeKind::fbMerge) &&
-            n.ins.size() == 2 * n.outs.size()) {
+        if (n.kind == NodeKind::fwdMerge || n.kind == NodeKind::fbMerge) {
             size_t half = n.outs.size();
             for (size_t j = 0; j < half; ++j) {
                 int la = n.ins[j], lb = n.ins[j + half], lo = n.outs[j];
-                if (la < 0 || la >= n_links || lb < 0 || lb >= n_links ||
-                    lo < 0 || lo >= n_links)
-                    continue;
                 if (g.links[la].elem != g.links[lo].elem ||
                     g.links[lb].elem != g.links[lo].elem) {
                     emit("bundle-elem",
@@ -670,32 +617,6 @@ structuralChecks(const Dfg &g, std::vector<Diagnostic> &out)
                          {n.id}, {la, lb, lo});
                 }
             }
-        }
-    }
-
-    // Links jumping between the interiors of two different replicate
-    // regions are legal (lowering chains back-to-back regions
-    // directly, and copy-prop splices the wiring blocks between them)
-    // but worth surfacing: such values are candidates for parking and
-    // constrain both regions' distribution trees. Warning only.
-    for (const Link &l : g.links) {
-        if (l.src < 0 || l.src >= n_nodes || l.dst < 0 || l.dst >= n_nodes)
-            continue;
-        int rs = g.nodes[l.src].replicateRegion;
-        int rd = g.nodes[l.dst].replicateRegion;
-        if (rs >= 0 && rd >= 0 && rs != rd) {
-            Diagnostic d;
-            d.analysis = "validate";
-            d.code = "region-crossing";
-            d.severity = Diagnostic::Severity::warning;
-            d.message = "link '" + l.name + "' (#" +
-                std::to_string(l.id) + ") crosses from region " +
-                std::to_string(rs) + " interior (" + nodeRef(g, l.src) +
-                ") into region " + std::to_string(rd) + " interior (" +
-                nodeRef(g, l.dst) + ")";
-            d.nodes = {l.src, l.dst};
-            d.links = {l.id};
-            out.push_back(std::move(d));
         }
     }
 
@@ -1256,28 +1177,7 @@ analyzeGraph(const Dfg &dfg, const sim::MachineConfig &machine)
     rep.rates = solver.report();
     rep.deadlock =
         deadlockReport(dfg, BufferCaps::fromMachine(machine), solver);
-    for (const ValueFinding &f : vals.findings) {
-        Diagnostic d;
-        d.analysis = "absint";
-        d.severity = Diagnostic::Severity::warning;
-        switch (f.kind) {
-          case ValueFinding::overflow:
-            d.code = "guaranteed-overflow";
-            break;
-          case ValueFinding::deadArm:
-            d.code = "dead-filter-arm";
-            break;
-          case ValueFinding::unreachableEffect:
-            d.code = "unreachable-effect";
-            break;
-        }
-        d.message = f.detail;
-        if (f.node >= 0)
-            d.nodes.push_back(f.node);
-        if (f.link >= 0)
-            d.links.push_back(f.link);
-        rep.values.push_back(std::move(d));
-    }
+    rep.values = lintValues(dfg, vals);
     return rep;
 }
 

@@ -12,12 +12,13 @@
  *    the memory-effect multiset, and the park/restore/ordinal census
  *    per replicate region); validateRewrite() compares a pre-pass
  *    account against the rewritten graph under the pass's declared
- *    permissions (permissionsFor()) and structurally checks
- *    park/restore pairing, keyed-ordinal coverage, filter/merge
- *    bundle element-width consistency, and replicate-region boundary
- *    discipline. runPasses() invokes it after every applied pass,
- *    always, and rejects the rewrite with a ValidationError naming
- *    the offending nodes;
+ *    permissions (permissionsFor()) and checks what Dfg::verify()
+ *    cannot see: keyed-ordinal coverage, filter/merge bundle
+ *    element-width consistency, replicate-region boundary and
+ *    membership discipline, and rate balance. runPasses() invokes it
+ *    after every applied pass, right after verify() (the one
+ *    park/restore pairing check), and rejects the rewrite with a
+ *    ValidationError naming the offending nodes;
  *
  *  - token-rate balance: analyzeRates() solves SDF-style balance
  *    equations over the links, assigning every link a symbolic affine
@@ -32,8 +33,11 @@
  *    safe SRAM park size per park/restore pair (an upper bound on
  *    ExecStats::sramParkedPeak) against the MU bank budget.
  *
- * The revet-lint example driver runs all three over a compiled
- * program and prints the diagnostics machine-readably.
+ * analyzeGraph() bundles the rate and deadlock reports with the
+ * value-range lints of graph/absint.hh over one shared absint
+ * fixpoint; every finding of every analysis is a Diagnostic.
+ * CompiledArtifact::build() stores that bundle, and the revet-lint
+ * example driver prints it machine-readably.
  */
 
 #ifndef REVET_GRAPH_ANALYZE_HH
@@ -61,7 +65,7 @@ struct Diagnostic
         error,   ///< rejects the rewrite / fails the lint
     };
 
-    std::string analysis; ///< "validate" | "rates" | "deadlock"
+    std::string analysis; ///< "validate" | "rates" | "deadlock" | "absint"
     std::string code;     ///< stable code, e.g. "effect-dropped"
     Severity severity = Severity::error;
     std::string message;    ///< human text naming the offenders
@@ -140,10 +144,12 @@ PassPermissions permissionsFor(const std::string &passName);
 /**
  * Validate one pass application: compare the pre-pass @p before
  * account against the rewritten @p after graph under @p passName's
- * permissions, run the structural checks (pairing, keyed-ordinal
- * coverage, bundle element widths, region boundaries), and re-run the
- * rate balance analysis. Returns every finding; the caller decides
- * whether errors reject the rewrite (runPasses throws).
+ * permissions, run the structural checks (keyed-ordinal coverage,
+ * bundle element widths, region boundaries and membership), and
+ * re-run the rate balance analysis. @p after must already pass
+ * Dfg::verify(), which owns arity, link wiring and park/restore
+ * pairing. Returns every finding; the caller decides whether errors
+ * reject the rewrite (runPasses throws).
  */
 std::vector<Diagnostic> validateRewrite(const std::string &passName,
                                         const TokenAccount &before,

@@ -1018,7 +1018,7 @@ class Lowering
         // would thread the pass-over values through the region's
         // replicated machinery, exactly the carry cost bufferization
         // exists to avoid. Their pre-region links come back afterwards
-        // as region-crossing links for the replicate-bufferize pass to
+        // as pass-over links for the replicate-bufferize pass to
         // park. Only valid while the body keeps the thread stream in
         // entry order: a while loop (iteration-order exits), a
         // filter-lowered if, or a thread-terminating exit/return

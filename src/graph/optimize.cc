@@ -483,7 +483,7 @@ class CrossBlockConstProp : public GraphPass
         rewrites += spliceAlwaysKeepFilters(g, s, vals, taint, orphans);
         rewrites += spliceSingleArmMerges(g, s, vals, taint, orphans);
         rewrites += inlineConstInputs(g, s, vals, taint, orphans);
-        rewrites += reroutePassThroughLanes(g, s);
+        rewrites += reroutePassThroughLanes(g, s, taint);
         rewrites += stripUnreachableEffects(g, s, vals);
 
         while (!orphans.empty()) {
@@ -740,9 +740,14 @@ class CrossBlockConstProp : public GraphPass
      * input lane whose producer is a fanout carries exactly the
      * fanout's stream (same data, same barriers): serve the consumer
      * from the fanout directly and drop the lane from the block.
+     * The block also makes its consumer wait for every other input, so
+     * the reroute is refused when any other input carries memory
+     * ordering (@p taint) — e.g. the token that orders a ReadView's
+     * SRAM fill before its reads.
      */
     static int
-    reroutePassThroughLanes(Dfg &g, Surgeon &s)
+    reroutePassThroughLanes(Dfg &g, Surgeon &s,
+                            const std::vector<char> &taint)
     {
         int rewrites = 0;
         const size_t n_nodes = g.nodes.size();
@@ -777,6 +782,11 @@ class CrossBlockConstProp : public GraphPass
                 int in_l = n.ins[static_cast<size_t>(j)];
                 int out_l = n.outs[static_cast<size_t>(k)];
                 if (s.linkDead[in_l] || s.linkDead[out_l])
+                    continue;
+                bool ordered = false;
+                for (int other : n.ins)
+                    ordered |= other != in_l && taint[other];
+                if (ordered)
                     continue;
                 int p = g.links[in_l].src;
                 if (p < 0 || s.nodeDead[p] ||

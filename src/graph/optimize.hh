@@ -17,7 +17,9 @@
  *    the abstract-interpretation facts of graph/absint.hh — constants
  *    cross block boundaries as local cnst ops, always-keep filters
  *    and single-live-arm merges are spliced away, pass-through output
- *    lanes are rerouted onto the producing fanout, and provably
+ *    lanes are rerouted onto the producing fanout (unless another
+ *    input of the block carries memory ordering, which the lane's
+ *    consumer would then stop waiting for), and provably
  *    unreachable memory effects are stripped so dead-node elimination
  *    can collapse the statically-dead arm;
  *  - copyProp: eliminate single-input mov-only (wiring) blocks — a

@@ -145,9 +145,13 @@ struct Cursor
         return pos + 1 < src.size() ? src[pos + 1] : '\0';
     }
 
+    /** Consume one character; at the end of input, '\0' and stay
+     * there (the caller then reports its unterminated token). */
     char
     advance()
     {
+        if (done())
+            return '\0';
         char c = src[pos++];
         if (c == '\n') {
             ++line;

@@ -9,8 +9,12 @@
  * CrossBlockConstProp (the optimized graph collapses and stays
  * bit-identical under both engine policies), and a range-narrow but
  * i32-typed diamond packs across its filter/merge (a "dpack" group
- * appears) without changing any DRAM byte. Value lints (guaranteed
- * overflow, dead filter arm) surface through analyzeGraph().
+ * appears) without changing any DRAM byte. The pass-through reroute
+ * keeps a lane on its block while another input of the block carries
+ * memory ordering, and the strlen program that needs this stays
+ * bit-identical over repeated 8-worker parallel runs. Value lints
+ * (guaranteed overflow, dead filter arm) surface through
+ * analyzeGraph().
  */
 
 #include <gtest/gtest.h>
@@ -326,15 +330,13 @@ void main(int n) {
         << "no sub-word pack group in the optimized diamond";
 }
 
-TEST(Absint, PackingDistrustsNarrowTypedHandleLanes)
+namespace
 {
-    // The Figure 7 strlen case study: ReadIt's SRAM handle rides a
-    // char-typed lane through the while diamond, but handles are raw
-    // words that exceed i8 once enough buffers are allocated. The
-    // value analysis proves the lane wider than its declared type
-    // (sramAlloc is top), so subword-pack must refuse it — packing it
-    // masks the handle and the executor throws on the dangling handle.
-    const std::string src = R"(
+
+/** The Figure 7 strlen case study over 192 strings. ReadIt's SRAM
+ * handle rides a char-typed lane through the while diamond, and a sync
+ * token orders each ReadView's SRAM fill before its reads. */
+const char *const kStrlenHandleSrc = R"(
 DRAM<char> input; DRAM<int> offsets; DRAM<int> lengths;
 void main(int count) {
   foreach (count by 64) { int outer =>
@@ -356,28 +358,156 @@ void main(int count) {
   };
 }
 )";
+
+std::vector<int32_t>
+strlenHandleImage(DramImage &dram)
+{
     const int count = 192; // enough strings that handles pass 127
-    auto gen = [count](DramImage &dram) {
-        std::vector<int8_t> text;
-        std::vector<int32_t> offsets;
-        uint32_t h = 1;
-        for (int i = 0; i < count; ++i) {
-            offsets.push_back(static_cast<int32_t>(text.size()));
-            h = h * 1664525u + 1013904223u;
-            int len = static_cast<int>(h >> 26);
-            for (int k = 0; k < len; ++k)
-                text.push_back(static_cast<int8_t>('a' + (k % 26)));
-            text.push_back(0);
-        }
-        dram.fill("input", text);
-        dram.fill("offsets", offsets);
-        dram.resize("lengths", count * 4);
-        return std::vector<int32_t>{count};
-    };
-    expectOptimizedEquivalent(src, gen, "subword-pack",
-                              "strlen-handle-subword-only");
-    expectOptimizedEquivalent(src, gen, "full",
+    std::vector<int8_t> text;
+    std::vector<int32_t> offsets;
+    uint32_t h = 1;
+    for (int i = 0; i < count; ++i) {
+        offsets.push_back(static_cast<int32_t>(text.size()));
+        h = h * 1664525u + 1013904223u;
+        int len = static_cast<int>(h >> 26);
+        for (int k = 0; k < len; ++k)
+            text.push_back(static_cast<int8_t>('a' + (k % 26)));
+        text.push_back(0);
+    }
+    dram.fill("input", text);
+    dram.fill("offsets", offsets);
+    dram.resize("lengths", count * 4);
+    return {count};
+}
+
+} // namespace
+
+TEST(Absint, PackingDistrustsNarrowTypedHandleLanes)
+{
+    // The handle lane's declared type is char, but handles are raw
+    // words that exceed i8 once enough buffers are allocated. The
+    // value analysis proves the lane wider than its declared type
+    // (sramAlloc is top), so subword-pack must refuse it — packing it
+    // masks the handle and the executor throws on the dangling handle.
+    expectOptimizedEquivalent(kStrlenHandleSrc, strlenHandleImage,
+                              "subword-pack", "strlen-handle-subword-only");
+    expectOptimizedEquivalent(kStrlenHandleSrc, strlenHandleImage, "full",
                               "strlen-handle-full");
+}
+
+TEST(Absint, StrlenHandleParallelStress)
+{
+    // The default pipeline's strlen graph on 8 parallel workers, run
+    // after run: a rewrite that drops the token ordering a ReadView's
+    // SRAM fill before its reads lets a reader see the zeroed buffer
+    // in some interleavings (every later string then reports the first
+    // string's length), so one run rarely shows it and thirty do.
+    auto prog = CompiledArtifact::build(kStrlenHandleSrc);
+    DramImage ref(prog->hir());
+    const auto args = strlenHandleImage(ref);
+    prog->interpret(ref, args);
+    for (int run = 0; run < 30; ++run) {
+        DramImage dram(prog->hir());
+        strlenHandleImage(dram);
+        auto st =
+            prog->execute(dram, args, dataflow::Engine::Policy::parallel, 8);
+        ASSERT_TRUE(st.drained) << "run " << run;
+        for (int d = 0; d < ref.dramCount(); ++d)
+            ASSERT_EQ(dram.bytes(d), ref.bytes(d))
+                << "run " << run << ": DRAM region " << d
+                << " diverged from the AST interpreter";
+    }
+}
+
+// ---------------------------------------------------------------------
+// Cross-block pass-through reroute.
+
+namespace
+{
+
+/**
+ * source "x" -> fanout -> {W, B.in0}; W -> B.in1; B's one output is a
+ * mov copy of in0 and feeds sink "sink.o". W outputs x + x, after an
+ * SRAM write when @p memoryOrdered (so B.in1 carries memory ordering).
+ */
+Dfg
+passThroughGraph(bool memoryOrdered)
+{
+    Dfg g;
+    auto &src = g.newNode(NodeKind::source, "x");
+    int x = g.newLink("x");
+    g.connectOut(src.id, x);
+    auto &fan = g.newNode(NodeKind::fanout, "fan");
+    g.connectIn(fan.id, x);
+    int x0 = g.newLink("x0"), x1 = g.newLink("x1");
+    g.connectOut(fan.id, x0);
+    g.connectOut(fan.id, x1);
+
+    auto &w = g.newNode(NodeKind::block, "W");
+    g.connectIn(w.id, x0);
+    w.inputRegs = {0};
+    w.nRegs = 2;
+    if (memoryOrdered) {
+        BlockOp write;
+        write.kind = OpKind::sramWrite;
+        write.a = write.b = write.c = 0;
+        w.ops.push_back(write);
+    }
+    BlockOp add;
+    add.kind = OpKind::add;
+    add.dst = 1;
+    add.a = add.b = 0;
+    w.ops.push_back(add);
+    w.outputRegs = {1};
+    int wl = g.newLink("w");
+    g.connectOut(w.id, wl);
+
+    auto &b = g.newNode(NodeKind::block, "B");
+    g.connectIn(b.id, x1);
+    g.connectIn(b.id, wl);
+    b.inputRegs = {0, 1};
+    b.nRegs = 3;
+    BlockOp mov;
+    mov.kind = OpKind::mov;
+    mov.dst = 2;
+    mov.a = 0;
+    b.ops.push_back(mov);
+    b.outputRegs = {2};
+    int o = g.newLink("o");
+    g.connectOut(b.id, o);
+    auto &sk = g.newNode(NodeKind::sink, "sink.o");
+    g.connectIn(sk.id, o);
+    g.verify();
+    return g;
+}
+
+/** Kind of the node feeding "sink.o" after cross-block-const-prop. */
+std::string
+sinkFeederAfterCrossBlockConstProp(Dfg g)
+{
+    runPasses(g, fixtures::singlePassPipeline("cross-block-const-prop"),
+              GraphPassOptions{});
+    for (const auto &n : g.nodes)
+        if (n.name == "sink.o")
+            return toString(g.nodes[g.links[n.ins[0]].src].kind);
+    ADD_FAILURE() << "sink.o vanished";
+    return {};
+}
+
+} // namespace
+
+TEST(Absint, PassThroughRerouteKeepsMemoryOrdering)
+{
+    // B's consumer waits for B's every input, including the token W's
+    // SRAM write produces; served from the fanout it would not.
+    EXPECT_EQ(sinkFeederAfterCrossBlockConstProp(passThroughGraph(true)),
+              toString(NodeKind::block));
+}
+
+TEST(Absint, PassThroughRerouteFiresOnMemoryFreeInputs)
+{
+    EXPECT_EQ(sinkFeederAfterCrossBlockConstProp(passThroughGraph(false)),
+              toString(NodeKind::fanout));
 }
 
 // ---------------------------------------------------------------------

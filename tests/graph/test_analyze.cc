@@ -9,8 +9,9 @@
  * Translation validation: the default pipeline certifies every pass
  * application on real programs, while deliberately broken rewrites —
  * a dropped memory effect, reordered program-entry sources, a
- * mispaired park, a widened bundle lane, an unsolicited park — are
- * each rejected by runPasses() with the expected diagnostic.
+ * widened bundle lane, an unsolicited park — are each rejected by
+ * runPasses() with the expected diagnostic, and a mispaired park by
+ * the Dfg::verify() it runs first.
  *
  * Deadlock lint: the minimal safe park size computed statically for a
  * thread-reordering keyed park matches ExecStats::sramParkedPeak from
@@ -517,22 +518,37 @@ TEST(AnalyzeValidate, ReorderedSourcesRejected)
 
 TEST(AnalyzeValidate, MispairedParkRejected)
 {
+    // Dfg::verify() is the one park/restore pairing check: runPasses()
+    // runs it on every applied pass before validateRewrite(), so the
+    // mispaired park is rejected there, by name.
     auto prog = CompiledArtifact::build(replSrc);
-    const TokenAccount before = accountTokens(prog->dfg());
-    ASSERT_GT(before.parks.size(), 0u);
+    std::string parkName;
+    auto pipeline =
+        brokenPipeline("broken-flip-keyed", [&parkName](Dfg &g) {
+            for (auto &n : g.nodes) {
+                if (n.kind == NodeKind::park) {
+                    n.keyed = !n.keyed;
+                    parkName = n.name;
+                    return 1;
+                }
+            }
+            return 0;
+        });
     Dfg g = prog->dfg();
-    auto park = std::find_if(g.nodes.begin(), g.nodes.end(),
-                             [](const Node &n) {
-                                 return n.kind == NodeKind::park;
-                             });
-    ASSERT_NE(park, g.nodes.end());
-    park->keyed = !park->keyed;
-    // runPasses() would verify() first, which also rejects this; ask
-    // the validator directly so its own pairing check is what catches
-    // the mutation.
-    auto diags = validateRewrite("broken-flip-keyed", before, g);
-    ASSERT_TRUE(hasErrors(diags)) << "broken rewrite was not rejected";
-    EXPECT_TRUE(hasCode(diags, "park-mispaired"));
+    std::string what;
+    try {
+        runPasses(g, pipeline, GraphPassOptions{});
+    } catch (const ValidationError &e) {
+        FAIL() << "verify() should reject before validation: " << e.what();
+    } catch (const std::logic_error &e) {
+        what = e.what();
+    }
+    ASSERT_FALSE(parkName.empty()) << "no park to mispair";
+    ASSERT_FALSE(what.empty()) << "broken rewrite was not rejected";
+    EXPECT_NE(what.find("'" + parkName + "' (park)"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("ordinal-key mismatch"), std::string::npos)
+        << what;
 }
 
 TEST(AnalyzeValidate, WidenedBundleLaneRejected)

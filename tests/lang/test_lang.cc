@@ -27,6 +27,16 @@ TEST(Lex, TokensAndPositions)
     EXPECT_EQ(toks[7].kind, Tok::ident);
     EXPECT_EQ(toks[7].line, 2);
     EXPECT_EQ(toks[8].kind, Tok::shlAssign);
+
+    // Block comments (across lines) vanish; `>>=` and `~` lex whole.
+    toks = lex("x >>= /* a\n * b */ ~y;");
+    ASSERT_EQ(toks.size(), 6u);
+    EXPECT_EQ(toks[1].kind, Tok::shrAssign);
+    EXPECT_EQ(toks[2].kind, Tok::tilde);
+    EXPECT_EQ(toks[2].line, 2);
+    EXPECT_EQ(toks[2].col, 9);
+    EXPECT_EQ(toks[3].text, "y");
+    EXPECT_EQ(toks[5].kind, Tok::eof);
 }
 
 TEST(Lex, CharAndEscapes)
@@ -39,12 +49,32 @@ TEST(Lex, CharAndEscapes)
 
 TEST(Lex, ErrorsCarryPosition)
 {
-    try {
-        lex("int x = @;");
-        FAIL() << "expected CompileError";
-    } catch (const CompileError &err) {
-        EXPECT_EQ(err.line, 1);
-        EXPECT_EQ(err.col, 9);
+    struct Case
+    {
+        const char *src;
+        int line, col;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"int x = @;", 1, 9, "unexpected character '@'"},
+        {"int x;\n/* never\n closed", 2, 1, "unterminated block comment"},
+        {"x = \"abc;", 1, 5, "unterminated string literal"},
+        {"c = 'ab';", 1, 5, "unterminated char literal"},
+        {"c = '", 1, 5, "unterminated char literal"},
+        {"c = '\\q';", 1, 8, "bad escape '\\q'"},
+        {"int a;\nint x = 0xg;", 2, 9, "bad hex literal"},
+    };
+    for (const Case &c : cases) {
+        try {
+            lex(c.src);
+            ADD_FAILURE() << c.src << ": expected CompileError";
+        } catch (const CompileError &err) {
+            EXPECT_EQ(err.line, c.line) << c.src;
+            EXPECT_EQ(err.col, c.col) << c.src;
+            EXPECT_NE(std::string(err.what()).find(c.message),
+                      std::string::npos)
+                << c.src << ": " << err.what();
+        }
     }
 }
 
@@ -54,6 +84,34 @@ TEST(Parse, MinimalMain)
     ASSERT_EQ(p.functions.size(), 1u);
     EXPECT_EQ(p.functions[0]->name, "main");
     EXPECT_EQ(p.functions[0]->paramSlots.size(), 1u);
+}
+
+TEST(Parse, MissingTokenNamesExpectedAndFound)
+{
+    struct Case
+    {
+        const char *src;
+        int line, col;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"void main(int n) {\n  int x = n + 1\n}", 3, 1,
+         "expected ; in declaration, found }"},
+        {"void main(int n {\n}", 1, 17,
+         "expected ) in function parameters, found {"},
+    };
+    for (const Case &c : cases) {
+        try {
+            parse(c.src);
+            ADD_FAILURE() << c.src << ": expected CompileError";
+        } catch (const CompileError &err) {
+            EXPECT_EQ(err.line, c.line) << c.src;
+            EXPECT_EQ(err.col, c.col) << c.src;
+            EXPECT_NE(std::string(err.what()).find(c.message),
+                      std::string::npos)
+                << c.src << ": " << err.what();
+        }
+    }
 }
 
 TEST(Parse, DramDecls)
