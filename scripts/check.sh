@@ -152,8 +152,11 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
 if [[ "$sanitize" != OFF ]]; then
     # The DFG optimizer rewrites graphs in place with manual id
     # compaction — exactly the code ASan/UBSan exists for. Re-run the
-    # optimizer equivalence suite explicitly so the instrumented build
-    # always exercises it even if someone narrows the ctest invocation.
+    # differential matrix (every app and language fixture, unoptimized,
+    # under each pass and under the full pipeline, against the AST
+    # interpreter on both policies, the parallel leg on 4 workers
+    # pinned in the oracle) explicitly so the instrumented build always
+    # exercises it even if someone narrows the ctest invocation.
     echo "== optimizer equivalence (sanitized)"
     "$build_dir/tests/revet_test_graph" \
         --gtest_filter='*GraphOptEquiv*:*GraphOptStructure*:*GraphOptPipeline*'
@@ -163,12 +166,13 @@ if [[ "$sanitize" != OFF ]]; then
     echo "== optimizer fuzz differential (sanitized, fixed seed)"
     REVET_FUZZ_SEED="${REVET_FUZZ_SEED:-20260730}" \
         "$build_dir/tests/revet_test_fuzz"
-    # The executor's oracle: every app and language fixture against
-    # the AST interpreter, with per-link traffic identical across both
-    # policies. Run it explicitly under the instrumented build.
+    # The executor's lowering programs against the AST interpreter
+    # through the same oracle, and the keyed park/restore graphs run
+    # directly. (Every app and language fixture under both policies
+    # runs in the matrix above.)
     echo "== executor equivalence (sanitized)"
-    "$build_dir/tests/revet_test_dataflow" \
-        --gtest_filter='*SchedulerEquivalence*'
+    "$build_dir/tests/revet_test_graph" \
+        --gtest_filter='*DataflowExec*'
     # The serving layer recycles execution contexts across requests and
     # shares one immutable artifact between worker threads — lifetime
     # and aliasing bugs there are exactly ASan territory (and the
@@ -177,19 +181,20 @@ if [[ "$sanitize" != OFF ]]; then
     "$build_dir/tests/revet_test_serve"
     if [[ "$sanitize" == thread ]]; then
         # The parallel work-stealing scheduler is the reason the TSan
-        # preset exists: re-run the scheduler suite (two-policy matrix +
-        # ParallelScheduler section) so every Channel push/pop, steal,
-        # and quiescence handshake runs instrumented even on
-        # single-core hosts. Its equivalence section is also the
-        # executor's parallel-policy leg, so park reclamation and the
-        # primitives run under TSan with real cross-thread traffic. The
-        # multicast suite runs each group-protocol case (shared ring,
-        # per-cursor counts and wakeups, bounded cursors). Both suites
-        # pin 4 workers in the tests themselves (one scheduler case
-        # uses 8, two use 2); REVET_NUM_THREADS=4 reaches only the
-        # cases that leave the count unset. The fuzz differential
-        # (above) pins its parallel leg to 2 workers, so the
-        # environment does not reach it either.
+        # preset exists: re-run the scheduler suite (WorklistScheduler
+        # and ParallelScheduler sections) so every Channel push/pop,
+        # steal, and quiescence handshake runs instrumented even on
+        # single-core hosts. The executor's parallel-policy leg (park
+        # reclamation and the primitives under real cross-thread
+        # traffic) is the differential matrix above, which pins 4
+        # workers in its oracle. The multicast suite runs each
+        # group-protocol case (shared ring, per-cursor counts and
+        # wakeups, bounded cursors). Both suites pin 4 workers in the
+        # tests themselves (one scheduler case uses 8, two use 2);
+        # REVET_NUM_THREADS=4 reaches only the cases that leave the
+        # count unset. The fuzz differential (above) pins its parallel
+        # leg to 2 workers, so the environment does not reach it
+        # either.
         echo "== parallel scheduler suite (TSan, 4 workers)"
         REVET_NUM_THREADS=4 "$build_dir/tests/revet_test_dataflow" \
             --gtest_filter='*Scheduler*:*Backpressure*:*Parallel*:*Multicast*'

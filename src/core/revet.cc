@@ -135,9 +135,8 @@ CompiledArtifact::execute(lang::DramImage &dram,
                           dataflow::Engine::Policy policy,
                           int num_threads) const
 {
-    return graph::execute(bytecode_, dram, args,
-                          dataflow::Engine::defaultMaxRounds, policy,
-                          num_threads);
+    graph::ExecutionContext ctx(bytecode_);
+    return ctx.run(dram, args, policy, num_threads);
 }
 
 ArtifactCache &

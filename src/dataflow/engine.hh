@@ -99,9 +99,10 @@ class Engine
     /** Scheduling policy for run(); see the file comment. */
     enum class Policy { worklist, parallel };
 
-    /** Default safety cap on working rounds, shared by every caller
-     * (graph::execute, graph::ExecutionContext::run) so all entry points
-     * diagnose livelock at the same threshold. */
+    /** Default safety cap on working rounds for run() and for
+     * graph::ExecutionContext::run(), the one entry point compiled
+     * programs run through, so every run diagnoses livelock at the
+     * same threshold. */
     static constexpr uint64_t defaultMaxRounds = 1u << 26;
 
     explicit Engine(Policy policy = Policy::worklist) : policy_(policy) {}

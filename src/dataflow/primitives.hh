@@ -219,10 +219,14 @@ using LaneFn =
 class ElementWise : public Process
 {
   public:
+    /** @throws std::logic_error when @p ins is empty: with no input
+     * to wait on, every step would be a firing. */
     ElementWise(std::string name, Bundle ins, Bundle outs, LaneFn fn)
         : Process(std::move(name)), ins_(std::move(ins)),
           outs_(std::move(outs)), fn_(std::move(fn))
     {
+        if (ins_.empty())
+            throw std::logic_error(this->name() + ": no input lanes");
         declareIo(ins_, outs_);
     }
 

@@ -626,7 +626,7 @@ struct Solver
           case NodeKind::sink:
             break;
           case NodeKind::block: {
-            if (n.ins.empty() || anyInBottom())
+            if (anyInBottom())
                 break; // a block without live data never fires
             std::vector<AbsVal> outs;
             blockEval(n, rep.links, outs, nullptr);

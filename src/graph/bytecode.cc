@@ -772,15 +772,5 @@ ExecutionContext::run(lang::DramImage &dram,
     return stats;
 }
 
-ExecStats
-execute(const BytecodeProgram &prog, lang::DramImage &dram,
-        const std::vector<int32_t> &args, uint64_t max_rounds,
-        dataflow::Engine::Policy policy, int num_threads)
-{
-    // One-shot path: a throwaway context, whose arena starts empty.
-    ExecutionContext ctx(prog);
-    return ctx.run(dram, args, policy, num_threads, max_rounds);
-}
-
 } // namespace graph
 } // namespace revet

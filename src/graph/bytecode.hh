@@ -156,13 +156,15 @@ class ExecutionContext
 
     /**
      * Serve one request: reset all per-run state, bind @p dram /
-     * @p args, and run the program to quiescence. Same results as a
-     * one-shot graph::execute — the policy, thread count, and whether
-     * the context is fresh or reused are observable only through
-     * stats. @throws std::runtime_error on machine-model
-     * violations, livelock, or missing arguments (the context remains
-     * reusable: the next run() starts from a full reset, but
-     * poisoned() reports the failure so pools can discard).
+     * @p args, and run the program to quiescence. The policy, thread
+     * count, and whether the context is fresh or reused are observable
+     * only through stats (Kahn-network determinism). @p num_threads
+     * is the worker count for Policy::parallel (0 defers to
+     * Engine::defaultNumThreads(); ignored by the worklist).
+     * @throws std::runtime_error on machine-model violations,
+     * livelock, or missing arguments (the context remains reusable:
+     * the next run() starts from a full reset, but poisoned() reports
+     * the failure so pools can discard).
      */
     ExecStats run(lang::DramImage &dram,
                   const std::vector<int32_t> &args,
@@ -186,26 +188,6 @@ class ExecutionContext
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * Execute compiled @p prog against @p dram with main's @p args.
- * One-shot convenience over ExecutionContext: builds a fresh context,
- * runs once, tears it down.
- *
- * @param policy scheduling policy for the streaming engine; all
- *        policies are semantically interchangeable (Kahn-network
- *        determinism) and the worklist default is the serial fast path.
- * @param num_threads worker threads for Policy::parallel (0 defers to
- *        Engine::defaultNumThreads(); ignored by serial policies).
- * @throws std::runtime_error on machine-model violations, livelock, or
- *         missing arguments.
- */
-ExecStats execute(const BytecodeProgram &prog, lang::DramImage &dram,
-                  const std::vector<int32_t> &args,
-                  uint64_t max_rounds = dataflow::Engine::defaultMaxRounds,
-                  dataflow::Engine::Policy policy =
-                      dataflow::Engine::Policy::worklist,
-                  int num_threads = 0);
 
 } // namespace graph
 } // namespace revet

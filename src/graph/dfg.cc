@@ -494,6 +494,9 @@ Dfg::verify() const
                  "ordinal region id out of range");
             break;
           case NodeKind::block:
+            // A block fires when every input holds a token; with no
+            // input it would fire forever.
+            need(!n.ins.empty(), "block needs at least 1 input");
             need(n.ins.size() == n.inputRegs.size(),
                  "block input register mismatch");
             need(n.outs.size() == n.outputRegs.size(),

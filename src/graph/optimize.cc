@@ -561,7 +561,7 @@ class CrossBlockConstProp : public GraphPass
                 bool fires = true;
                 for (int l : n.ins)
                     fires &= !vals.links[l].bottom;
-                t |= fires || n.ins.empty();
+                t |= fires;
             }
             if (t) {
                 nodeTaint[i] = 1;
@@ -753,10 +753,8 @@ class CrossBlockConstProp : public GraphPass
         const size_t n_nodes = g.nodes.size();
         for (size_t i = 0; i < n_nodes; ++i) {
             Node &n = g.nodes[i];
-            if (n.kind != NodeKind::block || s.nodeDead[i] ||
-                n.ins.empty()) {
+            if (n.kind != NodeKind::block || s.nodeDead[i])
                 continue;
-            }
             // root[r] = input lane index r is a pure copy of, else -1.
             std::vector<int> root(static_cast<size_t>(n.nRegs), -1);
             for (size_t j = 0; j < n.ins.size(); ++j)
@@ -818,7 +816,7 @@ class CrossBlockConstProp : public GraphPass
         for (size_t i = 0; i < g.nodes.size(); ++i) {
             Node &n = g.nodes[i];
             if (n.kind != NodeKind::block || s.nodeDead[i] ||
-                n.ins.empty() || !blockHasEffects(n)) {
+                !blockHasEffects(n)) {
                 continue;
             }
             bool dead_in = false;

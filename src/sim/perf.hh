@@ -5,11 +5,14 @@
  * Every evaluated workload is a throughput-bound stream over abundant
  * independent threads (Section VI-A), so runtime is the bottleneck
  * resource's occupancy: DRAM (bandwidth for sequential traffic,
- * bank-activation rate for random traffic), on-chip links (beats per the
- * SLTF wire format, scalar vs vector), CU pipelines (16 lanes/cycle), and
- * MU ports. Exact per-link token counts come from the functional
- * execution; outer parallelism and replication divide the per-pipeline
- * work. The idealized variants reproduce Table V's D / SN / SND columns.
+ * bank-activation rate for random traffic), on-chip links, CU pipelines
+ * (16 lanes/cycle), and MU ports. A link is charged its token count
+ * (data and barriers alike) divided by the lane count on vector links,
+ * and its token count on scalar links; this is not yet the SLTF wire
+ * format's beat count (sltf::beatsForLink; ROADMAP item 6). Exact
+ * per-link token counts come from the functional execution; outer
+ * parallelism and replication divide the per-pipeline work. The
+ * idealized variants reproduce Table V's D / SN / SND columns.
  */
 
 #ifndef REVET_SIM_PERF_HH

@@ -16,6 +16,8 @@
 #include "core/revet.hh"
 #include "lang/lex.hh"
 
+#include "../graph/oracle.hh"
+
 using namespace revet;
 
 TEST(CoreApi, CompileRejectsBadPrograms)
@@ -34,13 +36,14 @@ TEST(CoreApi, InterpretAndExecuteAgree)
           int acc = foreach (n) { int i => return i * 3; };
           out[0] = acc;
         })");
-    lang::DramImage a(prog->hir()), b(prog->hir());
-    a.resize("out", 4);
-    b.resize("out", 4);
-    prog->interpret(a, {10});
-    prog->execute(b, {10});
-    EXPECT_EQ(a.bytes(0), b.bytes(0));
-    EXPECT_EQ(a.read<int32_t>("out")[0], 135);
+    const fixtures::Generate gen = [](lang::DramImage &dram) {
+        dram.resize("out", 4);
+        return std::vector<int32_t>{10};
+    };
+    lang::DramImage b(prog->hir());
+    prog->execute(b, gen(b));
+    EXPECT_EQ(fixtures::dramBytes(b), fixtures::interpreted(*prog, gen));
+    EXPECT_EQ(b.read<int32_t>("out")[0], 135);
 }
 
 TEST(CoreApi, GraphIsInspectable)
@@ -133,9 +136,9 @@ TEST(CoreApi, OptReportSurfacesGraphOptimizerWin)
 
 TEST(CoreApi, RandomizedCollatzStress)
 {
-    // Property sweep: random inputs through a control-heavy kernel on
-    // both execution paths.
-    auto prog = CompiledArtifact::build(R"(
+    // Property sweep: random inputs through a control-heavy kernel,
+    // compiled against the AST interpreter.
+    const char *src = R"(
         DRAM<int> data; DRAM<int> out;
         void main(int n) {
           foreach (n) { int i =>
@@ -147,19 +150,19 @@ TEST(CoreApi, RandomizedCollatzStress)
             };
             out[i] = steps;
           };
-        })");
+        })";
     std::mt19937 rng(99);
     for (int trial = 0; trial < 5; ++trial) {
         std::vector<int32_t> data(40);
         for (auto &d : data)
             d = 1 + rng() % 10000;
-        lang::DramImage a(prog->hir()), b(prog->hir());
-        a.fill("data", data);
-        a.resize("out", 40 * 4);
-        b.fill("data", data);
-        b.resize("out", 40 * 4);
-        prog->interpret(a, {40});
-        prog->execute(b, {40});
-        EXPECT_EQ(a.bytes(1), b.bytes(1)) << "trial " << trial;
+        fixtures::expectMatchesInterpreter(
+            src,
+            [&](lang::DramImage &dram) {
+                dram.fill("data", data);
+                dram.resize("out", 40 * 4);
+                return std::vector<int32_t>{40};
+            },
+            "full", "trial " + std::to_string(trial));
     }
 }

@@ -8,8 +8,8 @@
  * Whether a request ran on a fresh context or a recycled one, alone or
  * concurrently with others on the same shared artifact, under any
  * scheduling policy — its DRAM image must be bit-identical to the AST
- * interpreter's and its per-link token/barrier counts to a serial
- * one-shot worklist run. Everything the serving layer is allowed to
+ * interpreter's and its per-link token/barrier counts to a worklist
+ * run on a fresh context. Everything the serving layer is allowed to
  * change is in stats (arena-reuse counters, pool accounting, latency).
  */
 
@@ -25,48 +25,43 @@
 #include "apps/harness.hh"
 #include "core/serve.hh"
 
+#include "../graph/oracle.hh"
+
 using namespace revet;
 using dataflow::Engine;
 
 namespace
 {
 
-std::vector<std::vector<uint8_t>>
-dramBytes(const lang::DramImage &dram)
-{
-    std::vector<std::vector<uint8_t>> out;
-    for (int d = 0; d < dram.dramCount(); ++d)
-        out.push_back(dram.bytes(d));
-    return out;
-}
+using fixtures::dramBytes;
 
 struct Oracle
 {
-    std::vector<std::vector<uint8_t>> dram;
+    fixtures::DramBytes dram;
     std::vector<uint64_t> linkTokens;
     std::vector<uint64_t> linkBarriers;
 };
 
 /** The reference the serving path must match bit for bit: DRAM from
- * the AST interpreter, link counts from a serial one-shot worklist run
- * on a fresh context (the scheduler equivalence suite separately pins
- * those counts across policies). */
+ * the AST interpreter, link counts from a worklist run on a fresh
+ * context (the differential matrix separately pins those counts
+ * across policies). */
 Oracle
-serialOracle(const CompiledArtifact &artifact, const apps::App &app,
-             int scale)
+expectedRun(const CompiledArtifact &artifact, const apps::App &app,
+            int scale)
 {
-    lang::DramImage ref(artifact.hir());
-    auto ref_args = app.generate(ref, scale);
-    artifact.interpret(ref, ref_args);
-
-    lang::DramImage dram(artifact.hir());
-    auto args = app.generate(dram, scale);
-    auto stats = artifact.execute(dram, args);
-    return {dramBytes(ref), stats.linkTokens, stats.linkBarriers};
+    const fixtures::Generate generate = [&](lang::DramImage &dram) {
+        return app.generate(dram, scale);
+    };
+    const auto run =
+        fixtures::runCompiled(artifact.bytecode(), artifact.hir(),
+                              generate, Engine::Policy::worklist);
+    return {fixtures::interpreted(artifact, generate),
+            run.stats.linkTokens, run.stats.linkBarriers};
 }
 
 /** N serving workers x K requests over one shared artifact under
- * @p policy; every request checked against the serial oracle. */
+ * @p policy; every request checked against expectedRun(). */
 void
 runConcurrentBattery(Engine::Policy policy, int engine_threads)
 {
@@ -76,7 +71,7 @@ runConcurrentBattery(Engine::Policy policy, int engine_threads)
         const std::vector<int> scales = {4, 9, 16, 7};
         std::map<int, Oracle> oracles;
         for (int s : scales)
-            oracles.emplace(s, serialOracle(*artifact, app, s));
+            oracles.emplace(s, expectedRun(*artifact, app, s));
 
         constexpr int kRequests = 16;
         std::vector<serve::Request> requests(kRequests);
@@ -148,7 +143,7 @@ TEST(ServeConcurrency, RawThreadsShareOneArtifact)
     const std::vector<int> scales = {3, 8, 13, 6};
     std::map<int, Oracle> oracles;
     for (int s : scales)
-        oracles.emplace(s, serialOracle(*artifact, app, s));
+        oracles.emplace(s, expectedRun(*artifact, app, s));
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 5;

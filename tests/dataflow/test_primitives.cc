@@ -97,6 +97,19 @@ TEST(ElementWise, MultipleResults)
     EXPECT_EQ(s2->collected(), (TokenStream)StreamBuilder().d(4).d(8).b(1));
 }
 
+TEST(ElementWise, RejectsEmptyInputBundle)
+{
+    // With no input to wait on every step would be a firing.
+    Engine e;
+    auto *o = e.channel("o");
+    EXPECT_THROW(e.make<ElementWise>(
+                     "const", Bundle{}, Bundle{o},
+                     [](const std::vector<Word> &, std::vector<Word> &out) {
+                         out.push_back(1);
+                     }),
+                 std::logic_error);
+}
+
 TEST(Counter, ExpandsRangesAndRaisesBarriers)
 {
     Engine e;

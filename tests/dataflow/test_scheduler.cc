@@ -1,21 +1,15 @@
 /**
  * @file
- * Scheduler translation validation (WaveCert-style) and backpressure
- * tests.
+ * Scheduler mechanics and backpressure tests.
  *
- * The equivalence suite runs every Table III app fixture and every
- * shared language fixture (tests/graph/lang_fixtures.hh) under both
- * Engine::Policy values — worklist, and parallel at 4 worker
- * threads — and asserts the executions are bit-identical — same
- * DRAM bytes, same per-link token and barrier counts, same drained
- * flag, no park slot left occupied — and that both match the AST
- * reference interpreter.
- * Kahn-network determinism says scheduling order cannot be observable;
- * these tests certify our schedulers actually keep that promise
- * (including under true concurrency). With a single executor, this
- * suite and the interpreter are the compiled path's correctness
- * oracle, so the primitives can be refactored without losing the
- * guarantee.
+ * Kahn-network determinism says scheduling order cannot be observable.
+ * That both policies keep the promise on compiled programs (same DRAM
+ * as the AST interpreter, same per-link traffic, with 4 parallel
+ * workers) is pinned by the differential matrix in
+ * tests/graph/test_optimize.cc. Here hand-built engines pin how the
+ * schedulers get there: the worklist steps only ready processes, the
+ * parallel policy shards, steals, propagates exceptions and detects
+ * livelock across workers.
  *
  * The backpressure tests exercise the bounded-channel fixes: push on a
  * full channel throws (capacity 1 and the degenerate capacity 0),
@@ -29,20 +23,11 @@
 #include <cstdlib>
 #include <thread>
 
-#include "apps/apps.hh"
-#include "core/revet.hh"
 #include "dataflow/engine.hh"
-#include "graph/exec.hh"
-#include "interp/interp.hh"
-#include "lang/parse.hh"
-#include "passes/passes.hh"
 #include "sltf/codec.hh"
-
-#include "../graph/lang_fixtures.hh"
 
 using namespace revet;
 using namespace revet::dataflow;
-using lang::DramImage;
 using revet::sltf::StreamBuilder;
 using revet::sltf::TokenStream;
 
@@ -57,138 +42,7 @@ constexpr Engine::Policy kAllPolicies[] = {Engine::Policy::worklist,
 
 constexpr int kTestWorkers = 4;
 
-struct PolicyRun
-{
-    graph::ExecStats stats;
-    std::vector<std::vector<uint8_t>> dram_bytes;
-};
-
-/** Execute @p prog under @p policy on a freshly generated image. */
-PolicyRun
-runUnderPolicy(const CompiledArtifact &prog,
-               const std::function<std::vector<int32_t>(DramImage &)>
-                   &generate,
-               Engine::Policy policy, int num_threads = 0)
-{
-    PolicyRun out;
-    DramImage dram(prog.hir());
-    auto args = generate(dram);
-    out.stats = prog.execute(dram, args, policy, num_threads);
-    for (int d = 0; d < dram.dramCount(); ++d)
-        out.dram_bytes.push_back(dram.bytes(d));
-    return out;
-}
-
-/**
- * Compile @p source, run it under both policies plus the
- * interpreter, and assert all three agree bit-for-bit.
- */
-void
-expectPoliciesEquivalent(
-    const std::string &source,
-    const std::function<std::vector<int32_t>(DramImage &)> &generate,
-    const std::string &label)
-{
-    auto prog = CompiledArtifact::build(source);
-
-    DramImage ref(prog->hir());
-    auto args = generate(ref);
-    prog->interpret(ref, args);
-
-    PolicyRun wl = runUnderPolicy(*prog, generate,
-                                  Engine::Policy::worklist);
-    PolicyRun pl = runUnderPolicy(*prog, generate,
-                                  Engine::Policy::parallel,
-                                  kTestWorkers);
-
-    EXPECT_TRUE(wl.stats.drained) << label;
-    EXPECT_TRUE(pl.stats.drained) << label;
-    EXPECT_EQ(wl.stats.linkTokens, pl.stats.linkTokens)
-        << label
-        << ": per-link token counts diverged under the parallel policy";
-    EXPECT_EQ(wl.stats.linkBarriers, pl.stats.linkBarriers) << label;
-    // Every park slot is released by the end of the run (dead threads'
-    // slots by the keyed restore's batch-close reclamation).
-    EXPECT_EQ(wl.stats.sramParkedEnd, 0u) << label;
-    EXPECT_EQ(pl.stats.sramParkedEnd, 0u) << label;
-    ASSERT_EQ(wl.dram_bytes.size(), pl.dram_bytes.size()) << label;
-    for (size_t d = 0; d < wl.dram_bytes.size(); ++d) {
-        EXPECT_EQ(wl.dram_bytes[d], pl.dram_bytes[d])
-            << label << ": DRAM region " << d
-            << " diverged under the parallel policy";
-        EXPECT_EQ(ref.bytes(static_cast<int>(d)), wl.dram_bytes[d])
-            << label << ": DRAM region " << d
-            << " diverged from the AST interpreter";
-    }
-    // The worklist path must never rely on its certification fallback:
-    // a missed wakeup is a notification-wiring bug even though the
-    // rescan would mask it functionally. (The parallel policy gets no
-    // such assertion: benign notify-while-running races may legally
-    // defer a wakeup to the certification rescan.)
-    EXPECT_EQ(wl.stats.schedVerifyPasses, 1u)
-        << label << ": worklist needed more than one quiescence rescan";
-    // Sharding must actually have happened (no silent fallback to the
-    // serial worklist on these multi-process graphs).
-    EXPECT_EQ(pl.stats.schedWorkers,
-              static_cast<uint64_t>(kTestWorkers))
-        << label;
-}
-
 } // namespace
-
-// ---------------------------------------------------------------------
-// Equivalence: every Table III application fixture.
-
-class SchedulerEquivalence : public ::testing::TestWithParam<std::string>
-{};
-
-TEST_P(SchedulerEquivalence, AppBitIdenticalUnderAllPolicies)
-{
-    const apps::App &app = apps::findApp(GetParam());
-    const int scale = 4;
-    expectPoliciesEquivalent(
-        app.source,
-        [&](DramImage &dram) { return app.generate(dram, scale); },
-        app.name);
-
-    // And the golden verifier must pass under the worklist policy...
-    auto prog = CompiledArtifact::build(app.source);
-    DramImage dram(prog->hir());
-    auto args = app.generate(dram, scale);
-    prog->execute(dram, args, Engine::Policy::worklist);
-    EXPECT_EQ(app.verify(dram, scale), "") << app.name;
-
-    // ...and under the parallel policy with real worker threads.
-    DramImage pdram(prog->hir());
-    auto pargs = app.generate(pdram, scale);
-    prog->execute(pdram, pargs, Engine::Policy::parallel, kTestWorkers);
-    EXPECT_EQ(app.verify(pdram, scale), "")
-        << app.name << " (parallel)";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllApps, SchedulerEquivalence,
-    ::testing::Values("isipv4", "ip2int", "murmur3", "hash-table",
-                      "search", "huff-dec", "huff-enc", "kD-tree"),
-    [](const auto &info) {
-        std::string name = info.param;
-        for (auto &c : name) {
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return name;
-    });
-
-// ---------------------------------------------------------------------
-// Equivalence: the shared language fixtures, covering every lowering
-// construct (branches, loops, foreach, fork, SRAM, iterators, narrow
-// lanes, and replicate regions with FIFO and ordinal-keyed parks).
-
-TEST(SchedulerEquivalence, LanguageFixtures)
-{
-    for (const auto &f : fixtures::languageFixtures())
-        expectPoliciesEquivalent(f.source, f.generate, f.label);
-}
 
 // ---------------------------------------------------------------------
 // Worklist scheduler mechanics.

@@ -6,10 +6,13 @@
  * The lattice tests pin down AbsVal's join/meet/clamp/pack algebra.
  * The fixture tests compile language programs and check the facts the
  * solver must prove: a constant surviving two block boundaries feeds
- * CrossBlockConstProp (the optimized graph collapses and stays
- * bit-identical under both engine policies), and a range-narrow but
- * i32-typed diamond packs across its filter/merge (a "dpack" group
- * appears) without changing any DRAM byte. The pass-through reroute
+ * CrossBlockConstProp (the optimized graph collapses), and a
+ * range-narrow but i32-typed diamond packs across its filter/merge (a
+ * "dpack" group appears). Each runs through the shared differential
+ * oracle (oracle.hh): DRAM bit-identical to the AST interpreter under
+ * both engine policies, and every observed link value inside what the
+ * fixpoint inferred for it; a corrupted observation shows that this
+ * soundness check reports the offending link. The pass-through reroute
  * keeps a lane on its block while another input of the block carries
  * memory ordering, and the strlen program that needs this stays
  * bit-identical over repeated 8-worker parallel runs. Value lints
@@ -30,6 +33,7 @@
 #include "graph/optimize.hh"
 #include "lang/type.hh"
 
+#include "oracle.hh"
 #include "single_pass.hh"
 
 using namespace revet;
@@ -38,56 +42,6 @@ using lang::DramImage;
 
 namespace
 {
-
-using Generate = std::function<std::vector<int32_t>(DramImage &)>;
-
-/**
- * Compile @p source unoptimized, optimize a copy of its lowered graph
- * with @p config (fixtures::singlePassPipeline), run both graphs and
- * the AST interpreter on identically generated images, and assert every
- * DRAM region is bit-identical under both scheduling policies. Returns
- * the optimized graph for structural assertions.
- */
-Dfg
-expectOptimizedEquivalent(const std::string &source,
-                          const Generate &generate,
-                          const std::string &config,
-                          const std::string &label)
-{
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    auto ref_prog = CompiledArtifact::build(source, raw);
-
-    Dfg opt = lower(ref_prog->hir());
-    runPasses(opt, fixtures::singlePassPipeline(config), GraphPassOptions{});
-    EXPECT_NO_THROW(opt.verify()) << label;
-    const BytecodeProgram opt_bc = BytecodeProgram::compile(opt);
-
-    DramImage ref(ref_prog->hir());
-    auto args = generate(ref);
-    ref_prog->interpret(ref, args);
-
-    for (auto policy : {dataflow::Engine::Policy::worklist,
-                        dataflow::Engine::Policy::parallel}) {
-        DramImage a(ref_prog->hir());
-        generate(a);
-        auto sa = ref_prog->execute(a, args, policy, 2);
-        DramImage b(ref_prog->hir());
-        generate(b);
-        auto sb = execute(opt_bc, b, args,
-                          dataflow::Engine::defaultMaxRounds, policy, 2);
-        EXPECT_TRUE(sa.drained && sb.drained) << label;
-        for (int d = 0; d < ref.dramCount(); ++d) {
-            EXPECT_EQ(a.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged between unoptimized and optimized graphs";
-            EXPECT_EQ(ref.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged from the AST interpreter";
-        }
-    }
-    return opt;
-}
 
 int
 countNamed(const Dfg &g, const std::string &tag)
@@ -269,8 +223,9 @@ void main(int n) {
         return std::vector<int32_t>{48};
     };
 
-    Dfg g = expectOptimizedEquivalent(src, gen, "cross-block-const-prop",
-                                      "cbcp-two-boundaries");
+    Dfg g = fixtures::expectMatchesInterpreter(
+                src, gen, "cross-block-const-prop", "cbcp-two-boundaries")
+                .graph;
 
     CompileOptions raw;
     raw.graphOpt.enable = false;
@@ -290,8 +245,9 @@ void main(int n) {
 
     // With the cleanup passes back on, the const-steered diamonds
     // collapse outright: well under half the unoptimized graph.
-    Dfg full = expectOptimizedEquivalent(src, gen, "full",
-                                         "cbcp-two-boundaries-full");
+    Dfg full = fixtures::expectMatchesInterpreter(
+                   src, gen, "full", "cbcp-two-boundaries-full")
+                   .graph;
     EXPECT_LT(full.nodes.size() * 2, unopt.nodes.size())
         << "full pipeline left the const-steered diamonds intact";
 }
@@ -324,8 +280,9 @@ void main(int n) {
         dram.resize("out", n * 4);
         return std::vector<int32_t>{n};
     };
-    Dfg g = expectOptimizedEquivalent(src, gen, "full",
-                                      "dpack-diamond");
+    Dfg g = fixtures::expectMatchesInterpreter(src, gen, "full",
+                                               "dpack-diamond")
+                .graph;
     EXPECT_GE(countNamed(g, "dpack"), 1)
         << "no sub-word pack group in the optimized diamond";
 }
@@ -389,10 +346,11 @@ TEST(Absint, PackingDistrustsNarrowTypedHandleLanes)
     // value analysis proves the lane wider than its declared type
     // (sramAlloc is top), so subword-pack must refuse it — packing it
     // masks the handle and the executor throws on the dangling handle.
-    expectOptimizedEquivalent(kStrlenHandleSrc, strlenHandleImage,
-                              "subword-pack", "strlen-handle-subword-only");
-    expectOptimizedEquivalent(kStrlenHandleSrc, strlenHandleImage, "full",
-                              "strlen-handle-full");
+    fixtures::expectMatchesInterpreter(kStrlenHandleSrc, strlenHandleImage,
+                                       "subword-pack",
+                                       "strlen-handle-subword-only");
+    fixtures::expectMatchesInterpreter(kStrlenHandleSrc, strlenHandleImage,
+                                       "full", "strlen-handle-full");
 }
 
 TEST(Absint, StrlenHandleParallelStress)
@@ -403,20 +361,56 @@ TEST(Absint, StrlenHandleParallelStress)
     // in some interleavings (every later string then reports the first
     // string's length), so one run rarely shows it and thirty do.
     auto prog = CompiledArtifact::build(kStrlenHandleSrc);
-    DramImage ref(prog->hir());
-    const auto args = strlenHandleImage(ref);
-    prog->interpret(ref, args);
-    for (int run = 0; run < 30; ++run) {
-        DramImage dram(prog->hir());
-        strlenHandleImage(dram);
-        auto st =
-            prog->execute(dram, args, dataflow::Engine::Policy::parallel, 8);
-        ASSERT_TRUE(st.drained) << "run " << run;
-        for (int d = 0; d < ref.dramCount(); ++d)
-            ASSERT_EQ(dram.bytes(d), ref.bytes(d))
-                << "run " << run << ": DRAM region " << d
-                << " diverged from the AST interpreter";
+    const auto want = fixtures::interpreted(*prog, strlenHandleImage);
+    for (int i = 0; i < 30; ++i) {
+        const auto run =
+            fixtures::runCompiled(prog->bytecode(), prog->hir(),
+                                  strlenHandleImage,
+                                  dataflow::Engine::Policy::parallel, 8);
+        ASSERT_TRUE(run.stats.drained) << "run " << i;
+        ASSERT_EQ(run.dram, want)
+            << "run " << i << ": DRAM diverged from the AST interpreter";
     }
+}
+
+TEST(Absint, SoundnessCheckReportsCorruptedObservation)
+{
+    // A real run passes the check; one observation pushed outside the
+    // inferred value must be reported by link id and name.
+    const auto &fixture = fixtures::languageFixtures().front();
+    const auto run = fixtures::expectMatchesInterpreter(
+        fixture.source, fixture.generate, "none", fixture.label);
+    const AbsintReport rep = analyzeValues(run.graph);
+    int bounded = -1, constant = -1;
+    for (size_t l = 0; l < run.graph.links.size(); ++l) {
+        if (run.stats.linkValues[l].dataPushed == 0)
+            continue;
+        const int id = static_cast<int>(l);
+        if (bounded < 0 && rep.links[l].smax < INT32_MAX)
+            bounded = id;
+        if (constant < 0 && rep.constantOf(id))
+            constant = id;
+    }
+    ASSERT_GE(bounded, 0) << "no observed link with a signed upper bound";
+    ASSERT_GE(constant, 0) << "no observed link proven constant";
+
+    auto expectReported = [&](int l, const auto &corrupt) {
+        ExecStats stats = run.stats;
+        corrupt(stats.linkValues[static_cast<size_t>(l)]);
+        const std::string msg =
+            fixtures::checkValueSoundness(run.graph, stats, "corrupted");
+        EXPECT_NE(msg.find("link " + std::to_string(l) + " (" +
+                           run.graph.links[static_cast<size_t>(l)].name +
+                           ")"),
+                  std::string::npos)
+            << msg;
+    };
+    expectReported(bounded, [&](dataflow::Channel::ValueWatch &w) {
+        w.smax = rep.links[static_cast<size_t>(bounded)].smax + 1;
+    });
+    expectReported(constant, [](dataflow::Channel::ValueWatch &w) {
+        w.allEqual = false;
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -630,8 +630,8 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(prog);
         dram.resize("out", n * 4);
-        auto stats = graph::execute(graph::BytecodeProgram::compile(g),
-                                    dram, {}, 1u << 24, policy, 2);
+        const auto bc = graph::BytecodeProgram::compile(g);
+        auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_TRUE(stats.drained);
         EXPECT_EQ(stats.sramParkedPeak,
                   static_cast<uint64_t>(rep.parks[0].minSafeSlots))

@@ -150,6 +150,32 @@ TEST(DfgVerify, RejectsOpOperandOutOfRange)
     EXPECT_THROW(g.verify(), std::logic_error);
 }
 
+TEST(DfgVerify, RejectsBlockWithoutInputs)
+{
+    // A block fires when all its inputs hold a token; with none it
+    // would fire forever, so verify() refuses it by name.
+    Dfg g = tinyGraph();
+    auto &blk = g.newNode(NodeKind::block, "no_inputs");
+    blk.nRegs = 1;
+    BlockOp op;
+    op.kind = OpKind::cnst;
+    op.dst = 0;
+    blk.ops.push_back(op);
+    blk.outputRegs = {0};
+    int out = g.newLink("c");
+    g.connectOut(blk.id, out);
+    auto &sink = g.newNode(NodeKind::sink, "sink.c");
+    g.connectIn(sink.id, out);
+    try {
+        g.verify();
+        FAIL() << "verify() accepted a block without inputs";
+    } catch (const std::logic_error &err) {
+        EXPECT_NE(std::string(err.what()).find("'no_inputs'"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(DfgVerify, RejectsFanoutWithoutOutputs)
 {
     Dfg g;

@@ -2,22 +2,25 @@
  * @file
  * End-to-end compiler correctness: parse -> sema -> pass pipeline ->
  * dataflow lowering -> streaming execution, compared bit-for-bit against
- * the AST reference interpreter on the same inputs. This validates the
- * Section V-C control-flow-to-dataflow lowering (filters, merges,
- * counters, reduces, forward-backward loops, fork) on real programs.
+ * the AST reference interpreter on the same inputs through the shared
+ * differential oracle (oracle.hh) under both scheduling policies. This
+ * validates the Section V-C control-flow-to-dataflow lowering (filters,
+ * merges, counters, reduces, forward-backward loops, fork) on real
+ * programs. Hand-built graphs then pin the keyed park/restore
+ * semantics the executor implements.
  */
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <random>
 
 #include "graph/bytecode.hh"
 #include "graph/exec.hh"
 #include "graph/lower.hh"
-#include "interp/interp.hh"
 #include "lang/parse.hh"
 #include "passes/passes.hh"
+
+#include "oracle.hh"
 
 using namespace revet;
 using lang::DramImage;
@@ -28,39 +31,27 @@ namespace
 
 using Filler = std::function<void(DramImage &)>;
 
-graph::ExecStats
-compareCompiledToInterp(const std::string &src, const Filler &fill,
-                        const std::vector<int32_t> &args)
+/** @p src lowered without graph optimization ("none") must match the
+ * AST interpreter on the image @p fill prepares (fixtures oracle). */
+void
+expectDataflowMatches(const std::string &src, const Filler &fill,
+                      const std::vector<int32_t> &args)
 {
-    // Reference: interpreter on the unlowered program.
-    Program ref_prog = lang::parseAndAnalyze(src);
-    DramImage ref_dram(ref_prog);
-    fill(ref_dram);
-    interp::run(ref_prog, ref_dram, args);
-
-    // Compiled: pass pipeline + graph lowering + streaming execution.
-    Program prog = lang::parseAndAnalyze(src);
-    passes::runPipeline(prog);
-    graph::Dfg dfg = graph::lower(prog);
-    DramImage dram(prog);
-    fill(dram);
-    auto stats = graph::execute(graph::BytecodeProgram::compile(dfg), dram,
-                                args);
-    EXPECT_TRUE(stats.drained);
-
-    for (int d = 0; d < ref_dram.dramCount(); ++d) {
-        EXPECT_EQ(ref_dram.bytes(d), dram.bytes(d))
-            << "DRAM region '" << ref_dram.name(d)
-            << "' diverged between interpreter and dataflow";
-    }
-    return stats;
+    fixtures::expectMatchesInterpreter(
+        src,
+        [&](DramImage &dram) {
+            fill(dram);
+            return args;
+        },
+        "none",
+        ::testing::UnitTest::GetInstance()->current_test_info()->name());
 }
 
 } // namespace
 
 TEST(DataflowExec, StraightLine)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -74,7 +65,7 @@ TEST(DataflowExec, StraightLine)
 TEST(DataflowExec, IfStatementBothArms)
 {
     for (int arg : {2, 9}) {
-        compareCompiledToInterp(
+        expectDataflowMatches(
             R"(
             DRAM<int> out;
             void main(int n) {
@@ -91,7 +82,7 @@ TEST(DataflowExec, IfWithDivisionStaysBranchy)
     // Division prevents if-to-select, so this exercises real filter /
     // forward-merge structure at the top level.
     for (int arg : {0, 8}) {
-        compareCompiledToInterp(
+        expectDataflowMatches(
             R"(
             DRAM<int> out;
             void main(int n) {
@@ -105,7 +96,7 @@ TEST(DataflowExec, IfWithDivisionStaysBranchy)
 
 TEST(DataflowExec, WhileLoop)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -121,7 +112,7 @@ TEST(DataflowExec, WhileLoop)
 
 TEST(DataflowExec, WhileLoopZeroTrips)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -134,7 +125,7 @@ TEST(DataflowExec, WhileLoopZeroTrips)
 
 TEST(DataflowExec, NestedWhile)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -154,7 +145,7 @@ TEST(DataflowExec, NestedWhile)
 
 TEST(DataflowExec, ForeachParallelStores)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -167,7 +158,7 @@ TEST(DataflowExec, ForeachParallelStores)
 
 TEST(DataflowExec, ForeachReduction)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -181,7 +172,7 @@ TEST(DataflowExec, ForeachReduction)
 
 TEST(DataflowExec, ForeachBroadcastsParentValues)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -197,7 +188,7 @@ TEST(DataflowExec, ForeachBroadcastsParentValues)
 
 TEST(DataflowExec, ForeachWithExit)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -212,7 +203,7 @@ TEST(DataflowExec, ForeachWithExit)
 
 TEST(DataflowExec, NestedForeach)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -231,7 +222,7 @@ TEST(DataflowExec, WhileInsideForeach)
 {
     // The key composition the paper's machine model enables: data-
     // dependent while loops nested under parallel foreach threads.
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> data; DRAM<int> out;
         void main(int n) {
@@ -259,7 +250,7 @@ TEST(DataflowExec, ForeachInsideWhile)
 {
     // Parallel-patterns foreach inside a sequential while (the paper's
     // "periodically load a vector" case).
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -279,7 +270,7 @@ TEST(DataflowExec, ForeachInsideWhile)
 
 TEST(DataflowExec, SramScratchpad)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -297,7 +288,7 @@ TEST(DataflowExec, SramScratchpad)
 
 TEST(DataflowExec, AtomicRmw)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -314,7 +305,7 @@ TEST(DataflowExec, AtomicRmw)
 
 TEST(DataflowExec, ForkDuplicatesThreads)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -333,7 +324,7 @@ TEST(DataflowExec, ForkDuplicatesThreads)
 
 TEST(DataflowExec, EliminatedHierarchy)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<int> out;
         void main(int n) {
@@ -348,7 +339,7 @@ TEST(DataflowExec, EliminatedHierarchy)
 
 TEST(DataflowExec, ReadIteratorDemandPath)
 {
-    compareCompiledToInterp(
+    expectDataflowMatches(
         R"(
         DRAM<char> text; DRAM<int> out;
         void main(int n) {
@@ -407,7 +398,7 @@ TEST(DataflowExec, StrlenFigure7Complete)
         d.fill("offsets", offsets);
         d.resize("lengths", 32 * 4);
     };
-    compareCompiledToInterp(src, fill, {32});
+    expectDataflowMatches(src, fill, {32});
 }
 
 TEST(DataflowExec, HashProbeLoop)
@@ -455,7 +446,7 @@ TEST(DataflowExec, HashProbeLoop)
         d.fill("table", table);
         d.resize("out", 32 * 4);
     };
-    compareCompiledToInterp(src, fill, {32});
+    expectDataflowMatches(src, fill, {32});
 }
 
 // ---------------------------------------------------------------------
@@ -483,9 +474,16 @@ outProgram()
  * restore key + write address}; restore output lands in out[k]. The
  * key stream is the exact reverse of park order, so every lookup is
  * out of order: out[k] == k*7+3 only if the restore re-pairs by key.
+ *
+ * With @p deadThreads, blockK also computes p = (i < n/2) and a filter
+ * drops the key whenever p is false, so the keys that survive are
+ * exactly {n/2, ..., n-1} while *every* thread parks its value. The
+ * n/2 values whose key never arrives are dead threads; without
+ * batch-close reclamation their slots stay parked forever
+ * (sramParkedEnd == n/2).
  */
 Dfg
-reversedRestoreGraph(int n)
+reversedRestoreGraph(int n, bool deadThreads = false)
 {
     Dfg g;
     graph::ReplicateInfo info;
@@ -538,7 +536,7 @@ reversedRestoreGraph(int n)
         blk.ops.push_back(op);
     };
 
-    // v = i * 7 + 3, in thread order.
+    // v = i * 7 + 3, in thread order, parked by every thread.
     auto &bv = g.newNode(NodeKind::block, "blockV");
     g.connectIn(bv.id, iv_a);
     bv.inputRegs = {0};
@@ -555,146 +553,29 @@ reversedRestoreGraph(int n)
     auto &bk = g.newNode(NodeKind::block, "blockK");
     g.connectIn(bk.id, iv_b);
     bk.inputRegs = {0};
-    bk.nRegs = 3;
+    bk.nRegs = deadThreads ? 5 : 3;
     cnst(bk, 1, static_cast<sltf::Word>(n - 1));
     binop(bk, OpKind::sub, 2, 1, 0);
     int k = g.newLink("k");
     bk.outputRegs = {2};
     g.connectOut(bk.id, k);
+    if (deadThreads) {
+        // p = (i < n/2): only the first half of the threads survive to
+        // present their (reversed) keys.
+        cnst(bk, 3, static_cast<sltf::Word>(n / 2));
+        binop(bk, OpKind::lts, 4, 0, 3);
+        int p = g.newLink("p");
+        bk.outputRegs.push_back(4);
+        g.connectOut(bk.id, p);
+        auto &filt = g.newNode(NodeKind::filter, "alive");
+        filt.sense = true;
+        g.connectIn(filt.id, p);
+        g.connectIn(filt.id, k);
+        k = g.newLink("k.live");
+        g.connectOut(filt.id, k);
+    }
     auto &kfan = g.newNode(NodeKind::fanout, "kfan");
     g.connectIn(kfan.id, k);
-    int k_key = g.newLink("k.key"), k_addr = g.newLink("k.addr");
-    g.connectOut(kfan.id, k_key);
-    g.connectOut(kfan.id, k_addr);
-
-    auto &park = g.newNode(NodeKind::park, "park.v");
-    park.parkRegion = 0;
-    park.keyed = true;
-    g.connectIn(park.id, v);
-    int sram = g.newLink("v.park");
-    g.connectOut(park.id, sram);
-    auto &rest = g.newNode(NodeKind::restore, "restore.v");
-    rest.parkRegion = 0;
-    rest.keyed = true;
-    g.connectIn(rest.id, sram);
-    g.connectIn(rest.id, k_key);
-    int rst = g.newLink("v.rst");
-    g.connectOut(rest.id, rst);
-
-    auto &wr = g.newNode(NodeKind::block, "write");
-    g.connectIn(wr.id, k_addr);
-    g.connectIn(wr.id, rst);
-    wr.inputRegs = {0, 1};
-    wr.nRegs = 2;
-    BlockOp st;
-    st.kind = OpKind::dramWrite;
-    st.a = 0;
-    st.b = 1;
-    st.dram = 0;
-    wr.ops.push_back(st);
-    g.verify();
-    return g;
-}
-
-/**
- * reversedRestoreGraph with thread death: blockK also computes
- * p = (i < n/2) and a filter drops the key whenever p is false, so the
- * keys that survive are exactly {n/2, ..., n-1} (from threads
- * i in [0, n/2)) while *every* thread parks its value. The n/2 values
- * whose key never arrives are dead threads; without batch-close
- * reclamation their slots stay parked forever (sramParkedEnd == n/2).
- */
-Dfg
-deadThreadRestoreGraph(int n)
-{
-    Dfg g;
-    graph::ReplicateInfo info;
-    info.id = 0;
-    info.replicas = 2;
-    g.replicates.push_back(info);
-
-    auto &src = g.newNode(NodeKind::source, "__start");
-    int tok = g.newLink("tok");
-    g.connectOut(src.id, tok);
-
-    auto cnst = [&](graph::Node &blk, int dst, sltf::Word imm) {
-        BlockOp op;
-        op.kind = OpKind::cnst;
-        op.dst = dst;
-        op.imm = imm;
-        blk.ops.push_back(op);
-    };
-    auto binop = [&](graph::Node &blk, OpKind kind, int dst, int a,
-                     int b) {
-        BlockOp op;
-        op.kind = kind;
-        op.dst = dst;
-        op.a = a;
-        op.b = b;
-        blk.ops.push_back(op);
-    };
-
-    auto &bounds = g.newNode(NodeKind::block, "bounds");
-    g.connectIn(bounds.id, tok);
-    bounds.inputRegs = {0};
-    bounds.nRegs = 4;
-    cnst(bounds, 1, 0);
-    cnst(bounds, 2, static_cast<sltf::Word>(n));
-    cnst(bounds, 3, 1);
-    int lmin = g.newLink("min"), lmax = g.newLink("max"),
-        lstep = g.newLink("step");
-    bounds.outputRegs = {1, 2, 3};
-    for (int l : {lmin, lmax, lstep})
-        g.connectOut(bounds.id, l);
-
-    auto &ctr = g.newNode(NodeKind::counter, "threads");
-    for (int l : {lmin, lmax, lstep})
-        g.connectIn(ctr.id, l);
-    int iv = g.newLink("iv");
-    g.connectOut(ctr.id, iv);
-    auto &fan = g.newNode(NodeKind::fanout, "fan");
-    g.connectIn(fan.id, iv);
-    int iv_a = g.newLink("iva"), iv_b = g.newLink("ivb");
-    g.connectOut(fan.id, iv_a);
-    g.connectOut(fan.id, iv_b);
-
-    // v = i * 7 + 3, parked by every thread (dead or not).
-    auto &bv = g.newNode(NodeKind::block, "blockV");
-    g.connectIn(bv.id, iv_a);
-    bv.inputRegs = {0};
-    bv.nRegs = 5;
-    cnst(bv, 1, 7);
-    binop(bv, OpKind::mul, 2, 0, 1);
-    cnst(bv, 3, 3);
-    binop(bv, OpKind::add, 4, 2, 3);
-    int v = g.newLink("v");
-    bv.outputRegs = {4};
-    g.connectOut(bv.id, v);
-
-    // k = n-1-i and p = (i < n/2): only the first half of the threads
-    // survive to present their (reversed) keys.
-    auto &bk = g.newNode(NodeKind::block, "blockK");
-    g.connectIn(bk.id, iv_b);
-    bk.inputRegs = {0};
-    bk.nRegs = 5;
-    cnst(bk, 1, static_cast<sltf::Word>(n - 1));
-    binop(bk, OpKind::sub, 2, 1, 0);
-    cnst(bk, 3, static_cast<sltf::Word>(n / 2));
-    binop(bk, OpKind::lts, 4, 0, 3);
-    int k = g.newLink("k"), p = g.newLink("p");
-    bk.outputRegs = {2, 4};
-    g.connectOut(bk.id, k);
-    g.connectOut(bk.id, p);
-
-    auto &filt = g.newNode(NodeKind::filter, "alive");
-    filt.sense = true;
-    g.connectIn(filt.id, p);
-    g.connectIn(filt.id, k);
-    int k_live = g.newLink("k.live");
-    g.connectOut(filt.id, k_live);
-
-    auto &kfan = g.newNode(NodeKind::fanout, "kfan");
-    g.connectIn(kfan.id, k_live);
     int k_key = g.newLink("k.key"), k_addr = g.newLink("k.addr");
     g.connectOut(kfan.id, k_key);
     g.connectOut(kfan.id, k_addr);
@@ -738,8 +619,8 @@ TEST(DataflowExec, KeyedRestoreRepairsOutOfOrderThreads)
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(graph::BytecodeProgram::compile(g),
-                                    dram, {}, 1u << 24, policy, 2);
+        const auto bc = graph::BytecodeProgram::compile(g);
+        auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_TRUE(stats.drained);
         auto out = dram.read<int32_t>("out");
         for (int i = 0; i < n; ++i) {
@@ -761,8 +642,8 @@ TEST(DataflowExec, ParkedSlotHighWaterMark)
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(graph::BytecodeProgram::compile(g),
-                                    dram, {}, 1u << 24, policy, 2);
+        const auto bc = graph::BytecodeProgram::compile(g);
+        auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_EQ(stats.sramParkedPeak, static_cast<uint64_t>(n));
     }
 }
@@ -775,12 +656,12 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
     // KeyedRestore held dead threads' slots forever (sramParkedEnd
     // used to read n/2 here).
     const int n = 8;
-    auto bc = graph::BytecodeProgram::compile(deadThreadRestoreGraph(n));
+    auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n, true));
     for (auto policy : {dataflow::Engine::Policy::worklist,
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
         dram.resize("out", n * 4);
-        auto stats = graph::execute(bc, dram, {}, 1u << 24, policy, 2);
+        auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_TRUE(stats.drained);
         // All n values parked; none left behind after batch close.
         EXPECT_EQ(stats.sramParkedElems, static_cast<uint64_t>(n));
@@ -802,7 +683,7 @@ TEST(DataflowExec, KeyedRestoreLeavesNoResidueOnHealthyGraphs)
     auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
     DramImage dram(outProgram());
     dram.resize("out", n * 4);
-    auto stats = graph::execute(bc, dram, {}, 1u << 24);
+    auto stats = graph::ExecutionContext(bc).run(dram, {});
     EXPECT_EQ(stats.sramParkedEnd, 0u);
 }
 
@@ -822,7 +703,7 @@ TEST(DataflowExec, BytecodeStallReportNamesProcesses)
     DramImage dram(outProgram());
     dram.resize("out", (n + 1) * 4);
     try {
-        graph::execute(bc, dram, {}, 1u << 20);
+        graph::ExecutionContext(bc).run(dram, {});
         FAIL() << "expected the missing-key graph to stall";
     } catch (const std::runtime_error &err) {
         const std::string msg = err.what();

@@ -55,6 +55,7 @@
 #include "lang/parse.hh"
 #include "lang/type.hh"
 
+#include "oracle.hh"
 #include "single_pass.hh"
 
 using namespace revet;
@@ -864,76 +865,6 @@ class RandomDfg
     }
 };
 
-std::vector<std::vector<uint8_t>>
-runGraph(const Dfg &g, int scratchElems, int outElems, uint32_t seed,
-         dataflow::Engine::Policy policy, int num_threads = 0,
-         graph::ExecStats *statsOut = nullptr)
-{
-    DramImage dram(dramProgram());
-    std::vector<int32_t> input(kInElems);
-    std::mt19937 data(seed ^ 0x9e3779b9u);
-    for (auto &v : input)
-        v = static_cast<int32_t>(data());
-    dram.fill("in", input);
-    dram.resize("scratch", static_cast<size_t>(scratchElems) * 4);
-    dram.resize("out", static_cast<size_t>(outElems) * 4);
-    auto stats = graph::execute(graph::BytecodeProgram::compile(g), dram,
-                                {}, 1u << 24, policy, num_threads);
-    EXPECT_TRUE(stats.drained);
-    if (statsOut)
-        *statsOut = stats;
-    std::vector<std::vector<uint8_t>> out;
-    for (int d = 0; d < dram.dramCount(); ++d)
-        out.push_back(dram.bytes(d));
-    return out;
-}
-
-/**
- * Abstract-interpretation soundness oracle: every concretely observed
- * link value must be admitted by the inferred abstract value. This
- * catches unsound transfer functions directly, not just the subset
- * that happens to miscompile something downstream.
- */
-std::string
-checkValueSoundness(const Dfg &g, const graph::ExecStats &stats,
-                    const std::string &which)
-{
-    const graph::AbsintReport rep = graph::analyzeValues(g);
-    for (size_t l = 0; l < g.links.size(); ++l) {
-        const auto &w = stats.linkValues[l];
-        if (w.dataPushed == 0)
-            continue; // nothing observed: any claim is vacuous
-        const graph::AbsVal &v = rep.links[l];
-        const std::string at =
-            which + " graph link " + std::to_string(l) + " (" +
-            g.links[l].name + "): ";
-        if (v.bottom) {
-            return at + "proven bottom but carried " +
-                std::to_string(w.dataPushed) + " data tokens";
-        }
-        if (w.smin < v.smin || w.smax > v.smax) {
-            return at + "observed signed [" + std::to_string(w.smin) +
-                "," + std::to_string(w.smax) + "] outside inferred [" +
-                std::to_string(v.smin) + "," + std::to_string(v.smax) +
-                "]";
-        }
-        if (w.umin < v.umin || w.umax > v.umax) {
-            return at + "observed unsigned [" + std::to_string(w.umin) +
-                "," + std::to_string(w.umax) + "] outside inferred [" +
-                std::to_string(v.umin) + "," + std::to_string(v.umax) +
-                "]";
-        }
-        if (auto c = rep.constantOf(static_cast<int>(l))) {
-            if (!w.allEqual ||
-                w.first != static_cast<sltf::Word>(*c)) {
-                return at + "proven constant " + std::to_string(*c) +
-                    " but observed varying/different values";
-            }
-        }
-    }
-    return "";
-}
-
 /** One differential run; returns an empty string on success, else a
  * description of the divergence. */
 std::string
@@ -948,57 +879,59 @@ diffOnce(uint32_t seed, int stages, const std::string &config)
     } catch (const std::exception &err) {
         return std::string("optimizer/verify threw: ") + err.what();
     }
-    struct PolicyCase
-    {
-        dataflow::Engine::Policy policy;
-        int threads;
-        const char *name;
+    // The image every generated graph runs on: seeded input, zeroed
+    // scratch and output.
+    const fixtures::Generate image = [&](DramImage &dram) {
+        std::vector<int32_t> input(kInElems);
+        std::mt19937 data(seed ^ 0x9e3779b9u);
+        for (auto &v : input)
+            v = static_cast<int32_t>(data());
+        dram.fill("in", input);
+        dram.resize("scratch", static_cast<size_t>(gen.scratchElems) * 4);
+        dram.resize("out", static_cast<size_t>(gen.outElems) * 4);
+        return std::vector<int32_t>{};
     };
-    // The parallel case pins 2 workers: enough for real cross-thread
+    const BytecodeProgram raw_bc = BytecodeProgram::compile(gen.graph);
+    const BytecodeProgram opt_bc = BytecodeProgram::compile(optimized);
+    // The parallel leg pins 2 workers: enough for real cross-thread
     // channel traffic (and TSan evidence) without oversubscribing the
     // 3200-execution sweep.
-    const PolicyCase cases[] = {
-        {dataflow::Engine::Policy::worklist, 0, "worklist"},
-        {dataflow::Engine::Policy::parallel, 2, "parallel"},
-    };
-    bool oracle_done = false;
-    std::vector<std::vector<uint8_t>> first_raw;
-    for (const auto &pc : cases) {
-        graph::ExecStats sa, sb;
-        auto a = runGraph(gen.graph, gen.scratchElems, gen.outElems,
-                          seed, pc.policy, pc.threads, &sa);
-        auto b = runGraph(optimized, gen.scratchElems, gen.outElems,
-                          seed, pc.policy, pc.threads, &sb);
-        if (!oracle_done) {
+    fixtures::DramBytes first_raw;
+    for (int workers : {0, 2}) {
+        const auto policy = workers ? dataflow::Engine::Policy::parallel
+                                    : dataflow::Engine::Policy::worklist;
+        const std::string name = workers ? "parallel" : "worklist";
+        const auto a = fixtures::runCompiled(raw_bc, dramProgram(), image,
+                                             policy, workers);
+        const auto b = fixtures::runCompiled(opt_bc, dramProgram(), image,
+                                             policy, workers);
+        if (!a.stats.drained || !b.stats.drained)
+            return "did not drain under policy " + name;
+        if (first_raw.empty()) {
             // Per-link value sets are policy-independent; one policy's
             // observations are enough evidence per graph.
-            oracle_done = true;
-            std::string v = checkValueSoundness(gen.graph, sa, "raw");
-            if (v.empty())
-                v = checkValueSoundness(optimized, sb, "optimized");
+            std::string v =
+                fixtures::checkValueSoundness(gen.graph, a.stats, "raw");
+            if (v.empty()) {
+                v = fixtures::checkValueSoundness(optimized, b.stats,
+                                                  "optimized");
+            }
             if (!v.empty())
                 return "absint oracle: " + v;
-            first_raw = a;
-        } else {
+            first_raw = a.dram;
+        } else if (a.dram != first_raw) {
             // Cross-policy oracle: scheduling (including true
             // concurrency) must never leak into DRAM results.
-            for (size_t d = 0; d < a.size(); ++d) {
-                if (a[d] != first_raw[d]) {
-                    return "DRAM region " + std::to_string(d) +
-                        " diverged between policies under " + pc.name;
-                }
-            }
+            return "DRAM diverged between policies under " + name;
         }
-        for (size_t d = 0; d < a.size(); ++d) {
-            if (a[d] != b[d]) {
+        for (size_t d = 0; d < a.dram.size(); ++d) {
+            if (a.dram[d] != b.dram[d]) {
                 return "DRAM region " + std::to_string(d) +
-                    " diverged under policy " + pc.name;
+                    " diverged under policy " + name;
             }
         }
-        if (sa.sramParkedEnd != 0 || sb.sramParkedEnd != 0) {
-            return std::string("park slots left occupied under policy ") +
-                pc.name;
-        }
+        if (a.stats.sramParkedEnd != 0 || b.stats.sramParkedEnd != 0)
+            return "park slots left occupied under policy " + name;
     }
     return "";
 }

@@ -2,12 +2,14 @@
  * @file
  * DFG optimizer validation.
  *
- * Equivalence (WaveCert-style, against reference execution): every
- * graph pass — individually and as the full pipeline — must leave
- * DRAM output bit-identical to the unoptimized graph AND to the AST
- * interpreter, under both engine scheduling policies, on all eight
- * Table III app fixtures and the language fixtures covering every
- * lowering construct.
+ * Equivalence (WaveCert-style, against reference execution): the
+ * differential matrix runs all eight Table III app fixtures and the
+ * language fixtures covering every lowering construct, each
+ * unoptimized, under every graph pass alone and under the full
+ * pipeline, through the shared oracle (oracle.hh): DRAM bit-identical
+ * to the AST interpreter under both engine scheduling policies, equal
+ * per-link traffic across them, and link values inside what abstract
+ * interpretation inferred.
  *
  * Structural tests pin down what each pass actually rewrites on
  * hand-built graphs: fanout chains coalesce, wiring blocks splice or
@@ -28,7 +30,7 @@
 #include "lang/type.hh"
 #include "passes/passes.hh"
 
-#include "lang_fixtures.hh"
+#include "oracle.hh"
 #include "single_pass.hh"
 
 using namespace revet;
@@ -37,59 +39,6 @@ using lang::DramImage;
 
 namespace
 {
-
-const std::vector<std::string> kPassConfigs = {
-    "const-fold",   "cross-block-const-prop", "copy-prop",
-    "fanout-coalesce", "block-fusion", "dead-node-elim",
-    "replicate-bufferize", "subword-pack", "full"};
-
-using fixtures::Generate;
-
-/**
- * Compile @p source unoptimized, optimize a copy of its lowered graph
- * with @p config (fixtures::singlePassPipeline), run both graphs and
- * the AST interpreter on identically generated images, and assert every
- * DRAM region is bit-identical under both scheduling policies.
- */
-void
-expectOptimizedEquivalent(const std::string &source,
-                          const Generate &generate,
-                          const std::string &config,
-                          const std::string &label)
-{
-    CompileOptions raw;
-    raw.graphOpt.enable = false;
-    auto ref_prog = CompiledArtifact::build(source, raw);
-
-    Dfg opt = lower(ref_prog->hir());
-    runPasses(opt, fixtures::singlePassPipeline(config), GraphPassOptions{});
-    EXPECT_NO_THROW(opt.verify()) << label;
-    const BytecodeProgram opt_bc = BytecodeProgram::compile(opt);
-
-    DramImage ref(ref_prog->hir());
-    auto args = generate(ref);
-    ref_prog->interpret(ref, args);
-
-    for (auto policy : {dataflow::Engine::Policy::worklist,
-                        dataflow::Engine::Policy::parallel}) {
-        DramImage a(ref_prog->hir());
-        generate(a);
-        auto sa = ref_prog->execute(a, args, policy, 2);
-        DramImage b(ref_prog->hir());
-        generate(b);
-        auto sb = execute(opt_bc, b, args,
-                          dataflow::Engine::defaultMaxRounds, policy, 2);
-        EXPECT_TRUE(sa.drained && sb.drained) << label;
-        for (int d = 0; d < ref.dramCount(); ++d) {
-            EXPECT_EQ(a.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged between unoptimized and optimized graphs";
-            EXPECT_EQ(ref.bytes(d), b.bytes(d))
-                << label << ": DRAM region " << d
-                << " diverged from the AST interpreter";
-        }
-    }
-}
 
 Dfg
 lowered(const std::string &src)
@@ -108,24 +57,66 @@ countKind(const Dfg &g, NodeKind kind)
     return n;
 }
 
+using ProgramConfig = std::tuple<std::string, std::string>;
+
+const std::vector<std::string> kConfigs = {
+    "none",          "const-fold",          "cross-block-const-prop",
+    "copy-prop",     "fanout-coalesce",     "block-fusion",
+    "dead-node-elim", "replicate-bufferize", "subword-pack",
+    "full"};
+
+std::vector<std::string>
+fixtureLabels()
+{
+    std::vector<std::string> out;
+    for (const auto &f : fixtures::languageFixtures())
+        out.push_back(f.label);
+    return out;
+}
+
+std::string
+caseName(const ::testing::TestParamInfo<ProgramConfig> &info)
+{
+    std::string name =
+        std::get<0>(info.param) + "_" + std::get<1>(info.param);
+    for (auto &c : name) {
+        if (!isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    }
+    return name;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
-// Equivalence: every pass x every Table III app fixture.
+// Equivalence: the differential matrix. Every Table III app and every
+// language fixture, crossed with no optimization, each pass alone and
+// the full pipeline, must match the AST interpreter under both
+// scheduling policies (fixtures::expectMatchesInterpreter). The "none"
+// row checks the unoptimized graph once per program, so each optimized
+// row is also bit-identical to it. Cases are named program_config; the
+// suite keeps the name of its first rows, the apps.
 
-class GraphOptEquivApps
-    : public ::testing::TestWithParam<std::tuple<std::string, std::string>>
+class GraphOptEquivApps : public ::testing::TestWithParam<ProgramConfig>
 {};
 
 TEST_P(GraphOptEquivApps, BitIdenticalToUnoptimizedAndInterp)
 {
-    const apps::App &app = apps::findApp(std::get<0>(GetParam()));
-    const std::string config = std::get<1>(GetParam());
+    const auto &[program, config] = GetParam();
+    const std::string label = program + "/" + config;
+    for (const auto &f : fixtures::languageFixtures()) {
+        if (f.label == program) {
+            fixtures::expectMatchesInterpreter(f.source, f.generate, config,
+                                               label);
+            return;
+        }
+    }
+    const apps::App &app = apps::findApp(program);
     const int scale = 4;
-    expectOptimizedEquivalent(
+    fixtures::expectMatchesInterpreter(
         app.source,
         [&](DramImage &dram) { return app.generate(dram, scale); },
-        config, app.name + "/" + config);
+        config, label);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -134,30 +125,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          "hash-table", "search",
                                          "huff-dec", "huff-enc",
                                          "kD-tree"),
-                       ::testing::ValuesIn(kPassConfigs)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param) + "_" +
-            std::get<1>(info.param);
-        for (auto &c : name) {
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return name;
-    });
+                       ::testing::ValuesIn(kConfigs)),
+    caseName);
 
-// ---------------------------------------------------------------------
-// Equivalence: language fixtures covering every lowering construct.
-
-TEST(GraphOptEquiv, LanguageFixtures)
-{
-    for (const auto &f : fixtures::languageFixtures()) {
-        for (const std::string &config : kPassConfigs) {
-            expectOptimizedEquivalent(
-                f.source, f.generate, config,
-                std::string(f.label) + "/" + config);
-        }
-    }
-}
+INSTANTIATE_TEST_SUITE_P(
+    LanguageFixtures, GraphOptEquivApps,
+    ::testing::Combine(::testing::ValuesIn(fixtureLabels()),
+                       ::testing::ValuesIn(kConfigs)),
+    caseName);
 
 // ---------------------------------------------------------------------
 // Structural: fanout coalescing.
@@ -1393,19 +1368,19 @@ TEST(GraphOptPipeline, ReplicateParkRoundTripExecutes)
     EXPECT_EQ(prog->dfg().replicates[0].bufferized, parks);
     EXPECT_EQ(prog->dfg().replicateParkedValues(0), parks);
 
-    lang::DramImage ref(prog->hir());
-    std::vector<int32_t> data(16);
-    for (int i = 0; i < 16; ++i)
-        data[i] = i * 37 + 11;
-    ref.fill("data", data);
-    ref.resize("out", 64);
-    prog->interpret(ref, {16});
-    lang::DramImage dram(prog->hir());
-    dram.fill("data", data);
-    dram.resize("out", 64);
-    auto stats = prog->execute(dram, {16});
-    EXPECT_EQ(ref.bytes(1), dram.bytes(1));
-    EXPECT_GT(stats.sramParkedElems, 0u);
+    const fixtures::Generate gen = [](DramImage &dram) {
+        std::vector<int32_t> data(16);
+        for (int i = 0; i < 16; ++i)
+            data[i] = i * 37 + 11;
+        dram.fill("data", data);
+        dram.resize("out", 64);
+        return std::vector<int32_t>{16};
+    };
+    const auto run = fixtures::runCompiled(
+        prog->bytecode(), prog->hir(), gen,
+        dataflow::Engine::Policy::worklist);
+    EXPECT_EQ(run.dram, fixtures::interpreted(*prog, gen));
+    EXPECT_GT(run.stats.sramParkedElems, 0u);
 
     // The unoptimized graph carries the same values through the
     // region's trees instead: more bufferMU, wider replicate trees.
@@ -1440,20 +1415,21 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
               prog->dfg().replicateParkedValues(0));
     EXPECT_GT(prog->dfg().replicates[0].bufferized, 0);
 
-    std::vector<int32_t> data(20);
-    for (int i = 0; i < 20; ++i)
-        data[i] = i * 91 + 5;
-    lang::DramImage ref(prog->hir());
-    ref.fill("data", data);
-    ref.resize("out", 80);
-    prog->interpret(ref, {20});
-    for (auto policy : {dataflow::Engine::Policy::worklist,
-                        dataflow::Engine::Policy::parallel}) {
-        lang::DramImage dram(prog->hir());
+    const fixtures::Generate gen = [](DramImage &dram) {
+        std::vector<int32_t> data(20);
+        for (int i = 0; i < 20; ++i)
+            data[i] = i * 91 + 5;
         dram.fill("data", data);
         dram.resize("out", 80);
-        auto stats = prog->execute(dram, {20}, policy);
-        EXPECT_EQ(ref.bytes(1), dram.bytes(1));
+        return std::vector<int32_t>{20};
+    };
+    const auto want = fixtures::interpreted(*prog, gen);
+    for (auto policy : {dataflow::Engine::Policy::worklist,
+                        dataflow::Engine::Policy::parallel}) {
+        const auto run =
+            fixtures::runCompiled(prog->bytecode(), prog->hir(), gen, policy);
+        EXPECT_EQ(run.dram, want);
+        const ExecStats &stats = run.stats;
         EXPECT_GT(stats.sramParkedElems, 0u);
         EXPECT_GT(stats.sramParkedPeak, 0u);
         EXPECT_LE(stats.sramParkedPeak, stats.sramParkedElems);
