@@ -7,9 +7,10 @@
  *
  * One model: a ring per writer and a cursor per reader. Every channel
  * owns a token ring (a power-of-two buffer, its write position, the
- * value watch and the writer's lock) and reads through one cursor
- * (head, count, capacity and a size mirror). A new channel is a
- * point-to-point link: a one-reader ring whose only cursor is its own.
+ * token counts, the value watch and the writer's lock) and reads
+ * through one cursor (head, count, capacity and a size mirror). A new
+ * channel is a point-to-point link: a one-reader ring whose only
+ * cursor is its own.
  * A push writes and records the token once and advances every reader's
  * count; the ring doubles right after the write that fills it, i.e.
  * once the reader furthest behind holds a token in every slot.
@@ -60,10 +61,10 @@
  * head by value under the lock, because a concurrent push may regrow
  * the ring. Serial runs take the inline fast paths: no lock, and the
  * size mirror is a relaxed store.
- * Mutating configuration (setCapacity, bindEngine, setProducer/
- * setConsumer, multicast wiring) and the read-back accessors
- * (totalPushed, watch, drain) are setup/post-run-only: they must not
- * race with an active run.
+ * Mutating configuration (setCapacity, setValueWatch, bindEngine,
+ * setProducer/setConsumer, multicast wiring) and the read-back
+ * accessors (totalPushed, watch, drain) are setup/post-run-only: they
+ * must not race with an active run.
  *
  * A Bundle is a set of channels that move one thread's live values
  * together: primitives that reorder threads (merges, filters) operate on
@@ -217,11 +218,13 @@ class Channel
         return watch().dataPushed + watch().barriersPushed;
     }
 
-    /** Observed data-word summary over the channel's lifetime: the
-     * concrete-execution side of the abstract-interpretation soundness
-     * oracle (graph/absint.hh). Extremes are meaningless until the
-     * first data token (dataPushed() == 0). Read-back is
-     * post-run-only. */
+    /** The channel's lifetime token counts and observed data-word
+     * summary: the concrete-execution side of the
+     * abstract-interpretation soundness oracle (graph/absint.hh). The
+     * counts are always recorded. The summary (first, allEqual and the
+     * extremes) is recorded only while the ring's value watch is on
+     * (setValueWatch), and is meaningless until the first data token
+     * (dataPushed == 0). Read-back is post-run-only. */
     struct ValueWatch
     {
         uint64_t dataPushed = 0;
@@ -234,17 +237,23 @@ class Channel
         Word umax = 0;
     };
 
-    /** The value summary of this channel's ring, recorded once per
-     * token by its root. */
+    /** The counts and value summary of this channel's ring, recorded
+     * once per token by its root. */
     const ValueWatch &watch() const { return root()->watch_; }
+
+    /** Record the value summary of this channel's ring (off by
+     * default: a push then only counts). Switches the whole ring, so
+     * call it after multicast wiring. Setup-only. */
+    void setValueWatch(bool on) { root()->watchValues_ = on; }
 
     /** Drain the remaining contents into a TokenStream (post-run). */
     TokenStream drain();
 
     /** Return the channel to its just-constructed state — pending
-     * tokens, the lifetime token count, and the value watch all cleared
-     * — so an execution context can serve a fresh request over the same
-     * wiring (graph::ExecutionContext). On a multicast cursor it drops
+     * tokens, the lifetime token counts, and the value summary all
+     * cleared; the value watch switch is kept — so an execution
+     * context can serve a fresh request over the same wiring
+     * (graph::ExecutionContext). On a multicast cursor it drops
      * only that cursor's pending tokens; on any other channel it resets
      * its whole ring. Setup-only, like setCapacity: must not race with
      * an active run. */
@@ -376,6 +385,14 @@ class Channel
             ++watch_.barriersPushed;
             return;
         }
+        if (watchValues_)
+            summarize(tok);
+        ++watch_.dataPushed;
+    }
+
+    void
+    summarize(const Token &tok)
+    {
         const Word w = tok.word();
         const int32_t s = tok.asInt();
         if (watch_.dataPushed == 0)
@@ -386,7 +403,6 @@ class Channel
         watch_.smax = s > watch_.smax ? s : watch_.smax;
         watch_.umin = w < watch_.umin ? w : watch_.umin;
         watch_.umax = w > watch_.umax ? w : watch_.umax;
-        ++watch_.dataPushed;
     }
 
     std::string name_;
@@ -411,6 +427,7 @@ class Channel
     size_t mask_ = 15;
     size_t tail_ = 0;         ///< slot of the next write
     ValueWatch watch_;
+    bool watchValues_ = false; ///< see setValueWatch()
     Channel *readers_ = this; ///< intrusive list through next_
 
     // The cursor (used on a reader).

@@ -764,9 +764,17 @@ std::vector<Diagnostic>
 validateRewrite(const std::string &passName, const TokenAccount &before,
                 const Dfg &after)
 {
+    return validateRewrite(passName, before, after, accountTokens(after),
+                           analyzeValues(after));
+}
+
+std::vector<Diagnostic>
+validateRewrite(const std::string &passName, const TokenAccount &before,
+                const Dfg &after, const TokenAccount &now,
+                const AbsintReport &vals)
+{
     std::vector<Diagnostic> out;
     const PassPermissions perm = permissionsFor(passName);
-    const TokenAccount now = accountTokens(after);
 
     auto emit = [&](const std::string &code, const std::string &msg,
                     std::vector<int> nodes) {
@@ -878,7 +886,7 @@ validateRewrite(const std::string &passName, const TokenAccount &before,
     structuralChecks(after, out);
 
     // Token-rate balance must still hold.
-    RateReport rates = analyzeRates(after);
+    RateReport rates = analyzeRates(after, vals);
     for (auto &d : rates.diagnostics)
         out.push_back(std::move(d));
 

@@ -155,6 +155,20 @@ std::vector<Diagnostic> validateRewrite(const std::string &passName,
                                         const TokenAccount &before,
                                         const Dfg &after);
 
+struct AbsintReport; // graph/absint.hh
+
+/**
+ * As above, with the rewritten graph's facts supplied by the caller:
+ * @p now must be accountTokens(@p after) and @p vals
+ * analyzeValues(@p after). runPasses() passes the facts it keeps for
+ * the new graph revision, so the passes after this one reuse them.
+ */
+std::vector<Diagnostic> validateRewrite(const std::string &passName,
+                                        const TokenAccount &before,
+                                        const Dfg &after,
+                                        const TokenAccount &now,
+                                        const AbsintReport &vals);
+
 /** Thrown by runPasses() when a validated pass application fails. */
 class ValidationError : public std::logic_error
 {
@@ -195,7 +209,6 @@ RateReport analyzeRates(const Dfg &dfg);
 
 /** As above, reusing precomputed value-analysis facts (absint.hh) so
  * counter trip counts bind from the constancy lattice. */
-struct AbsintReport;
 RateReport analyzeRates(const Dfg &dfg, const AbsintReport &vals);
 
 // ---------------------------------------------------------------------

@@ -294,11 +294,12 @@ evalMemoryOp(const BlockOp &op, const std::vector<Word> &regs,
 /**
  * Post-run bookkeeping: copy the engine's scheduler counters into
  * @p stats, throw the stall report if the network failed to drain, and
- * harvest per-link traffic/value watches (the engine's first
- * @p num_links channels are the graph links, in link-id order).
+ * harvest per-link traffic counts, plus the value summaries when
+ * @p watched (the engine's first @p num_links channels are the graph
+ * links, in link-id order).
  */
 void
-collectRunStats(dataflow::Engine &engine, size_t num_links,
+collectRunStats(dataflow::Engine &engine, size_t num_links, bool watched,
                 ExecStats &stats)
 {
     const dataflow::SchedStats &sched = engine.schedStats();
@@ -317,12 +318,15 @@ collectRunStats(dataflow::Engine &engine, size_t num_links,
     }
     stats.linkTokens.resize(num_links, 0);
     stats.linkBarriers.resize(num_links, 0);
-    stats.linkValues.resize(num_links);
     const auto &channels = engine.channels();
     for (size_t i = 0; i < num_links; ++i) {
         stats.linkTokens[i] = channels[i]->totalPushed();
         stats.linkBarriers[i] = channels[i]->watch().barriersPushed;
-        stats.linkValues[i] = channels[i]->watch();
+    }
+    if (watched) {
+        stats.linkValues.resize(num_links);
+        for (size_t i = 0; i < num_links; ++i)
+            stats.linkValues[i] = channels[i]->watch();
     }
 }
 
@@ -621,6 +625,7 @@ struct ExecutionContext::Impl
     std::vector<std::pair<dataflow::Source *, int32_t>> sources;
     uint64_t runs = 0;
     bool poisoned = false;
+    bool watchValues = false;
 
     explicit Impl(const BytecodeProgram &p)
         : prog(p), engine(dataflow::Engine::Policy::worklist)
@@ -713,6 +718,14 @@ ExecutionContext::ExecutionContext(const BytecodeProgram &prog)
 
 ExecutionContext::~ExecutionContext() = default;
 
+void
+ExecutionContext::setValueWatch(bool on)
+{
+    impl_->watchValues = on;
+    for (Channel *ch : impl_->chans)
+        ch->setValueWatch(on);
+}
+
 const BytecodeProgram &
 ExecutionContext::program() const
 {
@@ -765,7 +778,7 @@ ExecutionContext::run(lang::DramImage &dram,
     // run safe regardless, but pools read this to retire the context.
     im.poisoned = true;
     stats.engineRounds = im.engine.run(max_rounds);
-    collectRunStats(im.engine, im.prog.numLinks, stats);
+    collectRunStats(im.engine, im.prog.numLinks, im.watchValues, stats);
     stats.sramParkedEnd = im.mem.parkedNow;
     im.poisoned = false;
     ++im.runs;

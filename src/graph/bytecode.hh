@@ -174,6 +174,13 @@ class ExecutionContext
                   uint64_t max_rounds =
                       dataflow::Engine::defaultMaxRounds);
 
+    /** Record every link's value summary (ExecStats::linkValues) on
+     * the runs that follow. Off by default: per-link token counts are
+     * always recorded, but only the abstract-interpretation soundness
+     * check reads the summary, and it costs every data push.
+     * Setup-only: must not be called during run(). */
+    void setValueWatch(bool on);
+
     const BytecodeProgram &program() const;
 
     /** Requests served to completion (successful run() calls). */

@@ -79,7 +79,10 @@ struct ExecStats
      * abstract interpreter's claims (see dataflow::Channel). A link
      * the analysis proves bottom must show dataPushed == 0; observed
      * extremes must lie within the inferred intervals; a proven
-     * constant must observe allEqual with the predicted word. */
+     * constant must observe allEqual with the predicted word. Empty
+     * unless the run's ExecutionContext had its value watch on
+     * (setValueWatch); linkTokens and linkBarriers are always
+     * filled. */
     std::vector<dataflow::Channel::ValueWatch> linkValues;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -30,6 +31,84 @@ GraphOptReport::summary() const
 
 namespace
 {
+
+/**
+ * The facts of the graph revision runPasses() is at: the graph's token
+ * account and its value analysis, each computed at most once. A
+ * revision ends only when a pass reports a rewrite (a pass that
+ * returns 0 leaves the graph untouched), so the facts translation
+ * validation takes of the graph it has just certified are the next
+ * passes' validation baseline and value analysis until one of them
+ * rewrites. runPasses() installs one for its graph on its thread for
+ * the length of the call; passes run anywhere else analyze afresh.
+ */
+class RevisionFacts
+{
+  public:
+    explicit RevisionFacts(const Dfg &g) : g_(g), outer_(active_)
+    {
+        active_ = this;
+    }
+    ~RevisionFacts() { active_ = outer_; }
+    RevisionFacts(const RevisionFacts &) = delete;
+    RevisionFacts &operator=(const RevisionFacts &) = delete;
+
+    /** The facts kept for @p g, or null when runPasses() is not
+     * running over it on this thread. */
+    static RevisionFacts *
+    of(const Dfg &g)
+    {
+        return active_ != nullptr && &active_->g_ == &g ? active_ : nullptr;
+    }
+
+    const TokenAccount &
+    account()
+    {
+        if (!account_)
+            account_ = accountTokens(g_);
+        return *account_;
+    }
+
+    const AbsintReport &
+    values()
+    {
+        if (!values_)
+            values_ = analyzeValues(g_);
+        return *values_;
+    }
+
+    /** A pass rewrote the graph: drop the facts and return the account
+     * of the graph before the rewrite, which account() must already
+     * hold. */
+    TokenAccount
+    endRevision()
+    {
+        TokenAccount before = std::move(*account_);
+        account_.reset();
+        values_.reset();
+        return before;
+    }
+
+  private:
+    const Dfg &g_;
+    RevisionFacts *outer_;
+    std::optional<TokenAccount> account_;
+    std::optional<AbsintReport> values_;
+    static thread_local RevisionFacts *active_;
+};
+
+thread_local RevisionFacts *RevisionFacts::active_ = nullptr;
+
+/** analyzeValues(@p g) as the calling pass begins: the current
+ * revision's facts inside runPasses(), otherwise computed into
+ * @p own. Call it before the pass changes the graph. */
+const AbsintReport &
+valuesAtPassStart(const Dfg &g, std::optional<AbsintReport> &own)
+{
+    if (RevisionFacts *facts = RevisionFacts::of(g))
+        return facts->values();
+    return own.emplace(analyzeValues(g));
+}
 
 bool
 isEffectOp(OpKind kind)
@@ -474,7 +553,8 @@ class CrossBlockConstProp : public GraphPass
     int
     run(Dfg &g, const GraphPassOptions &) override
     {
-        const AbsintReport vals = analyzeValues(g);
+        std::optional<AbsintReport> own;
+        const AbsintReport &vals = valuesAtPassStart(g, own);
         Surgeon s(g);
         const std::vector<char> taint = effectTaintedLinks(g, vals);
         std::vector<int> orphans;
@@ -1842,7 +1922,8 @@ class SubwordPack : public GraphPass
         // Value analysis widens type-based narrowness: an i32/u32 lane
         // whose interval provably fits a narrow canonical range packs
         // exactly like a type-narrow lane.
-        const AbsintReport vals = analyzeValues(g);
+        std::optional<AbsintReport> own;
+        const AbsintReport &vals = valuesAtPassStart(g, own);
         for (size_t i = 0; i < n_nodes; ++i) {
             if (g.nodes[i].kind != NodeKind::fwdMerge &&
                 g.nodes[i].kind != NodeKind::fbMerge) {
@@ -2193,17 +2274,30 @@ runPasses(Dfg &dfg, const std::vector<std::unique_ptr<GraphPass>> &passes,
     for (const auto &pass : passes)
         rep.rewrites.emplace_back(pass->name(), 0);
 
+    RevisionFacts facts(dfg);
+    int revision = 0;
+    // The revision at which each pass last found nothing: a pass is a
+    // deterministic function of the graph, so it would find nothing
+    // again until another pass rewrites.
+    std::vector<int> idleAt(passes.size(), -1);
     for (int iter = 0; iter < kMaxPassIterations; ++iter) {
         int any = 0;
         for (size_t pi = 0; pi < passes.size(); ++pi) {
-            const TokenAccount before = accountTokens(dfg);
+            if (idleAt[pi] == revision)
+                continue;
+            facts.account(); // the baseline, taken before the pass runs
             int applied = passes[pi]->run(dfg, opts);
             rep.rewrites[pi].second += applied;
             any += applied;
-            if (!applied)
+            if (!applied) {
+                idleAt[pi] = revision;
                 continue;
+            }
+            ++revision;
+            const TokenAccount before = facts.endRevision();
             dfg.verify();
-            auto diags = validateRewrite(passes[pi]->name(), before, dfg);
+            auto diags = validateRewrite(passes[pi]->name(), before, dfg,
+                                         facts.account(), facts.values());
             if (hasErrors(diags))
                 throw ValidationError(passes[pi]->name(), std::move(diags));
             ++rep.validatedPasses;

@@ -101,7 +101,11 @@ class GraphPass
     virtual std::string name() const = 0;
 
     /**
-     * Rewrite @p dfg in place.
+     * Rewrite @p dfg in place. The result must be a deterministic
+     * function of the graph and @p opts, and a run that returns 0 must
+     * leave the graph untouched: runPasses() relies on both to reuse
+     * one revision's facts across passes and to skip a pass that
+     * already found nothing in the current graph.
      * @return the number of rewrites applied (0 = already at fixpoint).
      */
     virtual int run(Dfg &dfg, const GraphPassOptions &opts) = 0;
@@ -138,11 +142,19 @@ std::vector<std::unique_ptr<GraphPass>>
 makeDefaultPasses(const GraphPassOptions &opts);
 
 /**
- * Run @p passes over @p dfg to fixpoint (at most 8 sweeps). After every applied pass the graph is Dfg::verify()-checked
- * and WaveCert-style translation-validated (graph/analyze.hh): token
+ * Run @p passes over @p dfg to fixpoint (at most 8 sweeps). After
+ * every applied pass the graph is Dfg::verify()-checked and
+ * WaveCert-style translation-validated (graph/analyze.hh): token
  * production/consumption is accounted against the pre-pass snapshot,
  * and a rewrite that broke conservation, park pairing, bundle widths,
  * or rate balance is rejected with a ValidationError.
+ *
+ * Each graph revision (the graph between two applied passes) is
+ * accounted and value-analyzed once: the facts validation takes of
+ * the graph it has just certified are the next pass's baseline and
+ * the value facts of the passes that consume them, and a pass that
+ * found nothing is not run again until the graph changes. The facts
+ * live only for the call.
  */
 GraphOptReport
 runPasses(Dfg &dfg,

@@ -201,6 +201,7 @@ TEST(Multicast, CursorStatsEqualTheGroups)
     // pushed onto it: the producer's lifetime count and value watch.
     const TokenStream stream = longStream(40);
     Channel reference("reference");
+    reference.setValueWatch(true);
     reference.pushAll(stream);
     for (Engine::Policy policy : kAllPolicies) {
         Engine e(policy);
@@ -210,6 +211,7 @@ TEST(Multicast, CursorStatsEqualTheGroups)
         Channel *y = e.channel("y");
         e.make<Source>("src", root, stream);
         e.multicast(root, {x, y});
+        root->setValueWatch(true);
         e.make<Sink>("sinkX", x);
         e.make<Sink>("sinkY", slowChain(e, y, "y", 3));
         e.run();
@@ -381,6 +383,8 @@ TEST(Multicast, CompiledFanoutChainRunsAsOneGroup)
     graph::ExecutionContext ctx(prog);
     for (Engine::Policy policy : kAllPolicies) {
         for (int rep = 0; rep < 2; ++rep) { // fresh, then reused
+            const bool watched = rep == 1;
+            ctx.setValueWatch(watched);
             lang::DramImage dram(hir);
             dram.resize("out", 3 * n * 4);
             auto stats = ctx.run(dram, {}, policy, kTestWorkers);
@@ -394,14 +398,19 @@ TEST(Multicast, CompiledFanoutChainRunsAsOneGroup)
                         << label << " leaf " << k << " thread " << i;
             }
             // n threads plus the counter's two closing barriers on
-            // every link of the group, as a copying fanout pushed.
+            // every link of the group, as a copying fanout pushed; the
+            // value summary only when the watch is on.
+            EXPECT_EQ(stats.linkValues.size(), watched ? g.links.size() : 0)
+                << label;
             for (int l : chain) {
                 EXPECT_EQ(stats.linkTokens[l], static_cast<uint64_t>(n + 2))
                     << label << " link " << g.links[l].name;
                 EXPECT_EQ(stats.linkBarriers[l], 2u) << label;
-                EXPECT_EQ(stats.linkValues[l].umax,
-                          static_cast<Word>(n - 1))
-                    << label;
+                if (watched) {
+                    EXPECT_EQ(stats.linkValues[l].umax,
+                              static_cast<Word>(n - 1))
+                        << label;
+                }
             }
         }
     }
@@ -527,6 +536,7 @@ TEST(Multicast, OverflowOnTheSecondBoundedCursorChangesNothing)
         Channel *roomy = e.channel("roomy", 3);
         Channel *tight = e.channel("tight", 2);
         e.multicast(root, {roomy, tight});
+        root->setValueWatch(true);
         setConcurrent(e, locked);
         const std::string label = locked ? "locked" : "serial";
         root->push(Token::data(7));

@@ -57,9 +57,10 @@ struct CompiledRun
     DramBytes dram;
 };
 
-/** Run @p bc once on a fresh ExecutionContext against an image of
- * @p prog that @p generate fills; @p workers is the parallel policy's
- * thread count (0 defers to Engine::defaultNumThreads()). */
+/** Run @p bc once on a fresh ExecutionContext, with its value watch
+ * on, against an image of @p prog that @p generate fills; @p workers
+ * is the parallel policy's thread count (0 defers to
+ * Engine::defaultNumThreads()). */
 inline CompiledRun
 runCompiled(const graph::BytecodeProgram &bc, const lang::Program &prog,
             const Generate &generate, dataflow::Engine::Policy policy,
@@ -68,6 +69,7 @@ runCompiled(const graph::BytecodeProgram &bc, const lang::Program &prog,
     lang::DramImage dram(prog);
     const auto args = generate(dram);
     graph::ExecutionContext ctx(bc);
+    ctx.setValueWatch(true);
     CompiledRun out;
     out.stats = ctx.run(dram, args, policy, workers);
     out.dram = dramBytes(dram);
@@ -78,21 +80,36 @@ runCompiled(const graph::BytecodeProgram &bc, const lang::Program &prog,
  * Abstract-interpretation soundness: every observed link value must be
  * admitted by what analyzeValues(@p g) infers for the link, which
  * catches unsound transfer functions even where nothing miscompiles.
+ * A run without the value watch observed no values, so it fails at
+ * the first link that carried data rather than passing vacuously.
  * Returns "" or the first offending link (id and name) after @p which.
  */
 inline std::string
 checkValueSoundness(const graph::Dfg &g, const graph::ExecStats &stats,
                     const std::string &which)
 {
+    auto linkAt = [&](size_t l) {
+        return which + " graph link " + std::to_string(l) + " (" +
+            g.links[l].name + "): ";
+    };
+    if (stats.linkValues.size() != g.links.size()) {
+        for (size_t l = 0; l < stats.linkTokens.size(); ++l) {
+            const uint64_t data = stats.linkTokens[l] - stats.linkBarriers[l];
+            if (data > 0) {
+                return linkAt(l) + "carried " + std::to_string(data) +
+                    " data tokens but the run recorded no value summary "
+                    "(value watch off)";
+            }
+        }
+        return "";
+    }
     const graph::AbsintReport rep = graph::analyzeValues(g);
     for (size_t l = 0; l < g.links.size(); ++l) {
         const auto &w = stats.linkValues[l];
         if (w.dataPushed == 0)
             continue; // nothing observed: any claim is vacuous
         const graph::AbsVal &v = rep.links[l];
-        const std::string at =
-            which + " graph link " + std::to_string(l) + " (" +
-            g.links[l].name + "): ";
+        const std::string at = linkAt(l);
         if (v.bottom) {
             return at + "proven bottom but carried " +
                 std::to_string(w.dataPushed) + " data tokens";

@@ -376,7 +376,8 @@ TEST(Absint, StrlenHandleParallelStress)
 TEST(Absint, SoundnessCheckReportsCorruptedObservation)
 {
     // A real run passes the check; one observation pushed outside the
-    // inferred value must be reported by link id and name.
+    // inferred value, or a run that observed no values at all, must be
+    // reported by link id and name.
     const auto &fixture = fixtures::languageFixtures().front();
     const auto run = fixtures::expectMatchesInterpreter(
         fixture.source, fixture.generate, "none", fixture.label);
@@ -394,23 +395,43 @@ TEST(Absint, SoundnessCheckReportsCorruptedObservation)
     ASSERT_GE(bounded, 0) << "no observed link with a signed upper bound";
     ASSERT_GE(constant, 0) << "no observed link proven constant";
 
-    auto expectReported = [&](int l, const auto &corrupt) {
-        ExecStats stats = run.stats;
-        corrupt(stats.linkValues[static_cast<size_t>(l)]);
+    auto expectReported = [&](const ExecStats &stats, size_t l) {
         const std::string msg =
-            fixtures::checkValueSoundness(run.graph, stats, "corrupted");
+            fixtures::checkValueSoundness(run.graph, stats, "checked");
         EXPECT_NE(msg.find("link " + std::to_string(l) + " (" +
-                           run.graph.links[static_cast<size_t>(l)].name +
-                           ")"),
+                           run.graph.links[l].name + ")"),
                   std::string::npos)
             << msg;
     };
-    expectReported(bounded, [&](dataflow::Channel::ValueWatch &w) {
+    auto expectCorruptionReported = [&](int l, const auto &corrupt) {
+        ExecStats stats = run.stats;
+        corrupt(stats.linkValues[static_cast<size_t>(l)]);
+        expectReported(stats, static_cast<size_t>(l));
+    };
+    expectCorruptionReported(bounded, [&](dataflow::Channel::ValueWatch &w) {
         w.smax = rep.links[static_cast<size_t>(bounded)].smax + 1;
     });
-    expectReported(constant, [](dataflow::Channel::ValueWatch &w) {
+    expectCorruptionReported(constant, [](dataflow::Channel::ValueWatch &w) {
         w.allEqual = false;
     });
+
+    // The same graph run without the value watch records the same
+    // counts but no summary (and allocates none): the check must name
+    // the first link that carried data instead of passing vacuously.
+    CompileOptions raw;
+    raw.graphOpt.enable = false;
+    const auto prog = CompiledArtifact::build(fixture.source, raw);
+    lang::DramImage dram(prog->hir());
+    const auto args = fixture.generate(dram);
+    const ExecStats unwatched =
+        ExecutionContext(BytecodeProgram::compile(run.graph)).run(dram, args);
+    EXPECT_EQ(unwatched.linkTokens, run.stats.linkTokens);
+    EXPECT_EQ(unwatched.linkBarriers, run.stats.linkBarriers);
+    EXPECT_TRUE(unwatched.linkValues.empty());
+    size_t first_data = 0;
+    while (run.stats.linkValues[first_data].dataPushed == 0)
+        ++first_data;
+    expectReported(unwatched, first_data);
 }
 
 // ---------------------------------------------------------------------

@@ -20,9 +20,11 @@
  * pipeline) runs on >= 200 generated graphs; the optimized graph must
  * stay verify()-clean and produce bit-identical DRAM output to the
  * unoptimized graph under every engine scheduling policy, and leave
- * no park slot occupied. Failures shrink by regenerating the same seed
- * with fewer stages and print the seed, configuration, and offending
- * graph's toDot() so the case can be replayed:
+ * no park slot occupied. runPasses must also give the same graph and
+ * report as the reference fixpoint (reference_fixpoint.hh), which
+ * reuses no analysis between passes. Failures shrink by regenerating
+ * the same seed with fewer stages and print the seed, configuration,
+ * and offending graph's toDot() so the case can be replayed:
  *
  *   REVET_FUZZ_SEED=<seed> REVET_FUZZ_ITERS=1 \
  *     ./tests/revet_test_fuzz --gtest_filter='...<config>...'
@@ -56,6 +58,7 @@
 #include "lang/type.hh"
 
 #include "oracle.hh"
+#include "reference_fixpoint.hh"
 #include "single_pass.hh"
 
 using namespace revet;
@@ -873,9 +876,26 @@ diffOnce(uint32_t seed, int stages, const std::string &config)
     RandomDfg gen(seed, stages);
     Dfg optimized = gen.graph; // copy
     try {
-        runPasses(optimized, fixtures::singlePassPipeline(config),
-                  GraphPassOptions{});
+        const GraphOptReport got = runPasses(
+            optimized, fixtures::singlePassPipeline(config),
+            GraphPassOptions{});
         optimized.verify();
+        // The revision reuse inside runPasses must be exact: the same
+        // graph and report as the fixpoint that recomputes everything,
+        // and no pass that returned 0 may have touched its graph.
+        Dfg reference = gen.graph;
+        std::vector<std::string> broken;
+        const GraphOptReport want = fixtures::referenceFixpoint(
+            reference, fixtures::singlePassPipeline(config),
+            GraphPassOptions{}, &broken);
+        if (!broken.empty())
+            return "pass contract: " + broken.front();
+        if (got.summary() != want.summary() ||
+            fixtures::fingerprint(optimized) !=
+                fixtures::fingerprint(reference)) {
+            return "runPasses diverged from the reference fixpoint: " +
+                got.summary() + " vs " + want.summary();
+        }
     } catch (const std::exception &err) {
         return std::string("optimizer/verify threw: ") + err.what();
     }

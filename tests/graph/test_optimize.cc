@@ -31,6 +31,7 @@
 #include "passes/passes.hh"
 
 #include "oracle.hh"
+#include "reference_fixpoint.hh"
 #include "single_pass.hh"
 
 using namespace revet;
@@ -133,6 +134,45 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(fixtureLabels()),
                        ::testing::ValuesIn(kConfigs)),
     caseName);
+
+// ---------------------------------------------------------------------
+// Revision reuse. runPasses() accounts and value-analyzes each graph
+// revision once, and skips a pass that already found nothing at the
+// current revision. Both rest on GraphPass::run's contract (a run that
+// returns 0 leaves the graph untouched), checked here for every pass at
+// every revision the default pipeline visits; and the result must be
+// the reference fixpoint's, which reuses nothing.
+
+TEST(GraphOptPipeline, RevisionReuseMatchesReferenceFixpoint)
+{
+    std::vector<std::pair<std::string, std::string>> programs;
+    for (const auto &app : apps::allApps())
+        programs.emplace_back(app.name, app.source);
+    for (const auto &f : fixtures::languageFixtures())
+        programs.emplace_back(f.label, f.source);
+    ASSERT_EQ(programs.size(), 22u);
+    CompileOptions raw;
+    raw.graphOpt.enable = false;
+    const GraphPassOptions opts;
+    for (const auto &[label, source] : programs) {
+        const auto prog = CompiledArtifact::build(source, raw);
+        Dfg reused = prog->dfg();
+        Dfg reference = prog->dfg();
+        const GraphOptReport got =
+            runPasses(reused, makeDefaultPasses(opts), opts);
+        std::vector<std::string> broken;
+        const GraphOptReport want = fixtures::referenceFixpoint(
+            reference, makeDefaultPasses(opts), opts, &broken);
+        for (const std::string &b : broken)
+            ADD_FAILURE() << label << ": " << b;
+        EXPECT_GT(got.validatedPasses, 0) << label;
+        EXPECT_EQ(got.summary(), want.summary()) << label;
+        EXPECT_TRUE(fixtures::fingerprint(reused) ==
+                    fixtures::fingerprint(reference))
+            << label << ": runPasses and the reference fixpoint "
+            << "optimized to different graphs";
+    }
+}
 
 // ---------------------------------------------------------------------
 // Structural: fanout coalescing.
