@@ -72,16 +72,16 @@ runOnce(const std::string &source, const Generate &generate,
     out.nodes = stats.graphNodes;
     out.links = stats.graphLinks;
     out.schedSteps = stats.schedSteps;
-    graph::Dfg dfg = prog->dfg(); // copy: link analysis annotates widths
-    sim::MachineConfig machine;
-    auto res = graph::analyzeResources(dfg, machine, {});
+    // build() stored the resource and analysis reports of this graph
+    // under the same (default) machine and toggles.
+    const graph::ResourceReport &res = prog->resources();
     out.replMU = res.replMU;
     out.bufferMU = res.bufferMU;
     out.validatedPasses = prog->optReport().validatedPasses;
     for (const auto &node : prog->dfg().nodes)
         out.dpackBlocks +=
             node.name.find("dpack") != std::string::npos;
-    auto analysis = graph::analyzeGraph(prog->dfg(), machine);
+    const graph::AnalyzeReport &analysis = prog->analysis();
     out.rateConsistent = analysis.rates.consistent;
     out.deadlockCycles = static_cast<int>(analysis.deadlock.cycles.size());
     out.riskyCycles = analysis.deadlock.riskyCycles;

@@ -16,9 +16,11 @@
  *                            [policy=worklist|parallel]
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "apps/apps.hh"
@@ -26,25 +28,55 @@
 
 using namespace revet;
 
+namespace
+{
+
+int
+usage()
+{
+    std::fprintf(stderr, "usage: example_revet_serve [app=murmur3] "
+                         "[requests=64] [workers=4] "
+                         "[policy=worklist|parallel]\n");
+    return 2;
+}
+
+/** @p arg as a non-negative int, or -1 when it is not one. */
+int
+count(const char *arg)
+{
+    char *end = nullptr;
+    const long v = std::strtol(arg, &end, 10);
+    return *arg != '\0' && *end == '\0' && v >= 0 && v <= INT_MAX
+        ? static_cast<int>(v)
+        : -1;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     const std::string app_name = argc > 1 ? argv[1] : "murmur3";
-    const int num_requests = argc > 2 ? std::atoi(argv[2]) : 64;
-    const int workers = argc > 3 ? std::atoi(argv[3]) : 4;
+    const int num_requests = argc > 2 ? count(argv[2]) : 64;
+    const int workers = argc > 3 ? count(argv[3]) : 4;
     const std::string policy_name = argc > 4 ? argv[4] : "worklist";
 
     serve::ServeOptions opts;
     opts.workers = workers;
     if (policy_name == "parallel")
         opts.policy = dataflow::Engine::Policy::parallel;
-    else if (policy_name != "worklist") {
-        std::fprintf(stderr, "unknown policy '%s'\n",
-                     policy_name.c_str());
-        return 2;
-    }
+    else if (policy_name != "worklist")
+        return usage();
+    if (num_requests < 0 || workers < 0)
+        return usage();
 
-    const apps::App &app = apps::findApp(app_name);
+    const apps::App *found = nullptr;
+    try {
+        found = &apps::findApp(app_name);
+    } catch (const std::out_of_range &) {
+        return usage();
+    }
+    const apps::App &app = *found;
 
     // Compile once, share everywhere. A second get() with the same
     // (source, options) below would be a cache hit.

@@ -128,9 +128,6 @@ class CompiledArtifact
     /** The post-pipeline HIR (for DramImage construction and debug). */
     const lang::Program &hir() const { return hir_; }
 
-    /** The pre-pipeline HIR (reference-interpreter semantics). */
-    const lang::Program &referenceHir() const { return ref_; }
-
     /** The lowered (and, unless disabled, optimized) dataflow graph,
      * with link widths annotated by the resource analysis. */
     const graph::Dfg &dfg() const { return dfg_; }

@@ -113,13 +113,6 @@ Channel::grow()
 }
 
 void
-Channel::setCapacity(size_t capacity)
-{
-    capacity_ = capacity;
-    root()->refreshGate();
-}
-
-void
 Channel::refreshGate()
 {
     gated_ = false;

@@ -61,7 +61,7 @@
  * head by value under the lock, because a concurrent push may regrow
  * the ring. Serial runs take the inline fast paths: no lock, and the
  * size mirror is a relaxed store.
- * Mutating configuration (setCapacity, setValueWatch, bindEngine,
+ * Mutating configuration (setValueWatch, bindEngine,
  * setProducer/setConsumer, multicast wiring) and the read-back
  * accessors (totalPushed, watch, drain) are setup/post-run-only: they
  * must not race with an active run.
@@ -150,8 +150,6 @@ class Channel
     bool empty() const { return size_.load(std::memory_order_seq_cst) == 0; }
     size_t size() const { return size_.load(std::memory_order_seq_cst); }
     size_t capacity() const { return capacity_; }
-    /** Setup-only: must not race with an active run. */
-    void setCapacity(size_t capacity);
 
     /** True when a push would be accepted: every bounded reader of
      * this channel's ring has room. */
@@ -255,8 +253,7 @@ class Channel
      * context can serve a fresh request over the same wiring
      * (graph::ExecutionContext). On a multicast cursor it drops
      * only that cursor's pending tokens; on any other channel it resets
-     * its whole ring. Setup-only, like setCapacity: must not race with
-     * an active run. */
+     * its whole ring. Setup-only: must not race with an active run. */
     void resetForReuse();
 
     /** The process that pushes into this channel's ring (may be

@@ -762,14 +762,6 @@ permissionsFor(const std::string &passName)
 
 std::vector<Diagnostic>
 validateRewrite(const std::string &passName, const TokenAccount &before,
-                const Dfg &after)
-{
-    return validateRewrite(passName, before, after, accountTokens(after),
-                           analyzeValues(after));
-}
-
-std::vector<Diagnostic>
-validateRewrite(const std::string &passName, const TokenAccount &before,
                 const Dfg &after, const TokenAccount &now,
                 const AbsintReport &vals)
 {
@@ -922,12 +914,6 @@ RateReport::rate(int id) const
 }
 
 RateReport
-analyzeRates(const Dfg &dfg)
-{
-    return analyzeRates(dfg, analyzeValues(dfg));
-}
-
-RateReport
 analyzeRates(const Dfg &dfg, const AbsintReport &vals)
 {
     RateSolver solver(dfg, vals);
@@ -947,12 +933,6 @@ BufferCaps::fromMachine(const sim::MachineConfig &machine)
     caps.scalarWords = machine.scalBufferWords;
     caps.parkSlots = machine.parkBankWords();
     return caps;
-}
-
-DeadlockReport
-lintDeadlock(const Dfg &dfg, const BufferCaps &caps)
-{
-    return lintDeadlock(dfg, caps, analyzeValues(dfg));
 }
 
 namespace

@@ -141,6 +141,8 @@ struct PassPermissions
 
 PassPermissions permissionsFor(const std::string &passName);
 
+struct AbsintReport; // graph/absint.hh
+
 /**
  * Validate one pass application: compare the pre-pass @p before
  * account against the rewritten @p after graph under @p passName's
@@ -148,20 +150,11 @@ PassPermissions permissionsFor(const std::string &passName);
  * bundle element widths, region boundaries and membership), and
  * re-run the rate balance analysis. @p after must already pass
  * Dfg::verify(), which owns arity, link wiring and park/restore
- * pairing. Returns every finding; the caller decides whether errors
- * reject the rewrite (runPasses throws).
- */
-std::vector<Diagnostic> validateRewrite(const std::string &passName,
-                                        const TokenAccount &before,
-                                        const Dfg &after);
-
-struct AbsintReport; // graph/absint.hh
-
-/**
- * As above, with the rewritten graph's facts supplied by the caller:
- * @p now must be accountTokens(@p after) and @p vals
+ * pairing; @p now must be accountTokens(@p after) and @p vals
  * analyzeValues(@p after). runPasses() passes the facts it keeps for
  * the new graph revision, so the passes after this one reuse them.
+ * Returns every finding; the caller decides whether errors reject the
+ * rewrite (runPasses throws).
  */
 std::vector<Diagnostic> validateRewrite(const std::string &passName,
                                         const TokenAccount &before,
@@ -205,10 +198,9 @@ struct RateReport
     std::string rate(int id) const;
 };
 
-RateReport analyzeRates(const Dfg &dfg);
-
-/** As above, reusing precomputed value-analysis facts (absint.hh) so
- * counter trip counts bind from the constancy lattice. */
+/** Solve the balance equations over @p dfg, given its value-analysis
+ * facts @p vals (analyzeValues(), absint.hh) so counter trip counts
+ * bind from the constancy lattice. */
 RateReport analyzeRates(const Dfg &dfg, const AbsintReport &vals);
 
 // ---------------------------------------------------------------------
@@ -259,7 +251,8 @@ struct DeadlockReport
     int riskyCycles = 0;
 };
 
-DeadlockReport lintDeadlock(const Dfg &dfg, const BufferCaps &caps = {});
+/** Lint @p dfg's channel cycles and parks against @p caps, given its
+ * value-analysis facts @p vals (analyzeValues(), absint.hh). */
 DeadlockReport lintDeadlock(const Dfg &dfg, const BufferCaps &caps,
                             const AbsintReport &vals);
 

@@ -726,12 +726,6 @@ ExecutionContext::setValueWatch(bool on)
         ch->setValueWatch(on);
 }
 
-const BytecodeProgram &
-ExecutionContext::program() const
-{
-    return impl_->prog;
-}
-
 uint64_t
 ExecutionContext::runsServed() const
 {
@@ -747,8 +741,7 @@ ExecutionContext::poisoned() const
 ExecStats
 ExecutionContext::run(lang::DramImage &dram,
                       const std::vector<int32_t> &args,
-                      dataflow::Engine::Policy policy, int num_threads,
-                      uint64_t max_rounds)
+                      dataflow::Engine::Policy policy, int num_threads)
 {
     Impl &im = *impl_;
     if (args.size() < im.prog.numArgs)
@@ -777,7 +770,7 @@ ExecutionContext::run(lang::DramImage &dram,
     // and memory state mid-request; the reset above makes the *next*
     // run safe regardless, but pools read this to retire the context.
     im.poisoned = true;
-    stats.engineRounds = im.engine.run(max_rounds);
+    stats.engineRounds = im.engine.run();
     collectRunStats(im.engine, im.prog.numLinks, im.watchValues, stats);
     stats.sramParkedEnd = im.mem.parkedNow;
     im.poisoned = false;

@@ -160,7 +160,8 @@ class ExecutionContext
      * count, and whether the context is fresh or reused are observable
      * only through stats (Kahn-network determinism). @p num_threads
      * is the worker count for Policy::parallel (0 defers to
-     * Engine::defaultNumThreads(); ignored by the worklist).
+     * Engine::defaultNumThreads(); ignored by the worklist). The run
+     * is capped at Engine::defaultMaxRounds working rounds.
      * @throws std::runtime_error on machine-model violations,
      * livelock, or missing arguments (the context remains reusable:
      * the next run() starts from a full reset, but poisoned() reports
@@ -170,9 +171,7 @@ class ExecutionContext
                   const std::vector<int32_t> &args,
                   dataflow::Engine::Policy policy =
                       dataflow::Engine::Policy::worklist,
-                  int num_threads = 0,
-                  uint64_t max_rounds =
-                      dataflow::Engine::defaultMaxRounds);
+                  int num_threads = 0);
 
     /** Record every link's value summary (ExecStats::linkValues) on
      * the runs that follow. Off by default: per-link token counts are
@@ -180,8 +179,6 @@ class ExecutionContext
      * check reads the summary, and it costs every data push.
      * Setup-only: must not be called during run(). */
     void setValueWatch(bool on);
-
-    const BytecodeProgram &program() const;
 
     /** Requests served to completion (successful run() calls). */
     uint64_t runsServed() const;

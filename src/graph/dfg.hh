@@ -219,10 +219,6 @@ struct ReplicateInfo
     int id = -1;
     int replicas = 1;
     int liveValuesIn = 0;  ///< live values entering the region
-    /** Pass-over values parked in SRAM around the region. Zero out of
-     * lowering; the replicate-bufferize GraphPass re-derives it from
-     * the rewritten graph (count of park/restore pairs). */
-    int bufferized = 0;
     std::vector<int> nodeIds; ///< nodes inside the region
 };
 
@@ -302,8 +298,8 @@ struct Dfg
      */
     std::vector<int> replicatePassOverLinks(int region) const;
 
-    /** Park/restore pairs serving region @p region (graph-derived
-     * counterpart of ReplicateInfo::bufferized). */
+    /** Park/restore pairs serving region @p region: the pass-over
+     * values parked in SRAM around it. */
     int replicateParkedValues(int region) const;
 
     /** Pure ride lanes over region @p region: see ReplicateRide. These

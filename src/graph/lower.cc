@@ -1055,8 +1055,7 @@ class Lowering
             }
         }
         // Pass-over values are found structurally by the replicate-
-        // bufferize graph pass, which parks them in SRAM and records
-        // the count in `bufferized`.
+        // bufferize graph pass, which parks them in SRAM.
         dfg_.replicates.push_back(info);
         int saved = curReplicate_;
         curReplicate_ = info.id;

@@ -1419,7 +1419,6 @@ class ReplicateBufferize : public GraphPass
             } else if (!multiplies) {
                 rewrites += keyRides(g, s, r, opts);
             }
-            g.replicates[r].bufferized = g.replicateParkedValues(r);
         }
         s.grow();
         bool surgery =

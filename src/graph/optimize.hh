@@ -47,8 +47,8 @@
  *    pass refuses values entangled with another region (nesting),
  *    thread-multiplying regions (a fork's counter/broadcast
  *    machinery), and bails on regions whose park count exceeds the
- *    Table II MU bank budget, then re-derives
- *    ReplicateInfo::bufferized from the rewritten graph;
+ *    Table II MU bank budget (Dfg::replicateParkedValues counts the
+ *    pairs a region ends up with);
  *  - subwordPack (Section V-B(d)): share 32-bit lanes between narrow
  *    (i8/i16/bool) streams entering the same fwdMerge/fbMerge, with
  *    mask/shift pack blocks on both input bundles and an unpack block

@@ -2,24 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace revet
 {
 namespace graph
 {
-
-std::string
-ResourceReport::summary() const
-{
-    std::ostringstream os;
-    os << "outer=" << outerParallel << " lanes=" << lanesTotal
-       << " CU=" << totalCU << " MU=" << totalMU << " AG=" << totalAG
-       << " (inner " << innerCU << "/" << innerMU << "/" << innerAG
-       << ", repl " << replCU << "/" << replMU << ", dead " << deadlockMU
-       << ", retime " << retimeMU << ")";
-    return os.str();
-}
 
 namespace
 {

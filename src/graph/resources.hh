@@ -16,8 +16,6 @@
 #ifndef REVET_GRAPH_RESOURCES_HH
 #define REVET_GRAPH_RESOURCES_HH
 
-#include <string>
-
 #include "graph/dfg.hh"
 #include "graph/options.hh"
 #include "sim/machine.hh"
@@ -61,8 +59,6 @@ struct ResourceReport
 
     /** Scalar-vs-vector link tally (Section V-D link analysis). */
     int vectorLinks = 0, scalarLinks = 0;
-
-    std::string summary() const;
 };
 
 /** Analyze @p dfg against @p machine. Marks link widths in place. */

@@ -3,7 +3,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 
 namespace revet
@@ -12,18 +11,6 @@ namespace interp
 {
 
 using namespace lang;
-
-std::string
-RunStats::summary() const
-{
-    std::ostringstream os;
-    os << "threads=" << foreachThreads << "+" << forkThreads
-       << " whileIters=" << whileIterations << " dramRd=" << dramReads
-       << " (" << dramReadBytes << "B) dramWr=" << dramWrites << " ("
-       << dramWriteBytes << "B) sram=" << sramReads << "/" << sramWrites
-       << " refills=" << iteratorRefills << " alu=" << aluOps;
-    return os.str();
-}
 
 namespace
 {

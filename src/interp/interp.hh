@@ -41,8 +41,6 @@ struct RunStats
     uint64_t iteratorRefills = 0; ///< tile-boundary fetches/flushes
     uint64_t aluOps = 0;          ///< evaluated arithmetic nodes
     uint64_t peakLiveThreads = 0;
-
-    std::string summary() const;
 };
 
 /**

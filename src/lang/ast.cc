@@ -368,16 +368,5 @@ dump(const Function &fn)
     return os.str();
 }
 
-std::string
-dump(const Program &program)
-{
-    std::ostringstream os;
-    for (const auto &d : program.drams)
-        os << "DRAM<" << toString(d.elem) << "> " << d.name << ";\n";
-    for (const auto &fn : program.functions)
-        os << dump(*fn);
-    return os.str();
-}
-
 } // namespace lang
 } // namespace revet

@@ -200,8 +200,7 @@ ExprPtr makeCast(ExprPtr a, Scalar type);
 StmtPtr makeBlock(std::vector<StmtPtr> stmts);
 StmtPtr makeAssign(int slot, ExprPtr value);
 
-/** Render the program/function/stmt as pseudo-source for tests/debug. */
-std::string dump(const Program &program);
+/** Render the function/stmt/expr as pseudo-source for tests/debug. */
 std::string dump(const Function &fn);
 std::string dump(const Stmt &stmt, const Function &fn, int indent = 0);
 std::string dump(const Expr &expr, const Function &fn);

@@ -51,12 +51,6 @@ DramImage::bytes(int dram) const
     return regions_.at(dram);
 }
 
-size_t
-DramImage::elemCount(int dram) const
-{
-    return regions_.at(dram).size() / dramElemBytes(elems_.at(dram));
-}
-
 uint32_t
 DramImage::load(int dram, uint64_t idx) const
 {
@@ -81,15 +75,6 @@ DramImage::store(int dram, uint64_t idx, uint32_t value)
     if (off + width > region.size())
         return;
     std::memcpy(region.data() + off, &value, width);
-}
-
-size_t
-DramImage::totalBytes() const
-{
-    size_t n = 0;
-    for (const auto &r : regions_)
-        n += r.size();
-    return n;
 }
 
 } // namespace lang

@@ -39,11 +39,7 @@ class DramImage
     const std::vector<uint8_t> &bytes(int dram) const;
 
     int dramCount() const { return static_cast<int>(regions_.size()); }
-    Scalar elemType(int dram) const { return elems_[dram]; }
     const std::string &name(int dram) const { return names_[dram]; }
-
-    /** Element count of region @p dram given its element type. */
-    size_t elemCount(int dram) const;
 
     /**
      * Read element @p idx (sign-/zero-extended to a 32-bit lane).
@@ -75,9 +71,6 @@ class DramImage
         std::memcpy(out.data(), b.data(), out.size() * sizeof(T));
         return out;
     }
-
-    /** Total bytes across all regions. */
-    size_t totalBytes() const;
 
   private:
     int indexOf(const std::string &name) const;

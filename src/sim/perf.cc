@@ -2,23 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace revet
 {
 namespace sim
 {
-
-std::string
-PerfResult::summary() const
-{
-    std::ostringstream os;
-    os.precision(4);
-    os << gbPerSec << " GB/s (" << bottleneck << "-bound; dram="
-       << dramCycles << " link=" << linkCycles << " cu=" << computeCycles
-       << " mu=" << muCycles << " cycles)";
-    return os.str();
-}
 
 PerfResult
 modelPerformance(const graph::Dfg &dfg, const graph::ExecStats &stats,

@@ -57,8 +57,6 @@ struct PerfResult
     double hbmReadPct = 0;  ///< of peak HBM bandwidth (Table IV)
     double hbmWritePct = 0;
     std::string bottleneck;
-
-    std::string summary() const;
 };
 
 /**

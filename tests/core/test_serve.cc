@@ -444,9 +444,20 @@ TEST(ServeCache, HarnessCompilesOncePerSourceAndOptions)
 
 TEST(ServePool, RecyclesDiscardsAndSelfHeals)
 {
-    const apps::App &app = apps::findApp("murmur3");
-    auto artifact = CompiledArtifact::build(app.source);
+    // A request with n = 0 faults mid-run (division by zero in a
+    // block); any other n runs to completion.
+    auto artifact = CompiledArtifact::build(R"(
+        DRAM<int> out;
+        void main(int n) {
+          out[0] = 100 / n;
+        })");
     serve::ContextPool pool(artifact);
+    auto runWith = [&](graph::ExecutionContext &ctx, int32_t n) {
+        lang::DramImage dram(artifact->hir());
+        dram.resize("out", sizeof(int32_t));
+        ctx.run(dram, {n});
+        return dram.read<int32_t>("out")[0];
+    };
 
     bool reused = true;
     auto c1 = pool.acquire(&reused);
@@ -457,29 +468,26 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
     auto c2 = pool.acquire(&reused);
     EXPECT_TRUE(reused);
 
-    // Poison deterministically: max_rounds = 0 forces the livelock
-    // throw mid-run, leaving the context mid-request.
-    lang::DramImage dram(artifact->hir());
-    auto args = app.generate(dram, 4);
-    EXPECT_THROW(
-        c2->run(dram, args, Engine::Policy::worklist, 0, /*max_rounds=*/0),
-        std::runtime_error);
+    // Poison: the fault throws mid-run, leaving the context
+    // mid-request.
+    try {
+        runWith(*c2, 0);
+        ADD_FAILURE() << "a run dividing by zero did not throw";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("division by zero in dataflow"),
+                  std::string::npos)
+            << e.what();
+    }
     EXPECT_TRUE(c2->poisoned());
 
     // A poisoned context still self-heals on the next run (full
     // reset)...
-    lang::DramImage dram2(artifact->hir());
-    auto args2 = app.generate(dram2, 4);
-    auto healed = c2->run(dram2, args2);
-    EXPECT_TRUE(healed.drained);
+    EXPECT_EQ(runWith(*c2, 4), 25);
     EXPECT_FALSE(c2->poisoned());
 
     // ...but a context released while poisoned is discarded, never
     // re-parked.
-    lang::DramImage dram3(artifact->hir());
-    auto args3 = app.generate(dram3, 4);
-    EXPECT_THROW(c2->run(dram3, args3, Engine::Policy::worklist, 0, 0),
-                 std::runtime_error);
+    EXPECT_THROW(runWith(*c2, 0), std::runtime_error);
     pool.release(std::move(c2));
     auto st = pool.stats();
     EXPECT_EQ(st.discarded, 1u);

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/absint.hh"
 #include "graph/analyze.hh"
 #include "graph/dfg.hh"
 #include "graph/optimize.hh"
@@ -76,7 +77,7 @@ fingerprint(const graph::Dfg &g)
     }
     for (const graph::ReplicateInfo &r : g.replicates) {
         os << "replicate " << r.id << " x" << r.replicas
-           << " live=" << r.liveValuesIn << " bufferized=" << r.bufferized;
+           << " live=" << r.liveValuesIn;
         list("nodes", r.nodeIds);
         os << '\n';
     }
@@ -129,8 +130,9 @@ referenceFixpoint(graph::Dfg &dfg,
             if (!applied)
                 continue;
             dfg.verify();
-            auto diags =
-                graph::validateRewrite(passes[pi]->name(), before, dfg);
+            auto diags = graph::validateRewrite(
+                passes[pi]->name(), before, dfg, graph::accountTokens(dfg),
+                graph::analyzeValues(dfg));
             if (graph::hasErrors(diags)) {
                 throw graph::ValidationError(passes[pi]->name(),
                                              std::move(diags));

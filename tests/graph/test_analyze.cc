@@ -8,10 +8,13 @@
  *
  * Translation validation: the default pipeline certifies every pass
  * application on real programs, while deliberately broken rewrites —
- * a dropped memory effect, reordered program-entry sources, a
- * widened bundle lane, an unsolicited park — are each rejected by
- * runPasses() with the expected diagnostic, and a mispaired park by
- * the Dfg::verify() it runs first.
+ * a dropped or invented memory effect, reordered program-entry
+ * sources, a widened merge lane or retyped filter lane, an unsolicited
+ * or dropped park, a park inside its region, region membership lists
+ * that disagree with the nodes, keyed parks left without their
+ * ordinal — are each rejected by runPasses() with the expected
+ * diagnostic naming the offending node, and a mispaired park by the
+ * Dfg::verify() it runs first.
  *
  * Deadlock lint: the minimal safe park size computed statically for a
  * thread-reordering keyed park matches ExecStats::sramParkedPeak from
@@ -37,6 +40,7 @@
 
 #include "apps/apps.hh"
 #include "core/revet.hh"
+#include "graph/absint.hh"
 #include "graph/analyze.hh"
 #include "graph/exec.hh"
 #include "graph/optimize.hh"
@@ -303,6 +307,44 @@ runBrokenExpectThrow(Dfg g,
     return {};
 }
 
+/** The diagnostics runPasses() rejected @p p's rewrite of @p g with
+ * (empty when the rewrite was accepted). */
+std::vector<Diagnostic>
+rejection(Dfg g, const std::vector<std::unique_ptr<GraphPass>> &p)
+{
+    try {
+        runPasses(g, p, GraphPassOptions{});
+    } catch (const ValidationError &e) {
+        return e.diagnostics();
+    }
+    return {};
+}
+
+/** The diagnostic among @p diags with @p code that names node @p node,
+ * or null. */
+const Diagnostic *
+naming(const std::vector<Diagnostic> &diags, const std::string &code,
+       int node)
+{
+    for (const auto &d : diags) {
+        if (d.code == code &&
+            std::find(d.nodes.begin(), d.nodes.end(), node) != d.nodes.end())
+            return &d;
+    }
+    return nullptr;
+}
+
+/** Ids of @p g's nodes of @p kind, in id order. */
+std::vector<int>
+nodesOfKind(const Dfg &g, NodeKind kind)
+{
+    std::vector<int> out;
+    for (const auto &n : g.nodes)
+        if (n.kind == kind)
+            out.push_back(n.id);
+    return out;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -312,7 +354,7 @@ runBrokenExpectThrow(Dfg g,
 TEST(AnalyzeRates, ConstantCounterFoldsToTripCount)
 {
     Dfg g = keyedParkGraph(5);
-    RateReport rr = analyzeRates(g);
+    RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_TRUE(rr.consistent);
     EXPECT_EQ(rr.rate(linkByName(g, "iv")), "5");
     EXPECT_EQ(rr.rate(linkByName(g, "v")), "5");
@@ -323,7 +365,7 @@ TEST(AnalyzeRates, ConstantCounterFoldsToTripCount)
 TEST(AnalyzeRates, MergeObeysConservation)
 {
     Dfg g = mergeGraph();
-    RateReport rr = analyzeRates(g);
+    RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_TRUE(rr.consistent);
     EXPECT_EQ(rr.rate(linkByName(g, "a")), "1");
     EXPECT_EQ(rr.rate(linkByName(g, "o")), "2");
@@ -352,7 +394,7 @@ TEST(AnalyzeRates, ImbalancedBundleFlagged)
     g.connectIn(snk.id, lo);
     g.verify();
 
-    RateReport rr = analyzeRates(g);
+    RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_FALSE(rr.consistent);
     ASSERT_TRUE(hasCode(rr.diagnostics, "rate-imbalance"));
     // The conflict surfaces wherever propagation detects it — at the
@@ -406,7 +448,7 @@ TEST(AnalyzeRates, LateMergeConflictAfterSettledBundles)
     blk.nRegs = 2;
     g.verify();
 
-    RateReport rr = analyzeRates(g);
+    RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_FALSE(rr.consistent);
     EXPECT_EQ(rr.rate(t), "1");
     EXPECT_EQ(rr.rate(b), "1");
@@ -423,7 +465,7 @@ TEST(AnalyzeRates, AppGraphsBalance)
 {
     for (const auto &app : apps::allApps()) {
         auto prog = CompiledArtifact::build(app.source);
-        RateReport rr = analyzeRates(prog->dfg());
+        const RateReport &rr = prog->analysis().rates;
         EXPECT_TRUE(rr.consistent) << app.name;
         for (const auto &d : rr.diagnostics)
             ADD_FAILURE() << app.name << ": " << d.message;
@@ -578,7 +620,7 @@ TEST(AnalyzeValidate, UnsolicitedParkRejected)
     // pass sneaking a (correctly paired) park/restore pair onto a link
     // is rejected by the census.
     Dfg g = mergeGraph();
-    g.replicates.push_back(ReplicateInfo{0, 2, 0, 0, {}});
+    g.replicates.push_back(ReplicateInfo{0, 2, 0, {}});
     auto pipeline =
         brokenPipeline("broken-add-park", [](Dfg &g2) {
             int la = -1;
@@ -611,6 +653,183 @@ TEST(AnalyzeValidate, UnsolicitedParkRejected)
     EXPECT_NE(what.find("park-added"), std::string::npos) << what;
 }
 
+TEST(AnalyzeValidate, ParkInsideRegionRejected)
+{
+    // Park machinery buffers around a region: a park moved inside the
+    // region it serves is rejected by name.
+    auto prog = CompiledArtifact::build(replSrc);
+    const std::vector<int> parks = nodesOfKind(prog->dfg(), NodeKind::park);
+    ASSERT_FALSE(parks.empty());
+    const int park = parks[0];
+    auto pipeline =
+        brokenPipeline("broken-park-inside", [park](Dfg &g) {
+            Node &n = g.nodes[park];
+            n.replicateRegion = n.parkRegion;
+            g.replicates[n.parkRegion].nodeIds.push_back(park);
+            return 1;
+        });
+    const auto diags = rejection(prog->dfg(), pipeline);
+    const Diagnostic *d = naming(diags, "region-boundary", park);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_EQ(d->nodes, std::vector<int>{park});
+}
+
+TEST(AnalyzeValidate, RetypedFilterLaneRejected)
+{
+    // Division keeps the if branchy, so the compiled graph has filters.
+    auto prog = CompiledArtifact::build(R"(
+        DRAM<int> out;
+        void main(int n) {
+          int x = 7;
+          if (n != 0) { x = 1000 / n; };
+          out[0] = x;
+        })");
+    const std::vector<int> filters =
+        nodesOfKind(prog->dfg(), NodeKind::filter);
+    ASSERT_FALSE(filters.empty());
+    const int filter = filters[0];
+    const Node &f = prog->dfg().nodes[filter];
+    const std::vector<int> lane = {f.ins[1], f.outs[0]};
+    auto pipeline =
+        brokenPipeline("broken-retype-lane", [filter](Dfg &g) {
+            Link &out = g.links[g.nodes[filter].outs[0]];
+            out.elem = out.elem == lang::Scalar::i8 ? lang::Scalar::i16
+                                                    : lang::Scalar::i8;
+            return 1;
+        });
+    const auto diags = rejection(prog->dfg(), pipeline);
+    const Diagnostic *d = naming(diags, "bundle-elem", filter);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_EQ(d->links, lane);
+    EXPECT_NE(d->message.find("filter"), std::string::npos) << d->message;
+}
+
+TEST(AnalyzeValidate, ForeignRegionMemberRejected)
+{
+    // A region listing a node that does not claim it.
+    auto prog = CompiledArtifact::build(replSrc);
+    const int source = nodesOfKind(prog->dfg(), NodeKind::source)[0];
+    auto pipeline =
+        brokenPipeline("broken-adopt-node", [source](Dfg &g) {
+            g.replicates[0].nodeIds.push_back(source);
+            return 1;
+        });
+    const auto diags = rejection(prog->dfg(), pipeline);
+    const Diagnostic *d = naming(diags, "region-membership", source);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_NE(d->message.find("lists"), std::string::npos) << d->message;
+}
+
+TEST(AnalyzeValidate, UnlistedRegionMemberRejected)
+{
+    // A node claiming a region that no longer lists it.
+    auto prog = CompiledArtifact::build(replSrc);
+    ASSERT_FALSE(prog->dfg().replicates.empty());
+    ASSERT_FALSE(prog->dfg().replicates[0].nodeIds.empty());
+    const int member = prog->dfg().replicates[0].nodeIds.back();
+    auto pipeline =
+        brokenPipeline("broken-drop-member", [member](Dfg &g) {
+            auto &ids = g.replicates[0].nodeIds;
+            ids.erase(std::remove(ids.begin(), ids.end(), member),
+                      ids.end());
+            return 1;
+        });
+    const auto diags = rejection(prog->dfg(), pipeline);
+    const Diagnostic *d = naming(diags, "region-membership", member);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_NE(d->message.find("claims"), std::string::npos) << d->message;
+}
+
+TEST(AnalyzeValidate, KeyedParksWithoutOrdinalRejected)
+{
+    // dead-node-elim may prune ordinal lanes, but not the one keyed
+    // parks still need: turning the region's ordinal into a plain
+    // fanout leaves its keyed parks without keys.
+    const fixtures::LangFixture *fixture = nullptr;
+    for (const auto &f : fixtures::languageFixtures())
+        if (std::string(f.label) == "reorder-replicate-passover")
+            fixture = &f;
+    ASSERT_NE(fixture, nullptr);
+    auto prog = CompiledArtifact::build(fixture->source);
+    const Dfg &base = prog->dfg();
+    const std::vector<int> ordinals = nodesOfKind(base, NodeKind::ordinal);
+    ASSERT_EQ(ordinals.size(), 1u);
+    const int ordinal = ordinals[0];
+    std::vector<int> keyed;
+    for (int p : nodesOfKind(base, NodeKind::park))
+        if (base.nodes[p].keyed &&
+            base.nodes[p].parkRegion == base.nodes[ordinal].parkRegion)
+            keyed.push_back(p);
+    ASSERT_FALSE(keyed.empty());
+    auto pipeline = brokenPipeline("dead-node-elim", [ordinal](Dfg &g) {
+        g.nodes[ordinal].kind = NodeKind::fanout;
+        return 1;
+    });
+    const auto diags = rejection(base, pipeline);
+    const Diagnostic *d = naming(diags, "ordinal-missing", keyed[0]);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_EQ(d->nodes, keyed);
+}
+
+TEST(AnalyzeValidate, InventedEffectRejected)
+{
+    auto prog = CompiledArtifact::build(writeSrc);
+    int writer = -1;
+    for (const auto &n : prog->dfg().nodes)
+        for (const auto &op : n.ops)
+            if (op.kind == OpKind::dramWrite)
+                writer = n.id;
+    ASSERT_GE(writer, 0);
+    auto pipeline =
+        brokenPipeline("broken-add-effect", [writer](Dfg &g) {
+            auto &ops = g.nodes[writer].ops;
+            for (size_t i = 0; i < ops.size(); ++i) {
+                if (ops[i].kind == OpKind::dramWrite) {
+                    ops.push_back(ops[i]);
+                    return 1;
+                }
+            }
+            return 0;
+        });
+    const auto diags = rejection(prog->dfg(), pipeline);
+    const Diagnostic *d = naming(diags, "effect-added", writer);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_NE(d->message.find("dramWrite"), std::string::npos)
+        << d->message;
+}
+
+TEST(AnalyzeValidate, DroppedParkRejected)
+{
+    // Only dead-node-elim may remove park machinery; any other pass
+    // that unparks a value (here: the pair becomes plain wiring) is
+    // rejected by the census, which names the region's remaining
+    // machinery.
+    auto prog = CompiledArtifact::build(replSrc);
+    const Dfg &base = prog->dfg();
+    const std::vector<int> parks = nodesOfKind(base, NodeKind::park);
+    ASSERT_GE(parks.size(), 2u);
+    const int park = parks[0];
+    const int restore = base.links[base.nodes[park].outs[0]].dst;
+    std::vector<int> remaining;
+    for (const auto &n : base.nodes) {
+        if ((n.kind == NodeKind::park || n.kind == NodeKind::restore) &&
+            n.id != park && n.id != restore &&
+            n.parkRegion == base.nodes[park].parkRegion)
+            remaining.push_back(n.id);
+    }
+    auto pipeline =
+        brokenPipeline("broken-unpark", [park, restore](Dfg &g) {
+            g.nodes[park].kind = NodeKind::fanout;
+            g.nodes[restore].kind = NodeKind::fanout;
+            return 1;
+        });
+    const auto diags = rejection(base, pipeline);
+    ASSERT_FALSE(remaining.empty());
+    const Diagnostic *d = naming(diags, "park-dropped", remaining[0]);
+    ASSERT_NE(d, nullptr) << "broken rewrite was not rejected";
+    EXPECT_EQ(d->nodes, remaining);
+}
+
 // ---------------------------------------------------------------------
 // Finite-buffer deadlock lint
 // ---------------------------------------------------------------------
@@ -619,7 +838,7 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
 {
     const int n = 8;
     Dfg g = keyedParkGraph(n);
-    DeadlockReport rep = lintDeadlock(g);
+    DeadlockReport rep = lintDeadlock(g, {}, analyzeValues(g));
     ASSERT_EQ(rep.parks.size(), 1u);
     EXPECT_TRUE(rep.parks[0].bounded);
     EXPECT_EQ(rep.parks[0].minSafeSlots, n);
@@ -643,8 +862,7 @@ TEST(AnalyzeDeadlock, UndersizedParkReported)
 {
     // 100000 reordered threads against a 4096-slot MU bank.
     Dfg g = keyedParkGraph(100000);
-    BufferCaps caps;
-    DeadlockReport rep = lintDeadlock(g, caps);
+    DeadlockReport rep = lintDeadlock(g, BufferCaps{}, analyzeValues(g));
     ASSERT_EQ(rep.parks.size(), 1u);
     EXPECT_TRUE(rep.parks[0].bounded);
     EXPECT_EQ(rep.parks[0].minSafeSlots, 100000);
@@ -671,7 +889,7 @@ TEST(AnalyzeDeadlock, ContractionCycleOverflowReported)
     blk.outputRegs = {0};
     blk.nRegs = 2;
 
-    DeadlockReport rep = lintDeadlock(g);
+    DeadlockReport rep = lintDeadlock(g, {}, analyzeValues(g));
     EXPECT_GE(rep.cycles.size(), 1u);
     EXPECT_EQ(rep.riskyCycles, 1);
     ASSERT_TRUE(hasCode(rep.diagnostics, "cycle-overflow"));
@@ -688,7 +906,7 @@ TEST(AnalyzeDeadlock, AppGraphsLintClean)
 {
     for (const auto &app : apps::allApps()) {
         auto prog = CompiledArtifact::build(app.source);
-        AnalyzeReport rep = analyzeGraph(prog->dfg());
+        const AnalyzeReport &rep = prog->analysis();
         EXPECT_FALSE(rep.hasErrors()) << app.name << ": "
                                       << rep.summary();
     }
@@ -750,9 +968,10 @@ pipelineReports(const std::string &label, const std::string &source)
     auto record = [&](const std::string &step, const Dfg &g) {
         char idx[8];
         std::snprintf(idx, sizeof idx, "%02zu-", out.size());
+        const AbsintReport vals = analyzeValues(g);
         out.emplace_back(label + "/" + idx + step,
-                         solverReport(analyzeRates(g),
-                                      lintDeadlock(g, caps)));
+                         solverReport(analyzeRates(g, vals),
+                                      lintDeadlock(g, caps, vals)));
     };
     lang::Program prog = lang::parseAndAnalyze(source);
     passes::runPipeline(prog);

@@ -94,22 +94,6 @@ TEST(DataflowExec, IfWithDivisionStaysBranchy)
     }
 }
 
-TEST(DataflowExec, WhileLoop)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<int> out;
-        void main(int n) {
-          int i = 0; int acc = 0;
-          while (i < n) {
-            acc = acc + i * i;
-            i++;
-          };
-          out[0] = acc;
-        })",
-        [](DramImage &d) { d.resize("out", 4); }, {37});
-}
-
 TEST(DataflowExec, WhileLoopZeroTrips)
 {
     expectDataflowMatches(
@@ -121,26 +105,6 @@ TEST(DataflowExec, WhileLoopZeroTrips)
           out[0] = i + 55;
         })",
         [](DramImage &d) { d.resize("out", 4); }, {0});
-}
-
-TEST(DataflowExec, NestedWhile)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<int> out;
-        void main(int n) {
-          int i = 0; int acc = 0;
-          while (i < n) {
-            int j = 0;
-            while (j < i) {
-              acc = acc + 1;
-              j++;
-            };
-            i++;
-          };
-          out[0] = acc;
-        })",
-        [](DramImage &d) { d.resize("out", 4); }, {12});
 }
 
 TEST(DataflowExec, ForeachParallelStores)
@@ -186,66 +150,6 @@ TEST(DataflowExec, ForeachBroadcastsParentValues)
         [](DramImage &d) { d.resize("out", 8); }, {17});
 }
 
-TEST(DataflowExec, ForeachWithExit)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<int> out;
-        void main(int n) {
-          int total = foreach (n) { int i =>
-            if (i % 3 == 0) { exit(); };
-            return i;
-          };
-          out[0] = total;
-        })",
-        [](DramImage &d) { d.resize("out", 4); }, {20});
-}
-
-TEST(DataflowExec, NestedForeach)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<int> out;
-        void main(int n) {
-          int total = foreach (n) { int i =>
-            int inner = foreach (i + 1) { int j =>
-              return i * 10 + j;
-            };
-            return inner;
-          };
-          out[0] = total;
-        })",
-        [](DramImage &d) { d.resize("out", 4); }, {6});
-}
-
-TEST(DataflowExec, WhileInsideForeach)
-{
-    // The key composition the paper's machine model enables: data-
-    // dependent while loops nested under parallel foreach threads.
-    expectDataflowMatches(
-        R"(
-        DRAM<int> data; DRAM<int> out;
-        void main(int n) {
-          foreach (n) { int i =>
-            int v = data[i];
-            int steps = 0;
-            while (v != 1) {
-              if (v % 2 == 0) { v = v / 2; } else { v = v * 3 + 1; };
-              steps++;
-            };
-            out[i] = steps;
-          };
-        })",
-        [](DramImage &d) {
-          std::vector<int32_t> data(24);
-          for (int i = 0; i < 24; ++i)
-              data[i] = i + 1;
-          d.fill("data", data);
-          d.resize("out", 24 * 4);
-        },
-        {24});
-}
-
 TEST(DataflowExec, ForeachInsideWhile)
 {
     // Parallel-patterns foreach inside a sequential while (the paper's
@@ -268,24 +172,6 @@ TEST(DataflowExec, ForeachInsideWhile)
         [](DramImage &d) { d.resize("out", 4); }, {9});
 }
 
-TEST(DataflowExec, SramScratchpad)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<int> out;
-        void main(int n) {
-          SRAM<int, 16> buf;
-          foreach (16) { int i =>
-            buf[i] = i * i;
-          };
-          int total = foreach (16) { int i =>
-            return buf[15 - i];
-          };
-          out[0] = total;
-        })",
-        [](DramImage &d) { d.resize("out", 4); }, {0});
-}
-
 TEST(DataflowExec, AtomicRmw)
 {
     expectDataflowMatches(
@@ -303,25 +189,6 @@ TEST(DataflowExec, AtomicRmw)
         [](DramImage &d) { d.resize("out", 8); }, {10});
 }
 
-TEST(DataflowExec, ForkDuplicatesThreads)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<int> out;
-        void main(int n) {
-          SRAM<int, 16> acc;
-          foreach (1) { int t =>
-            int i = fork(n);
-            int j = fork(2);
-            fetch_add(acc, i * 2 + j, 1);
-          };
-          foreach (16) { int k =>
-            out[k] = acc[k];
-          };
-        })",
-        [](DramImage &d) { d.resize("out", 64); }, {5});
-}
-
 TEST(DataflowExec, EliminatedHierarchy)
 {
     expectDataflowMatches(
@@ -335,29 +202,6 @@ TEST(DataflowExec, EliminatedHierarchy)
           out[n] = 999;
         })",
         [](DramImage &d) { d.resize("out", 33 * 4); }, {32});
-}
-
-TEST(DataflowExec, ReadIteratorDemandPath)
-{
-    expectDataflowMatches(
-        R"(
-        DRAM<char> text; DRAM<int> out;
-        void main(int n) {
-          ReadIt<8> it(text, 0);
-          int len = 0;
-          while (*it) {
-            len++;
-            it++;
-          };
-          out[0] = len;
-        })",
-        [](DramImage &d) {
-            std::vector<int8_t> text(60, 'x');
-            text[47] = 0;
-            d.fill("text", text);
-            d.resize("out", 4);
-        },
-        {0});
 }
 
 TEST(DataflowExec, StrlenFigure7Complete)

@@ -996,9 +996,7 @@ TEST_P(FuzzOptimize, RandomGraphsBitIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, FuzzOptimize,
-    ::testing::Values("const-fold", "copy-prop", "fanout-coalesce",
-                      "block-fusion", "dead-node-elim",
-                      "replicate-bufferize", "subword-pack", "full"),
+    ::testing::ValuesIn(fixtures::singlePassConfigs()),
     [](const auto &info) {
         std::string name = info.param;
         for (auto &c : name) {

@@ -60,11 +60,14 @@ countKind(const Dfg &g, NodeKind kind)
 
 using ProgramConfig = std::tuple<std::string, std::string>;
 
-const std::vector<std::string> kConfigs = {
-    "none",          "const-fold",          "cross-block-const-prop",
-    "copy-prop",     "fanout-coalesce",     "block-fusion",
-    "dead-node-elim", "replicate-bufferize", "subword-pack",
-    "full"};
+/** "none" (the unoptimized graph), then every single-pass config. */
+std::vector<std::string>
+matrixConfigs()
+{
+    std::vector<std::string> out = fixtures::singlePassConfigs();
+    out.insert(out.begin(), "none");
+    return out;
+}
 
 std::vector<std::string>
 fixtureLabels()
@@ -126,13 +129,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          "hash-table", "search",
                                          "huff-dec", "huff-enc",
                                          "kD-tree"),
-                       ::testing::ValuesIn(kConfigs)),
+                       ::testing::ValuesIn(matrixConfigs())),
     caseName);
 
 INSTANTIATE_TEST_SUITE_P(
     LanguageFixtures, GraphOptEquivApps,
     ::testing::Combine(::testing::ValuesIn(fixtureLabels()),
-                       ::testing::ValuesIn(kConfigs)),
+                       ::testing::ValuesIn(matrixConfigs())),
     caseName);
 
 // ---------------------------------------------------------------------
@@ -785,7 +788,6 @@ TEST(GraphOptStructure, PassOverLinksGetParked)
     EXPECT_EQ(makeReplicateBufferizePass()->run(g, opts), 3);
     g.verify();
     EXPECT_EQ(countParks(g), 3);
-    EXPECT_EQ(g.replicates[0].bufferized, 3);
     EXPECT_EQ(g.replicateParkedValues(0), 3);
     // Parked detours are off the crossing set now.
     EXPECT_TRUE(g.replicatePassOverLinks(0).empty());
@@ -801,7 +803,7 @@ TEST(GraphOptStructure, ZeroPassOverValuesIsANoOp)
     EXPECT_EQ(makeReplicateBufferizePass()->run(g, opts), 0);
     g.verify();
     EXPECT_EQ(countParks(g), 0);
-    EXPECT_EQ(g.replicates[0].bufferized, 0);
+    EXPECT_EQ(g.replicateParkedValues(0), 0);
 }
 
 TEST(GraphOptStructure, ValueBothConsumedInsideAndPassedOverIsSkipped)
@@ -851,8 +853,8 @@ TEST(GraphOptStructure, LinkCrossingNestedRegionsIsRefused)
     EXPECT_EQ(makeReplicateBufferizePass()->run(g, opts), 0);
     g.verify();
     EXPECT_EQ(countParks(g), 0);
-    EXPECT_EQ(g.replicates[0].bufferized, 0);
-    EXPECT_EQ(g.replicates[1].bufferized, 0);
+    EXPECT_EQ(g.replicateParkedValues(0), 0);
+    EXPECT_EQ(g.replicateParkedValues(1), 0);
 }
 
 TEST(GraphOptStructure, ParkBudgetOverflowBailsWholeRegion)
@@ -863,12 +865,12 @@ TEST(GraphOptStructure, ParkBudgetOverflowBailsWholeRegion)
     EXPECT_EQ(makeReplicateBufferizePass()->run(g, opts), 0);
     g.verify();
     EXPECT_EQ(countParks(g), 0);
-    EXPECT_EQ(g.replicates[0].bufferized, 0);
+    EXPECT_EQ(g.replicateParkedValues(0), 0);
     // At the budget the region parks in full.
     Dfg h = replicateShape(budget);
     EXPECT_EQ(makeReplicateBufferizePass()->run(h, opts), budget);
     h.verify();
-    EXPECT_EQ(h.replicates[0].bufferized, budget);
+    EXPECT_EQ(h.replicateParkedValues(0), budget);
 }
 
 TEST(GraphOptStructure, ReorderingRegionRefusesPositionalCrossings)
@@ -981,7 +983,6 @@ TEST(GraphOptStructure, ReorderingRideGetsOrdinalKeyed)
     g.verify();
     EXPECT_EQ(countParks(g), 1);
     EXPECT_EQ(countOrdinals(g), 1);
-    EXPECT_EQ(g.replicates[0].bufferized, 1);
     EXPECT_EQ(g.replicateParkedValues(0), 1);
     for (const auto &n : g.nodes) {
         if (n.kind == NodeKind::park) {
@@ -1124,7 +1125,7 @@ TEST(GraphOptStructure, ThreadMultiplyingRegionStillRefused)
     g.verify();
     EXPECT_EQ(countParks(g), 0);
     EXPECT_EQ(countOrdinals(g), 0);
-    EXPECT_EQ(g.replicates[0].bufferized, 0);
+    EXPECT_EQ(g.replicateParkedValues(0), 0);
 }
 
 namespace
@@ -1405,7 +1406,6 @@ TEST(GraphOptPipeline, ReplicateParkRoundTripExecutes)
         parks += n.kind == NodeKind::park;
     ASSERT_GT(parks, 0);
     ASSERT_EQ(prog->dfg().replicates.size(), 1u);
-    EXPECT_EQ(prog->dfg().replicates[0].bufferized, parks);
     EXPECT_EQ(prog->dfg().replicateParkedValues(0), parks);
 
     const fixtures::Generate gen = [](DramImage &dram) {
@@ -1451,9 +1451,7 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
     }
     EXPECT_GT(buffered, 0) << prog->optReport().summary();
     ASSERT_EQ(prog->dfg().replicates.size(), 1u);
-    EXPECT_EQ(prog->dfg().replicates[0].bufferized,
-              prog->dfg().replicateParkedValues(0));
-    EXPECT_GT(prog->dfg().replicates[0].bufferized, 0);
+    EXPECT_GT(prog->dfg().replicateParkedValues(0), 0);
 
     const fixtures::Generate gen = [](DramImage &dram) {
         std::vector<int32_t> data(20);
