@@ -23,6 +23,9 @@
  * value-range reports of the surviving graph are the ones the compiled
  * artifact carries (CompiledArtifact::analysis()).
  *
+ * Exactly one of --app, --all, --list and FILE selects the mode; none,
+ * two, or a second FILE prints the usage line.
+ *
  * Exit status: 0 clean (warnings allowed), 1 any error diagnostic or
  * failed compile, 2 usage. With --json every diagnostic is one JSON
  * object per line, followed by one summary object.
@@ -166,8 +169,15 @@ printResult(const std::string &name, const LintResult &r, bool json,
 int
 main(int argc, char **argv)
 {
-    bool json = false, all = false, absint = false;
+    auto usage = [] {
+        std::fprintf(stderr,
+                     "usage: revet-lint [--json] [--absint] "
+                     "(--app NAME | --all | --list | FILE)\n");
+        return 2;
+    };
+    bool json = false, all = false, list = false, absint = false;
     std::string appName, file;
+    int modes = 0;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--json") {
@@ -176,20 +186,26 @@ main(int argc, char **argv)
             absint = true;
         } else if (arg == "--all") {
             all = true;
+            ++modes;
         } else if (arg == "--list") {
-            for (const auto &app : apps::allApps())
-                std::printf("%s\n", app.name.c_str());
-            return 0;
+            list = true;
+            ++modes;
         } else if (arg == "--app" && i + 1 < argc) {
             appName = argv[++i];
+            ++modes;
         } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr,
-                         "usage: revet-lint [--json] [--absint] "
-                         "(--app NAME | --all | --list | FILE)\n");
-            return 2;
+            return usage();
         } else {
             file = arg;
+            ++modes;
         }
+    }
+    if (modes != 1)
+        return usage();
+    if (list) {
+        for (const auto &app : apps::allApps())
+            std::printf("%s\n", app.name.c_str());
+        return 0;
     }
 
     bool anyErrors = false;
@@ -198,17 +214,6 @@ main(int argc, char **argv)
             LintResult r = lintSource(app.source);
             printResult(app.name, r, json, absint);
             anyErrors |= r.errors;
-        }
-    } else if (!appName.empty()) {
-        try {
-            const auto &app = apps::findApp(appName);
-            LintResult r = lintSource(app.source);
-            printResult(app.name, r, json, absint);
-            anyErrors |= r.errors;
-        } catch (const std::out_of_range &) {
-            std::fprintf(stderr, "revet-lint: unknown app '%s'\n",
-                         appName.c_str());
-            return 2;
         }
     } else if (!file.empty()) {
         std::ifstream in(file);
@@ -223,10 +228,16 @@ main(int argc, char **argv)
         printResult(file, r, json, absint);
         anyErrors |= r.errors;
     } else {
-        std::fprintf(stderr,
-                     "usage: revet-lint [--json] [--absint] "
-                     "(--app NAME | --all | --list | FILE)\n");
-        return 2;
+        try {
+            const auto &app = apps::findApp(appName);
+            LintResult r = lintSource(app.source);
+            printResult(app.name, r, json, absint);
+            anyErrors |= r.errors;
+        } catch (const std::out_of_range &) {
+            std::fprintf(stderr, "revet-lint: unknown app '%s'\n",
+                         appName.c_str());
+            return 2;
+        }
     }
     return anyErrors ? 1 : 0;
 }

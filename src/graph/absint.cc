@@ -498,16 +498,18 @@ constexpr Diagnostic::Severity kWarning = Diagnostic::Severity::warning;
  * Abstract execution of one block's op list over the link facts
  * @p links. Registers start as const 0 (the executor zero-initializes),
  * bundle inputs load their link values, ops run in order with guard
- * awareness, and outputs are read from the output registers. With
- * @p lint set, effect ops are evaluated too and every op that wraps
- * int32 on every input is reported as a "guaranteed-overflow" warning.
+ * awareness, and outputs are read from the output registers into
+ * @p outs. @p regs is the caller's scratch register file, reused
+ * across calls so a block firing allocates nothing. With @p lint set,
+ * effect ops are evaluated too and every op that wraps int32 on every
+ * input is reported as a "guaranteed-overflow" warning.
  */
 void
 blockEval(const Node &n, const std::vector<AbsVal> &links,
-          std::vector<AbsVal> &outs, std::vector<Diagnostic> *lint)
+          std::vector<AbsVal> &regs, std::vector<AbsVal> &outs,
+          std::vector<Diagnostic> *lint)
 {
-    std::vector<AbsVal> regs(static_cast<size_t>(std::max(n.nRegs, 1)),
-                             AbsVal::word(0));
+    regs.assign(static_cast<size_t>(std::max(n.nRegs, 1)), AbsVal::word(0));
     for (size_t i = 0; i < n.ins.size(); ++i)
         if (n.inputRegs[i] >= 0)
             regs[static_cast<size_t>(n.inputRegs[i])] =
@@ -551,6 +553,7 @@ struct Solver
     const Dfg &g;
     AbsintReport rep;
     std::vector<int> widen;
+    std::vector<AbsVal> regs, outs; ///< blockEval scratch
 
     explicit Solver(const Dfg &graph) : g(graph)
     {
@@ -628,8 +631,7 @@ struct Solver
           case NodeKind::block: {
             if (anyInBottom())
                 break; // a block without live data never fires
-            std::vector<AbsVal> outs;
-            blockEval(n, rep.links, outs, nullptr);
+            blockEval(n, rep.links, regs, outs, nullptr);
             for (size_t k = 0; k < n.outs.size(); ++k)
                 changed |= update(n.outs[k], outs[k]);
             break;
@@ -775,6 +777,7 @@ std::vector<Diagnostic>
 lintValues(const Dfg &g, const AbsintReport &vals)
 {
     std::vector<Diagnostic> out;
+    std::vector<AbsVal> regs, outs; // blockEval scratch
     auto val = [&](int link) -> const AbsVal & {
         return vals.links[static_cast<size_t>(link)];
     };
@@ -802,8 +805,7 @@ lintValues(const Dfg &g, const AbsintReport &vals)
         for (int l : n.ins)
             deadIn |= val(l).bottom;
         if (!deadIn) {
-            std::vector<AbsVal> outs;
-            blockEval(n, vals.links, outs, &out);
+            blockEval(n, vals.links, regs, outs, &out);
             continue;
         }
         bool hasEffect = false;

@@ -12,6 +12,12 @@
  * merges (join over arms, const-predicate arm pruning), fanouts,
  * replicate plumbing, and park/restore pairs.
  *
+ * The worklist is FIFO, seeded with every node in id order. Widening
+ * counts growth steps per link, so that order is part of the result:
+ * another visit order (reverse postorder, say) can solve to different,
+ * equally sound facts. The solver reuses its block-evaluation buffers,
+ * so a transfer allocates nothing.
+ *
  * Consumers of the fixpoint (`analyzeValues`): `CrossBlockConstProp`
  * (graph rewrites from constancy and bottom facts), width-driven
  * `SubwordPack` (packs i32 lanes whose range fits 8/16 bits),

@@ -7,7 +7,9 @@
 #include "graph/analyze.hh"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <queue>
 #include <set>
 #include <sstream>
 
@@ -167,11 +169,18 @@ counterTrips(const Node &n, const AbsintReport &vals)
     return lo > hi ? (lo - hi - step - 1) / -step : 0;
 }
 
-/** Balance-equation solver over one graph's links. Sweeps retire a
- * constraint once its links are all known and agree: linkRate is
- * write-once, bindings only grow, and a difference that normalizes to
- * zero stays zero, so revisiting it could change nothing. Conflicting
- * constraints stay live, so every sweep re-checks them. */
+/** Balance-equation solver over one graph's links. A constraint can
+ * fire once enough of its links have known rates: a class needs one, a
+ * linear its input, a sum two of its three. Each link keeps the
+ * constraints that read it, and each constraint a count of its known
+ * links, so a sweep visits only the ready constraints: classes, then
+ * linears, then sums, each kind in ascending index order. A constraint
+ * that becomes ready behind the sweep's position waits for the next
+ * sweep, one ahead of it is visited in this one. A visit retires the
+ * constraint unless it reported a conflict: linkRate is write-once,
+ * bindings only grow, and a difference that normalizes to zero stays
+ * zero, so revisiting it could change nothing. Conflicting constraints
+ * stay ready, so every sweep re-checks them. */
 struct RateSolver
 {
     /** Links that must carry equal rates (one node's bundle law). */
@@ -194,6 +203,20 @@ struct RateSolver
         int node;
     };
 
+    /** Constraint kinds, in sweep order. */
+    enum Kind
+    {
+        kClass,
+        kLinear,
+        kSum,
+        kKinds
+    };
+    /** One occurrence of a link in a constraint. */
+    struct Use
+    {
+        int kind, idx;
+    };
+
     const Dfg &g;
     const AbsintReport &vals; ///< shared value-analysis facts
     std::vector<std::optional<Rate>> linkRate;
@@ -206,6 +229,19 @@ struct RateSolver
     std::set<std::pair<int, std::string>> reported;
     bool consistent = true;
     int conflicts = 0; ///< conflict() calls, repeats included
+
+    /** Link l's constraint uses are uses[useStart[l], useStart[l+1]),
+     * once indexed. */
+    std::vector<int> useStart;
+    std::vector<Use> uses;
+    std::vector<int> knownLinks[kKinds];  ///< per constraint
+    std::vector<int> ready[kKinds];       ///< for the kind's next pass
+    /** The rest of the current pass: ready constraints of kind
+     * `sweeping` after index `at`, smallest first. */
+    std::priority_queue<int, std::vector<int>, std::greater<int>> due;
+    int sweeping = -1;
+    int at = -1;
+    size_t unknownFrom = 0; ///< links before it all have rates
 
     RateSolver(const Dfg &dfg, const AbsintReport &vals)
         : g(dfg), vals(vals), linkRate(dfg.links.size())
@@ -265,7 +301,7 @@ struct RateSolver
     }
 
     void
-    conflict(int node, const std::string &what, const Rate &a,
+    conflict(int node, const char *what, const Rate &a,
              const Rate &b, const std::vector<int> &links)
     {
         consistent = false;
@@ -290,7 +326,7 @@ struct RateSolver
      * possible; reports a conflict otherwise. Returns true if a new
      * binding was made. */
     bool
-    unify(const Rate &a, const Rate &b, int node, const std::string &what,
+    unify(const Rate &a, const Rate &b, int node, const char *what,
           const std::vector<int> &links)
     {
         Rate d = normalize(rateSub(a, b));
@@ -315,13 +351,38 @@ struct RateSolver
         return false;
     }
 
+    static int
+    needed(int kind)
+    {
+        return kind == kSum ? 2 : 1;
+    }
+
+    /** Count @p link as known in the constraints that read it, and
+     * queue those that just became ready. */
+    void
+    noteKnown(int link)
+    {
+        if (link + 1 >= static_cast<int>(useStart.size()))
+            return; // constraints not indexed yet
+        for (int i = useStart[link]; i < useStart[link + 1]; ++i) {
+            const Use &u = uses[i];
+            if (++knownLinks[u.kind][u.idx] != needed(u.kind))
+                continue;
+            if (u.kind == sweeping && u.idx > at)
+                due.push(u.idx);
+            else
+                ready[u.kind].push_back(u.idx);
+        }
+    }
+
     bool
-    setLink(int link, const Rate &r, int node, const std::string &what)
+    setLink(int link, const Rate &r, int node, const char *what)
     {
         if (link < 0 || link >= static_cast<int>(linkRate.size()))
             return false;
         if (!linkRate[link]) {
             linkRate[link] = r;
+            noteKnown(link);
             return true;
         }
         if (linkRate[link]->c == r.c && linkRate[link]->terms == r.terms)
@@ -424,54 +485,100 @@ struct RateSolver
         }
     }
 
-    /** Visit the live constraints in order and retire each one @p visit
-     * applied (returned true) without a conflict. */
+    /** Call @p fn(link, kind, index) for every link of every
+     * constraint. */
+    template <typename Fn>
+    void
+    forEachUse(Fn fn) const
+    {
+        for (size_t i = 0; i < classes.size(); ++i)
+            for (int l : classes[i].links)
+                fn(l, kClass, static_cast<int>(i));
+        for (size_t i = 0; i < linears.size(); ++i)
+            fn(linears[i].in, kLinear, static_cast<int>(i));
+        for (size_t i = 0; i < sums.size(); ++i) {
+            for (int l : {sums[i].out, sums[i].a, sums[i].b})
+                fn(l, kSum, static_cast<int>(i));
+        }
+    }
+
+    /** Build the link -> constraint index and queue the constraints
+     * the links known so far (the source seeds) already make ready. */
+    void
+    indexConstraints()
+    {
+        const int nLinks = static_cast<int>(linkRate.size());
+        auto valid = [&](int l) { return l >= 0 && l < nLinks; };
+        std::vector<int> fill(nLinks + 1, 0);
+        forEachUse([&](int l, int, int) {
+            if (valid(l))
+                ++fill[l + 1];
+        });
+        for (int l = 0; l < nLinks; ++l)
+            fill[l + 1] += fill[l];
+        uses.resize(fill[nLinks]);
+        knownLinks[kClass].assign(classes.size(), 0);
+        knownLinks[kLinear].assign(linears.size(), 0);
+        knownLinks[kSum].assign(sums.size(), 0);
+        useStart = fill;
+        forEachUse([&](int l, int kind, int idx) {
+            if (!valid(l))
+                return;
+            uses[fill[l]++] = Use{kind, idx};
+            knownLinks[kind][idx] += static_cast<bool>(linkRate[l]);
+        });
+        for (int k = 0; k < kKinds; ++k) {
+            for (size_t i = 0; i < knownLinks[k].size(); ++i)
+                if (knownLinks[k][i] >= needed(k))
+                    ready[k].push_back(static_cast<int>(i));
+        }
+    }
+
+    /** One pass over the ready constraints of @p kind in ascending
+     * order, including those that become ready ahead of it; each
+     * visit without a conflict retires its constraint. */
     template <typename C, typename Visit>
     void
-    sweepLive(std::vector<C> &live, Visit visit)
+    sweepReady(int kind, const std::vector<C> &cons, Visit visit)
     {
-        size_t keep = 0;
-        for (size_t i = 0; i < live.size(); ++i) {
+        std::vector<int> now;
+        now.swap(ready[kind]);
+        due = decltype(due)(std::greater<int>(), std::move(now));
+        sweeping = kind;
+        while (!due.empty()) {
+            at = due.top();
+            due.pop();
             const int seen = conflicts;
-            if (visit(live[i]) && conflicts == seen)
-                continue;
-            if (keep != i)
-                live[keep] = std::move(live[i]);
-            ++keep;
+            visit(cons[at]);
+            if (conflicts != seen)
+                ready[kind].push_back(at);
         }
-        live.resize(keep);
+        sweeping = -1;
     }
 
     bool
     sweep()
     {
         bool changed = false;
-        sweepLive(classes, [&](const EqCls &cls) {
-            const Rate *known = nullptr;
+        sweepReady(kClass, classes, [&](const EqCls &cls) {
+            Rate want; // copy: setLink may grow linkRate users
             for (int l : cls.links) {
                 if (l >= 0 && l < static_cast<int>(linkRate.size()) &&
                     linkRate[l]) {
-                    known = &*linkRate[l];
+                    want = *linkRate[l];
                     break;
                 }
             }
-            if (!known)
-                return false;
-            Rate want = *known; // copy: setLink may grow linkRate users
             for (int l : cls.links)
                 changed |= setLink(l, want, cls.node, "bundle lanes");
-            return true;
         });
-        sweepLive(linears, [&](const LinCon &lin) {
-            if (lin.in < 0 || !linkRate[lin.in])
-                return false;
+        sweepReady(kLinear, linears, [&](const LinCon &lin) {
             changed |= setLink(lin.out,
                                rateScale(normalize(*linkRate[lin.in]),
                                          lin.k),
                                lin.node, "counter trip count");
-            return true;
         });
-        sweepLive(sums, [&](const SumCon &sum) {
+        sweepReady(kSum, sums, [&](const SumCon &sum) {
             const bool ko = static_cast<bool>(linkRate[sum.out]);
             const bool ka = static_cast<bool>(linkRate[sum.a]);
             const bool kb = static_cast<bool>(linkRate[sum.b]);
@@ -487,16 +594,13 @@ struct RateSolver
                     rateSub(normalize(*linkRate[sum.out]),
                             normalize(*linkRate[sum.a])),
                     sum.node, "merge conservation");
-            } else if (ko && kb) {
+            } else {
                 changed |= setLink(
                     sum.a,
                     rateSub(normalize(*linkRate[sum.out]),
                             normalize(*linkRate[sum.b])),
                     sum.node, "merge conservation");
-            } else {
-                return false;
             }
-            return true;
         });
         return changed;
     }
@@ -506,7 +610,8 @@ struct RateSolver
     bool
     bindUnknown()
     {
-        for (size_t l = 0; l < linkRate.size(); ++l) {
+        for (; unknownFrom < linkRate.size(); ++unknownFrom) {
+            const size_t l = unknownFrom;
             if (linkRate[l])
                 continue;
             int src = g.links[l].src;
@@ -524,6 +629,7 @@ struct RateSolver
             }
             linkRate[l] = rateSym(
                 newSym(std::string(1, prefix) + std::to_string(tag)));
+            noteKnown(static_cast<int>(l));
             return true;
         }
         return false;
@@ -533,6 +639,7 @@ struct RateSolver
     solve()
     {
         buildConstraints();
+        indexConstraints();
         const int cap =
             static_cast<int>(g.links.size()) * 4 + 64;
         for (int iter = 0; iter < cap; ++iter) {
@@ -877,9 +984,11 @@ validateRewrite(const std::string &passName, const TokenAccount &before,
     // Structural discipline of the rewritten graph.
     structuralChecks(after, out);
 
-    // Token-rate balance must still hold.
-    RateReport rates = analyzeRates(after, vals);
-    for (auto &d : rates.diagnostics)
+    // Token-rate balance must still hold. Only the diagnostics are
+    // read here, so the per-link rates are never rendered.
+    RateSolver rates(after, vals);
+    rates.solve();
+    for (auto &d : rates.diags)
         out.push_back(std::move(d));
 
     return out;

@@ -17,13 +17,16 @@
  * memory ordering, and the strlen program that needs this stays
  * bit-identical over repeated 8-worker parallel runs. Value lints
  * (guaranteed overflow, dead filter arm) surface through
- * analyzeGraph().
+ * analyzeGraph(). Fixpoint goldens pin the solved facts and pop count of
+ * every app and language fixture, lowered and optimized
+ * (absint_goldens.txt).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,8 +34,11 @@
 #include "graph/absint.hh"
 #include "graph/analyze.hh"
 #include "graph/optimize.hh"
+#include "lang/parse.hh"
 #include "lang/type.hh"
+#include "passes/passes.hh"
 
+#include "goldens.hh"
 #include "oracle.hh"
 #include "single_pass.hh"
 
@@ -564,3 +570,69 @@ void main(int n) {
     // Lints are advisory: they must never reject the program.
     EXPECT_FALSE(rep.hasErrors());
 }
+
+// ---------------------------------------------------------------------
+// Fixpoint goldens.
+
+namespace
+{
+
+/** Every link fact of @p vals, as text. */
+std::string
+factsText(const AbsintReport &vals)
+{
+    std::ostringstream o;
+    for (size_t l = 0; l < vals.links.size(); ++l) {
+        const AbsVal &v = vals.links[l];
+        o << l << " " << v.bottom << " " << v.smin << " " << v.smax << " "
+          << v.umin << " " << v.umax << "\n";
+    }
+    return o.str();
+}
+
+} // namespace
+
+class AbsintGolden : public ::testing::TestWithParam<std::string>
+{};
+
+// The lowered and the final optimized graph of every app and language
+// fixture solve to the recorded worklist pop count and facts digest
+// (absint_goldens.txt). Widening counts growth steps per link, so the
+// FIFO visit order is part of the result: a solver change that
+// reorders the worklist fails here even when every fact stays sound.
+TEST_P(AbsintGolden, FixpointMatchesRecordedFacts)
+{
+    const std::string &label = GetParam();
+    static const auto goldens =
+        fixtures::readGoldens(REVET_ABSINT_GOLDENS);
+    ASSERT_FALSE(goldens.empty())
+        << "no digests in " << REVET_ABSINT_GOLDENS;
+
+    lang::Program prog =
+        lang::parseAndAnalyze(fixtures::goldenSource(label));
+    passes::runPipeline(prog);
+    Dfg g = lower(prog);
+    auto check = [&](const std::string &step) {
+        const AbsintReport vals = analyzeValues(g);
+        const std::string text = factsText(vals);
+        const std::string got = std::to_string(vals.iterations) + " " +
+            fixtures::hex64(fixtures::fnv1a(text));
+        const std::string graph = label + "/" + step;
+        auto it = goldens.find(graph);
+        if (it != goldens.end() && it->second == got)
+            return;
+        ADD_FAILURE() << "fixpoint of " << graph << " gives " << got
+                      << ", recorded "
+                      << (it == goldens.end() ? "<none>" : it->second)
+                      << "\ngolden-line: " << graph << " " << got << "\n"
+                      << text;
+    };
+    check("lowered");
+    optimize(g);
+    check("final");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AppsAndFixtures, AbsintGolden,
+    ::testing::ValuesIn(fixtures::goldenSources()),
+    [](const auto &info) { return fixtures::goldenTestName(info.param); });

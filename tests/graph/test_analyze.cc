@@ -4,7 +4,9 @@
  *
  * Rate balance: constant-bound counters fold to exact trip counts,
  * merges obey conservation, and a deliberately imbalanced bundle is
- * flagged with a node-naming diagnostic.
+ * flagged with an exact node-naming diagnostic. A rewrite that breaks
+ * balance is rejected with exactly the diagnostics analyzeRates()
+ * reports, though validation never renders the link rates.
  *
  * Translation validation: the default pipeline certifies every pass
  * application on real programs, while deliberately broken rewrites —
@@ -32,10 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <fstream>
-#include <map>
 #include <sstream>
 
 #include "apps/apps.hh"
@@ -47,6 +46,7 @@
 #include "lang/parse.hh"
 #include "passes/passes.hh"
 
+#include "goldens.hh"
 #include "lang_fixtures.hh"
 
 using namespace revet;
@@ -375,7 +375,7 @@ TEST(AnalyzeRates, ImbalancedBundleFlagged)
 {
     // A block bundling a rate-5 counter stream with a rate-1 source
     // stream can never align its lanes: the balance equations must
-    // flag the block by name.
+    // flag the conflict by node.
     Dfg g;
     int iv = addConstCounter(g, 0, 5, 1);
     auto &src = g.newNode(NodeKind::source, "arg0");
@@ -396,20 +396,19 @@ TEST(AnalyzeRates, ImbalancedBundleFlagged)
 
     RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_FALSE(rr.consistent);
-    ASSERT_TRUE(hasCode(rr.diagnostics, "rate-imbalance"));
-    // The conflict surfaces wherever propagation detects it — at the
-    // bundling block or at the counter whose trip count contradicts
-    // the already-propagated rate. Either way it must name a node.
+    // The block's bundle ties the counter's input to the source's rate
+    // 1 in the first sweep, so the conflict surfaces at the counter,
+    // whose trip count then demands 5 on its output.
     int ctr = nodeByName(g, "threads");
-    bool named = false;
-    for (const auto &d : rr.diagnostics) {
-        EXPECT_FALSE(d.nodes.empty()) << d.message;
-        named |= std::find(d.nodes.begin(), d.nodes.end(), blk.id) !=
-            d.nodes.end();
-        named |= std::find(d.nodes.begin(), d.nodes.end(), ctr) !=
-            d.nodes.end();
-    }
-    EXPECT_TRUE(named) << "diagnostic must name an involved node";
+    ASSERT_EQ(rr.diagnostics.size(), 1u);
+    const Diagnostic &d = rr.diagnostics[0];
+    EXPECT_EQ(d.code, "rate-imbalance");
+    EXPECT_EQ(d.nodes, std::vector<int>{ctr});
+    EXPECT_EQ(d.links, std::vector<int>{iv});
+    EXPECT_EQ(d.message,
+              "balance conflict at 'threads' (counter #2): counter trip "
+              "count require rate 1 but found 5");
+    EXPECT_EQ(rr.linkRates, std::vector<std::string>(g.links.size(), "1"));
 }
 
 TEST(AnalyzeRates, LateMergeConflictAfterSettledBundles)
@@ -516,6 +515,57 @@ TEST(AnalyzeValidate, DefaultPipelineCertifiesEveryApplication)
 // ---------------------------------------------------------------------
 // Translation validation: mutation tests
 // ---------------------------------------------------------------------
+
+TEST(AnalyzeValidate, RateImbalanceRejectedWithAnalyzeRatesDiagnostics)
+{
+    // Validation runs the rate solver without rendering the link
+    // rates; the rate-imbalance diagnostics it rejects a rewrite with
+    // must be exactly those analyzeRates() reports on that graph.
+    Dfg g;
+    int iv = addConstCounter(g, 0, 5, 1);
+    auto &tally = g.newNode(NodeKind::sink, "tally");
+    g.connectIn(tally.id, iv);
+    auto &blk = g.newNode(NodeKind::block, "pair");
+    for (const char *arg : {"arg0", "arg1"}) {
+        auto &src = g.newNode(NodeKind::source, arg);
+        int l = g.newLink(arg);
+        g.connectOut(src.id, l);
+        g.connectIn(blk.id, l);
+    }
+    blk.inputRegs = {0, 1};
+    blk.nRegs = 3;
+    addBinop(blk, OpKind::add, 2, 0, 1);
+    int lo = g.newLink("o");
+    blk.outputRegs = {2};
+    g.connectOut(blk.id, lo);
+    auto &snk = g.newNode(NodeKind::sink, "sink");
+    g.connectIn(snk.id, lo);
+    g.verify();
+    ASSERT_TRUE(analyzeRates(g, analyzeValues(g)).consistent);
+
+    // Rebind the block's second lane to the rate-5 counter stream.
+    Dfg rejected;
+    auto pipeline = brokenPipeline("broken-rebind-lane", [&](Dfg &g2) {
+        Node &b = g2.nodes[blk.id];
+        Node &t = g2.nodes[tally.id];
+        std::swap(b.ins[1], t.ins[0]);
+        g2.links[b.ins[1]].dst = b.id;
+        g2.links[t.ins[0]].dst = t.id;
+        rejected = g2;
+        return 1;
+    });
+    std::vector<Diagnostic> diags = rejection(g, pipeline);
+    std::vector<std::string> got;
+    for (const auto &d : diags)
+        if (d.code == "rate-imbalance")
+            got.push_back(d.json());
+    std::vector<std::string> want;
+    for (const auto &d :
+         analyzeRates(rejected, analyzeValues(rejected)).diagnostics)
+        want.push_back(d.json());
+    ASSERT_FALSE(want.empty()) << "the rebound lane must break balance";
+    EXPECT_EQ(got, want);
+}
 
 TEST(AnalyzeValidate, DroppedEffectRejected)
 {
@@ -919,24 +969,8 @@ TEST(AnalyzeDeadlock, AppGraphsLintClean)
 namespace
 {
 
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 14695981039346656037ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::string
-hex64(uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016" PRIx64, v);
-    return buf;
-}
+using fixtures::fnv1a;
+using fixtures::hex64;
 
 /** Everything the rate solver decides about one graph, as text. */
 std::string
@@ -996,51 +1030,6 @@ pipelineReports(const std::string &label, const std::string &source)
     return out;
 }
 
-/** Recorded digests, "<graph label> <hex digest>" per line. */
-const std::map<std::string, std::string> &
-goldenDigests()
-{
-    static const std::map<std::string, std::string> digests = [] {
-        std::map<std::string, std::string> out;
-        std::ifstream in(REVET_ANALYZE_GOLDENS);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty() || line[0] == '#')
-                continue;
-            std::istringstream fields(line);
-            std::string label, digest;
-            fields >> label >> digest;
-            out[label] = digest;
-        }
-        return out;
-    }();
-    return digests;
-}
-
-/** App names and language-fixture labels: the sources under golden. */
-std::vector<std::string>
-goldenSources()
-{
-    std::vector<std::string> out;
-    for (const auto &app : apps::allApps())
-        out.push_back(app.name);
-    for (const auto &f : fixtures::languageFixtures())
-        out.push_back(f.label);
-    return out;
-}
-
-std::string
-goldenSource(const std::string &label)
-{
-    for (const auto &app : apps::allApps())
-        if (app.name == label)
-            return app.source;
-    for (const auto &f : fixtures::languageFixtures())
-        if (label == f.label)
-            return f.source;
-    return {};
-}
-
 } // namespace
 
 class AnalyzeGolden : public ::testing::TestWithParam<std::string>
@@ -1049,10 +1038,11 @@ class AnalyzeGolden : public ::testing::TestWithParam<std::string>
 TEST_P(AnalyzeGolden, SolverReportsMatchRecordedDigests)
 {
     const std::string &label = GetParam();
-    const auto &goldens = goldenDigests();
+    static const auto goldens =
+        fixtures::readGoldens(REVET_ANALYZE_GOLDENS);
     ASSERT_FALSE(goldens.empty())
         << "no digests in " << REVET_ANALYZE_GOLDENS;
-    auto reports = pipelineReports(label, goldenSource(label));
+    auto reports = pipelineReports(label, fixtures::goldenSource(label));
 
     size_t recorded = 0;
     for (const auto &kv : goldens)
@@ -1074,12 +1064,6 @@ TEST_P(AnalyzeGolden, SolverReportsMatchRecordedDigests)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AppsAndFixtures, AnalyzeGolden, ::testing::ValuesIn(goldenSources()),
-    [](const auto &info) {
-        std::string name = info.param;
-        for (auto &c : name) {
-            if (!isalnum(static_cast<unsigned char>(c)))
-                c = '_';
-        }
-        return name;
-    });
+    AppsAndFixtures, AnalyzeGolden,
+    ::testing::ValuesIn(fixtures::goldenSources()),
+    [](const auto &info) { return fixtures::goldenTestName(info.param); });
