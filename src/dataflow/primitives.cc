@@ -163,20 +163,18 @@ ElementWise::stepOnce()
         pushBarrier(outs_, kind);
         return true;
     }
-    std::vector<Word> in_words;
-    in_words.reserve(ins_.size());
-    for (Channel *ch : ins_)
-        in_words.push_back(ch->pop().word());
-    std::vector<Word> out_words;
-    fn_(in_words, out_words);
-    if (out_words.size() != outs_.size()) {
+    for (size_t i = 0; i < ins_.size(); ++i)
+        in_words_[i] = ins_[i]->pop().word();
+    out_words_.clear();
+    fn_(in_words_, out_words_);
+    if (out_words_.size() != outs_.size()) {
         throw std::logic_error(name() + ": lane fn produced " +
-                               std::to_string(out_words.size()) +
+                               std::to_string(out_words_.size()) +
                                " results for " +
                                std::to_string(outs_.size()) + " outputs");
     }
     for (size_t i = 0; i < outs_.size(); ++i)
-        outs_[i]->push(Token::data(out_words[i]));
+        outs_[i]->push(Token::data(out_words_[i]));
     return true;
 }
 

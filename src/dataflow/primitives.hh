@@ -16,11 +16,11 @@
  *
  * These classes are the one definition of each firing rule: compiled
  * graphs instantiate them directly (graph::ExecutionContext, which
- * reset()s them between requests), as do the hand-built networks of
- * the tests and benches. Their stepOnce() bodies allocate nothing,
- * except ElementWise's lane vectors (a convenience for hand-built
- * networks; compiled blocks are their own process) and Sink's growing
- * collection.
+ * reset()s them between requests; its blocks, parks, FIFO restores
+ * and ordinals are ElementWise with a lane function over the machine
+ * memory, and only the keyed restore is a process of its own), as do
+ * the hand-built networks of the tests and benches. Their stepOnce()
+ * bodies allocate nothing, except Sink's growing collection.
  *
  * Link fan-out is not a primitive here. As on the vRDA, where the
  * network delivers a vector to every consumer, every channel is a ring
@@ -214,7 +214,10 @@ using LaneFn =
  *
  * Pops one aligned token from every input; data maps through @p fn,
  * barriers (which must agree across inputs) pass to every output.
- * Ordering, hierarchy, and thread count are never changed.
+ * Ordering, hierarchy, and thread count are never changed. The lane
+ * vectors handed to @p fn are members, refilled on every firing, so
+ * @p fn sees an empty result vector and must append one word per
+ * output.
  */
 class ElementWise : public Process
 {
@@ -228,6 +231,8 @@ class ElementWise : public Process
         if (ins_.empty())
             throw std::logic_error(this->name() + ": no input lanes");
         declareIo(ins_, outs_);
+        in_words_.resize(ins_.size());
+        out_words_.reserve(outs_.size());
     }
 
     bool stepOnce() override;
@@ -236,6 +241,8 @@ class ElementWise : public Process
     Bundle ins_;
     Bundle outs_;
     LaneFn fn_;
+    std::vector<Word> in_words_;
+    std::vector<Word> out_words_;
 };
 
 /**

@@ -13,12 +13,8 @@ namespace revet
 namespace graph
 {
 
-using dataflow::allCanPush;
-using dataflow::allHaveToken;
 using dataflow::Bundle;
-using dataflow::bundleHeadKind;
 using dataflow::Channel;
-using dataflow::pushBarrier;
 using lang::normalize;
 using sltf::Token;
 
@@ -175,6 +171,9 @@ struct MachineMemory
      * alloc() re-zeroes and reuses the buffer a previous request left
      * in the slot instead of growing the heap. */
     uint32_t liveAllocs = 0;
+    /** Next arrival index of each ordinal, one slot per ordinal
+     * instruction. Each slot has a single user, so it needs no lock. */
+    std::vector<Word> arrivals;
 
     /** Point this memory at the next request's image/stats and clear
      * all per-run state. Setup-only (no run in flight). */
@@ -185,6 +184,7 @@ struct MachineMemory
         stats = &stats_ref;
         liveAllocs = 0;
         parkedNow = 0;
+        std::fill(arrivals.begin(), arrivals.end(), 0);
     }
 
     uint32_t
@@ -306,7 +306,6 @@ collectRunStats(dataflow::Engine &engine, size_t num_links, bool watched,
     stats.schedWakeups = sched.wakeups;
     stats.schedSteps = sched.steps;
     stats.schedIdleSteps = sched.idleSteps;
-    stats.schedStepsSkipped = sched.stepsSkipped;
     stats.schedVerifyPasses = sched.verifyPasses;
     stats.schedQuanta = sched.quanta;
     stats.schedSteals = sched.steals;
@@ -331,129 +330,89 @@ collectRunStats(dataflow::Engine &engine, size_t num_links, bool watched,
 }
 
 // The nine stream roles run as the dataflow:: primitives themselves,
-// and fanouts as Engine::multicast cursors with no process; only the
-// roles that touch MachineMemory (or, for ordinal, renumber threads
-// for the keyed parks) are processes of their own, below.
+// and fanouts as Engine::multicast cursors with no process. Blocks,
+// parks, FIFO restores and ordinals are dataflow::ElementWise too,
+// with the lane functions below; only the keyed restore, which
+// re-pairs threads across two streams, is a process of its own.
 
 /**
- * A block: one element-wise firing over a preallocated register file.
- * Each firing re-zeroes the file (reads-before-writes yield 0), lands
- * the inputs by the lane map, and runs straight over this block's
- * slice of the program's flat BlockOp table.
+ * A block's lane function: one firing over a register file the
+ * function owns. Each firing re-zeroes the file (reads-before-writes
+ * yield 0), lands the inputs by the lane map, and runs straight over
+ * this block's slice of the program's flat BlockOp table.
  */
-class BlockProc final : public dataflow::Process
+dataflow::LaneFn
+blockLanes(const BytecodeProgram &prog, const BcInst &inst,
+           MachineMemory &mem)
 {
-  public:
-    BlockProc(std::string name, const BytecodeProgram &prog,
-              const BcInst &inst, Bundle ins, Bundle outs,
-              MachineMemory &mem)
-        : Process(std::move(name)), ins_(std::move(ins)),
-          outs_(std::move(outs)), regs_(inst.nRegs, 0),
-          ops_(prog.ops.data() + inst.ops), num_ops_(inst.nOps),
-          in_regs_(prog.regs.data() + inst.inRegs),
-          out_regs_(prog.regs.data() + inst.outRegs), mem_(mem)
-    {
-        declareIo(ins_, outs_);
-    }
-
-    bool
-    stepOnce() override
-    {
-        if (!allHaveToken(ins_) || !allCanPush(outs_))
-            return false;
-        const int kind = bundleHeadKind(ins_);
-        if (kind > 0) {
-            for (Channel *ch : ins_)
-                ch->pop();
-            pushBarrier(outs_, kind);
-            return true;
-        }
-        std::fill(regs_.begin(), regs_.end(), 0);
-        for (size_t i = 0; i < ins_.size(); ++i)
-            regs_[in_regs_[i]] = ins_[i]->pop().word();
-        for (uint32_t i = 0; i < num_ops_; ++i) {
-            const BlockOp &op = ops_[i];
-            if (op.guard >= 0 && regs_[op.guard] == 0)
+    const BlockOp *ops = prog.ops.data() + inst.ops;
+    const int32_t *in_regs = prog.regs.data() + inst.inRegs;
+    const int32_t *out_regs = prog.regs.data() + inst.outRegs;
+    return [regs = std::vector<Word>(inst.nRegs, 0), ops,
+            num_ops = inst.nOps, in_regs, out_regs,
+            num_outs = inst.nOuts, &mem](const std::vector<Word> &in,
+                                         std::vector<Word> &out) mutable {
+        std::fill(regs.begin(), regs.end(), 0);
+        for (size_t i = 0; i < in.size(); ++i)
+            regs[in_regs[i]] = in[i];
+        for (uint32_t i = 0; i < num_ops; ++i) {
+            const BlockOp &op = ops[i];
+            if (op.guard >= 0 && regs[op.guard] == 0)
                 continue;
             // ALU semantics live in graph::evalPureOp (shared with the
             // optimizer's constant folder); it declines memory traffic
             // and division by zero, which take the locked slow path.
             Word v;
-            const Word a = op.a >= 0 ? regs_[op.a] : 0;
-            const Word b = op.b >= 0 ? regs_[op.b] : 0;
-            const Word c = op.c >= 0 ? regs_[op.c] : 0;
+            const Word a = op.a >= 0 ? regs[op.a] : 0;
+            const Word b = op.b >= 0 ? regs[op.b] : 0;
+            const Word c = op.c >= 0 ? regs[op.c] : 0;
             if (!evalPureOp(op, a, b, c, v))
-                v = evalMemoryOp(op, regs_, mem_);
+                v = evalMemoryOp(op, regs, mem);
             if (op.dst >= 0)
-                regs_[op.dst] = v;
+                regs[op.dst] = v;
         }
-        for (size_t i = 0; i < outs_.size(); ++i)
-            outs_[i]->push(Token::data(regs_[out_regs_[i]]));
-        return true;
-    }
-
-  private:
-    Bundle ins_;
-    Bundle outs_;
-    std::vector<Word> regs_;
-    const BlockOp *ops_;
-    uint32_t num_ops_;
-    const int32_t *in_regs_;
-    const int32_t *out_regs_;
-    MachineMemory &mem_;
-};
+        for (uint32_t i = 0; i < num_outs; ++i)
+            out.push_back(regs[out_regs[i]]);
+    };
+}
 
 /**
- * The single-lane roles around a replicate region: park (SRAM write of
- * each data token), FIFO restore (the in-order read-back), and ordinal
- * (tags each entering thread with its arrival index: the key a keyed
- * park stores under and its restore looks up by). All three pass the
- * stream through with barriers untouched.
+ * The lane function of a single-lane role around a replicate region:
+ * park (SRAM write of each data token), FIFO restore (the in-order
+ * read-back), and ordinal (tags each entering thread with its arrival
+ * index: the key a keyed park stores under and its restore looks up
+ * by). Each passes its data word through, except the ordinal, which
+ * replaces it; ElementWise passes barriers untouched.
  */
-class LaneTap final : public dataflow::Process
+dataflow::LaneFn
+tapLanes(BcOp role, MachineMemory &mem)
 {
-  public:
-    LaneTap(std::string name, BcOp role, Channel *in, Channel *out,
-            MachineMemory &mem)
-        : Process(std::move(name)), role_(role), in_(in), out_(out),
-          mem_(mem)
-    {
-        declareIo({in_}, {out_});
+    if (role == BcOp::ordinal) {
+        // The arrival counter is per-run state: MachineMemory::rebind
+        // zeroes it with the rest of the bookkeeping.
+        const size_t slot = mem.arrivals.size();
+        mem.arrivals.push_back(0);
+        return [slot, &mem](const std::vector<Word> &,
+                            std::vector<Word> &out) {
+            out.push_back(mem.arrivals[slot]++);
+        };
     }
-
-    bool
-    stepOnce() override
-    {
-        if (in_->empty() || !out_->canPush())
-            return false;
-        Token tok = in_->pop();
-        if (tok.isData()) {
-            if (role_ == BcOp::ordinal) {
-                tok = Token::data(count_++);
+    const bool park = role == BcOp::park;
+    return [park, &mem](const std::vector<Word> &in,
+                        std::vector<Word> &out) {
+        {
+            std::lock_guard<std::mutex> guard(mem.mu);
+            ++mem.stats->sramAccesses;
+            if (park) {
+                ++mem.stats->sramParkedElems;
+                mem.parkSlot();
             } else {
-                std::lock_guard<std::mutex> guard(mem_.mu);
-                ++mem_.stats->sramAccesses;
-                if (role_ == BcOp::park) {
-                    ++mem_.stats->sramParkedElems;
-                    mem_.parkSlot();
-                } else {
-                    mem_.releaseSlot();
-                }
+                mem.releaseSlot();
             }
         }
-        out_->push(tok);
-        return true;
-    }
-
-    void reset() override { count_ = 0; }
-
-  private:
-    BcOp role_;
-    Channel *in_;
-    Channel *out_;
-    MachineMemory &mem_;
-    Word count_ = 0;
-};
+        out.push_back(in[0]);
+    };
+}
 
 /**
  * Associative read-back side of an ordinal-keyed park/restore pair.
@@ -677,9 +636,9 @@ struct ExecutionContext::Impl
             engine.multicast(in(0), outs);
             return nullptr;
           case BcOp::block:
-            return engine.make<BlockProc>(name, prog, inst,
-                                          lanes(inst.ins, inst.nIns),
-                                          std::move(outs), mem);
+            return engine.make<ElementWise>(name, lanes(inst.ins, inst.nIns),
+                                            std::move(outs),
+                                            blockLanes(prog, inst, mem));
           case BcOp::counter:
             return engine.make<Counter>(name, in(0), in(1), in(2), out);
           case BcOp::broadcast:
@@ -704,7 +663,9 @@ struct ExecutionContext::Impl
           case BcOp::park:
           case BcOp::restore:
           case BcOp::ordinal:
-            return engine.make<LaneTap>(name, inst.op, in(0), out, mem);
+            return engine.make<ElementWise>(name, Bundle{in(0)},
+                                            std::move(outs),
+                                            tapLanes(inst.op, mem));
           case BcOp::keyedRestore:
             return engine.make<KeyedRestore>(name, in(0), in(1), out, mem);
         }
@@ -770,7 +731,7 @@ ExecutionContext::run(lang::DramImage &dram,
     // and memory state mid-request; the reset above makes the *next*
     // run safe regardless, but pools read this to retire the context.
     im.poisoned = true;
-    stats.engineRounds = im.engine.run();
+    im.engine.run();
     collectRunStats(im.engine, im.prog.numLinks, im.watchValues, stats);
     stats.sramParkedEnd = im.mem.parkedNow;
     im.poisoned = false;

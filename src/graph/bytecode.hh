@@ -6,12 +6,15 @@
  * position-independent tables: one fixed-width instruction per node,
  * channel *indices* (not pointers) into a shared operand pool, and the
  * block bodies concatenated into a single BlockOp table. An
- * ExecutionContext instantiates each instruction once: the nine
- * stream roles with a firing rule (source, sink, counter, broadcast,
- * reduce, flatten, filter, and both merges) as the dataflow::
- * primitives themselves, so every firing rule has exactly one
- * definition; blocks, parks, restores, and ordinals as small
- * processes over the shared machine memory (bytecode.cc). A fanout
+ * ExecutionContext instantiates each instruction once, as the
+ * dataflow:: primitives themselves, so every firing rule has exactly
+ * one definition: the nine stream roles with a firing rule of their
+ * own (source, sink, counter, broadcast, reduce, flatten, filter, and
+ * both merges) directly, and blocks, parks, FIFO restores and
+ * ordinals as dataflow::ElementWise, whose lane function runs the
+ * block body or the park bookkeeping over the shared machine memory
+ * (bytecode.cc). The keyed restore is the one role with a private
+ * process: it re-pairs values with keys across two streams. A fanout
  * runs no process: as in the vRDA network, Engine::multicast folds
  * its outputs' rings into its input's, so each output reads the one
  * ring through its own cursor, each token is written once, and every

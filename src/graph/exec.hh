@@ -20,15 +20,10 @@ namespace graph
 
 struct ExecStats
 {
-    /** Working scheduler rounds (same counting rule for every
-     * dataflow::Engine policy: rounds that moved at least one
-     * token; the final certification pass is excluded). */
-    uint64_t engineRounds = 0;
     /** Scheduler observability (see dataflow::SchedStats). */
     uint64_t schedWakeups = 0;
     uint64_t schedSteps = 0;
     uint64_t schedIdleSteps = 0;
-    uint64_t schedStepsSkipped = 0;
     uint64_t schedVerifyPasses = 0;
     /** stepOnce() quanta that made progress, so bench/exec_dispatch.cc
      * can report dispatch cost per quantum. */

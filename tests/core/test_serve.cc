@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -177,42 +179,110 @@ TEST(ServeConcurrency, RawThreadsShareOneArtifact)
 
 TEST(ServeResidue, ReusedContextMatchesFreshContext)
 {
-    // Interleave scales on one context; every run must behave as if
-    // the context were freshly built — no channel, register, arena,
-    // or stats residue from the previous request.
+    // Interleave shapes on reused contexts; every run must behave as
+    // if its context were freshly built — no channel, register, arena,
+    // ordinal-counter, park-occupancy or stats residue from the
+    // previous request. isipv4 parks nothing; replicate-passover parks
+    // its pass-over values FIFO, and the reorder-replicate pair parks
+    // them under ordinal keys (the exit variant's dead threads also
+    // leave slots for the keyed restore to reclaim).
+    using Shaped =
+        std::function<std::vector<int32_t>(lang::DramImage &, int)>;
+    struct Case
+    {
+        std::string label;
+        std::shared_ptr<const CompiledArtifact> artifact;
+        Shaped generate;
+        /** Scale (app) or thread count (fixture; 0 keeps its own) of
+         * each reused run; the first and last agree. */
+        std::vector<int> shapes;
+        bool parks;
+    };
+    std::vector<Case> cases;
     const apps::App &app = apps::findApp("isipv4");
-    auto artifact = CompiledArtifact::build(app.source);
-    auto runOnce = [&](graph::ExecutionContext &ctx, int scale) {
-        lang::DramImage dram(artifact->hir());
-        auto args = app.generate(dram, scale);
+    cases.push_back({app.name, CompiledArtifact::build(app.source),
+                     [&app](lang::DramImage &dram, int scale) {
+                         return app.generate(dram, scale);
+                     },
+                     {6, 11, 6}, false});
+    for (const auto &f : fixtures::languageFixtures()) {
+        const std::string label = f.label;
+        if (label != "replicate-passover" &&
+            label != "reorder-replicate-passover" &&
+            label != "reorder-replicate-exit")
+            continue;
+        // The fixture sizes its image for its own thread count n; a
+        // smaller n in between is a different shape on the same image.
+        const fixtures::Generate generate = f.generate;
+        Shaped shaped = [generate](lang::DramImage &dram, int n) {
+            auto args = generate(dram);
+            if (n > 0)
+                args[0] = n;
+            return args;
+        };
+        cases.push_back({label, CompiledArtifact::build(f.source),
+                         shaped, {0, 7, 0}, true});
+    }
+    ASSERT_EQ(cases.size(), 4u);
+
+    struct Run
+    {
+        fixtures::DramBytes dram;
+        graph::ExecStats stats;
+    };
+    auto runOnce = [](const Case &c, graph::ExecutionContext &ctx,
+                      int shape) {
+        lang::DramImage dram(c.artifact->hir());
+        auto args = c.generate(dram, shape);
         auto stats = ctx.run(dram, args);
-        return std::make_pair(dramBytes(dram), stats);
+        return Run{dramBytes(dram), std::move(stats)};
     };
 
-    auto reused = artifact->makeContext();
-    auto [d1, s1] = runOnce(*reused, 6);
-    auto [d2, s2] = runOnce(*reused, 11); // different shape in between
-    auto [d3, s3] = runOnce(*reused, 6);  // back to the original scale
-
-    auto fresh = artifact->makeContext();
-    auto [df, sf] = runOnce(*fresh, 6);
-
-    EXPECT_EQ(d1, df);
-    EXPECT_EQ(d3, df) << "third run on a twice-reused context diverged";
-    EXPECT_EQ(s1.linkTokens, sf.linkTokens);
-    EXPECT_EQ(s3.linkTokens, sf.linkTokens)
-        << "link traffic accumulated across reuses";
-    EXPECT_EQ(s3.linkBarriers, sf.linkBarriers);
-    EXPECT_EQ(s3.dramReadElems, sf.dramReadElems);
-    EXPECT_EQ(s3.dramWriteElems, sf.dramWriteElems);
-    // Residue invariants after every reused run: network drained, all
-    // park slots returned, fresh stats object each run.
-    for (const auto *st : {&s1, &s2, &s3}) {
-        EXPECT_TRUE(st->drained);
-        EXPECT_EQ(st->sramParkedEnd, 0u);
+    std::vector<std::unique_ptr<graph::ExecutionContext>> reused;
+    for (const Case &c : cases)
+        reused.push_back(c.artifact->makeContext());
+    // Round-robin over the cases, so each context's runs interleave
+    // with the others'.
+    std::vector<std::vector<Run>> runs(cases.size());
+    for (size_t k = 0; k < 3; ++k) {
+        for (size_t i = 0; i < cases.size(); ++i)
+            runs[i].push_back(
+                runOnce(cases[i], *reused[i], cases[i].shapes[k]));
     }
-    EXPECT_EQ(reused->runsServed(), 3u);
-    EXPECT_FALSE(reused->poisoned());
+
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const Case &c = cases[i];
+        auto fresh = c.artifact->makeContext();
+        const Run want = runOnce(c, *fresh, c.shapes[0]);
+        if (c.parks) {
+            EXPECT_GT(want.stats.sramParkedElems, 0u)
+                << c.label << ": the fixture no longer parks";
+        }
+        for (size_t k : {size_t(0), size_t(2)}) {
+            const Run &got = runs[i][k];
+            EXPECT_EQ(got.dram, want.dram)
+                << c.label << " run " << k << " diverged";
+            EXPECT_EQ(got.stats.linkTokens, want.stats.linkTokens)
+                << c.label << " run " << k
+                << ": link traffic accumulated across reuses";
+            EXPECT_EQ(got.stats.linkBarriers, want.stats.linkBarriers)
+                << c.label << " run " << k;
+            EXPECT_EQ(got.stats.sramParkedPeak, want.stats.sramParkedPeak)
+                << c.label << " run " << k;
+            EXPECT_EQ(got.stats.dramReadElems, want.stats.dramReadElems)
+                << c.label << " run " << k;
+            EXPECT_EQ(got.stats.dramWriteElems, want.stats.dramWriteElems)
+                << c.label << " run " << k;
+        }
+        // Residue invariants after every reused run: network drained,
+        // all park slots returned, fresh stats object each run.
+        for (const Run &r : runs[i]) {
+            EXPECT_TRUE(r.stats.drained) << c.label;
+            EXPECT_EQ(r.stats.sramParkedEnd, 0u) << c.label;
+        }
+        EXPECT_EQ(reused[i]->runsServed(), 3u) << c.label;
+        EXPECT_FALSE(reused[i]->poisoned()) << c.label;
+    }
 }
 
 TEST(ServeResidue, HoistedArenaReusesSlotsAcrossRequests)
@@ -361,13 +431,16 @@ TEST(ServeCache, FingerprintStableAndOptionSensitive)
     EXPECT_NE(artifactFingerprint("src", base),
               artifactFingerprint("src2", base));
 
-    // Sensitivity: one field from every options sub-struct must land
-    // in the canonical serialization — a knob missing here would alias
-    // cache entries across genuinely different compiles.
+    // Sensitivity: one field from every options sub-struct, and every
+    // machine field, must land in the canonical serialization — a knob
+    // missing here would alias cache entries across genuinely
+    // different compiles.
     auto perturbed = [&](auto mutate) {
         CompileOptions o;
         mutate(o);
-        EXPECT_NE(canonicalOptions(base), canonicalOptions(o));
+        EXPECT_NE(canonicalOptions(base), canonicalOptions(o))
+            << "a perturbed field left the key unchanged: "
+            << canonicalOptions(o);
         EXPECT_NE(artifactFingerprint("src", base),
                   artifactFingerprint("src", o));
     };
@@ -376,10 +449,25 @@ TEST(ServeCache, FingerprintStableAndOptionSensitive)
         o.graphOpt.replicateBufferize = false;
     });
     perturbed([](CompileOptions &o) { o.graphOpt.subwordPack = false; });
-    perturbed([](CompileOptions &o) { o.graphOpt.machine.muBanks = 17; });
-    perturbed([](CompileOptions &o) {
-        o.graphOpt.machine.clockGHz = 1.7;
-    });
+    // Every machine field sizes something (resources, parks, the
+    // cycle model), so each one is perturbed on its own.
+    using M = sim::MachineConfig;
+    for (int M::*field :
+         {&M::numCU, &M::numMU, &M::numAG, &M::lanes, &M::stages,
+          &M::vecBuffers, &M::scalBuffers, &M::vecBufferWords,
+          &M::scalBufferWords, &M::vecOutputs, &M::scalOutputs,
+          &M::muBanks, &M::muKiB, &M::burstBytes, &M::dramBanks}) {
+        perturbed([field](CompileOptions &o) {
+            o.graphOpt.machine.*field += 1;
+        });
+    }
+    for (double M::*field :
+         {&M::clockGHz, &M::areaMM2, &M::dramPeakGBs,
+          &M::dramEfficiency, &M::tRCns, &M::targetUtilization}) {
+        perturbed([field](CompileOptions &o) {
+            o.graphOpt.machine.*field += 0.125;
+        });
+    }
     perturbed([](CompileOptions &o) {
         o.graph.hoistAllocators = false;
     });

@@ -97,6 +97,31 @@ TEST(ElementWise, MultipleResults)
     EXPECT_EQ(s2->collected(), (TokenStream)StreamBuilder().d(4).d(8).b(1));
 }
 
+TEST(ElementWise, LaneCountMismatchThrows)
+{
+    // A lane function must append exactly one word per output lane.
+    Engine e;
+    auto *a = e.channel("a");
+    auto *s = e.channel("s");
+    auto *d = e.channel("d");
+    e.make<Source>("src", a, StreamBuilder().d(5).b(1));
+    e.make<ElementWise>("short", Bundle{a}, Bundle{s, d}, unary([](Word w) {
+                            return w + 1;
+                        }));
+    e.make<Sink>("s1", s);
+    e.make<Sink>("s2", d);
+    try {
+        e.run();
+        FAIL() << "a lane fn short of results must throw";
+    } catch (const std::logic_error &err) {
+        EXPECT_NE(std::string(err.what())
+                      .find("short: lane fn produced 1 results for 2 "
+                            "outputs"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(ElementWise, RejectsEmptyInputBundle)
 {
     // With no input to wait on every step would be a firing.
