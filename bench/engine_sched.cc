@@ -115,8 +115,9 @@ buildChain(Engine &eng, Channel *head, const std::string &prefix,
         eng.make<ElementWise>(
             prefix + ".ew" + std::to_string(s), Bundle{cur},
             Bundle{next},
-            [](const std::vector<Word> &in, std::vector<Word> &out) {
-                out.push_back(in[0] + 1);
+            [](const LaneRun &run) {
+                for (size_t t = 0; t < run.n; ++t)
+                    run.out[0][t] = run.in[0][t] + 1;
             });
         cur = next;
     }
@@ -182,17 +183,18 @@ runScaling(Engine::Policy policy, int workers, int replicas, int stages,
             eng.make<ElementWise>(
                 prefix + ".ew" + std::to_string(s), Bundle{cur},
                 Bundle{next},
-                [](const std::vector<Word> &in,
-                   std::vector<Word> &out) {
-                    Word x = in[0];
+                [](const LaneRun &run) {
                     // Heavy enough that per-token cost is dominated by
                     // ALU work, not channel traffic: the serial
                     // channel fast path made push/pop cheap, and this
                     // gate should measure scheduler scaling, not FIFO
                     // overhead.
-                    for (int k = 0; k < 96; ++k)
-                        x = x * 1664525u + 1013904223u;
-                    out.push_back(x);
+                    for (size_t t = 0; t < run.n; ++t) {
+                        Word x = run.in[0][t];
+                        for (int k = 0; k < 96; ++k)
+                            x = x * 1664525u + 1013904223u;
+                        run.out[0][t] = x;
+                    }
                 });
             cur = next;
         }

@@ -1,17 +1,21 @@
 /**
  * @file
  * Dispatch cost of the executor on the ALU-dense Table III apps
- * (ip2int, murmur3), whose graphs are dominated by block firings:
- * wall time per scheduler quantum and per token.
+ * (ip2int, murmur3), whose graphs are dominated by block firings, and
+ * on huff-dec, whose short runs over wide bundles are the case where
+ * run-at-a-time firing gains least: wall time per scheduler quantum
+ * and per token.
  *
- * Each fixture is compiled once and run under the worklist policy,
- * best-of-N wall time. Two normalizations are reported. ns per quantum
- * (one stepOnce() that made progress) prices a process firing; fanouts
- * run no process (Engine::multicast), so their traffic costs no
- * quanta. ns per token (summed over every link's traffic,
- * ExecStats::linkTokens, which a graph's shape fixes) prices the work
- * itself, and is the figure to compare across executor changes that
- * alter what a quantum is.
+ * Each fixture is compiled once and run under the worklist policy
+ * kRepeats times, the fixtures interleaved repetition by repetition so
+ * that a slow phase of the host lands on all of them; the report is
+ * the median and the interquartile range over the repetitions. Two
+ * normalizations are reported. ns per quantum (one thread or barrier a
+ * firing moved) prices a process firing; fanouts run no process
+ * (Engine::multicast), so their traffic costs no quanta. ns per token
+ * (summed over every link's traffic, ExecStats::linkTokens, which a
+ * graph's shape fixes) prices the work itself, and is the figure to
+ * compare across executor changes.
  *
  * Acceptance gate (exit non-zero on violation, like engine_sched):
  * every run drains and its DRAM image is byte-identical to the AST
@@ -21,9 +25,11 @@
  * Emits one JSON row per fixture for the CI artifact.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,8 +44,7 @@ using revet::lang::DramImage;
 namespace
 {
 
-constexpr int kScale = 192;
-constexpr int kRepeats = 5;
+constexpr int kRepeats = 15;
 
 std::vector<std::vector<uint8_t>>
 dramBytes(const DramImage &dram)
@@ -50,38 +55,66 @@ dramBytes(const DramImage &dram)
     return out;
 }
 
-struct RunResult
+struct Fixture
 {
-    double ms = 0; ///< best-of-kRepeats wall time
+    std::string name;
+    int scale;
+    const revet::apps::App *app = nullptr;
+    std::shared_ptr<const CompiledArtifact> art;
+    std::vector<double> ms; ///< wall time of each repetition
     uint64_t quanta = 0;
     uint64_t tokens = 0; ///< summed over every link
-    bool drained = false;
-    std::vector<std::vector<uint8_t>> dram;
+    bool drained = true;
+    bool matches = true;
 };
 
-RunResult
-runFixture(const CompiledArtifact &art, const revet::apps::App &app)
+/** One timed run of @p f; the first also checks drain and DRAM. */
+void
+runOnce(Fixture &f)
 {
-    RunResult out;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-        DramImage dram(art.hir());
-        auto args = app.generate(dram, kScale);
-        auto t0 = std::chrono::steady_clock::now();
-        auto stats = art.execute(dram, args, Engine::Policy::worklist);
-        auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (rep == 0 || ms < out.ms)
-            out.ms = ms;
-        if (rep == 0) {
-            out.quanta = stats.schedQuanta;
-            for (uint64_t n : stats.linkTokens)
-                out.tokens += n;
-            out.drained = stats.drained;
-            out.dram = dramBytes(dram);
-        }
-    }
-    return out;
+    DramImage dram(f.art->hir());
+    auto args = f.app->generate(dram, f.scale);
+    auto t0 = std::chrono::steady_clock::now();
+    auto stats = f.art->execute(dram, args, Engine::Policy::worklist);
+    auto t1 = std::chrono::steady_clock::now();
+    f.ms.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    if (f.ms.size() > 1)
+        return;
+    f.quanta = stats.schedQuanta;
+    for (uint64_t n : stats.linkTokens)
+        f.tokens += n;
+    f.drained = stats.drained;
+    DramImage ref(f.art->hir());
+    auto ref_args = f.app->generate(ref, f.scale);
+    f.art->interpret(ref, ref_args);
+    f.matches = dramBytes(dram) == dramBytes(ref);
+}
+
+/** The @p q quantile (0..1) of @p v, by linear interpolation. */
+double
+quantile(std::vector<double> v, double q)
+{
+    std::sort(v.begin(), v.end());
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
+
+struct Spread
+{
+    double q1, median, q3;
+};
+
+/** Quartiles of the per-repetition ns per @p n units of @p f. */
+Spread
+nsPer(const Fixture &f, uint64_t n)
+{
+    std::vector<double> ns;
+    for (double ms : f.ms)
+        ns.push_back(n == 0 ? 0.0 : ms * 1e6 / static_cast<double>(n));
+    return {quantile(ns, 0.25), quantile(ns, 0.5), quantile(ns, 0.75)};
 }
 
 } // namespace
@@ -89,54 +122,59 @@ runFixture(const CompiledArtifact &art, const revet::apps::App &app)
 int
 main()
 {
-    const std::vector<std::string> fixtures = {"ip2int", "murmur3"};
+    std::vector<Fixture> fixtures;
+    for (auto [name, scale] : {std::pair<const char *, int>{"ip2int", 192},
+                               {"murmur3", 192},
+                               {"huff-dec", 3}}) {
+        Fixture f;
+        f.name = name;
+        f.scale = scale;
+        f.app = &revet::apps::findApp(name);
+        f.art = CompiledArtifact::build(f.app->source);
+        fixtures.push_back(std::move(f));
+    }
+    for (int rep = 0; rep < kRepeats; ++rep) {
+        for (Fixture &f : fixtures)
+            runOnce(f);
+    }
+
+    std::printf("exec_dispatch: worklist policy, %d interleaved "
+                "repetitions, median [IQR]\n",
+                kRepeats);
     bool ok = true;
-
-    std::printf("exec_dispatch: worklist policy, scale %d, best of %d\n",
-                kScale, kRepeats);
-    for (const std::string &name : fixtures) {
-        const revet::apps::App &app = revet::apps::findApp(name);
-        auto art = CompiledArtifact::build(app.source);
-        RunResult r = runFixture(*art, app);
-
-        DramImage ref(art->hir());
-        auto args = app.generate(ref, kScale);
-        art->interpret(ref, args);
-        const bool matches = r.dram == dramBytes(ref);
-
-        auto per = [&](uint64_t n) {
-            return n == 0 ? 0.0 : r.ms * 1e6 / static_cast<double>(n);
-        };
-        const double ns_per_quantum = per(r.quanta);
-        const double ns_per_token = per(r.tokens);
-        std::printf("  %-10s %8.2f ms  %llu quanta  %.1f ns/quantum  "
-                    "%llu tokens  %.1f ns/token\n",
-                    name.c_str(), r.ms,
-                    static_cast<unsigned long long>(r.quanta),
-                    ns_per_quantum,
-                    static_cast<unsigned long long>(r.tokens),
-                    ns_per_token);
+    for (const Fixture &f : fixtures) {
+        const Spread q = nsPer(f, f.quanta);
+        const Spread t = nsPer(f, f.tokens);
+        const double ms = quantile(f.ms, 0.5);
+        std::printf("  %-9s scale %-4d %7.2f ms  %llu quanta  %.1f "
+                    "[%.1f, %.1f] ns/quantum  %llu tokens  %.2f "
+                    "[%.2f, %.2f] ns/token\n",
+                    f.name.c_str(), f.scale, ms,
+                    static_cast<unsigned long long>(f.quanta), q.median,
+                    q.q1, q.q3, static_cast<unsigned long long>(f.tokens),
+                    t.median, t.q1, t.q3);
         std::printf("{\"bench\":\"exec_dispatch\",\"fixture\":\"%s\","
-                    "\"scale\":%d,\"ms\":%.3f,\"quanta\":%llu,"
-                    "\"ns_per_quantum\":%.1f,\"tokens\":%llu,"
-                    "\"ns_per_token\":%.1f,\"drained\":%s,"
+                    "\"scale\":%d,\"repeats\":%d,\"ms\":%.3f,"
+                    "\"quanta\":%llu,\"ns_per_quantum\":%.1f,"
+                    "\"ns_per_quantum_q1\":%.1f,"
+                    "\"ns_per_quantum_q3\":%.1f,\"tokens\":%llu,"
+                    "\"ns_per_token\":%.2f,\"ns_per_token_q1\":%.2f,"
+                    "\"ns_per_token_q3\":%.2f,\"drained\":%s,"
                     "\"matches_interpreter\":%s}\n",
-                    name.c_str(), kScale, r.ms,
-                    static_cast<unsigned long long>(r.quanta),
-                    ns_per_quantum,
-                    static_cast<unsigned long long>(r.tokens), ns_per_token,
-                    r.drained ? "true" : "false",
-                    matches ? "true" : "false");
-
-        if (!r.drained) {
+                    f.name.c_str(), f.scale, kRepeats, ms,
+                    static_cast<unsigned long long>(f.quanta), q.median,
+                    q.q1, q.q3, static_cast<unsigned long long>(f.tokens),
+                    t.median, t.q1, t.q3, f.drained ? "true" : "false",
+                    f.matches ? "true" : "false");
+        if (!f.drained) {
             std::printf("  FAIL(%s): execution did not drain\n",
-                        name.c_str());
+                        f.name.c_str());
             ok = false;
         }
-        if (!matches) {
+        if (!f.matches) {
             std::printf("  FAIL(%s): DRAM diverged from the AST "
                         "interpreter\n",
-                        name.c_str());
+                        f.name.c_str());
             ok = false;
         }
     }

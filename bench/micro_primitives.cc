@@ -97,9 +97,9 @@ BM_EngineSchedSkewed(benchmark::State &state)
                 e.make<dataflow::ElementWise>(
                     "ew", dataflow::Bundle{cur},
                     dataflow::Bundle{next},
-                    [](const std::vector<sltf::Word> &in,
-                       std::vector<sltf::Word> &out) {
-                        out.push_back(in[0] + 1);
+                    [](const dataflow::LaneRun &run) {
+                        for (size_t t = 0; t < run.n; ++t)
+                            run.out[0][t] = run.in[0][t] + 1;
                     });
                 cur = next;
             }

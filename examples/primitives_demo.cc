@@ -44,10 +44,15 @@ main()
         outs.push_back(e.channel("o" + std::to_string(i)));
     e.make<ElementWise>(
         "dec", Bundle{body, mcnt}, outs,
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
-            Word c = in[1] - 1;
-            Word cont = static_cast<int32_t>(c) > 0;
-            out.assign({in[0], c, cont, in[0], c, cont});
+        [](const LaneRun &run) {
+            for (size_t t = 0; t < run.n; ++t) {
+                const Word id = run.in[0][t];
+                const Word c = run.in[1][t] - 1;
+                const Word cont = static_cast<int32_t>(c) > 0;
+                const Word lanes[] = {id, c, cont, id, c, cont};
+                for (size_t j = 0; j < 6; ++j)
+                    run.out[j][t] = lanes[j];
+            }
         });
     e.make<Filter>("back", outs[2], Bundle{outs[0], outs[1]},
                    Bundle{bid, bcnt}, true);

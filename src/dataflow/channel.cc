@@ -11,26 +11,19 @@ namespace dataflow
 {
 
 void
-Channel::pushLocked(const Token &tok)
+Channel::throwNotRoot() const
 {
-    if (ring_ != this) {
-        throw std::runtime_error(
-            "channel '" + (name_.empty() ? std::string("?") : name_) +
-            "' is a multicast " + (reader_ ? "cursor" : "chain link") +
-            " of '" + root()->name() + "': only the root is written");
-    }
-    {
-        // Parallel runs keep the full protocol: the seq_cst mirror is
-        // what the missed-wakeup proof relies on, and the readers'
-        // pops take this lock too.
-        std::lock_guard<SpinLock> guard(mu_);
-        append(tok, std::memory_order_seq_cst,
-               [](Channel *c) { c->woken_ = true; });
-    }
-    // Notify outside the lock: the wakeup path may run the consumer's
-    // scheduler bookkeeping, and holding a channel lock across it would
-    // order channel locks against deque locks. The reader list is
-    // fixed during a run, and only the producer touches woken_.
+    throw std::runtime_error(
+        "channel '" + (name_.empty() ? std::string("?") : name_) +
+        "' is a multicast " + (reader_ ? "cursor" : "chain link") +
+        " of '" + root()->name() + "': only the root is written");
+}
+
+void
+Channel::notifyWoken()
+{
+    // The reader list is fixed during a run, and only the producer
+    // touches woken_.
     for (Channel *c = readers_; c != nullptr; c = c->next_) {
         if (!c->woken_)
             continue;
@@ -38,27 +31,6 @@ Channel::pushLocked(const Token &tok)
         if (c->engine_)
             c->notifyTokenAvailable();
     }
-}
-
-Token
-Channel::popLocked()
-{
-    bool was_full = false;
-    Token tok = Token::data(0);
-    {
-        std::lock_guard<SpinLock> guard(ring_->mu_);
-        tok = take(std::memory_order_seq_cst, was_full);
-    }
-    if (was_full && engine_)
-        notifySpaceAvailable();
-    return tok;
-}
-
-Token
-Channel::frontLocked() const
-{
-    std::lock_guard<SpinLock> guard(ring_->mu_);
-    return buf_[head_];
 }
 
 void
@@ -91,22 +63,25 @@ Channel::throwUnderflow() const
 }
 
 void
-Channel::grow()
+Channel::grow(size_t held, size_t n)
 {
-    // The write that just landed filled the ring, so the reader
-    // furthest behind holds all n slots starting at the write position:
-    // double, unwrapping them to the front, and every other reader's
-    // tokens are their suffix.
-    const size_t n = slots_.size();
-    std::vector<Token> bigger(2 * n, Token::data(0));
-    for (size_t i = 0; i < n; ++i)
-        bigger[i] = slots_[(tail_ + i) & mask_];
+    // Single pushes double the ring right after the write that fills
+    // it, so they end at the smallest doubling with a slot to spare
+    // beyond held + n. The reader furthest behind holds the held
+    // tokens before the write position: unwrap them to the front, and
+    // every other reader's tokens are their suffix.
+    size_t slots = slots_.size();
+    while (held + n >= slots)
+        slots *= 2;
+    std::vector<Token> bigger(slots, Token::data(0));
+    for (size_t i = 0; i < held; ++i)
+        bigger[i] = slots_[(tail_ - held + i) & mask_];
     slots_ = std::move(bigger);
     buf_ = slots_.data();
-    mask_ = 2 * n - 1;
-    tail_ = n;
+    mask_ = slots - 1;
+    tail_ = held;
     for (Channel *c = readers_; c != nullptr; c = c->next_) {
-        c->head_ = n - c->count_;
+        c->head_ = held - c->count_;
         c->buf_ = buf_;
         c->mask_ = mask_;
     }

@@ -11,9 +11,18 @@
  * through one cursor (head, count, capacity and a size mirror). A new
  * channel is a point-to-point link: a one-reader ring whose only
  * cursor is its own.
- * A push writes and records the token once and advances every reader's
- * count; the ring doubles right after the write that fills it, i.e.
- * once the reader furthest behind holds a token in every slot.
+ *
+ * Channels move runs. A writer appends n tokens at once (pushData,
+ * pushTokens): one ring growth check, each token written and recorded
+ * once, and per reader one count update, one size-mirror store and at
+ * most one empty -> non-empty wakeup. A reader looks at its pending
+ * tokens without taking them (readData visits the leading data run, the
+ * data tokens before the first pending barrier; readTokens any tokens),
+ * then consumes n of them with one size-mirror store and at most one
+ * full -> non-full wakeup. push and pop are runs of length 1 through
+ * the same code. The ring's slot count always ends where n single
+ * pushes would leave it: it doubles until it holds more tokens than
+ * the reader furthest behind has pending.
  *
  * Multicast (link fan-out). On the vRDA the network delivers one
  * producer's vector to every consumer; no compute unit copies it.
@@ -30,12 +39,13 @@
  *
  * Capacity belongs to the reader. Channels default to unbounded
  * (functional semantics); the cycle simulator bounds them to model
- * finite input buffers. canPush() holds while every bounded reader of
- * the ring has room, so a bounded cursor throttles the ring's producer
+ * finite input buffers. room() is the free space of the ring's fullest
+ * bounded reader, so a bounded cursor throttles the ring's producer
  * (a root reads nothing, so its own capacity never applies). A push
- * that finds a bounded reader full throws before it changes anything:
- * primitives must guard with canPush(), and a missing guard is a
- * machine-model violation, not silent growth.
+ * longer than room() throws before it changes anything: primitives
+ * must size their runs by room() (or guard a single token with
+ * canPush()), and a missing guard is a machine-model violation, not
+ * silent growth.
  *
  * Channels created through Engine::channel() carry back-references to
  * their producer and consumer Process (filled in when the process is
@@ -50,17 +60,19 @@
  * producer process and one consumer process per reader, and the engine
  * never runs the same process on two workers at once, so each end of a
  * link is single-threaded. During a parallel run the root's spinlock
- * guards its ring: the producer's push and ring growth and every
- * reader's pop/front take it (critical sections are a handful of loads
- * and stores). Each reader's element count is mirrored in a seq_cst
- * atomic so the lock-free predicates empty()/size()/canPush() are
- * exact snapshots. The predicates are *monotone-safe* per endpoint:
- * only the consumer pops, so a non-empty observation by the consumer
- * stays true until it acts on it; only the producer pushes, so free
- * capacity observed by the producer cannot shrink. front() returns the
- * head by value under the lock, because a concurrent push may regrow
- * the ring. Serial runs take the inline fast paths: no lock, and the
- * size mirror is a relaxed store.
+ * guards its ring: one acquire covers a whole run, whether the
+ * producer's append (with its ring growth) or a reader's read or
+ * consume (critical sections are a loop over the run's tokens). Each
+ * reader's element count is mirrored in a seq_cst atomic so the
+ * lock-free predicates empty()/size()/room() are exact snapshots. The
+ * predicates are *monotone-safe* per endpoint: only the consumer
+ * consumes, so the tokens a consumer has read stay pending until it
+ * consumes them; only the producer appends, so free room observed by
+ * the producer cannot shrink. A read copies the run out under the
+ * lock, because a concurrent append may regrow the ring, and sees a
+ * snapshot: tokens appended after it are the next firing's work.
+ * Serial runs take the inline fast paths: no lock, and the size
+ * mirror is a relaxed store.
  * Mutating configuration (setValueWatch, bindEngine,
  * setProducer/setConsumer, multicast wiring) and the read-back
  * accessors (totalPushed, watch, drain) are setup/post-run-only: they
@@ -77,6 +89,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,35 +164,94 @@ class Channel
     size_t size() const { return size_.load(std::memory_order_seq_cst); }
     size_t capacity() const { return capacity_; }
 
-    /** True when a push would be accepted: every bounded reader of
-     * this channel's ring has room. */
-    bool canPush() const { return !gated_ || fullReader() == nullptr; }
+    /** The longest run a push may append now: the free slots of the
+     * ring's fullest bounded reader (unbounded when none is bounded). */
+    size_t
+    room() const
+    {
+        if (!gated_)
+            return unbounded;
+        size_t free = unbounded;
+        for (const Channel *c = readers_; c != nullptr; c = c->next_) {
+            if (c->capacity_ == unbounded)
+                continue;
+            const size_t held = c->size_.load(std::memory_order_seq_cst);
+            const size_t left = held >= c->capacity_ ? 0 : c->capacity_ - held;
+            free = left < free ? left : free;
+        }
+        return free;
+    }
+
+    /** True when a one-token push would be accepted. */
+    bool canPush() const { return room() > 0; }
 
     /**
-     * Append @p tok. @throws std::runtime_error when a bounded reader
-     * is already full — the caller forgot a canPush() guard — or when
-     * this channel is a multicast cursor or chain link, which only the
-     * ring's root writes.
+     * Append the data words @p words[0, n) as one run.
+     * @throws std::runtime_error when the run is longer than room() —
+     * the caller forgot to size it — or when this channel is a
+     * multicast cursor or chain link, which only the ring's root
+     * writes.
      */
     void
-    push(const Token &tok)
+    pushData(const Word *words, size_t n)
     {
-        if (concurrent_ || ring_ != this) {
-            pushLocked(tok);
-            return;
-        }
-        append(tok, std::memory_order_relaxed, [](Channel *c) {
-            if (c->engine_)
-                c->notifyTokenAvailable();
-        });
+        write(n, [words](size_t i) { return Token::data(words[i]); });
     }
+
+    /** Append the tokens @p toks[0, n) as one run; throws as
+     * pushData. */
+    void
+    pushTokens(const Token *toks, size_t n)
+    {
+        write(n, [toks](size_t i) { return toks[i]; });
+    }
+
+    /** Append @p tok: a run of one. */
+    void push(const Token &tok) { pushTokens(&tok, 1); }
 
     /** Push every token of @p stream (unbounded use only). */
     void
     pushAll(const TokenStream &stream)
     {
-        for (const Token &tok : stream)
-            push(tok);
+        pushTokens(stream.data(), stream.size());
+    }
+
+    /**
+     * Visit the words of this reader's leading data run — its pending
+     * data tokens before the first pending barrier — oldest first, at
+     * most @p cap of them, without consuming any. Consumer-side only.
+     * @return how many words were visited.
+     */
+    template <typename Visit>
+    size_t
+    readData(size_t cap, Visit &&visit) const
+    {
+        return scan(cap, [&visit](const Token &tok, size_t i) {
+            if (tok.isBarrier())
+                return false;
+            visit(tok.word(), i);
+            return true;
+        });
+    }
+
+    /** Copy the leading data run (at most @p cap words) into
+     * @p words; returns its length. */
+    size_t
+    peekData(Word *words, size_t cap) const
+    {
+        return readData(cap, [words](Word w, size_t i) { words[i] = w; });
+    }
+
+    /** Visit the oldest min(@p cap, size()) pending tokens of any kind,
+     * without consuming them; returns how many were visited. */
+    template <typename Visit>
+    size_t
+    readTokens(size_t cap, Visit &&visit) const
+    {
+        return scan(cap, [&visit](const Token &tok, size_t i) {
+            visit(tok, i);
+            return true;
+        });
     }
 
     /** Head token, by value; consumer-side only. Undefined on an
@@ -187,24 +259,38 @@ class Channel
     Token
     front() const
     {
-        if (concurrent_)
-            return frontLocked();
-        return buf_[head_];
+        Token head = Token::data(0);
+        readTokens(1, [&head](const Token &tok, size_t) { head = tok; });
+        return head;
     }
 
     /**
-     * Remove and return the head token.
+     * Remove the @p n oldest pending tokens.
+     * @throws std::runtime_error when fewer than @p n are pending.
+     */
+    void
+    consume(size_t n)
+    {
+        bool was_full = false;
+        if (concurrent_) {
+            std::lock_guard<SpinLock> guard(ring_->mu_);
+            take(n, std::memory_order_seq_cst, was_full);
+        } else {
+            take(n, std::memory_order_relaxed, was_full);
+        }
+        if (was_full && engine_)
+            notifySpaceAvailable();
+    }
+
+    /**
+     * Remove and return the head token: a consume of one.
      * @throws std::runtime_error on an empty channel.
      */
     Token
     pop()
     {
-        if (concurrent_)
-            return popLocked();
-        bool was_full = false;
-        const Token tok = take(std::memory_order_relaxed, was_full);
-        if (was_full && engine_)
-            notifySpaceAvailable();
+        const Token tok = front();
+        consume(1);
         return tok;
     }
 
@@ -297,16 +383,72 @@ class Channel
     static void wireMulticast(Channel *in,
                               const std::vector<Channel *> &outs);
 
-    // Locked twins of push/pop/front for parallel runs (channel.cc).
-    // pushLocked also rejects a push on a cursor or chain link.
-    void pushLocked(const Token &tok);
-    Token popLocked();
-    Token frontLocked() const;
+    /** The write side of every push: append gen(0..n-1) on the
+     * ring's root, under the ring's lock during a parallel run, then
+     * notify the readers that went empty -> non-empty (outside the
+     * lock: the wakeup path may run the consumer's scheduler
+     * bookkeeping, and holding a channel lock across it would order
+     * channel locks against deque locks). */
+    template <typename Gen>
+    void
+    write(size_t n, Gen &&gen)
+    {
+        if (n == 0)
+            return;
+        if (ring_ != this)
+            throwNotRoot();
+        if (!concurrent_) {
+            append(n, gen, std::memory_order_relaxed, [](Channel *c) {
+                if (c->engine_)
+                    c->notifyTokenAvailable();
+            });
+            return;
+        }
+        {
+            // Parallel runs keep the full protocol: the seq_cst mirror
+            // is what the missed-wakeup proof relies on, and the
+            // readers' reads and consumes take this lock too.
+            std::lock_guard<SpinLock> guard(mu_);
+            append(n, gen, std::memory_order_seq_cst,
+                   [](Channel *c) { c->woken_ = true; });
+        }
+        notifyWoken();
+    }
+
+    /** Visit up to @p cap pending tokens, oldest first, while @p visit
+     * returns true; returns how many it accepted. */
+    template <typename Visit>
+    size_t
+    scan(size_t cap, Visit &&visit) const
+    {
+        if (!concurrent_)
+            return scanHeld(cap, visit);
+        std::lock_guard<SpinLock> guard(ring_->mu_);
+        return scanHeld(cap, visit);
+    }
+
+    template <typename Visit>
+    size_t
+    scanHeld(size_t cap, Visit &visit) const
+    {
+        const size_t n = cap < count_ ? cap : count_;
+        size_t i = 0;
+        while (i < n && visit(buf_[(head_ + i) & mask_], i))
+            ++i;
+        return i;
+    }
+
     void notifyTokenAvailable();
     void notifySpaceAvailable();
     [[noreturn]] void throwOverflow() const;
     [[noreturn]] void throwUnderflow() const;
-    void grow();
+    [[noreturn]] void throwNotRoot() const;
+    /** Notify (and clear) every reader a locked append marked woken_. */
+    void notifyWoken();
+    /** Regrow the ring so it holds @p held + @p n tokens with a slot to
+     * spare, where @p held is the pending count of the reader furthest
+     * behind: the slot count n single pushes would end at. */
+    void grow(size_t held, size_t n);
     void refreshGate();
 
     /** The root of this channel's ring. Every reader points at it
@@ -320,59 +462,48 @@ class Channel
         return c;
     }
 
-    /** The first reader of this channel's ring with no room left, or
-     * null. */
-    const Channel *
-    fullReader() const
-    {
-        for (const Channel *c = readers_; c != nullptr; c = c->next_) {
-            if (c->size_.load(std::memory_order_seq_cst) >= c->capacity_)
-                return c;
-        }
-        return nullptr;
-    }
-
-    /** Producer side of a push (on the ring's root): write @p tok
-     * once, advance every reader's count with @p order, and hand each
-     * reader that went empty -> non-empty to @p on_edge. The ring
-     * doubles right after the write that fills it, so it always has a
-     * free slot for the next one. */
-    template <typename OnEdge>
+    /** Producer side of a push (on the ring's root): write the @p n
+     * tokens gen(0..n-1) and record each once, advance every reader's
+     * count by @p n and publish it with @p order, and hand each reader
+     * that went empty -> non-empty to @p on_edge. The ring grows first
+     * when the run would fill it, so it always keeps a free slot. */
+    template <typename Gen, typename OnEdge>
     void
-    append(const Token &tok, std::memory_order order, OnEdge &&on_edge)
+    append(size_t n, Gen &gen, std::memory_order order, OnEdge &&on_edge)
     {
-        if (gated_) {
-            if (const Channel *full = fullReader())
-                full->throwOverflow();
+        size_t held = 0;
+        for (const Channel *c = readers_; c != nullptr; c = c->next_) {
+            if (gated_ && c->count_ + n > c->capacity_)
+                c->throwOverflow();
+            held = c->count_ > held ? c->count_ : held;
         }
-        buf_[tail_] = tok;
-        tail_ = (tail_ + 1) & mask_;
-        record(tok);
-        bool filled = false;
+        if (held + n > mask_)
+            grow(held, n);
+        for (size_t i = 0; i < n; ++i) {
+            const Token tok = gen(i);
+            buf_[(tail_ + i) & mask_] = tok;
+            record(tok);
+        }
+        tail_ = (tail_ + n) & mask_;
         for (Channel *c = readers_; c != nullptr; c = c->next_) {
-            ++c->count_;
+            c->count_ += n;
             c->size_.store(c->count_, order);
-            filled |= c->count_ > mask_;
-            if (c->count_ == 1)
+            if (c->count_ == n)
                 on_edge(c);
         }
-        if (filled)
-            grow();
     }
 
-    /** Remove the head and publish the new count with @p order;
-     * @p was_full reports the full -> non-full transition. */
-    Token
-    take(std::memory_order order, bool &was_full)
+    /** Remove the @p n oldest tokens and publish the new count with
+     * @p order; @p was_full reports the full -> non-full transition. */
+    void
+    take(size_t n, std::memory_order order, bool &was_full)
     {
-        if (count_ == 0)
+        if (count_ < n)
             throwUnderflow();
         was_full = count_ == capacity_;
-        const Token tok = buf_[head_];
-        head_ = (head_ + 1) & mask_;
-        --count_;
+        head_ = (head_ + n) & mask_;
+        count_ -= n;
         size_.store(count_, order);
-        return tok;
     }
 
     void

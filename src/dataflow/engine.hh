@@ -65,11 +65,11 @@ struct SchedStats
      * generations (worklist), or progress-runs normalized by process
      * count (parallel). */
     uint64_t rounds = 0;
-    /** Process step() invocations. */
+    /** Process runQuanta() invocations. */
     uint64_t steps = 0;
-    /** step() invocations that moved nothing (wasted scans). */
+    /** runQuanta() invocations that moved nothing (wasted scans). */
     uint64_t idleSteps = 0;
-    /** Total stepOnce() quanta that made progress. */
+    /** Quanta the firings did: threads plus barriers moved. */
     uint64_t quanta = 0;
     /** Ready-deque insertions triggered by channel transitions
      * (full-burst self-requeues are not counted). */
@@ -82,8 +82,8 @@ struct SchedStats
      * race (notification landing while its target was mid-run) can
      * produce one; the rescan certifies the fixed point either way. */
     uint64_t missedWakeups = 0;
-    /** step() calls a full scan of every process per round would have
-     * made (rounds x processes) minus the calls actually made
+    /** runQuanta() calls a full scan of every process per round would
+     * have made (rounds x processes) minus the calls actually made
      * (worklist only). */
     uint64_t stepsSkipped = 0;
     /** Processes taken from another worker's deque (parallel only). */

@@ -1,5 +1,6 @@
 #include "dataflow/primitives.hh"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,8 +10,8 @@ namespace dataflow
 {
 
 // Note on backpressure: Channel::push throws on a full bounded channel,
-// so every push site below must be (and is) preceded by a canPush() /
-// allCanPush() guard on the same scheduler quantum.
+// so every run is sized by its outputs' room() and every one-token push
+// is preceded by a canPush() / allCanPush() guard in the same firing.
 
 bool
 Process::idle() const
@@ -114,107 +115,177 @@ FwdBackMerge::stallReason() const
 namespace
 {
 
-/** Move one token from each lane of @p from, starting at lane
- * @p first, to the matching lane of @p outs. Unbounded channels never
- * wake a producer on pop, so lane-by-lane wakes consumers in the same
- * order as popping the whole bundle before pushing. */
-inline void
-forwardLanes(const Bundle &from, const Bundle &outs, size_t first = 0)
+/** Threads one firing moves at most, so the column scratch stays
+ * small. A longer run is the next firing of the same burst, which
+ * moves the same tokens in the same order. */
+constexpr size_t kMaxRun = 256;
+
+/** The column scratch of the firing running on this thread (a worker
+ * runs one process at a time, and firings do not nest): at least
+ * @p words words, grown once and reused. */
+Word *
+scratch(size_t words)
 {
-    for (size_t i = 0; i < outs.size(); ++i)
-        outs[i]->push(from[first + i]->pop());
+    thread_local std::vector<Word> buf;
+    if (buf.size() < words)
+        buf.resize(words);
+    return buf.data();
+}
+
+/** The lanes a run helper works on: a bundle's, or one channel (which
+ * must outlive the call). */
+struct Lanes
+{
+    Lanes(const Bundle &bundle) : ch(bundle.data()), n(bundle.size()) {}
+    Lanes(Channel *const &one) : ch(&one), n(1) {}
+
+    Channel *const *ch;
+    size_t n;
+};
+
+/** The threads a firing into @p outs may move: at most @p budget and
+ * kMaxRun, and no more than every channel of @p outs has room for. */
+size_t
+runCap(int budget, Lanes outs)
+{
+    size_t cap = std::min(static_cast<size_t>(budget), kMaxRun);
+    for (size_t i = 0; i < outs.n; ++i)
+        cap = std::min(cap, outs.ch[i]->room());
+    return cap;
+}
+
+/** Read the aligned data run at the heads of @p lanes — at most
+ * @p cap threads, each lane i into column @p cols + i * kMaxRun — and
+ * return its length: the shortest lane's leading data run. */
+size_t
+readRun(Lanes lanes, size_t cap, Word *cols)
+{
+    for (size_t i = 0; i < lanes.n; ++i)
+        cap = lanes.ch[i]->peekData(cols + i * kMaxRun, cap);
+    return cap;
+}
+
+/** Move the aligned data run at the heads of @p from (every head is
+ * data) to @p outs, lane by lane: at most @p budget threads and what
+ * @p outs have room for (at least one). Unbounded channels never wake
+ * a producer on consume, so lane-by-lane wakes consumers in the same
+ * order as taking the whole bundle before pushing. */
+int
+forwardRun(Lanes from, Lanes outs, int budget)
+{
+    Word *cols = scratch(from.n * kMaxRun);
+    const size_t n = readRun(from, runCap(budget, outs), cols);
+    for (size_t i = 0; i < outs.n; ++i) {
+        from.ch[i]->consume(n);
+        outs.ch[i]->pushData(cols + i * kMaxRun, n);
+    }
+    return static_cast<int>(n);
 }
 
 inline void
 dropLanes(const Bundle &bundle)
 {
     for (Channel *ch : bundle)
-        ch->pop();
+        ch->consume(1);
 }
 
 } // namespace
 
-bool
-Source::stepOnce()
+int
+Source::fire(int budget)
 {
-    if (pos_ >= stream_.size() || !out_->canPush())
-        return false;
-    out_->push(stream_[pos_++]);
-    return true;
+    const size_t n = std::min({static_cast<size_t>(budget),
+                               stream_.size() - pos_, out_->room()});
+    if (n == 0)
+        return 0;
+    out_->pushTokens(stream_.data() + pos_, n);
+    pos_ += n;
+    return static_cast<int>(n);
 }
 
-bool
-Sink::stepOnce()
+int
+Sink::fire(int budget)
 {
-    if (in_->empty())
-        return false;
-    collected_.push_back(in_->pop());
-    return true;
+    const size_t n = in_->readTokens(
+        static_cast<size_t>(budget),
+        [this](const Token &tok, size_t) { collected_.push_back(tok); });
+    if (n > 0)
+        in_->consume(n);
+    return static_cast<int>(n);
 }
 
-bool
-ElementWise::stepOnce()
+int
+ElementWise::fire(int budget)
 {
-    if (!allHaveToken(ins_) || !allCanPush(outs_))
-        return false;
-    int kind = bundleHeadKind(ins_);
-    if (kind > 0) {
+    const size_t cap = runCap(budget, outs_);
+    if (!allHaveToken(ins_) || cap == 0)
+        return 0;
+    Word *cols = scratch((ins_.size() + outs_.size()) * kMaxRun);
+    const size_t n = readRun(ins_, cap, cols);
+    if (n == 0) {
+        // Some head is a barrier: all of them must be the same one.
+        const int kind = bundleHeadKind(ins_);
         dropLanes(ins_);
         pushBarrier(outs_, kind);
-        return true;
+        return 1;
     }
     for (size_t i = 0; i < ins_.size(); ++i)
-        in_words_[i] = ins_[i]->pop().word();
-    out_words_.clear();
-    fn_(in_words_, out_words_);
-    if (out_words_.size() != outs_.size()) {
-        throw std::logic_error(name() + ": lane fn produced " +
-                               std::to_string(out_words_.size()) +
-                               " results for " +
-                               std::to_string(outs_.size()) + " outputs");
-    }
-    for (size_t i = 0; i < outs_.size(); ++i)
-        outs_[i]->push(Token::data(out_words_[i]));
-    return true;
+        in_cols_[i] = cols + i * kMaxRun;
+    for (size_t j = 0; j < outs_.size(); ++j)
+        out_cols_[j] = cols + (ins_.size() + j) * kMaxRun;
+    fn_(LaneRun{n, ins_.size(), outs_.size(), in_cols_.data(),
+                out_cols_.data()});
+    for (Channel *ch : ins_)
+        ch->consume(n);
+    for (size_t j = 0; j < outs_.size(); ++j)
+        outs_[j]->pushData(out_cols_[j], n);
+    return static_cast<int>(n);
 }
 
-bool
-Broadcast::stepOnce()
+int
+Broadcast::fire(int budget)
 {
     if (deep_->empty() || !out_->canPush())
-        return false;
-    const Token &head = deep_->front();
+        return 0;
+    const Token head = deep_->front();
     if (head.isData()) {
         if (shallow_->empty())
-            return false;
-        if (!shallow_->front().isData()) {
+            return 0;
+        const Token sh = shallow_->front();
+        if (!sh.isData()) {
             throw std::runtime_error(
                 name() + ": shallow stream has a barrier where the deep "
                          "structure still carries data");
         }
-        deep_->pop();
-        out_->push(Token::data(shallow_->front().word()));
-        return true;
+        // Every thread of the deep run takes the current shallow
+        // element.
+        const size_t n =
+            deep_->readData(runCap(budget, out_), [](Word, size_t) {});
+        Word *col = scratch(n);
+        std::fill(col, col + n, sh.word());
+        deep_->consume(n);
+        out_->pushData(col, n);
+        return static_cast<int>(n);
     }
     int j = head.barrierLevel();
     if (j < level_) {
         // Barrier below the broadcast level: structure internal to one
         // broadcast element; pass through.
-        deep_->pop();
+        deep_->consume(1);
         out_->push(Token::barrier(j));
-        return true;
+        return 1;
     }
     if (shallow_->empty())
-        return false;
-    const Token &sh = shallow_->front();
+        return 0;
+    const Token sh = shallow_->front();
     if (j == level_) {
         // One broadcast group ends: retire the shallow element.
         if (!sh.isData())
             throw std::runtime_error(name() + ": expected shallow data");
-        deep_->pop();
-        shallow_->pop();
+        deep_->consume(1);
+        shallow_->consume(1);
         out_->push(Token::barrier(j));
-        return true;
+        return 1;
     }
     // j > level_: the shallow stream's own barrier must match, one level
     // shallower.
@@ -223,25 +294,25 @@ Broadcast::stepOnce()
             name() + ": shallow barrier mismatch at deep B" +
             std::to_string(j));
     }
-    deep_->pop();
-    shallow_->pop();
+    deep_->consume(1);
+    shallow_->consume(1);
     out_->push(Token::barrier(j));
-    return true;
+    return 1;
 }
 
-bool
-Counter::stepOnce()
+int
+Counter::fire(int budget)
 {
     if (mode_ == Mode::idle) {
         if (!allHaveToken(ins_))
-            return false;
+            return 0;
         int kind = bundleHeadKind(ins_);
         if (kind > 0) {
             if (!out_->canPush())
-                return false;
+                return 0;
             dropLanes(ins_);
             out_->push(Token::barrier(kind + 1));
-            return true;
+            return 1;
         }
         cur_ = ins_[0]->pop().asInt();
         lim_ = ins_[1]->pop().asInt();
@@ -249,27 +320,36 @@ Counter::stepOnce()
         if (stride_ == 0)
             throw std::runtime_error(name() + ": zero counter stride");
         mode_ = Mode::run;
-        return true;
+        return 1;
     }
     if (mode_ == Mode::run) {
-        bool live = stride_ > 0 ? cur_ < lim_ : cur_ > lim_;
-        if (!live) {
+        // Values left in [cur, lim): the counter's own data run.
+        const int64_t span = stride_ > 0 ? lim_ - cur_ : cur_ - lim_;
+        const int64_t step = stride_ > 0 ? stride_ : -stride_;
+        if (span <= 0) {
             mode_ = Mode::term;
         } else {
-            if (!out_->canPush())
-                return false;
-            out_->push(Token::data(static_cast<Word>(
-                static_cast<uint64_t>(cur_) & 0xffffffffu)));
-            cur_ += stride_;
-            return true;
+            const size_t n = std::min(
+                runCap(budget, out_),
+                static_cast<size_t>((span + step - 1) / step));
+            if (n == 0)
+                return 0;
+            Word *col = scratch(n);
+            for (size_t i = 0; i < n; ++i) {
+                col[i] = static_cast<Word>(static_cast<uint64_t>(cur_) &
+                                           0xffffffffu);
+                cur_ += stride_;
+            }
+            out_->pushData(col, n);
+            return static_cast<int>(n);
         }
     }
     // Mode::term: emit the explicit group terminator.
     if (!out_->canPush())
-        return false;
+        return 0;
     out_->push(Token::barrier(1));
     mode_ = Mode::idle;
-    return true;
+    return 1;
 }
 
 void
@@ -279,22 +359,23 @@ Counter::reset()
     cur_ = lim_ = stride_ = 0;
 }
 
-bool
-Reduce::stepOnce()
+int
+Reduce::fire(int budget)
 {
     if (in_->empty())
-        return false;
-    const Token &head = in_->front();
+        return 0;
+    const Token head = in_->front();
     if (head.isData()) {
-        acc_ += head.word();
+        const size_t n = in_->readData(static_cast<size_t>(budget),
+                                       [this](Word w, size_t) { acc_ += w; });
         in_group_ = true;
-        in_->pop();
-        return true;
+        in_->consume(n);
+        return static_cast<int>(n);
     }
     if (!out_->canPush())
-        return false;
+        return 0;
     int j = head.barrierLevel();
-    in_->pop();
+    in_->consume(1);
     if (j == 1) {
         out_->push(Token::data(acc_));
         acc_ = init_;
@@ -302,7 +383,7 @@ Reduce::stepOnce()
     } else {
         out_->push(Token::barrier(j - 1));
     }
-    return true;
+    return 1;
 }
 
 bool
@@ -328,104 +409,130 @@ Reduce::reset()
     in_group_ = false;
 }
 
-bool
-Flatten::stepOnce()
+int
+Flatten::fire(int budget)
 {
     if (in_->empty())
-        return false;
-    const Token &head = in_->front();
+        return 0;
+    const Token head = in_->front();
     if (head.isBarrier() && head.barrierLevel() == 1) {
-        in_->pop(); // the stripped level vanishes
-        return true;
+        in_->consume(1); // the stripped level vanishes
+        return 1;
     }
     if (!out_->canPush())
-        return false;
-    Token tok = in_->pop();
-    if (tok.isBarrier())
-        out_->push(Token::barrier(tok.barrierLevel() - 1));
-    else
-        out_->push(tok);
-    return true;
+        return 0;
+    if (head.isData())
+        return forwardRun(in_, out_, budget);
+    in_->consume(1);
+    out_->push(Token::barrier(head.barrierLevel() - 1));
+    return 1;
 }
 
-bool
-Filter::stepOnce()
+int
+Filter::fire(int budget)
 {
     if (!allHaveToken(ins_))
-        return false;
-    int kind = bundleHeadKind(ins_);
-    if (kind > 0) {
+        return 0;
+    const size_t lanes = ins_.size();
+    Word *cols = scratch(lanes * kMaxRun);
+    const size_t n = readRun(
+        ins_, std::min(static_cast<size_t>(budget), kMaxRun), cols);
+    if (n == 0) {
+        // Some head is a barrier: all of them must be the same one.
+        const int kind = bundleHeadKind(ins_);
         if (!allCanPush(outs_))
-            return false;
+            return 0;
         dropLanes(ins_);
         pushBarrier(outs_, kind);
-        return true;
+        return 1;
     }
-    bool keep = (ins_[0]->front().word() != 0) == sense_;
-    if (keep && !allCanPush(outs_))
-        return false;
-    ins_[0]->pop();
-    if (keep) {
-        forwardLanes(ins_, outs_, 1);
-    } else {
-        for (size_t i = 1; i < ins_.size(); ++i)
-            ins_[i]->pop();
+    // Each thread of the run is kept or dropped by its predicate; a
+    // kept thread needs room on the outputs, a dropped one does not,
+    // so with the outputs full the run still drops the threads ahead
+    // of the first kept one.
+    const size_t room = runCap(budget, outs_);
+    size_t fired = 0, kept = 0;
+    for (; fired < n; ++fired) {
+        if ((cols[fired] != 0) != sense_)
+            continue;
+        if (kept == room)
+            break;
+        // Compact the kept threads to the front of every lane.
+        for (size_t i = 1; i < lanes; ++i)
+            cols[i * kMaxRun + kept] = cols[i * kMaxRun + fired];
+        ++kept;
     }
-    return true;
+    if (fired == 0)
+        return 0;
+    // Lane order of the one-thread firings: a run that opens with a
+    // kept thread forwards lane by lane, one that opens with a dropped
+    // one takes every lane before its first push.
+    const bool forward_first = (cols[0] != 0) == sense_;
+    ins_[0]->consume(fired);
+    for (size_t i = 1; i < lanes; ++i) {
+        ins_[i]->consume(fired);
+        if (forward_first)
+            outs_[i - 1]->pushData(cols + i * kMaxRun, kept);
+    }
+    if (!forward_first) {
+        for (size_t i = 1; i < lanes; ++i)
+            outs_[i - 1]->pushData(cols + i * kMaxRun, kept);
+    }
+    return static_cast<int>(fired);
 }
 
-bool
-ForwardMerge::stepOnce()
+int
+ForwardMerge::fire(int budget)
 {
     // Snapshot each side's head exactly once (-1 = no token yet).
-    // Under Policy::parallel a producer can push mid-step, so a head
+    // Under Policy::parallel a producer can push mid-firing, so a head
     // observed absent must stay absent for the rest of this decision:
     // re-reading it could see freshly arrived data where the barrier
     // fall-through expects a barrier and throw a spurious mismatch.
-    // The late token is next step's work — its push notification
-    // re-queues this process.
+    // The late token is the next firing's work — its push notification
+    // re-queues this process. A data run comes from the side whose
+    // head was snapshotted as data.
     const int ka = allHaveToken(a_) ? bundleHeadKind(a_) : -1;
     const int kb = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
     if (ka == 0 || kb == 0) {
         if (!allCanPush(outs_))
-            return false;
-        forwardLanes(ka == 0 ? a_ : b_, outs_);
-        return true;
+            return 0;
+        return forwardRun(ka == 0 ? a_ : b_, outs_, budget);
     }
     // No data at either head: both must present the matching barrier.
     if (ka < 0 || kb < 0)
-        return false;
+        return 0;
     if (ka != kb) {
         throw std::runtime_error(name() + ": branch barrier mismatch B" +
                                  std::to_string(ka) + " vs B" +
                                  std::to_string(kb));
     }
     if (!allCanPush(outs_))
-        return false;
+        return 0;
     dropLanes(a_);
     dropLanes(b_);
     pushBarrier(outs_, ka);
-    return true;
+    return 1;
 }
 
-bool
-FwdBackMerge::stepOnce()
+int
+FwdBackMerge::fire(int budget)
 {
-    // Snapshot the backedge head exactly once for the whole step
-    // (-1 = no token yet): a recirculating token can arrive mid-step
+    // Snapshot the backedge head exactly once for the whole firing
+    // (-1 = no token yet): a recirculating token can arrive mid-firing
     // under Policy::parallel, and the echo check, the flow-mode sanity
     // check, and the drain below all branch on this one observation
     // (see the negative-observation corollary in primitives.hh). An
-    // echo that arrives after the snapshot is next step's work.
+    // echo that arrives after the snapshot is the next firing's work.
     const int bk = allHaveToken(back_) ? bundleHeadKind(back_) : -1;
 
     // The released flush's barrier recirculates through the body as an
-    // echo; swallow it wherever it surfaces.
+    // echo; swallow it wherever it surfaces, before any run starts.
     if (bk > 0 && !pending_echoes_.empty() &&
         bk == pending_echoes_.front()) {
         dropLanes(back_);
         pending_echoes_.pop_front();
-        return true;
+        return 1;
     }
 
     if (mode_ == Mode::flow) {
@@ -449,12 +556,10 @@ FwdBackMerge::stepOnce()
                 std::to_string(bk) + " outside a flush");
         }
         if (!allHaveToken(fwd_) || !allCanPush(outs_))
-            return false;
+            return 0;
         int kind = bundleHeadKind(fwd_);
-        if (kind == 0) {
-            forwardLanes(fwd_, outs_);
-            return true;
-        }
+        if (kind == 0)
+            return forwardRun(fwd_, outs_, budget);
         // A forward barrier: flush the loop. Terminate the batch with
         // the loop-control Omega(1) and drain.
         dropLanes(fwd_);
@@ -462,18 +567,17 @@ FwdBackMerge::stepOnce()
         pending_level_ = kind;
         back_data_since_barrier_ = false;
         mode_ = Mode::drain;
-        return true;
+        return 1;
     }
 
     // Mode::drain: the forward input is stalled; iterate the body dry.
     if (bk < 0)
-        return false;
+        return 0;
     if (bk == 0) {
         if (!allCanPush(outs_))
-            return false;
-        forwardLanes(back_, outs_);
+            return 0;
         back_data_since_barrier_ = true;
-        return true;
+        return forwardRun(back_, outs_, budget);
     }
     if (bk != 1) {
         throw std::runtime_error(name() +
@@ -482,19 +586,19 @@ FwdBackMerge::stepOnce()
                                  " during drain (expected B1)");
     }
     if (!allCanPush(outs_))
-        return false;
+        return 0;
     dropLanes(back_);
     if (back_data_since_barrier_) {
         // Threads are still circulating: close this iteration batch.
         pushBarrier(outs_, 1);
         back_data_since_barrier_ = false;
-        return true;
+        return 1;
     }
     // Two barriers in a row: the body is empty. Release the flush.
     pushBarrier(outs_, pending_level_ + 1);
     pending_echoes_.push_back(pending_level_ + 1);
     mode_ = Mode::flow;
-    return true;
+    return 1;
 }
 
 void

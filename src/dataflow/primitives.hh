@@ -9,18 +9,33 @@
  *  1. every barrier that enters a primitive exits exactly once, in order;
  *  2. thread data is never reordered across barriers (only between them).
  *
- * Primitives are written incrementally — stepOnce() performs a bounded
- * quantum of work and never consumes an input token unless the resulting
- * outputs can be pushed — so the same objects run over unbounded and
- * bounded channels alike.
+ * Primitives are written incrementally — fire() performs one bounded
+ * firing and never consumes an input token unless the resulting outputs
+ * can be pushed — so the same objects run over unbounded and bounded
+ * channels alike.
+ *
+ * A firing moves a run. Between two barriers SLTF streams carry plain
+ * data runs, one token per thread, and a primitive handles every
+ * thread of the run the same way: one fire() call takes the leading
+ * data run at its inputs (the threads aligned on every lane, at most
+ * the budget it is given and, on bounded outputs, the free room), does
+ * the whole run's work, and moves it with one consume per input and
+ * one push per output. A barrier still fires alone. A quantum stays
+ * one thread or barrier moved, so a run of n counts n quanta and a
+ * burst of quanta moves exactly the tokens the same number of
+ * one-token firings would: runQuanta hands each firing what is left of
+ * the burst, so no run crosses a scheduling decision. A run is
+ * snapshotted once: tokens that arrive while it fires are the next
+ * firing's work.
  *
  * These classes are the one definition of each firing rule: compiled
  * graphs instantiate them directly (graph::ExecutionContext, which
  * reset()s them between requests; its blocks, parks, FIFO restores
  * and ordinals are ElementWise with a lane function over the machine
  * memory, and only the keyed restore is a process of its own), as do
- * the hand-built networks of the tests and benches. Their stepOnce()
- * bodies allocate nothing, except Sink's growing collection.
+ * the hand-built networks of the tests and benches. Their fire()
+ * bodies allocate nothing once warm, except Sink's growing collection:
+ * runs go through a per-thread column scratch.
  *
  * Link fan-out is not a primitive here. As on the vRDA, where the
  * network delivers a vector to every consumer, every channel is a ring
@@ -47,13 +62,13 @@
  * it passable) are exactly the readiness notifications the scheduler
  * delivers. See channel.hh for the full memory-ordering contract.
  *
- * Corollary: a *negative* observation (head absent) is NOT stable — a
- * producer may push mid-step. A stepOnce() that branches on "no token
- * there" must snapshot each head at most once and act only on the
- * snapshot; re-reading can see a different world than the branch was
- * chosen on (ForwardMerge's barrier fall-through is the canonical
- * case). A token that arrives mid-step is next step's work — its push
- * notification re-queues the process.
+ * Corollary: a *negative* observation (head absent, run ended) is NOT
+ * stable — a producer may push mid-firing. A fire() that branches on
+ * "no token there" must snapshot each head at most once and act only
+ * on the snapshot; re-reading can see a different world than the
+ * branch was chosen on (ForwardMerge's barrier fall-through is the
+ * canonical case). A token that arrives mid-firing is the next
+ * firing's work — its push notification re-queues the process.
  */
 
 #ifndef REVET_DATAFLOW_PRIMITIVES_HH
@@ -80,23 +95,29 @@ class Process
     virtual ~Process() = default;
 
     /**
-     * Perform one quantum of work.
-     * @return true if any token moved (progress was made).
+     * Fire once: move one run of at most @p budget threads (@p budget
+     * >= 1), or one barrier.
+     * @return the quanta done — threads plus barriers moved — or 0
+     * when the primitive is blocked.
      */
-    virtual bool stepOnce() = 0;
+    virtual int fire(int budget) = 0;
 
     /**
      * Run up to @p burst quanta; returns the number completed. A return
      * value less than @p burst means the primitive blocked (its next
-     * stepOnce() would make no progress until a channel event wakes it).
+     * fire() would make no progress until a channel event wakes it).
      */
     int
     runQuanta(int burst)
     {
         int done = 0;
         try {
-            while (done < burst && stepOnce())
-                ++done;
+            while (done < burst) {
+                const int quanta = fire(burst - done);
+                if (quanta == 0)
+                    break;
+                done += quanta;
+            }
         } catch (const std::runtime_error &err) {
             throw std::runtime_error("[" + name_ + "] " + err.what());
         }
@@ -167,7 +188,7 @@ class Source : public Process
         declareIo({}, {out_});
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
     bool done() const { return pos_ == stream_.size(); }
     bool idle() const override { return done(); }
     std::string stallReason() const override;
@@ -196,7 +217,7 @@ class Sink : public Process
         declareIo({in_}, {});
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
     const TokenStream &collected() const { return collected_; }
     void reset() override { collected_.clear(); }
 
@@ -205,19 +226,27 @@ class Sink : public Process
     TokenStream collected_;
 };
 
-/** Per-lane function: maps aligned input words to output words. */
-using LaneFn =
-    std::function<void(const std::vector<Word> &, std::vector<Word> &)>;
+/** One firing's threads, lane by lane: in[i][t] is input lane i of
+ * thread t and out[j][t] output lane j, for t < n. */
+struct LaneRun
+{
+    size_t n;              ///< threads in the run (>= 1)
+    size_t ins;            ///< input lanes
+    size_t outs;           ///< output lanes
+    const Word *const *in; ///< one column of n words per input lane
+    Word *const *out;      ///< one column of n words per output lane
+};
+
+/** Lane function: maps a run of threads' input lanes to their output
+ * lanes, writing every output word of every thread. */
+using LaneFn = std::function<void(const LaneRun &)>;
 
 /**
  * Element-wise operation over aligned streams (Section III-B(a)).
  *
- * Pops one aligned token from every input; data maps through @p fn,
+ * A data run aligned on every input maps through @p fn in one call;
  * barriers (which must agree across inputs) pass to every output.
- * Ordering, hierarchy, and thread count are never changed. The lane
- * vectors handed to @p fn are members, refilled on every firing, so
- * @p fn sees an empty result vector and must append one word per
- * output.
+ * Ordering, hierarchy, and thread count are never changed.
  */
 class ElementWise : public Process
 {
@@ -231,18 +260,18 @@ class ElementWise : public Process
         if (ins_.empty())
             throw std::logic_error(this->name() + ": no input lanes");
         declareIo(ins_, outs_);
-        in_words_.resize(ins_.size());
-        out_words_.reserve(outs_.size());
+        in_cols_.resize(ins_.size());
+        out_cols_.resize(outs_.size());
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
 
   private:
     Bundle ins_;
     Bundle outs_;
     LaneFn fn_;
-    std::vector<Word> in_words_;
-    std::vector<Word> out_words_;
+    std::vector<const Word *> in_cols_;
+    std::vector<Word *> out_cols_;
 };
 
 /**
@@ -263,7 +292,7 @@ class Broadcast : public Process
         declareIo({deep_, shallow_}, {out_});
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
 
   private:
     Channel *deep_;
@@ -288,7 +317,7 @@ class Counter : public Process
         declareIo(ins_, {out_});
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
     bool idle() const override;
     std::string stallReason() const override;
     void reset() override;
@@ -320,7 +349,7 @@ class Reduce : public Process
         declareIo({in_}, {out_});
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
     bool idle() const override;
     std::string stallReason() const override;
     void reset() override;
@@ -349,7 +378,7 @@ class Flatten : public Process
         declareIo({in_}, {out_});
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
 
   private:
     Channel *in_;
@@ -374,7 +403,7 @@ class Filter : public Process
         declareIo(ins_, outs_);
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
 
   private:
     Bundle ins_; ///< the predicate, then the thread bundle
@@ -401,7 +430,7 @@ class ForwardMerge : public Process
         declareIo(std::move(all_ins), outs_);
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
 
   private:
     Bundle a_;
@@ -441,7 +470,7 @@ class FwdBackMerge : public Process
         declareIo(std::move(all_ins), outs_);
     }
 
-    bool stepOnce() override;
+    int fire(int budget) override;
     bool idle() const override;
     std::string stallReason() const override;
     void reset() override;

@@ -201,17 +201,17 @@ struct MachineMemory
     }
 
     void
-    parkSlot()
+    parkSlots(uint64_t n)
     {
-        ++parkedNow;
+        parkedNow += n;
         if (parkedNow > stats->sramParkedPeak)
             stats->sramParkedPeak = parkedNow;
     }
 
     void
-    releaseSlot()
+    releaseSlots(uint64_t n)
     {
-        --parkedNow;
+        parkedNow -= n;
     }
 
     std::vector<uint32_t> *
@@ -336,10 +336,12 @@ collectRunStats(dataflow::Engine &engine, size_t num_links, bool watched,
 // re-pairs threads across two streams, is a process of its own.
 
 /**
- * A block's lane function: one firing over a register file the
- * function owns. Each firing re-zeroes the file (reads-before-writes
- * yield 0), lands the inputs by the lane map, and runs straight over
- * this block's slice of the program's flat BlockOp table.
+ * A block's lane function: a run of threads over a register file the
+ * function owns, one thread at a time, so the memory effects of the
+ * run's threads land in thread order, as the interpreter makes them.
+ * Each thread re-zeroes the file (reads-before-writes yield 0), lands
+ * its inputs by the lane map, and runs straight over this block's
+ * slice of the program's flat BlockOp table.
  */
 dataflow::LaneFn
 blockLanes(const BytecodeProgram &prog, const BcInst &inst,
@@ -349,30 +351,33 @@ blockLanes(const BytecodeProgram &prog, const BcInst &inst,
     const int32_t *in_regs = prog.regs.data() + inst.inRegs;
     const int32_t *out_regs = prog.regs.data() + inst.outRegs;
     return [regs = std::vector<Word>(inst.nRegs, 0), ops,
-            num_ops = inst.nOps, in_regs, out_regs,
-            num_outs = inst.nOuts, &mem](const std::vector<Word> &in,
-                                         std::vector<Word> &out) mutable {
-        std::fill(regs.begin(), regs.end(), 0);
-        for (size_t i = 0; i < in.size(); ++i)
-            regs[in_regs[i]] = in[i];
-        for (uint32_t i = 0; i < num_ops; ++i) {
-            const BlockOp &op = ops[i];
-            if (op.guard >= 0 && regs[op.guard] == 0)
-                continue;
-            // ALU semantics live in graph::evalPureOp (shared with the
-            // optimizer's constant folder); it declines memory traffic
-            // and division by zero, which take the locked slow path.
-            Word v;
-            const Word a = op.a >= 0 ? regs[op.a] : 0;
-            const Word b = op.b >= 0 ? regs[op.b] : 0;
-            const Word c = op.c >= 0 ? regs[op.c] : 0;
-            if (!evalPureOp(op, a, b, c, v))
-                v = evalMemoryOp(op, regs, mem);
-            if (op.dst >= 0)
-                regs[op.dst] = v;
+            num_ops = inst.nOps, in_regs, out_regs, num_ins = inst.nIns,
+            num_outs = inst.nOuts,
+            &mem](const dataflow::LaneRun &run) mutable {
+        for (size_t t = 0; t < run.n; ++t) {
+            std::fill(regs.begin(), regs.end(), 0);
+            for (uint32_t i = 0; i < num_ins; ++i)
+                regs[in_regs[i]] = run.in[i][t];
+            for (uint32_t i = 0; i < num_ops; ++i) {
+                const BlockOp &op = ops[i];
+                if (op.guard >= 0 && regs[op.guard] == 0)
+                    continue;
+                // ALU semantics live in graph::evalPureOp (shared with
+                // the optimizer's constant folder); it declines memory
+                // traffic and division by zero, which take the locked
+                // slow path.
+                Word v;
+                const Word a = op.a >= 0 ? regs[op.a] : 0;
+                const Word b = op.b >= 0 ? regs[op.b] : 0;
+                const Word c = op.c >= 0 ? regs[op.c] : 0;
+                if (!evalPureOp(op, a, b, c, v))
+                    v = evalMemoryOp(op, regs, mem);
+                if (op.dst >= 0)
+                    regs[op.dst] = v;
+            }
+            for (uint32_t i = 0; i < num_outs; ++i)
+                run.out[i][t] = regs[out_regs[i]];
         }
-        for (uint32_t i = 0; i < num_outs; ++i)
-            out.push_back(regs[out_regs[i]]);
     };
 }
 
@@ -381,8 +386,9 @@ blockLanes(const BytecodeProgram &prog, const BcInst &inst,
  * park (SRAM write of each data token), FIFO restore (the in-order
  * read-back), and ordinal (tags each entering thread with its arrival
  * index: the key a keyed park stores under and its restore looks up
- * by). Each passes its data word through, except the ordinal, which
- * replaces it; ElementWise passes barriers untouched.
+ * by). Each passes its data words through, except the ordinal, which
+ * replaces them; ElementWise passes barriers untouched. A park or
+ * restore run books all its threads under one lock.
  */
 dataflow::LaneFn
 tapLanes(BcOp role, MachineMemory &mem)
@@ -392,25 +398,24 @@ tapLanes(BcOp role, MachineMemory &mem)
         // zeroes it with the rest of the bookkeeping.
         const size_t slot = mem.arrivals.size();
         mem.arrivals.push_back(0);
-        return [slot, &mem](const std::vector<Word> &,
-                            std::vector<Word> &out) {
-            out.push_back(mem.arrivals[slot]++);
+        return [slot, &mem](const dataflow::LaneRun &run) {
+            for (size_t t = 0; t < run.n; ++t)
+                run.out[0][t] = mem.arrivals[slot]++;
         };
     }
     const bool park = role == BcOp::park;
-    return [park, &mem](const std::vector<Word> &in,
-                        std::vector<Word> &out) {
+    return [park, &mem](const dataflow::LaneRun &run) {
         {
             std::lock_guard<std::mutex> guard(mem.mu);
-            ++mem.stats->sramAccesses;
+            mem.stats->sramAccesses += run.n;
             if (park) {
-                ++mem.stats->sramParkedElems;
-                mem.parkSlot();
+                mem.stats->sramParkedElems += run.n;
+                mem.parkSlots(run.n);
             } else {
-                mem.releaseSlot();
+                mem.releaseSlots(run.n);
             }
         }
-        out.push_back(in[0]);
+        std::copy(run.in[0], run.in[0] + run.n, run.out[0]);
     };
 }
 
@@ -451,49 +456,8 @@ class KeyedRestore final : public dataflow::Process
         declareIo({value_, key_}, {out_});
     }
 
-    bool
-    stepOnce() override
-    {
-        // Absorb the park stream first: values land in the keyed SRAM.
-        if (!value_->empty()) {
-            Token tok = value_->pop();
-            if (tok.isBarrier()) {
-                ++value_batches_;
-                return true;
-            }
-            if (value_batches_ < key_batches_) {
-                // Dead on arrival: the value's batch already closed on
-                // the key side, so no key can ever look it up.
-                std::lock_guard<std::mutex> guard(mem_.mu);
-                mem_.releaseSlot();
-            } else {
-                buffered_[next_ordinal_] = {tok.word(), value_batches_};
-            }
-            ++next_ordinal_;
-            return true;
-        }
-        if (key_->empty() || !out_->canPush())
-            return false;
-        const Token &head = key_->front();
-        if (head.isBarrier()) {
-            out_->push(key_->pop());
-            ++key_batches_;
-            reclaimClosedBatches();
-            return true;
-        }
-        auto it = buffered_.find(head.word());
-        if (it == buffered_.end())
-            return false; // the key ran ahead of its parked value
-        key_->pop();
-        {
-            std::lock_guard<std::mutex> guard(mem_.mu);
-            ++mem_.stats->sramAccesses;
-            mem_.releaseSlot();
-        }
-        out_->push(Token::data(it->second.value));
-        buffered_.erase(it);
-        return true;
-    }
+    /** One token per firing: a value absorbed, or a key served. */
+    int fire(int) override { return step() ? 1 : 0; }
 
     std::string
     stallReason() const override
@@ -525,6 +489,51 @@ class KeyedRestore final : public dataflow::Process
         uint64_t batch = 0;
     };
 
+    /** Absorb one value, or serve one key. */
+    bool
+    step()
+    {
+        // Absorb the park stream first: values land in the keyed SRAM.
+        if (!value_->empty()) {
+            Token tok = value_->pop();
+            if (tok.isBarrier()) {
+                ++value_batches_;
+                return true;
+            }
+            if (value_batches_ < key_batches_) {
+                // Dead on arrival: the value's batch already closed on
+                // the key side, so no key can ever look it up.
+                std::lock_guard<std::mutex> guard(mem_.mu);
+                mem_.releaseSlots(1);
+            } else {
+                buffered_[next_ordinal_] = {tok.word(), value_batches_};
+            }
+            ++next_ordinal_;
+            return true;
+        }
+        if (key_->empty() || !out_->canPush())
+            return false;
+        const Token &head = key_->front();
+        if (head.isBarrier()) {
+            out_->push(key_->pop());
+            ++key_batches_;
+            reclaimClosedBatches();
+            return true;
+        }
+        auto it = buffered_.find(head.word());
+        if (it == buffered_.end())
+            return false; // the key ran ahead of its parked value
+        key_->pop();
+        {
+            std::lock_guard<std::mutex> guard(mem_.mu);
+            ++mem_.stats->sramAccesses;
+            mem_.releaseSlots(1);
+        }
+        out_->push(Token::data(it->second.value));
+        buffered_.erase(it);
+        return true;
+    }
+
     void
     reclaimClosedBatches()
     {
@@ -540,8 +549,7 @@ class KeyedRestore final : public dataflow::Process
         if (freed == 0)
             return;
         std::lock_guard<std::mutex> guard(mem_.mu);
-        for (size_t i = 0; i < freed; ++i)
-            mem_.releaseSlot();
+        mem_.releaseSlots(freed);
     }
 
     Channel *value_;

@@ -13,7 +13,13 @@
  * both merges) directly, and blocks, parks, FIFO restores and
  * ordinals as dataflow::ElementWise, whose lane function runs the
  * block body or the park bookkeeping over the shared machine memory
- * (bytecode.cc). The keyed restore is the one role with a private
+ * (bytecode.cc). Like every primitive, they fire a run at a time
+ * (primitives.hh): one call of a block's lane function takes the whole
+ * data run its firing snapshotted and runs the body over it thread
+ * after thread, so the run's memory effects land in thread order, as
+ * the interpreter makes them, and a park or restore books its whole
+ * run under one lock of the machine memory. A quantum stays one
+ * thread or barrier moved. The keyed restore is the one role with a private
  * process: it re-pairs values with keys across two streams. A fanout
  * runs no process: as in the vRDA network, Engine::multicast folds
  * its outputs' rings into its input's, so each output reads the one

@@ -25,8 +25,8 @@ struct ExecStats
     uint64_t schedSteps = 0;
     uint64_t schedIdleSteps = 0;
     uint64_t schedVerifyPasses = 0;
-    /** stepOnce() quanta that made progress, so bench/exec_dispatch.cc
-     * can report dispatch cost per quantum. */
+    /** Quanta the firings did (threads plus barriers moved), so
+     * bench/exec_dispatch.cc can report dispatch cost per quantum. */
     uint64_t schedQuanta = 0;
     /** Cross-worker deque steals (Policy::parallel only). */
     uint64_t schedSteals = 0;

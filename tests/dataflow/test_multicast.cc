@@ -24,6 +24,8 @@
 #include "lang/parse.hh"
 #include "sltf/codec.hh"
 
+#include "per_thread.hh"
+
 using namespace revet;
 using namespace revet::dataflow;
 using revet::sltf::StreamBuilder;
@@ -68,9 +70,9 @@ slowChain(Engine &e, Channel *in, const std::string &name, int stages)
         Channel *next = e.channel(name + std::to_string(s), 1);
         e.make<ElementWise>(
             name + ".ew" + std::to_string(s), Bundle{in}, Bundle{next},
-            [](const std::vector<Word> &v, std::vector<Word> &out) {
+            perThread([](const std::vector<Word> &v, std::vector<Word> &out) {
                 out.push_back(v[0]);
-            });
+            }));
         in = next;
     }
     return in;

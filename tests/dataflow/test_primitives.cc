@@ -14,6 +14,8 @@
 #include "sltf/codec.hh"
 #include "sltf/ragged.hh"
 
+#include "per_thread.hh"
+
 using namespace revet::dataflow;
 using revet::sltf::RaggedTensor;
 using revet::sltf::StreamBuilder;
@@ -33,9 +35,9 @@ struct Harness
 LaneFn
 unary(std::function<Word(Word)> f)
 {
-    return [f](const std::vector<Word> &in, std::vector<Word> &out) {
+    return perThread([f](const std::vector<Word> &in, std::vector<Word> &out) {
         out.push_back(f(in[0]));
-    };
+    });
 }
 
 } // namespace
@@ -50,9 +52,9 @@ TEST(ElementWise, AddsAlignedStreams)
     e.make<Source>("srcB", b, StreamBuilder().d(10).d(20).b(1).d(30).b(2));
     e.make<ElementWise>(
         "add", Bundle{a, b}, Bundle{o},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(in[0] + in[1]);
-        });
+        }));
     auto *sink = e.make<Sink>("sink", o);
     e.run();
     EXPECT_EQ(sink->collected(),
@@ -70,9 +72,9 @@ TEST(ElementWise, BarrierMisalignmentThrows)
     e.make<Source>("srcB", b, StreamBuilder().b(1).d(1));
     e.make<ElementWise>(
         "add", Bundle{a, b}, Bundle{o},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(in[0] + in[1]);
-        });
+        }));
     e.make<Sink>("sink", o);
     EXPECT_THROW(e.run(), std::runtime_error);
 }
@@ -86,10 +88,10 @@ TEST(ElementWise, MultipleResults)
     e.make<Source>("src", a, StreamBuilder().d(5).d(9).b(1));
     e.make<ElementWise>(
         "split", Bundle{a}, Bundle{s, d},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(in[0] + 1);
             out.push_back(in[0] - 1);
-        });
+        }));
     auto *s1 = e.make<Sink>("s1", s);
     auto *s2 = e.make<Sink>("s2", d);
     e.run();
@@ -97,29 +99,32 @@ TEST(ElementWise, MultipleResults)
     EXPECT_EQ(s2->collected(), (TokenStream)StreamBuilder().d(4).d(8).b(1));
 }
 
-TEST(ElementWise, LaneCountMismatchThrows)
+TEST(ElementWise, LaneFnSeesOneCallPerDataRun)
 {
-    // A lane function must append exactly one word per output lane.
+    // A firing hands the lane function one column per lane, as long as
+    // the aligned data run and no longer than the firing's budget; a
+    // barrier fires alone and never reaches the function.
     Engine e;
     auto *a = e.channel("a");
-    auto *s = e.channel("s");
-    auto *d = e.channel("d");
-    e.make<Source>("src", a, StreamBuilder().d(5).b(1));
-    e.make<ElementWise>("short", Bundle{a}, Bundle{s, d}, unary([](Word w) {
-                            return w + 1;
-                        }));
-    e.make<Sink>("s1", s);
-    e.make<Sink>("s2", d);
-    try {
-        e.run();
-        FAIL() << "a lane fn short of results must throw";
-    } catch (const std::logic_error &err) {
-        EXPECT_NE(std::string(err.what())
-                      .find("short: lane fn produced 1 results for 2 "
-                            "outputs"),
-                  std::string::npos)
-            << err.what();
-    }
+    auto *b = e.channel("b");
+    auto *o = e.channel("o");
+    a->pushAll(StreamBuilder().d(1).d(2).d(3).b(1).d(4).b(1));
+    b->pushAll(StreamBuilder().d(10).d(20).d(30).b(1).d(40).b(1));
+    std::vector<size_t> runs;
+    auto *add = e.make<ElementWise>(
+        "add", Bundle{a, b}, Bundle{o}, [&runs](const LaneRun &run) {
+            EXPECT_EQ(run.ins, 2u);
+            EXPECT_EQ(run.outs, 1u);
+            runs.push_back(run.n);
+            for (size_t t = 0; t < run.n; ++t)
+                run.out[0][t] = run.in[0][t] + run.in[1][t];
+        });
+    EXPECT_EQ(add->runQuanta(2), 2); // a run stops at the budget
+    EXPECT_EQ(add->runQuanta(10), 4); // 1 thread, B1, 1 thread, B1
+    EXPECT_EQ(add->runQuanta(10), 0);
+    EXPECT_EQ(runs, (std::vector<size_t>{2, 1, 1}));
+    EXPECT_EQ(o->drain(),
+              (TokenStream)StreamBuilder().d(11).d(22).d(33).b(1).d(44).b(1));
 }
 
 TEST(ElementWise, RejectsEmptyInputBundle)
@@ -129,9 +134,10 @@ TEST(ElementWise, RejectsEmptyInputBundle)
     auto *o = e.channel("o");
     EXPECT_THROW(e.make<ElementWise>(
                      "const", Bundle{}, Bundle{o},
-                     [](const std::vector<Word> &, std::vector<Word> &out) {
+                     perThread([](const std::vector<Word> &,
+                                  std::vector<Word> &out) {
                          out.push_back(1);
-                     }),
+                     })),
                  std::logic_error);
 }
 
@@ -276,13 +282,13 @@ TEST(Filter, Figure3Partition)
     // Predicate: value == 3 (the slow-path thread).
     e.make<ElementWise>(
         "pred", Bundle{val}, Bundle{pb, pc, vb, vc},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             Word p = in[0] == 3 ? 1 : 0;
             out.push_back(p);
             out.push_back(p);
             out.push_back(in[0]);
             out.push_back(in[0]);
-        });
+        }));
     e.make<Filter>("fB", pb, Bundle{vb}, Bundle{bOut}, true);
     e.make<Filter>("fC", pc, Bundle{vc}, Bundle{cOut}, false);
     auto *sb = e.make<Sink>("sinkB", bOut);
@@ -438,19 +444,19 @@ TEST(ForeachPipeline, CounterBroadcastReduce)
     e.multicast(par, {par_ctr, par_bc});
     e.make<ElementWise>(
         "bounds", Bundle{par_ctr}, Bundle{mn, mx, st},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(0);
             out.push_back(in[0]);
             out.push_back(1);
-        });
+        }));
     e.make<Counter>("ctr", mn, mx, st, iter);
     e.multicast(iter, {iter_bc, iter_ew});
     e.make<Broadcast>("bc", iter_bc, par_bc, expanded, 1);
     e.make<ElementWise>(
         "body", Bundle{iter_ew, expanded}, Bundle{body},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(in[0] + 10 * in[1]);
-        });
+        }));
     e.make<Reduce>("red", body, red, 0);
     auto *sink = e.make<Sink>("sink", red);
     e.run();
@@ -505,7 +511,7 @@ struct WhileLoopHarness
         e.make<ElementWise>(
             "dec", Bundle{mid_body, mcnt},
             Bundle{did1, dcnt1, p1, did2, dcnt2, p2},
-            [](const std::vector<Word> &in, std::vector<Word> &out) {
+            perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
                 Word cnt = in[1] - 1;
                 Word cont = static_cast<int32_t>(cnt) > 0 ? 1 : 0;
                 out.push_back(in[0]);
@@ -514,7 +520,7 @@ struct WhileLoopHarness
                 out.push_back(in[0]);
                 out.push_back(cnt);
                 out.push_back(cont);
-            });
+            }));
         e.make<Filter>("backF", p1, Bundle{did1, dcnt1},
                        Bundle{bid, bcnt}, true);
         auto *xid = e.channel("xid");
@@ -625,12 +631,12 @@ TEST(NestedWhile, InnerLoopInsideOuterLoop)
     auto *ww = e.channel("ww");
     e.make<ElementWise>(
         "initW", Bundle{oid, on, oacc}, Bundle{wid, wn, wacc, ww},
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             out.push_back(in[0]);
             out.push_back(in[1]);
             out.push_back(in[2]);
             out.push_back(in[1]); // w = n
-        });
+        }));
 
     // Inner loop header.
     auto *iid = e.channel("iid");
@@ -651,7 +657,7 @@ TEST(NestedWhile, InnerLoopInsideOuterLoop)
         inner_out.push_back(e.channel("ib" + std::to_string(i)));
     e.make<ElementWise>(
         "innerBody", Bundle{iid, in_, iacc, iw}, inner_out,
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             Word w = in[3] - 1;
             Word cont = static_cast<int32_t>(w) > 0 ? 1 : 0;
             for (int copy = 0; copy < 2; ++copy) {
@@ -661,7 +667,7 @@ TEST(NestedWhile, InnerLoopInsideOuterLoop)
                 out.push_back(w);
                 out.push_back(cont);
             }
-        });
+        }));
     e.make<Filter>("innerBack", inner_out[4],
                    Bundle{inner_out[0], inner_out[1], inner_out[2],
                           inner_out[3]},
@@ -692,7 +698,7 @@ TEST(NestedWhile, InnerLoopInsideOuterLoop)
         outer_out.push_back(e.channel("ob" + std::to_string(i)));
     e.make<ElementWise>(
         "outerTail", Bundle{sid, sn, sacc}, outer_out,
-        [](const std::vector<Word> &in, std::vector<Word> &out) {
+        perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
             Word n = in[1] - 1;
             Word cont = static_cast<int32_t>(n) > 0 ? 1 : 0;
             for (int copy = 0; copy < 2; ++copy) {
@@ -701,7 +707,7 @@ TEST(NestedWhile, InnerLoopInsideOuterLoop)
                 out.push_back(in[2]);
                 out.push_back(cont);
             }
-        });
+        }));
     e.make<Filter>("outerBack", outer_out[3],
                    Bundle{outer_out[0], outer_out[1], outer_out[2]},
                    Bundle{obid, obn, obacc}, true);
@@ -779,13 +785,13 @@ TEST(FilterMergeProperty, PartitionAndRejoinPreservesGroups)
         e.make<Source>("src", val, sb.build());
         e.make<ElementWise>(
             "pred", Bundle{val}, Bundle{pt, pf, vt, vf},
-            [](const std::vector<Word> &in, std::vector<Word> &out) {
+            perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
                 Word p = in[0] % 2;
                 out.push_back(p);
                 out.push_back(p);
                 out.push_back(in[0]);
                 out.push_back(in[0]);
-            });
+            }));
         e.make<Filter>("ft", pt, Bundle{vt}, Bundle{bt}, true);
         e.make<Filter>("ff", pf, Bundle{vf}, Bundle{bf}, false);
         e.make<ForwardMerge>("join", Bundle{bt}, Bundle{bf}, Bundle{out});

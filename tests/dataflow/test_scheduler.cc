@@ -26,6 +26,8 @@
 #include "dataflow/engine.hh"
 #include "sltf/codec.hh"
 
+#include "per_thread.hh"
+
 using namespace revet;
 using namespace revet::dataflow;
 using revet::sltf::StreamBuilder;
@@ -72,9 +74,10 @@ TEST(WorklistScheduler, SparsePipelineSkipsIdleStages)
                                       1);
             e.make<ElementWise>(
                 "ew", Bundle{cur}, Bundle{next},
-                [](const std::vector<Word> &in, std::vector<Word> &out) {
+                perThread([](const std::vector<Word> &in,
+                             std::vector<Word> &out) {
                     out.push_back(in[0] + 1);
-                });
+                }));
             cur = next;
         }
         Sink *s = e.make<Sink>("sink", cur);
@@ -151,10 +154,10 @@ TEST(WorklistScheduler, LivelockMessageNamesWorkingRounds)
     auto *a = e.channel("a");
     auto *b = e.channel("b");
     a->push(Token::data(1));
-    auto passthrough = [](const std::vector<Word> &in,
-                          std::vector<Word> &out) {
+    auto passthrough = perThread([](const std::vector<Word> &in,
+                                    std::vector<Word> &out) {
         out.push_back(in[0]);
-    };
+    });
     e.make<ElementWise>("fwd", Bundle{a}, Bundle{b}, passthrough);
     e.make<ElementWise>("back", Bundle{b}, Bundle{a}, passthrough);
     try {
@@ -199,10 +202,10 @@ buildSkewedArray(Engine &e, int replicas, int stages, int tokens,
                 capacity);
             e.make<ElementWise>(
                 "ew", Bundle{cur}, Bundle{next},
-                [](const std::vector<Word> &in,
-                   std::vector<Word> &out) {
+                perThread([](const std::vector<Word> &in,
+                             std::vector<Word> &out) {
                     out.push_back(in[0] * 3 + 1);
-                });
+                }));
             cur = next;
         }
         Sink *s = e.make<Sink>("sink", cur);
@@ -290,10 +293,10 @@ TEST(ParallelScheduler, PrimitiveExceptionPropagatesFromWorker)
     auto *c = e.channel("c");
     e.make<Source>("src", a, StreamBuilder().d(7).b(1));
     e.make<ElementWise>("boom", Bundle{a}, Bundle{b},
-                        [](const std::vector<Word> &,
-                           std::vector<Word> &) -> void {
+                        perThread([](const std::vector<Word> &,
+                                     std::vector<Word> &) -> void {
                             throw std::runtime_error("injected fault");
-                        });
+                        }));
     e.make<Sink>("sink", b);
     e.make<Sink>("sink2", c);
     try {
@@ -338,10 +341,10 @@ TEST(ParallelScheduler, LivelockDetectedAcrossWorkers)
     auto *a = e.channel("a");
     auto *b = e.channel("b");
     a->push(Token::data(1));
-    auto passthrough = [](const std::vector<Word> &in,
-                          std::vector<Word> &out) {
+    auto passthrough = perThread([](const std::vector<Word> &in,
+                                    std::vector<Word> &out) {
         out.push_back(in[0]);
-    };
+    });
     e.make<ElementWise>("fwd", Bundle{a}, Bundle{b}, passthrough);
     e.make<ElementWise>("back", Bundle{b}, Bundle{a}, passthrough);
     try {
@@ -380,10 +383,10 @@ TEST(ParallelScheduler, ContendedCapacityOneChainsBitIdentical)
                     1);
                 e.make<ElementWise>(
                     "ew", Bundle{cur}, Bundle{next},
-                    [](const std::vector<Word> &in,
-                       std::vector<Word> &out) {
+                    perThread([](const std::vector<Word> &in,
+                                 std::vector<Word> &out) {
                         out.push_back(in[0] + 1);
-                    });
+                    }));
                 cur = next;
             }
             sinks.push_back(e.make<Sink>("sink", cur));
@@ -491,9 +494,9 @@ TEST(Backpressure, CapacityOnePipelineDrainsUnderEveryPolicy)
         e.make<Source>("src", a, sb.build());
         e.make<ElementWise>(
             "inc", Bundle{a}, Bundle{b},
-            [](const std::vector<Word> &in, std::vector<Word> &out) {
+            perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
                 out.push_back(in[0] + 1);
-            });
+            }));
         e.make<Flatten>("flat", b, c);
         auto *sink = e.make<Sink>("sink", c);
         e.run();

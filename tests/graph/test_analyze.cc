@@ -28,7 +28,8 @@
  * lowered graph, the graph after each applied pass) and of the final
  * graph under analyzeGraph() hash to recorded FNV-1a digests
  * (analyze_goldens.txt), so solver speedups must keep the output byte
- * for byte.
+ * for byte. Hand-built rate-conflicting graphs are recorded there too:
+ * only a conflict shows the order the solver visits its constraints in.
  */
 
 #include <gtest/gtest.h>
@@ -345,6 +346,128 @@ nodesOfKind(const Dfg &g, NodeKind kind)
     return out;
 }
 
+/**
+ * A block bundling a rate-5 counter stream with a rate-1 source
+ * stream: its lanes can never align, and the balance equations must
+ * flag the conflict by node.
+ */
+Dfg
+imbalancedBundleGraph()
+{
+    Dfg g;
+    int iv = addConstCounter(g, 0, 5, 1);
+    auto &src = g.newNode(NodeKind::source, "arg0");
+    int lb = g.newLink("b");
+    g.connectOut(src.id, lb);
+    auto &blk = g.newNode(NodeKind::block, "misaligned");
+    g.connectIn(blk.id, iv);
+    g.connectIn(blk.id, lb);
+    blk.inputRegs = {0, 1};
+    blk.nRegs = 3;
+    addBinop(blk, OpKind::add, 2, 0, 1);
+    int lo = g.newLink("o");
+    blk.outputRegs = {2};
+    g.connectOut(blk.id, lo);
+    auto &snk = g.newNode(NodeKind::sink, "sink");
+    g.connectIn(snk.id, lo);
+    g.verify();
+    return g;
+}
+
+/**
+ * A conflict the solver finds only after binding a fresh symbol. The
+ * source's fanout bundle and the filter's pred + data bundle agree
+ * (rate 1) in the first sweep and are settled for good. The filter's
+ * kept lanes get a rate only once bindUnknown() names a fresh symbol
+ * for them; only then does the merge see its output (tied to a kept
+ * lane by the block's bundle) against kept + 1, a constant difference
+ * no binding can absorb.
+ */
+Dfg
+lateMergeConflictGraph()
+{
+    Dfg g;
+    auto &src = g.newNode(NodeKind::source, "__start");
+    int t = g.newLink("t");
+    g.connectOut(src.id, t);
+    auto &fan = g.newNode(NodeKind::fanout, "fan");
+    g.connectIn(fan.id, t);
+    int p = g.newLink("p"), d1 = g.newLink("d1"), d2 = g.newLink("d2"),
+        b = g.newLink("b");
+    for (int l : {p, d1, d2, b})
+        g.connectOut(fan.id, l);
+    auto &flt = g.newNode(NodeKind::filter, "keep");
+    for (int l : {p, d1, d2})
+        g.connectIn(flt.id, l);
+    int fa = g.newLink("fa"), fc = g.newLink("fc");
+    g.connectOut(flt.id, fa);
+    g.connectOut(flt.id, fc);
+    auto &m = g.newNode(NodeKind::fwdMerge, "join");
+    g.connectIn(m.id, fa);
+    g.connectIn(m.id, b);
+    int o = g.newLink("o");
+    g.connectOut(m.id, o);
+    auto &blk = g.newNode(NodeKind::block, "tie");
+    g.connectIn(blk.id, o);
+    g.connectIn(blk.id, fc);
+    blk.inputRegs = {0, 1};
+    blk.nRegs = 2;
+    g.verify();
+    return g;
+}
+
+/**
+ * A second conflict behind a fresh symbol: the filter's kept lanes
+ * are bound to f once the first sweeps settle, then a constant-bound
+ * counter on one kept lane yields 5 threads per kept thread, and a
+ * block bundles that stream with the other kept lane (rate f).
+ */
+Dfg
+filteredCounterConflictGraph()
+{
+    Dfg g;
+    auto &src = g.newNode(NodeKind::source, "arg0");
+    int t = g.newLink("t");
+    g.connectOut(src.id, t);
+    auto &fan = g.newNode(NodeKind::fanout, "fan");
+    g.connectIn(fan.id, t);
+    int p = g.newLink("p"), d1 = g.newLink("d1"), d2 = g.newLink("d2");
+    for (int l : {p, d1, d2})
+        g.connectOut(fan.id, l);
+    auto &flt = g.newNode(NodeKind::filter, "keep");
+    for (int l : {p, d1, d2})
+        g.connectIn(flt.id, l);
+    int fa = g.newLink("fa"), fc = g.newLink("fc");
+    g.connectOut(flt.id, fa);
+    g.connectOut(flt.id, fc);
+
+    auto &bounds = g.newNode(NodeKind::block, "bounds");
+    g.connectIn(bounds.id, fa);
+    bounds.inputRegs = {0};
+    bounds.nRegs = 4;
+    addCnst(bounds, 1, 0);
+    addCnst(bounds, 2, 5);
+    addCnst(bounds, 3, 1);
+    bounds.outputRegs = {1, 2, 3};
+    int lmin = g.newLink("min"), lmax = g.newLink("max"),
+        lstep = g.newLink("step");
+    for (int l : {lmin, lmax, lstep})
+        g.connectOut(bounds.id, l);
+    auto &ctr = g.newNode(NodeKind::counter, "threads");
+    for (int l : {lmin, lmax, lstep})
+        g.connectIn(ctr.id, l);
+    int iv = g.newLink("iv");
+    g.connectOut(ctr.id, iv);
+
+    auto &blk = g.newNode(NodeKind::block, "tie");
+    g.connectIn(blk.id, iv);
+    g.connectIn(blk.id, fc);
+    blk.inputRegs = {0, 1};
+    blk.nRegs = 2;
+    g.verify();
+    return g;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -373,27 +496,7 @@ TEST(AnalyzeRates, MergeObeysConservation)
 
 TEST(AnalyzeRates, ImbalancedBundleFlagged)
 {
-    // A block bundling a rate-5 counter stream with a rate-1 source
-    // stream can never align its lanes: the balance equations must
-    // flag the conflict by node.
-    Dfg g;
-    int iv = addConstCounter(g, 0, 5, 1);
-    auto &src = g.newNode(NodeKind::source, "arg0");
-    int lb = g.newLink("b");
-    g.connectOut(src.id, lb);
-    auto &blk = g.newNode(NodeKind::block, "misaligned");
-    g.connectIn(blk.id, iv);
-    g.connectIn(blk.id, lb);
-    blk.inputRegs = {0, 1};
-    blk.nRegs = 3;
-    addBinop(blk, OpKind::add, 2, 0, 1);
-    int lo = g.newLink("o");
-    blk.outputRegs = {2};
-    g.connectOut(blk.id, lo);
-    auto &snk = g.newNode(NodeKind::sink, "sink");
-    g.connectIn(snk.id, lo);
-    g.verify();
-
+    Dfg g = imbalancedBundleGraph();
     RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_FALSE(rr.consistent);
     // The block's bundle ties the counter's input to the source's rate
@@ -404,7 +507,7 @@ TEST(AnalyzeRates, ImbalancedBundleFlagged)
     const Diagnostic &d = rr.diagnostics[0];
     EXPECT_EQ(d.code, "rate-imbalance");
     EXPECT_EQ(d.nodes, std::vector<int>{ctr});
-    EXPECT_EQ(d.links, std::vector<int>{iv});
+    EXPECT_EQ(d.links, std::vector<int>{linkByName(g, "iv")});
     EXPECT_EQ(d.message,
               "balance conflict at 'threads' (counter #2): counter trip "
               "count require rate 1 but found 5");
@@ -413,48 +516,15 @@ TEST(AnalyzeRates, ImbalancedBundleFlagged)
 
 TEST(AnalyzeRates, LateMergeConflictAfterSettledBundles)
 {
-    // The source's fanout bundle and the filter's pred + data bundle
-    // agree (rate 1) in the first sweep and are settled for good. The
-    // filter's kept lanes get a rate only once bindUnknown() names a
-    // fresh symbol for them; only then does the merge see its output
-    // (tied to a kept lane by the block's bundle) against kept + 1, a
-    // constant difference no binding can absorb.
-    Dfg g;
-    auto &src = g.newNode(NodeKind::source, "__start");
-    int t = g.newLink("t");
-    g.connectOut(src.id, t);
-    auto &fan = g.newNode(NodeKind::fanout, "fan");
-    g.connectIn(fan.id, t);
-    int p = g.newLink("p"), d1 = g.newLink("d1"), d2 = g.newLink("d2"),
-        b = g.newLink("b");
-    for (int l : {p, d1, d2, b})
-        g.connectOut(fan.id, l);
-    auto &flt = g.newNode(NodeKind::filter, "keep");
-    for (int l : {p, d1, d2})
-        g.connectIn(flt.id, l);
-    int fa = g.newLink("fa"), fc = g.newLink("fc");
-    g.connectOut(flt.id, fa);
-    g.connectOut(flt.id, fc);
-    auto &m = g.newNode(NodeKind::fwdMerge, "join");
-    g.connectIn(m.id, fa);
-    g.connectIn(m.id, b);
-    int o = g.newLink("o");
-    g.connectOut(m.id, o);
-    auto &blk = g.newNode(NodeKind::block, "tie");
-    g.connectIn(blk.id, o);
-    g.connectIn(blk.id, fc);
-    blk.inputRegs = {0, 1};
-    blk.nRegs = 2;
-    g.verify();
-
+    Dfg g = lateMergeConflictGraph();
     RateReport rr = analyzeRates(g, analyzeValues(g));
     EXPECT_FALSE(rr.consistent);
-    EXPECT_EQ(rr.rate(t), "1");
-    EXPECT_EQ(rr.rate(b), "1");
+    EXPECT_EQ(rr.rate(linkByName(g, "t")), "1");
+    EXPECT_EQ(rr.rate(linkByName(g, "b")), "1");
     ASSERT_EQ(rr.diagnostics.size(), 1u);
     const Diagnostic &d = rr.diagnostics[0];
     EXPECT_EQ(d.code, "rate-imbalance");
-    EXPECT_EQ(d.nodes, std::vector<int>{m.id});
+    EXPECT_EQ(d.nodes, std::vector<int>{nodeByName(g, "join")});
     EXPECT_EQ(d.message,
               "balance conflict at 'join' (fwd-merge #3): merge "
               "conservation require rate f2 but found f2+1");
@@ -1067,3 +1137,38 @@ INSTANTIATE_TEST_SUITE_P(
     AppsAndFixtures, AnalyzeGolden,
     ::testing::ValuesIn(fixtures::goldenSources()),
     [](const auto &info) { return fixtures::goldenTestName(info.param); });
+
+// Hand-built rate-conflicting graphs: the app and fixture graphs all
+// balance, so only a conflict shows the order the solver visits its
+// constraints in (which sweep meets a late symbol, which constraint
+// reports the clash). Their reports are recorded beside the pipeline
+// goldens as "conflict-<graph>/hand".
+TEST(AnalyzeConflictGolden, SolverReportsMatchRecordedDigests)
+{
+    static const auto goldens =
+        fixtures::readGoldens(REVET_ANALYZE_GOLDENS);
+    const BufferCaps caps =
+        BufferCaps::fromMachine(GraphPassOptions{}.machine);
+    const std::pair<const char *, Dfg> graphs[] = {
+        {"imbalanced-bundle", imbalancedBundleGraph()},
+        {"late-merge", lateMergeConflictGraph()},
+        {"filtered-counter", filteredCounterConflictGraph()},
+    };
+    for (const auto &[name, g] : graphs) {
+        const AbsintReport vals = analyzeValues(g);
+        const RateReport rates = analyzeRates(g, vals);
+        EXPECT_FALSE(rates.consistent) << name;
+        const std::string text =
+            solverReport(rates, lintDeadlock(g, caps, vals));
+        const std::string label = std::string("conflict-") + name + "/hand";
+        const std::string digest = hex64(fnv1a(text));
+        auto it = goldens.find(label);
+        if (it != goldens.end() && it->second == digest)
+            continue;
+        ADD_FAILURE() << "solver report of " << label << " hashes to "
+                      << digest << ", recorded "
+                      << (it == goldens.end() ? "<none>" : it->second)
+                      << "\ngolden-line: " << label << " " << digest
+                      << "\n" << text;
+    }
+}
