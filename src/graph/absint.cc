@@ -13,7 +13,9 @@
  * Transfer functions are conservative: whenever a case is not handled
  * precisely the result widens toward top, never toward bottom. The
  * fuzz harness cross-checks every inference against concrete link
- * traffic (tests/graph/test_fuzz_optimize.cc).
+ * traffic (tests/graph/test_fuzz_optimize.cc). The solver widens a link
+ * to top once it has grown `kWidenDelay` (3) times, so loops terminate
+ * after a few trips around their cycle.
  */
 
 #include "graph/absint.hh"
@@ -548,6 +550,21 @@ blockEval(const Node &n, const std::vector<AbsVal> &links,
         outs.push_back(reg(n.outputRegs[k]));
 }
 
+/**
+ * Growth steps a link may take before its next one widens it to top.
+ *
+ * Each growth step of a loop-carried fact costs about one trip around
+ * its cycle, so the delay sets how many trips a counting `while` runs
+ * before it converges. Three is the smallest delay that keeps a 3-valued
+ * selector carried around a loop exact ({0}, [0, 1], [0, 2] at its
+ * header; `Absint` loop tests). On every app and language fixture any
+ * delay from 2 to 24 solves to byte-identical facts
+ * (tests/graph/absint_goldens.txt), and 3 pops about a fifth as often
+ * as 24. No delay is exact on every graph: on generated graphs, 3 and
+ * even 16 widen some links that 24 keeps, each fact still sound.
+ */
+constexpr int kWidenDelay = 3;
+
 struct Solver
 {
     const Dfg &g;
@@ -568,8 +585,8 @@ struct Solver
 
     /**
      * Join the new fact into a link; returns true (and enqueues the
-     * consumer) when the stored value grew. After enough growth steps
-     * the link widens to top so feedback loops terminate.
+     * consumer) when the stored value grew. A link's growth step past
+     * `kWidenDelay` widens it to top, so feedback loops terminate.
      */
     bool update(int link, const AbsVal &nv)
     {
@@ -578,7 +595,7 @@ struct Solver
         if (j.bottom == old.bottom && j.smin == old.smin &&
             j.smax == old.smax && j.umin == old.umin && j.umax == old.umax)
             return false;
-        if (++widen[static_cast<size_t>(link)] > 24 && !j.bottom)
+        if (++widen[static_cast<size_t>(link)] > kWidenDelay && !j.bottom)
             j = AbsVal::top();
         old = j;
         return true;

@@ -12,11 +12,14 @@
  * merges (join over arms, const-predicate arm pruning), fanouts,
  * replicate plumbing, and park/restore pairs.
  *
- * The worklist is FIFO, seeded with every node in id order. Widening
- * counts growth steps per link, so that order is part of the result:
- * another visit order (reverse postorder, say) can solve to different,
- * equally sound facts. The solver reuses its block-evaluation buffers,
- * so a transfer allocates nothing.
+ * The worklist is FIFO, seeded with every node in id order. A link
+ * widens to top on its fourth growth step (three steps of delay, the
+ * most a 3-valued loop-carried selector needs), so a counting loop
+ * converges after a few trips around its cycle. Widening counts growth
+ * steps per link, so the visit order is part of the result: another
+ * order (reverse postorder, say) can solve to different, equally sound
+ * facts. The solver reuses its block-evaluation buffers, so a transfer
+ * allocates nothing.
  *
  * Consumers of the fixpoint (`analyzeValues`): `CrossBlockConstProp`
  * (graph rewrites from constancy and bottom facts), width-driven

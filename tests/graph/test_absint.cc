@@ -17,8 +17,11 @@
  * memory ordering, and the strlen program that needs this stays
  * bit-identical over repeated 8-worker parallel runs. Value lints
  * (guaranteed overflow, dead filter arm) surface through
- * analyzeGraph(). Fixpoint goldens pin the solved facts and pop count of
- * every app and language fixture, lowered and optimized
+ * analyzeGraph(). Two loops pin the widening delay from both sides: an
+ * unbounded induction variable reaches top within a pop bound, and a
+ * loop-carried flag and selector keep their exact intervals. Fixpoint
+ * goldens pin the solved facts and, as a separate check, the pop count
+ * of every app and language fixture, lowered and optimized
  * (absint_goldens.txt).
  */
 
@@ -572,6 +575,107 @@ void main(int n) {
 }
 
 // ---------------------------------------------------------------------
+// Widening: what the delay keeps exact and what it bounds.
+
+namespace
+{
+
+/** The lowered graph of @p src, before any graph pass. */
+Dfg
+lowered(const std::string &src)
+{
+    lang::Program prog = lang::parseAndAnalyze(src);
+    passes::runPipeline(prog);
+    return lower(prog);
+}
+
+/** The solved fact of variable @p var at the output of the graph's one
+ * while header, the fbMerge lane lowering names "<var>lp". */
+AbsVal
+headerFact(const Dfg &g, const AbsintReport &r, const std::string &var)
+{
+    const Node *head = nullptr;
+    for (const auto &n : g.nodes) {
+        if (n.kind != NodeKind::fbMerge)
+            continue;
+        EXPECT_EQ(head, nullptr) << "more than one while header";
+        head = &n;
+    }
+    if (head == nullptr) {
+        ADD_FAILURE() << "no while header";
+        return AbsVal{};
+    }
+    for (int l : head->outs)
+        if (g.links[static_cast<size_t>(l)].name == var + "lp")
+            return r.links[static_cast<size_t>(l)];
+    ADD_FAILURE() << "no header lane for '" << var << "'";
+    return AbsVal{};
+}
+
+} // namespace
+
+TEST(Absint, UnboundedInductionVariableWidensWithinPopBound)
+{
+    // `i` counts up to a runtime argument, so its header lane grows by
+    // one every trip around the loop until widening sends it to top.
+    // The pop bound is the cost of the widening delay: each growth step
+    // costs about one trip around the cycle, so a long delay fails the
+    // bound (3 steps read under 3 pops per node here, 24 about 15).
+    const Dfg g = lowered(R"(
+DRAM<int> out;
+void main(int n) {
+  int i = 0;
+  while (i < n) { i++; };
+  out[0] = i;
+}
+)");
+    const AbsintReport r = analyzeValues(g);
+    EXPECT_TRUE(headerFact(g, r, "i").isTop());
+    EXPECT_LE(r.iterations, 5 * static_cast<int>(g.nodes.size()))
+        << g.nodes.size() << " nodes";
+}
+
+TEST(Absint, FiniteLoopCarriedValuesKeepExactIntervals)
+{
+    // A 0/1 flag settles after two growth steps at the header ({0},
+    // then [0, 1]) and a 3-valued selector after three ({0}, [0, 1],
+    // [0, 2]); a widening delay shorter than that would send them to
+    // top, and with them every fact computed from them.
+    const Dfg g = lowered(R"(
+DRAM<int> out;
+void main(int n) {
+  foreach (n) { int t =>
+    int i = 0;
+    int flag = 0;
+    int sel = 0;
+    while (i < t) {
+      flag = 1 - flag;
+      sel = (sel + 1) % 3;
+      i++;
+    };
+    out[t] = flag * 4 + sel;
+  };
+}
+)");
+    const AbsintReport r = analyzeValues(g);
+    const AbsVal flag = headerFact(g, r, "flag");
+    EXPECT_FALSE(flag.bottom);
+    EXPECT_EQ(flag.smin, 0);
+    EXPECT_EQ(flag.smax, 1);
+    EXPECT_EQ(flag.umin, 0u);
+    EXPECT_EQ(flag.umax, 1u);
+    const AbsVal sel = headerFact(g, r, "sel");
+    EXPECT_FALSE(sel.bottom);
+    EXPECT_EQ(sel.smin, 0);
+    EXPECT_EQ(sel.smax, 2);
+    EXPECT_EQ(sel.umin, 0u);
+    EXPECT_EQ(sel.umax, 2u);
+    // The induction variable still widens: the test reads the lanes
+    // of a loop that really did reach its widening point.
+    EXPECT_TRUE(headerFact(g, r, "i").isTop());
+}
+
+// ---------------------------------------------------------------------
 // Fixpoint goldens.
 
 namespace
@@ -596,10 +700,11 @@ class AbsintGolden : public ::testing::TestWithParam<std::string>
 {};
 
 // The lowered and the final optimized graph of every app and language
-// fixture solve to the recorded worklist pop count and facts digest
-// (absint_goldens.txt). Widening counts growth steps per link, so the
-// FIFO visit order is part of the result: a solver change that
-// reorders the worklist fails here even when every fact stays sound.
+// fixture solve to the recorded facts digest and worklist pop count
+// (absint_goldens.txt), checked apart: a changed digest means the
+// facts changed, a changed pop count with the same digest means only
+// the solver's work did. Widening counts growth steps per link, so the
+// FIFO visit order and the widening delay are part of both.
 TEST_P(AbsintGolden, FixpointMatchesRecordedFacts)
 {
     const std::string &label = GetParam();
@@ -608,24 +713,33 @@ TEST_P(AbsintGolden, FixpointMatchesRecordedFacts)
     ASSERT_FALSE(goldens.empty())
         << "no digests in " << REVET_ABSINT_GOLDENS;
 
-    lang::Program prog =
-        lang::parseAndAnalyze(fixtures::goldenSource(label));
-    passes::runPipeline(prog);
-    Dfg g = lower(prog);
+    Dfg g = lowered(fixtures::goldenSource(label));
     auto check = [&](const std::string &step) {
         const AbsintReport vals = analyzeValues(g);
         const std::string text = factsText(vals);
-        const std::string got = std::to_string(vals.iterations) + " " +
-            fixtures::hex64(fixtures::fnv1a(text));
+        const std::string pops = std::to_string(vals.iterations);
+        const std::string digest = fixtures::hex64(fixtures::fnv1a(text));
         const std::string graph = label + "/" + step;
+        const std::string line =
+            "\ngolden-line: " + graph + " " + pops + " " + digest + "\n";
         auto it = goldens.find(graph);
-        if (it != goldens.end() && it->second == got)
+        if (it == goldens.end()) {
+            ADD_FAILURE() << "no golden for " << graph << line << text;
             return;
-        ADD_FAILURE() << "fixpoint of " << graph << " gives " << got
-                      << ", recorded "
-                      << (it == goldens.end() ? "<none>" : it->second)
-                      << "\ngolden-line: " << graph << " " << got << "\n"
-                      << text;
+        }
+        std::istringstream fields(it->second);
+        std::string wantPops, wantDigest;
+        fields >> wantPops >> wantDigest;
+        if (digest != wantDigest) {
+            ADD_FAILURE() << "facts changed: " << graph << " digests to "
+                          << digest << ", recorded " << wantDigest << line
+                          << text;
+        }
+        if (pops != wantPops) {
+            ADD_FAILURE() << "solver work changed: " << graph << " takes "
+                          << pops << " worklist pops, recorded "
+                          << wantPops << line;
+        }
     };
     check("lowered");
     optimize(g);
