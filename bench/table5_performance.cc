@@ -4,11 +4,14 @@
  * model and the measured host CPU, plus the ideal-DRAM (D), ideal
  * SRAM/network (SN), and ideal-everything (SND) speedups. The geomean
  * Revet/GPU ratio is the paper's headline 3.8x result; area-adjusted it
- * grows by the 4.3x die-size ratio.
+ * grows by the 4.3x die-size ratio. The CPU column times each app's
+ * native reference kernel (apps::App::reference). Exits non-zero if a
+ * Revet run or a CPU kernel fails App::verify.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "apps/harness.hh"
 #include "baselines/baselines.hh"
@@ -28,11 +31,14 @@ main()
 
     double geo_gpu = 1, geo_cpu = 1;
     int n = 0;
+    bool ok = true;
     for (const auto &app : revet::apps::allApps()) {
         auto run = revet::apps::runApp(app, 64);
-        if (!run.verified)
-            std::printf("!! %s verify: %s\n", app.name.c_str(),
-                        run.verifyError.c_str());
+        if (!run.verified) {
+            std::printf("FAIL(%s): Revet run fails verify: %s\n",
+                        app.name.c_str(), run.verifyError.c_str());
+            ok = false;
+        }
         double revet = run.perf.gbPerSec;
         double gpu =
             revet::baselines::gpuThroughputGBs(app, 1u << 20, gpu_cfg);
@@ -41,14 +47,20 @@ main()
                     app.name == "huff-enc" || app.name == "hash-table"
                 ? (1 << 17)
                 : (1 << 20);
-        double cpu = revet::baselines::cpuThroughputGBs(app, cpu_scale);
+        double cpu = NAN;
+        try {
+            cpu = revet::baselines::cpuThroughputGBs(app, cpu_scale);
+        } catch (const std::runtime_error &e) {
+            std::printf("FAIL(%s): %s\n", app.name.c_str(), e.what());
+            ok = false;
+        }
         double d = run.perfD.gbPerSec / revet;
         double sn = run.perfSN.gbPerSec / revet;
         double snd = run.perfSND.gbPerSec / revet;
         geo_gpu *= revet / gpu;
         geo_cpu *= revet / cpu;
         ++n;
-        std::printf("%-11s | %8.0f %8.0f | %8.1f %6.2f | %8.1f %6.1f | "
+        std::printf("%-11s | %8.0f %8.0f | %8.1f %6.2f | %8.2f %6.1f | "
                     "%5.2f %5.2f %5.2f | %7.0f %6.2f\n",
                     app.name.c_str(), revet, app.paper.revetGBs, gpu,
                     revet / gpu, cpu, revet / cpu, d, sn, snd,
@@ -66,5 +78,5 @@ main()
                 gpu_cfg.areaMM2 / machine.areaMM2);
     std::printf("\nNote: CPU numbers are measured on this host; the "
                 "paper's Xeon differs in absolute terms.\n");
-    return 0;
+    return ok ? 0 : 1;
 }

@@ -116,7 +116,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cache.misses),
                 cache.entries);
 
-    // Spot-verify one result against the app's golden checker.
+    // Spot-verify one result against the app's reference kernel.
     for (auto &res : rep.results) {
         if (!res.ok) {
             std::fprintf(stderr, "request failed: %s\n",

@@ -136,9 +136,9 @@ cmake -B "$build_dir" -S "$repo_root" \
 echo "== build"
 cmake --build "$build_dir" -j "$(nproc)"
 
-# TSan slows the engine several times more than it slows compile, so a
-# wall-clock gate (label `timing`: bench.serve_throughput's cached vs
-# naive ratio) measures the instrumentation there, not the code. That
+# TSan slows synchronization and the engine unevenly, so a wall-clock
+# gate (label `timing`: bench.serve_throughput's cached vs direct
+# serving ratio) measures the instrumentation there, not the code. That
 # leg skips only the timing gate; the Release and ASan runs enforce it.
 ctest_args=()
 if [[ "$sanitize" == thread ]]; then

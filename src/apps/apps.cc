@@ -1,5 +1,6 @@
 #include "apps/apps.hh"
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -28,25 +29,44 @@ App::sourceLines() const
     return lines + (content ? 1 : 0);
 }
 
-namespace
-{
-
 std::string
-diffInts(const std::vector<int32_t> &expect,
-         const std::vector<int32_t> &got, const std::string &what)
+App::verify(DramImage &dram, int scale) const
 {
-    size_t n = std::min(expect.size(), got.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (expect[i] != got[i]) {
-            std::ostringstream os;
-            os << what << "[" << i << "]: expected " << expect[i]
-               << ", got " << got[i];
+    DramImage expect = dram;
+    const std::vector<int32_t> args = generate(expect, scale);
+    reference(expect, args, 0, static_cast<uint64_t>(args[0]));
+    for (int r = 0; r < dram.dramCount(); ++r) {
+        const std::vector<uint8_t> &want = expect.bytes(r);
+        const std::vector<uint8_t> &got = dram.bytes(r);
+        std::ostringstream os;
+        if (got.size() != want.size()) {
+            os << dram.name(r) << ": " << got.size()
+               << " bytes, expected " << want.size();
+            return os.str();
+        }
+        const auto diff = std::mismatch(want.begin(), want.end(),
+                                        got.begin());
+        if (diff.first != want.end()) {
+            os << dram.name(r) << " byte " << diff.first - want.begin()
+               << ": expected " << int{*diff.first} << ", got "
+               << int{*diff.second};
             return os.str();
         }
     }
-    if (got.size() < expect.size())
-        return what + ": output too short";
     return "";
+}
+
+namespace
+{
+
+/** Region @p name of @p dram as an array of T: the reference kernels'
+ * raw view. Regions are heap buffers, so any element type is aligned,
+ * and DramImage itself touches them only as bytes. */
+template <typename T>
+T *
+region(DramImage &dram, const char *name)
+{
+    return reinterpret_cast<T *>(dram.bytes(name).data());
 }
 
 // ---- isipv4 ---------------------------------------------------------------
@@ -99,29 +119,6 @@ void main(int count) {
 }
 )";
 
-bool
-hostIsIpv4(const std::string &s)
-{
-    int groups = 0, digits = 0, acc = 0;
-    for (char c : s) {
-        if (c >= '0' && c <= '9') {
-            ++digits;
-            acc = acc * 10 + (c - '0');
-            if (digits > 3 || acc > 255)
-                return false;
-        } else if (c == '.') {
-            if (digits == 0)
-                return false;
-            ++groups;
-            digits = 0;
-            acc = 0;
-        } else {
-            return false;
-        }
-    }
-    return groups == 3 && digits > 0;
-}
-
 std::string
 makeIpRecord(std::mt19937 &rng, bool valid)
 {
@@ -155,14 +152,34 @@ makeIsipv4()
         dram.resize("valid", 4 * scale);
         return std::vector<int32_t>{scale};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        std::mt19937 rng(101);
-        std::vector<int32_t> expect(scale);
-        for (int t = 0; t < scale; ++t) {
-            std::string rec = makeIpRecord(rng, rng() % 10 != 0);
-            expect[t] = hostIsIpv4(rec) ? 1 : 0;
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &,
+                       uint64_t lo, uint64_t hi) {
+        const int8_t *text = region<int8_t>(dram, "text");
+        int32_t *valid = region<int32_t>(dram, "valid");
+        for (uint64_t t = lo; t < hi; ++t) {
+            const int8_t *rec = text + t * 16;
+            int groups = 0, digits = 0;
+            uint32_t acc = 0;
+            bool ok = true;
+            for (int i = 0; i < 16 && rec[i] != 0; ++i) {
+                const int c = rec[i];
+                if (c >= '0' && c <= '9') {
+                    ++digits;
+                    acc = acc * 10 + (c - '0');
+                    if (digits > 3 || acc > 255)
+                        ok = false;
+                } else if (c == '.') {
+                    if (digits == 0)
+                        ok = false;
+                    ++groups;
+                    digits = 0;
+                    acc = 0;
+                } else {
+                    ok = false;
+                }
+            }
+            valid[t] = ok && groups == 3 && digits > 0;
         }
-        return diffInts(expect, dram.read<int32_t>("valid"), "valid");
     };
     app.accountedBytes = [](int scale) {
         return static_cast<uint64_t>(scale) * (16 + 4);
@@ -233,23 +250,23 @@ makeIp2int()
         dram.resize("packed", 4 * scale);
         return std::vector<int32_t>{scale};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        std::mt19937 rng(202);
-        std::vector<int32_t> expect(scale);
-        for (int t = 0; t < scale; ++t) {
-            std::string rec = makeIpRecord(rng, true);
-            uint32_t v = 0, acc = 0;
-            for (char c : rec) {
-                if (c == '.') {
-                    v = v * 256 + acc;
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &,
+                       uint64_t lo, uint64_t hi) {
+        const int8_t *text = region<int8_t>(dram, "text");
+        uint32_t *packed = region<uint32_t>(dram, "packed");
+        for (uint64_t t = lo; t < hi; ++t) {
+            const int8_t *rec = text + t * 16;
+            uint32_t value = 0, acc = 0;
+            for (int i = 0; i < 16 && rec[i] != 0; ++i) {
+                if (rec[i] == '.') {
+                    value = value * 256 + acc;
                     acc = 0;
                 } else {
-                    acc = acc * 10 + (c - '0');
+                    acc = acc * 10 + (rec[i] - '0');
                 }
             }
-            expect[t] = static_cast<int32_t>(v * 256 + acc);
+            packed[t] = value * 256 + acc;
         }
-        return diffInts(expect, dram.read<int32_t>("packed"), "packed");
     };
     app.accountedBytes = [](int scale) {
         return static_cast<uint64_t>(scale) * (16 + 4);
@@ -294,28 +311,6 @@ void main(int count) {
 }
 )";
 
-uint32_t
-hostMurmur3(const uint32_t *words, int nwords, uint32_t seed)
-{
-    uint32_t h = seed;
-    for (int i = 0; i < nwords; ++i) {
-        uint32_t k = words[i];
-        k *= 0xcc9e2d51u;
-        k = (k << 15) | (k >> 17);
-        k *= 0x1b873593u;
-        h ^= k;
-        h = (h << 13) | (h >> 19);
-        h = h * 5 + 0xe6546b64u;
-    }
-    h ^= static_cast<uint32_t>(nwords * 4);
-    h ^= h >> 16;
-    h *= 0x85ebca6bu;
-    h ^= h >> 13;
-    h *= 0xc2b2ae35u;
-    h ^= h >> 16;
-    return h;
-}
-
 App
 makeMurmur3()
 {
@@ -334,18 +329,28 @@ makeMurmur3()
         dram.resize("hashes", 4 * scale);
         return std::vector<int32_t>{scale};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        std::mt19937 rng(303);
-        std::vector<int32_t> blobs(16 * scale);
-        for (auto &w : blobs)
-            w = static_cast<int32_t>(rng());
-        std::vector<int32_t> expect(scale);
-        for (int t = 0; t < scale; ++t) {
-            expect[t] = static_cast<int32_t>(hostMurmur3(
-                reinterpret_cast<uint32_t *>(&blobs[t * 16]), 16,
-                0x9747b28cu));
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &,
+                       uint64_t lo, uint64_t hi) {
+        const uint32_t *blobs = region<uint32_t>(dram, "blobs");
+        uint32_t *hashes = region<uint32_t>(dram, "hashes");
+        for (uint64_t t = lo; t < hi; ++t) {
+            uint32_t h = 0x9747b28cu;
+            for (int i = 0; i < 16; ++i) {
+                uint32_t k = blobs[t * 16 + i] * 0xcc9e2d51u;
+                k = (k << 15) | (k >> 17);
+                k *= 0x1b873593u;
+                h ^= k;
+                h = (h << 13) | (h >> 19);
+                h = h * 5 + 0xe6546b64u;
+            }
+            h ^= 64;
+            h ^= h >> 16;
+            h *= 0x85ebca6bu;
+            h ^= h >> 13;
+            h *= 0xc2b2ae35u;
+            h ^= h >> 16;
+            hashes[t] = h;
         }
-        return diffInts(expect, dram.read<int32_t>("hashes"), "hashes");
     };
     app.accountedBytes = [](int scale) {
         return static_cast<uint64_t>(scale) * (64 + 4);
@@ -401,7 +406,6 @@ struct HashFixture
 {
     std::vector<int32_t> keys;
     std::vector<int32_t> table;
-    std::vector<int32_t> expect;
     int slots;
 };
 
@@ -432,20 +436,6 @@ buildHashFixture(int scale)
         int32_t k = hit ? inserted[rng() % inserted.size()]
                         : 1 + static_cast<int32_t>(rng() % 1000000000);
         fx.keys.push_back(k);
-        // Golden probe.
-        int h = hashOf(k);
-        int32_t value = -1;
-        for (int p = 0; p < fx.slots; ++p) {
-            int32_t stored = fx.table[h * 2];
-            if (stored == 0)
-                break;
-            if (stored == k) {
-                value = fx.table[h * 2 + 1];
-                break;
-            }
-            h = (h + 1) % fx.slots;
-        }
-        fx.expect.push_back(value);
     }
     return fx;
 }
@@ -467,9 +457,29 @@ makeHashTable()
         dram.resize("found", 4 * scale * 16);
         return std::vector<int32_t>{scale, fx.slots};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        HashFixture fx = buildHashFixture(scale);
-        return diffInts(fx.expect, dram.read<int32_t>("found"), "found");
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &args,
+                       uint64_t lo, uint64_t hi) {
+        const int32_t *keys = region<int32_t>(dram, "keys");
+        const int32_t *table = region<int32_t>(dram, "table");
+        int32_t *found = region<int32_t>(dram, "found");
+        const uint32_t slots = static_cast<uint32_t>(args[1]);
+        for (uint64_t i = lo * 16; i < hi * 16; ++i) {
+            const int32_t key = keys[i];
+            uint32_t h = static_cast<uint32_t>(key) * 2654435761u % slots;
+            int32_t value = -1;
+            for (uint32_t p = 0; p < slots; ++p) {
+                const int32_t stored = table[h * 2];
+                if (stored == key) {
+                    value = table[h * 2 + 1];
+                    break;
+                }
+                if (stored == 0)
+                    break;
+                if (++h == slots)
+                    h = 0;
+            }
+            found[i] = value;
+        }
     };
     app.accountedBytes = [](int scale) {
         return static_cast<uint64_t>(scale) * 16 * (4 + 4);
@@ -523,7 +533,6 @@ struct SearchFixture
     std::vector<int8_t> text;
     std::vector<int32_t> pat;
     std::vector<int32_t> shift;
-    std::vector<int32_t> expect;
     int m;
 };
 
@@ -552,27 +561,6 @@ buildSearchFixture(int scale)
                 fx.text[t * 256 + off + i] = pattern[i];
         }
     }
-    // Golden: Horspool per chunk (matches starting in [0, 256-m]).
-    fx.expect.assign(scale, 0);
-    for (int t = 0; t < scale; ++t) {
-        int pos = 0, hits = 0;
-        while (pos <= 256 - fx.m) {
-            int j = fx.m - 1;
-            while (j >= 0 &&
-                   fx.text[t * 256 + pos + j] == pattern[j]) {
-                --j;
-            }
-            if (j < 0) {
-                ++hits;
-                pos += fx.m;
-            } else {
-                unsigned char c = static_cast<unsigned char>(
-                    fx.text[t * 256 + pos + fx.m - 1]);
-                pos += fx.shift[c];
-            }
-        }
-        fx.expect[t] = hits;
-    }
     return fx;
 }
 
@@ -593,10 +581,29 @@ makeSearch()
         dram.resize("counts", 4 * scale);
         return std::vector<int32_t>{scale, fx.m};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        SearchFixture fx = buildSearchFixture(scale);
-        return diffInts(fx.expect, dram.read<int32_t>("counts"),
-                        "counts");
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &args,
+                       uint64_t lo, uint64_t hi) {
+        const int8_t *text = region<int8_t>(dram, "text");
+        const int32_t *pat = region<int32_t>(dram, "patd");
+        const int32_t *shift = region<int32_t>(dram, "shiftd");
+        int32_t *counts = region<int32_t>(dram, "counts");
+        const int m = args[1];
+        for (uint64_t t = lo; t < hi; ++t) {
+            const int8_t *chunk = text + t * 256;
+            int pos = 0, hits = 0;
+            while (pos <= 256 - m) {
+                int j = m - 1;
+                while (j >= 0 && chunk[pos + j] == pat[j])
+                    --j;
+                if (j < 0) {
+                    ++hits;
+                    pos += m;
+                } else {
+                    pos += shift[chunk[pos + m - 1] & 255];
+                }
+            }
+            counts[t] = hits;
+        }
     };
     app.accountedBytes = [](int scale) {
         return static_cast<uint64_t>(scale) * (256 + 4);
@@ -608,24 +615,47 @@ makeSearch()
 
 // ---- Huffman fixtures (shared by enc/dec) ----------------------------------
 
+constexpr int kHuffS = 64; ///< symbols per thread
+/** Words per thread: <= 16 bits per symbol, plus slack. */
+constexpr int kHuffW = kHuffS / 2 + 2;
+
+/** huff-enc's encoder for one thread: pack @p S symbols MSB-first into
+ * @p W words at @p out, zero padded. */
+void
+huffEncode(const int32_t *syms, const int32_t *codes, const int32_t *lens,
+           int S, int W, uint32_t *out)
+{
+    uint64_t cur = 0;
+    int nb = 0, word = 0;
+    for (int i = 0; i < S; ++i) {
+        const int sym = syms[i];
+        cur = (cur << lens[sym]) | static_cast<uint32_t>(codes[sym]);
+        nb += lens[sym];
+        while (nb >= 32) {
+            out[word++] = static_cast<uint32_t>(cur >> (nb - 32));
+            nb -= 32;
+        }
+    }
+    if (nb > 0)
+        out[word++] = static_cast<uint32_t>(cur << (32 - nb));
+    while (word < W)
+        out[word++] = 0;
+}
+
 struct HuffFixture
 {
     // Canonical code: 64 symbols, lengths <= 16.
-    std::vector<int> lens;         // per symbol
-    std::vector<uint32_t> codes;   // per symbol (canonical)
+    std::vector<int32_t> lens;     // per symbol
+    std::vector<int32_t> codes;    // per symbol (canonical)
     std::vector<int32_t> tables;   // first[17] cnt[17] off[17] syms[64]
     std::vector<int32_t> symbols;  // the per-thread symbol streams
-    std::vector<int32_t> enc;      // packed bitstreams, W words/thread
-    int S;                         // symbols per thread
-    int W;                         // words per thread
+    std::vector<uint32_t> enc;     // huffEncode of symbols, kHuffW/thread
 };
 
 HuffFixture
 buildHuffFixture(int scale)
 {
     HuffFixture fx;
-    fx.S = 64;
-    fx.W = fx.S / 2 + 2; // <= 16 bits/symbol + slack
     // Assign lengths: short codes for low symbols (skewed, max 12).
     fx.lens.resize(64);
     for (int s = 0; s < 64; ++s)
@@ -653,7 +683,7 @@ buildHuffFixture(int scale)
     std::vector<int32_t> syms(64, 0);
     for (int s = 0; s < 64; ++s) {
         int len = fx.lens[s];
-        fx.codes[s] = next[len]++;
+        fx.codes[s] = static_cast<int32_t>(next[len]++);
         syms[offset[len] + static_cast<int>(fx.codes[s] - first[len])] = s;
     }
     // Flatten tables: first, cnt, off, syms.
@@ -666,32 +696,27 @@ buildHuffFixture(int scale)
     for (int s = 0; s < 64; ++s)
         fx.tables.push_back(syms[s]);
 
-    // Symbol streams + encoded bitstreams.
+    // Symbol streams, skewed toward short codes.
     std::mt19937 rng(606);
-    fx.symbols.resize(scale * fx.S);
-    fx.enc.assign(scale * fx.W, 0);
+    fx.symbols.resize(scale * kHuffS);
+    for (auto &sym : fx.symbols) {
+        sym = static_cast<int32_t>(rng() % 64);
+        if (rng() % 3)
+            sym /= 4;
+    }
+    fx.enc.resize(scale * kHuffW);
     for (int t = 0; t < scale; ++t) {
-        uint64_t cur = 0;
-        int nb = 0;
-        int word = 0;
-        auto emit = [&](uint32_t w) { fx.enc[t * fx.W + word++] = w; };
-        for (int i = 0; i < fx.S; ++i) {
-            int sym = static_cast<int>(rng() % 64);
-            // Skew toward short codes.
-            if (rng() % 3)
-                sym /= 4;
-            fx.symbols[t * fx.S + i] = sym;
-            cur = (cur << fx.lens[sym]) | fx.codes[sym];
-            nb += fx.lens[sym];
-            while (nb >= 32) {
-                emit(static_cast<uint32_t>(cur >> (nb - 32)));
-                nb -= 32;
-            }
-        }
-        if (nb > 0)
-            emit(static_cast<uint32_t>(cur << (32 - nb)));
+        huffEncode(&fx.symbols[t * kHuffS], fx.codes.data(),
+                   fx.lens.data(), kHuffS, kHuffW, &fx.enc[t * kHuffW]);
     }
     return fx;
+}
+
+/** Both Huffman apps move S symbols and W words per thread. */
+uint64_t
+huffAccountedBytes(int scale)
+{
+    return static_cast<uint64_t>(scale) * 4 * (kHuffS + kHuffW);
 }
 
 // ---- huff-dec ---------------------------------------------------------------
@@ -756,17 +781,43 @@ makeHuffDec()
         HuffFixture fx = buildHuffFixture(scale);
         dram.fill("enc", fx.enc);
         dram.fill("tables", fx.tables);
-        dram.resize("dec", 4 * scale * fx.S);
-        return std::vector<int32_t>{scale, fx.S, fx.W};
+        dram.resize("dec", 4 * scale * kHuffS);
+        return std::vector<int32_t>{scale, kHuffS, kHuffW};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        HuffFixture fx = buildHuffFixture(scale);
-        return diffInts(fx.symbols, dram.read<int32_t>("dec"), "dec");
+    // S and W are the kHuffS and kHuffW that generate() passes as
+    // args[1] and args[2]; as constants they let the decode loop run
+    // ~8% faster.
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &,
+                       uint64_t lo, uint64_t hi) {
+        const uint32_t *enc = region<uint32_t>(dram, "enc");
+        const int32_t *tables = region<int32_t>(dram, "tables");
+        int32_t *dec = region<int32_t>(dram, "dec");
+        const int32_t *first = tables, *cnt = tables + 17,
+                      *off = tables + 34, *syms = tables + 51;
+        for (uint64_t t = lo; t < hi; ++t) {
+            const uint32_t *bits = enc + t * kHuffW;
+            int32_t *out = dec + t * kHuffS;
+            uint32_t buf = 0;
+            int nbits = 0, produced = 0, code = 0, len = 0;
+            while (produced < kHuffS) {
+                if (nbits == 0) {
+                    buf = *bits++;
+                    nbits = 32;
+                }
+                code = (code << 1) | static_cast<int>(buf >> 31);
+                buf <<= 1;
+                --nbits;
+                ++len;
+                const int idx = code - first[len];
+                if (cnt[len] > 0 && idx >= 0 && idx < cnt[len]) {
+                    out[produced++] = syms[off[len] + idx];
+                    code = 0;
+                    len = 0;
+                }
+            }
+        }
     };
-    app.accountedBytes = [](int scale) {
-        HuffFixture fx = buildHuffFixture(1);
-        return static_cast<uint64_t>(scale) * 4 * (fx.S + fx.W);
-    };
+    app.accountedBytes = huffAccountedBytes;
     app.gpu = {140, 1400, 4, false, 1, 0};
     app.paper = {40, 380, 97, 19.0, 0.98, 1.07, 1.08, 17.1, 31.6};
     return app;
@@ -847,24 +898,24 @@ makeHuffEnc()
     app.generate = [](DramImage &dram, int scale) {
         HuffFixture fx = buildHuffFixture(scale);
         dram.fill("symbols", fx.symbols);
-        std::vector<int32_t> codes(64), lens(64);
-        for (int s = 0; s < 64; ++s) {
-            codes[s] = static_cast<int32_t>(fx.codes[s]);
-            lens[s] = fx.lens[s];
+        dram.fill("codesd", fx.codes);
+        dram.fill("lensd", fx.lens);
+        dram.resize("enc", 4 * scale * kHuffW);
+        return std::vector<int32_t>{scale, kHuffS, kHuffW};
+    };
+    // S and W: as in huff-dec's reference.
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &,
+                       uint64_t lo, uint64_t hi) {
+        const int32_t *symbols = region<int32_t>(dram, "symbols");
+        const int32_t *codes = region<int32_t>(dram, "codesd");
+        const int32_t *lens = region<int32_t>(dram, "lensd");
+        uint32_t *enc = region<uint32_t>(dram, "enc");
+        for (uint64_t t = lo; t < hi; ++t) {
+            huffEncode(symbols + t * kHuffS, codes, lens, kHuffS, kHuffW,
+                       enc + t * kHuffW);
         }
-        dram.fill("codesd", codes);
-        dram.fill("lensd", lens);
-        dram.resize("enc", 4 * scale * fx.W);
-        return std::vector<int32_t>{scale, fx.S, fx.W};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        HuffFixture fx = buildHuffFixture(scale);
-        return diffInts(fx.enc, dram.read<int32_t>("enc"), "enc");
-    };
-    app.accountedBytes = [](int scale) {
-        HuffFixture fx = buildHuffFixture(1);
-        return static_cast<uint64_t>(scale) * 4 * (fx.S + fx.W);
-    };
+    app.accountedBytes = huffAccountedBytes;
     app.gpu = {140, 1100, 4, false, 1, 0};
     app.paper = {58, 409, 172, 35.0, 1.01, 1.17, 1.18, 35.0, 17.5};
     return app;
@@ -958,7 +1009,6 @@ struct KdFixture
 {
     std::vector<int32_t> tree;
     std::vector<int32_t> queries;
-    std::vector<int32_t> expect;
 };
 
 KdFixture
@@ -1009,13 +1059,32 @@ buildKdFixture(int scale)
         fx.queries.push_back(y0);
         fx.queries.push_back(x0 + w);
         fx.queries.push_back(y0 + h);
-        // Dense grid: the count is the clipped area.
-        int cx0 = std::max(x0, 0), cy0 = std::max(y0, 0);
-        int cx1 = std::min(x0 + w, 255), cy1 = std::min(y0 + h, 255);
-        fx.expect.push_back(std::max(0, cx1 - cx0 + 1) *
-                            std::max(0, cy1 - cy0 + 1));
     }
     return fx;
+}
+
+/** Points of the query box [qx0, qx1] x [qy0, qy1] under @p node, by
+ * kD-tree's walk: a leaf counts its clipped area, an inner node
+ * descends into each present child whose box meets the query. */
+int
+kdCount(const int32_t *tree, int node, int qx0, int qy0, int qx1, int qy1)
+{
+    const int32_t *n = tree + node * 24;
+    const int x0 = n[1], y0 = n[2], sz = n[3];
+    if (n[0] == 1) {
+        const int w = std::min(qx1, x0 + sz - 1) - std::max(qx0, x0) + 1;
+        const int h = std::min(qy1, y0 + sz - 1) - std::max(qy0, y0) + 1;
+        return w > 0 && h > 0 ? w * h : 0;
+    }
+    const int csz = sz / 4;
+    int total = 0;
+    for (int c = 0; c < 16; ++c) {
+        const int cx = x0 + (c % 4) * csz, cy = y0 + (c / 4) * csz;
+        if (n[8 + c] >= 0 && qx1 >= cx && qx0 <= cx + csz - 1 &&
+            qy1 >= cy && qy0 <= cy + csz - 1)
+            total += kdCount(tree, n[8 + c], qx0, qy0, qx1, qy1);
+    }
+    return total;
 }
 
 App
@@ -1035,10 +1104,15 @@ makeKdTree()
         dram.resize("results", 4 * scale);
         return std::vector<int32_t>{scale};
     };
-    app.verify = [](DramImage &dram, int scale) {
-        KdFixture fx = buildKdFixture(scale);
-        return diffInts(fx.expect, dram.read<int32_t>("results"),
-                        "results");
+    app.reference = [](DramImage &dram, const std::vector<int32_t> &,
+                       uint64_t lo, uint64_t hi) {
+        const int32_t *tree = region<int32_t>(dram, "tree");
+        const int32_t *queries = region<int32_t>(dram, "queries");
+        int32_t *results = region<int32_t>(dram, "results");
+        for (uint64_t q = lo; q < hi; ++q) {
+            const int32_t *box = queries + q * 4;
+            results[q] = kdCount(tree, 0, box[0], box[1], box[2], box[3]);
+        }
     };
     app.accountedBytes = [](int scale) {
         // Paper: counted-point bytes (about 16 points x 4 B per query).

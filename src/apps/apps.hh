@@ -3,11 +3,13 @@
  * The eight Table III evaluation applications.
  *
  * Each App bundles: the Revet source program, a synthetic dataset
- * generator (sized by a scale parameter), a verifier that checks the
- * program's DRAM output against a host-computed golden result, the
- * byte-accounting rule used for GB/s (input+output bytes, matching the
- * paper's methodology), and the paper's reported numbers for
- * EXPERIMENTS.md comparisons.
+ * generator (sized by a scale parameter), one native C++ reference
+ * kernel for the program's outer foreach (the only host
+ * implementation of the app: verify() checks every DRAM region
+ * against it, and Table V's CPU column times it), the byte-accounting
+ * rule used for GB/s (input+output bytes, matching the paper's
+ * methodology), and the paper's reported numbers for EXPERIMENTS.md
+ * comparisons.
  */
 
 #ifndef REVET_APPS_APPS_HH
@@ -61,8 +63,16 @@ struct App
     /** Fill DRAM inputs for `scale` work items; returns main() args. */
     std::function<std::vector<int32_t>(lang::DramImage &, int scale)>
         generate;
-    /** Check outputs; returns an empty string or an error message. */
-    std::function<std::string(lang::DramImage &, int scale)> verify;
+    /**
+     * Compute threads [lo, hi) of main()'s outer foreach natively:
+     * read the inputs and write the outputs of @p dram through raw
+     * region pointers, given the args generate() returned (args[0] is
+     * the foreach count). Threads write disjoint output ranges, so
+     * disjoint [lo, hi) chunks may run concurrently on one image.
+     */
+    std::function<void(lang::DramImage &, const std::vector<int32_t> &args,
+                       uint64_t lo, uint64_t hi)>
+        reference;
     /** Bytes of useful input+output data processed at `scale`. */
     std::function<uint64_t(int scale)> accountedBytes;
 
@@ -79,6 +89,14 @@ struct App
 
     /** Source line count (Table III "Lines"). */
     int sourceLines() const;
+
+    /**
+     * Check @p dram after a run at @p scale: regenerate the inputs on
+     * a copy, run reference() over every thread, and compare every
+     * region byte for byte (inputs must be unchanged, outputs must
+     * equal the reference). Returns "" or the first difference.
+     */
+    std::string verify(lang::DramImage &dram, int scale) const;
 };
 
 /** All eight applications, in the paper's Table III order. */

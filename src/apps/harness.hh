@@ -1,9 +1,9 @@
 /**
  * @file
  * Evaluation harness: compile an application, execute it functionally
- * (verifying against the golden output), map it onto the Table II
- * machine, and model its throughput — everything the table/figure
- * benches need, in one call.
+ * (checked by App::verify against the app's reference kernel), map it
+ * onto the Table II machine, and model its throughput — everything the
+ * table/figure benches need, in one call.
  */
 
 #ifndef REVET_APPS_HARNESS_HH

@@ -10,9 +10,11 @@
  * factor per workload is calibrated against the paper's reported V100
  * numbers.
  *
- * CPU: real multi-threaded host implementations of each workload,
- * measured with wall-clock timers (absolute numbers depend on this host;
- * the Revet-vs-CPU *shape* is what Table V checks).
+ * CPU: each app's one native reference kernel (apps::App::reference,
+ * the same code App::verify checks against), timed over chunks of
+ * threads on host threads with wall-clock timers and then verified
+ * (absolute numbers depend on the host; the Revet-vs-CPU *shape* is
+ * what Table V checks).
  */
 
 #ifndef REVET_BASELINES_BASELINES_HH
@@ -47,7 +49,9 @@ double gpuDivergence(const std::string &app_name);
 double gpuThroughputGBs(const apps::App &app, uint64_t items,
                         const GpuConfig &cfg = {});
 
-/** Measured host-CPU throughput in GB/s (multi-threaded). */
+/** Measured host-CPU throughput in GB/s of @p app's reference kernel
+ * on @p threads host threads (0: all); throws std::runtime_error if
+ * its output fails App::verify. */
 double cpuThroughputGBs(const apps::App &app, int scale,
                         int threads = 0);
 
