@@ -9,7 +9,7 @@
  *    program from scratch (CompiledArtifact::build) before running it
  *    — the cost a frontend pays without the serving layer.
  *  - cached: every request looks its program up in the process-wide
- *    ArtifactCache and runs on a pooled, reset-and-reused
+ *    ArtifactCache and runs on its serving worker's reset-and-reused
  *    graph::ExecutionContext via serve::serveBatch.
  *  - direct: the execution floor. The same requests run on contexts
  *    built before the clock starts (one per worker, reused across
@@ -153,7 +153,7 @@ runNaive(const apps::App &app)
 }
 
 /** Serving path: per-request ArtifactCache lookup, then the batch on
- * pooled contexts through serveBatch. @p cold clears the cache first,
+ * per-worker contexts through serveBatch. @p cold clears the cache first,
  * so the first lookup compiles. */
 ModeResult
 runCached(const apps::App &app, bool cold)
@@ -210,7 +210,7 @@ runCached(const apps::App &app, bool cold)
 
 /** Execution floor: the batch on @p contexts (one per worker, built
  * off the clock), same work index and per-request image + generate as
- * serveBatch, but no cache lookup, pool or result bookkeeping. */
+ * serveBatch, but no cache lookup or result bookkeeping. */
 ModeResult
 runDirect(const apps::App &app, const CompiledArtifact &artifact,
           std::vector<std::unique_ptr<graph::ExecutionContext>> &contexts)
@@ -298,7 +298,7 @@ main()
     double cached_total_ms = 0;
     std::vector<double> ratios; // cached / direct, one per batch pair
 
-    std::printf("serve_throughput: cached artifact + pooled contexts vs "
+    std::printf("serve_throughput: cached artifact + reused contexts vs "
                 "the direct execution floor and vs naive "
                 "compile-per-request, %d requests, %d workers, scale %d\n",
                 kRequests, kWorkers, kScale);

@@ -4,12 +4,12 @@
  *
  * Compiles a Table III application once through the global
  * ArtifactCache, then drives a batch of requests through
- * serve::serveBatch with pooled execution contexts, printing the
- * throughput/latency report and the artifact-cache and context-pool
- * counters. Shows the serving-layer lifecycle end to end:
+ * serve::serveBatch, whose workers each reuse one execution context,
+ * printing the throughput/latency report and the artifact-cache and
+ * context counters. Shows the serving-layer lifecycle end to end:
  *
  *   ArtifactCache::get -> CompiledArtifact (immutable, shared)
- *     -> ContextPool -> graph::ExecutionContext (reset-and-reused)
+ *     -> one graph::ExecutionContext per worker (reset-and-reused)
  *       -> per-request DramImage + ExecStats
  *
  * Usage: example_revet_serve [app=murmur3] [requests=64] [workers=4]

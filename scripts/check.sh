@@ -206,8 +206,8 @@ if [[ "$sanitize" != OFF ]]; then
         "$build_dir/tests/revet_test_absint" \
             --gtest_filter='Absint.StrlenHandleParallelStress'
         # Serving batteries under TSan: serveBatch's worker threads,
-        # the context pool's acquire/release handoff, and the artifact
-        # cache's compile-under-lock dedup, so artifact sharing is
+        # each on its own context, and the artifact cache's
+        # compile-under-lock dedup, so artifact sharing is
         # exercised with real cross-thread traffic. The parallel-policy
         # battery pins 2 engine workers per request under 4 serving
         # workers; REVET_NUM_THREADS=4 sets the engine count of the

@@ -30,6 +30,26 @@ put(std::ostringstream &oss, const char *key, double v)
     oss << key << '=' << std::hexfloat << v << std::defaultfloat << ';';
 }
 
+/** artifactFingerprint() of @p source under the options whose
+ * canonicalOptions() is @p key: callers that already hold the key
+ * serialize the options once. */
+uint64_t
+fingerprintOf(const std::string &source, const std::string &key)
+{
+    uint64_t h = 1469598103934665603ull; // FNV offset basis
+    auto mix = [&h](const std::string &s) {
+        for (unsigned char c : s) {
+            h ^= c;
+            h *= 1099511628211ull; // FNV prime
+        }
+    };
+    mix(source);
+    h ^= 0xffu; // domain separator between the two strings
+    h *= 1099511628211ull;
+    mix(key);
+    return h;
+}
+
 } // namespace
 
 std::string
@@ -76,19 +96,7 @@ canonicalOptions(const CompileOptions &opts)
 uint64_t
 artifactFingerprint(const std::string &source, const CompileOptions &opts)
 {
-    const std::string key = canonicalOptions(opts);
-    uint64_t h = 1469598103934665603ull; // FNV offset basis
-    auto mix = [&h](const std::string &s) {
-        for (unsigned char c : s) {
-            h ^= c;
-            h *= 1099511628211ull; // FNV prime
-        }
-    };
-    mix(source);
-    h ^= 0xffu; // domain separator between the two strings
-    h *= 1099511628211ull;
-    mix(key);
-    return h;
+    return fingerprintOf(source, canonicalOptions(opts));
 }
 
 std::shared_ptr<const CompiledArtifact>
@@ -100,7 +108,7 @@ CompiledArtifact::build(const std::string &source,
     std::shared_ptr<CompiledArtifact> out(new CompiledArtifact());
     out->source_ = source;
     out->cache_key_ = canonicalOptions(opts);
-    out->fingerprint_ = artifactFingerprint(source, opts);
+    out->fingerprint_ = fingerprintOf(source, out->cache_key_);
     out->opts_ = opts;
     out->ref_ = lang::parseAndAnalyze(source);
     out->hir_ = lang::parseAndAnalyze(source);
@@ -150,7 +158,7 @@ std::shared_ptr<const CompiledArtifact>
 ArtifactCache::get(const std::string &source, const CompileOptions &opts)
 {
     const std::string key = canonicalOptions(opts);
-    const uint64_t fp = artifactFingerprint(source, opts);
+    const uint64_t fp = fingerprintOf(source, key);
     std::lock_guard<std::mutex> guard(mu_);
     auto &bucket = buckets_[fp];
     for (const auto &art : bucket) {

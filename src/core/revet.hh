@@ -14,8 +14,8 @@
  *  - graph::ExecutionContext — the mutable half (channel FIFOs,
  *    per-instruction state, SRAM arena), instantiated per request from
  *    an artifact via makeContext() and reset-and-reused between
- *    requests. core/serve.hh pools contexts over one shared artifact
- *    for concurrent batch serving.
+ *    requests. core/serve.hh gives each serving worker one context
+ *    over a shared artifact for concurrent batch serving.
  *
  * Typical single-user flow (build() is uncached; a fresh artifact
  * every call):

@@ -35,57 +35,6 @@ percentile(const std::vector<double> &sorted, double p)
 
 } // namespace
 
-ContextPool::ContextPool(std::shared_ptr<const CompiledArtifact> artifact)
-    : artifact_(std::move(artifact))
-{
-    if (!artifact_)
-        throw std::invalid_argument("ContextPool: null artifact");
-}
-
-std::unique_ptr<graph::ExecutionContext>
-ContextPool::acquire(bool *reused)
-{
-    {
-        std::lock_guard<std::mutex> guard(mu_);
-        if (!idle_.empty()) {
-            auto ctx = std::move(idle_.back());
-            idle_.pop_back();
-            ++stats_.reused;
-            if (reused)
-                *reused = true;
-            return ctx;
-        }
-        ++stats_.created;
-    }
-    // Build outside the lock: context construction walks the whole
-    // program, and a cold burst should instantiate in parallel.
-    if (reused)
-        *reused = false;
-    return artifact_->makeContext();
-}
-
-void
-ContextPool::release(std::unique_ptr<graph::ExecutionContext> ctx)
-{
-    if (!ctx)
-        return;
-    std::lock_guard<std::mutex> guard(mu_);
-    if (ctx->poisoned()) {
-        ++stats_.discarded;
-        return; // destroyed on scope exit, never re-parked
-    }
-    idle_.push_back(std::move(ctx));
-}
-
-ContextPool::Stats
-ContextPool::stats() const
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    Stats out = stats_;
-    out.idle = idle_.size();
-    return out;
-}
-
 BatchReport
 serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
            const std::vector<Request> &requests, const ServeOptions &opts)
@@ -98,14 +47,20 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
     if (requests.empty())
         return report;
 
-    ContextPool pool(artifact);
     const int workers = std::max(
         1, std::min(opts.workers, static_cast<int>(requests.size())));
+    std::vector<decltype(report.pool)> tallies(workers);
 
     std::atomic<size_t> next{0};
     const Clock::time_point batch_start = Clock::now();
 
     auto work = [&](int worker_id) {
+        // The worker runs its requests one after another, so its
+        // context needs no lock: built on its first request, reused for
+        // the rest, and dropped after a run that leaves it poisoned
+        // (threw mid-request), so the next request builds a fresh one.
+        auto &tally = tallies[worker_id];
+        std::unique_ptr<graph::ExecutionContext> ctx;
         for (;;) {
             const size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= requests.size())
@@ -119,15 +74,23 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                 lang::DramImage dram(artifact->hir());
                 if (req.prepare)
                     req.prepare(dram);
-                auto ctx = pool.acquire(&res.contextReused);
+                res.contextReused = ctx != nullptr;
+                if (ctx) {
+                    ++tally.reused;
+                } else {
+                    ++tally.created;
+                    ctx = artifact->makeContext();
+                }
                 try {
                     res.stats = ctx->run(dram, req.args, opts.policy,
                                          opts.engineThreads);
                 } catch (...) {
-                    pool.release(std::move(ctx)); // discards: poisoned
+                    if (ctx->poisoned()) {
+                        ++tally.discarded;
+                        ctx.reset();
+                    }
                     throw;
                 }
-                pool.release(std::move(ctx));
                 if (opts.keepDram)
                     res.dram.emplace(std::move(dram));
                 res.ok = true;
@@ -167,7 +130,11 @@ serveBatch(std::shared_ptr<const CompiledArtifact> artifact,
                            ? static_cast<double>(requests.size()) /
                                  (report.wallMs / 1000.0)
                            : 0.0;
-    report.pool = pool.stats();
+    for (const auto &tally : tallies) {
+        report.pool.created += tally.created;
+        report.pool.reused += tally.reused;
+        report.pool.discarded += tally.discarded;
+    }
     return report;
 }
 

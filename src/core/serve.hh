@@ -3,10 +3,10 @@
  * Batch serving harness over the compile-once/run-many split.
  *
  * One immutable CompiledArtifact (revet.hh) is shared by every worker;
- * each request gets a mutable graph::ExecutionContext, which the
- * ContextPool resets and recycles instead of rebuilding — the engine,
- * channels, per-instruction state, and the SRAM arena survive from
- * request to request. serveBatch() drives M
+ * each worker runs its requests on its own mutable
+ * graph::ExecutionContext, which it resets and reuses instead of
+ * rebuilding — the engine, channels, per-instruction state, and the
+ * SRAM arena survive from request to request. serveBatch() drives M
  * requests through W worker threads and reports per-request latency
  * split into queue wait and execution time plus batch-level
  * percentiles, so bench/serve_throughput.cc can hold the serving path
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,52 +36,6 @@ namespace revet
 {
 namespace serve
 {
-
-/**
- * Thread-safe pool of reusable execution contexts over one artifact.
- *
- * acquire() hands out an idle context (or instantiates one when none
- * is parked); release() parks it for the next request — unless the
- * run poisoned it (threw mid-request), in which case the context is
- * discarded and the next acquire builds fresh. The pool never blocks
- * waiting for a context: peak pool size equals peak concurrency.
- */
-class ContextPool
-{
-  public:
-    explicit ContextPool(
-        std::shared_ptr<const CompiledArtifact> artifact);
-
-    /** An idle context, or a freshly built one. @p reused (optional)
-     * reports which. */
-    std::unique_ptr<graph::ExecutionContext>
-    acquire(bool *reused = nullptr);
-
-    /** Park @p ctx for reuse; poisoned contexts are destroyed. */
-    void release(std::unique_ptr<graph::ExecutionContext> ctx);
-
-    struct Stats
-    {
-        uint64_t created = 0;   ///< contexts built
-        uint64_t reused = 0;    ///< acquires served from the pool
-        uint64_t discarded = 0; ///< poisoned contexts destroyed
-        size_t idle = 0;        ///< contexts currently parked
-    };
-
-    Stats stats() const;
-
-    const std::shared_ptr<const CompiledArtifact> &
-    artifact() const
-    {
-        return artifact_;
-    }
-
-  private:
-    std::shared_ptr<const CompiledArtifact> artifact_;
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<graph::ExecutionContext>> idle_;
-    Stats stats_;
-};
 
 /** Batch serving knobs. */
 struct ServeOptions
@@ -138,12 +91,19 @@ struct BatchReport
     double reqPerSec = 0;
     double p50Ms = 0;
     double p99Ms = 0;
-    ContextPool::Stats pool; ///< the batch's context pool
+    /** The batch's execution contexts: one per worker, built on its
+     * first request and rebuilt after a run that poisons it. */
+    struct
+    {
+        uint64_t created = 0;   ///< contexts built
+        uint64_t reused = 0;    ///< requests served on a worker's context
+        uint64_t discarded = 0; ///< poisoned contexts dropped
+    } pool;
 };
 
 /**
  * Serve @p requests over @p artifact with a pool of worker threads,
- * recycling execution contexts through one ContextPool per call; each
+ * each reusing its own execution context from request to request; each
  * run is capped at Engine::defaultMaxRounds. All requests are
  * considered submitted at call time (queueMs measures head-of-line
  * wait under the worker limit). Request failures are

@@ -205,29 +205,5 @@ Channel::wireMulticast(Channel *in, const std::vector<Channel *> &outs)
     r->refreshGate();
 }
 
-int
-bundleHeadKind(const Bundle &bundle)
-{
-    bool any_data = false;
-    int level = -1;
-    for (const Channel *ch : bundle) {
-        const Token &head = ch->front();
-        if (head.isData()) {
-            any_data = true;
-        } else if (level == -1) {
-            level = head.barrierLevel();
-        } else if (level != head.barrierLevel()) {
-            throw std::runtime_error(
-                "bundle misaligned: barriers B" + std::to_string(level) +
-                " vs B" + std::to_string(head.barrierLevel()));
-        }
-    }
-    if (any_data && level != -1) {
-        throw std::runtime_error(
-            "bundle misaligned: data vs barrier at channel heads");
-    }
-    return any_data ? 0 : level;
-}
-
 } // namespace dataflow
 } // namespace revet

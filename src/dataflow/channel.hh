@@ -16,11 +16,14 @@
  * pushTokens): one ring growth check, each token written and recorded
  * once, and per reader one count update, one size-mirror store and at
  * most one empty -> non-empty wakeup. A reader looks at its pending
- * tokens without taking them (readData visits the leading data run, the
- * data tokens before the first pending barrier; readTokens any tokens),
- * then consumes n of them with one size-mirror store and at most one
- * full -> non-full wakeup. push and pop are runs of length 1 through
- * the same code. The ring's slot count always ends where n single
+ * tokens without taking them, then consumes n of them with one
+ * size-mirror store and at most one full -> non-full wakeup. A
+ * primitive's firing reads each input once, with peek: one call
+ * classifies the head (empty, data, or barrier Bk) and copies the
+ * leading data run, the data tokens before the first pending barrier.
+ * readTokens visits tokens of any kind (Sink's collection), and front
+ * is its one-token form. push and pop are runs of length 1 through the
+ * same code. The ring's slot count always ends where n single
  * pushes would leave it: it doubles until it holds more tokens than
  * the reader furthest behind has pending.
  *
@@ -217,29 +220,20 @@ class Channel
     }
 
     /**
-     * Visit the words of this reader's leading data run — its pending
-     * data tokens before the first pending barrier — oldest first, at
-     * most @p cap of them, without consuming any. Consumer-side only.
-     * @return how many words were visited.
+     * Read this reader's head without consuming anything: report it in
+     * @p head as -1 (empty), 0 (data) or k (barrier Bk), and copy the
+     * leading data run — the pending data tokens before the first
+     * pending barrier — into @p words, at most @p cap of them (a cap of
+     * 0 only classifies). Consumer-side only.
+     * @return how many words were copied.
      */
-    template <typename Visit>
     size_t
-    readData(size_t cap, Visit &&visit) const
+    peek(Word *words, size_t cap, int &head) const
     {
-        return scan(cap, [&visit](const Token &tok, size_t i) {
-            if (tok.isBarrier())
-                return false;
-            visit(tok.word(), i);
-            return true;
-        });
-    }
-
-    /** Copy the leading data run (at most @p cap words) into
-     * @p words; returns its length. */
-    size_t
-    peekData(Word *words, size_t cap) const
-    {
-        return readData(cap, [words](Word w, size_t i) { words[i] = w; });
+        if (!concurrent_)
+            return peekHeld(words, cap, head);
+        std::lock_guard<SpinLock> guard(ring_->mu_);
+        return peekHeld(words, cap, head);
     }
 
     /** Visit the oldest min(@p cap, size()) pending tokens of any kind,
@@ -427,6 +421,23 @@ class Channel
         return scanHeld(cap, visit);
     }
 
+    size_t
+    peekHeld(Word *words, size_t cap, int &head) const
+    {
+        if (count_ == 0) {
+            head = -1;
+            return 0;
+        }
+        head = buf_[head_].barrierLevel();
+        if (head != 0)
+            return 0;
+        const size_t n = cap < count_ ? cap : count_;
+        size_t i = 0;
+        for (; i < n && !buf_[(head_ + i) & mask_].isBarrier(); ++i)
+            words[i] = buf_[(head_ + i) & mask_].word();
+        return i;
+    }
+
     template <typename Visit>
     size_t
     scanHeld(size_t cap, Visit &visit) const
@@ -574,39 +585,6 @@ class Channel
 
 /** A group of channels carrying one thread's live values in lockstep. */
 using Bundle = std::vector<Channel *>;
-
-/** True when every channel of @p bundle has a token available. */
-inline bool
-allHaveToken(const Bundle &bundle)
-{
-    for (const Channel *ch : bundle) {
-        if (ch->empty())
-            return false;
-    }
-    return true;
-}
-
-/** True when every channel of @p bundle can accept a token. */
-inline bool
-allCanPush(const Bundle &bundle)
-{
-    for (const Channel *ch : bundle) {
-        if (!ch->canPush())
-            return false;
-    }
-    return true;
-}
-
-/**
- * Classify the aligned heads of @p bundle: returns the barrier level if
- * every head is a barrier (asserting they agree), 0 if every head is
- * data.
- *
- * @throws std::runtime_error if heads are misaligned (mix of data and
- * barriers, or differing barrier levels) — a machine-model invariant
- * violation.
- */
-int bundleHeadKind(const Bundle &bundle);
 
 /** Push the same barrier onto every channel of @p bundle. */
 inline void

@@ -11,7 +11,7 @@ namespace dataflow
 
 // Note on backpressure: Channel::push throws on a full bounded channel,
 // so every run is sized by its outputs' room() and every one-token push
-// is preceded by a canPush() / allCanPush() guard in the same firing.
+// is preceded by a canPush() / runCap() guard in the same firing.
 
 bool
 Process::idle() const
@@ -154,27 +154,60 @@ runCap(int budget, Lanes outs)
     return cap;
 }
 
-/** Read the aligned data run at the heads of @p lanes — at most
- * @p cap threads, each lane i into column @p cols + i * kMaxRun — and
- * return its length: the shortest lane's leading data run. */
-size_t
-readRun(Lanes lanes, size_t cap, Word *cols)
+/** What a bundle's heads show: kind -1 when some lane is empty
+ * (blocked), 0 for an aligned data run of n threads, k for the barrier
+ * Bk on every lane. */
+struct Heads
 {
-    for (size_t i = 0; i < lanes.n; ++i)
-        cap = lanes.ch[i]->peekData(cols + i * kMaxRun, cap);
-    return cap;
+    int kind;
+    size_t n;
+};
+
+/**
+ * The one read of @p lanes a firing makes: blocked if any lane is
+ * empty, else each lane read once (Channel::peek), its leading data
+ * run — at most @p cap words — into column @p cols + i * kMaxRun.
+ * @throws std::runtime_error if the heads are misaligned (a mix of
+ * data and barriers, or differing barrier levels) — a machine-model
+ * violation.
+ */
+Heads
+readHeads(Lanes lanes, size_t cap, Word *cols)
+{
+    for (size_t i = 0; i < lanes.n; ++i) {
+        if (lanes.ch[i]->empty())
+            return {-1, 0};
+    }
+    bool any_data = false;
+    int level = -1;
+    for (size_t i = 0; i < lanes.n; ++i) {
+        int head = 0;
+        const size_t n = lanes.ch[i]->peek(cols + i * kMaxRun, cap, head);
+        if (head == 0) {
+            any_data = true;
+            cap = n;
+        } else if (level == -1) {
+            level = head;
+        } else if (level != head) {
+            throw std::runtime_error(
+                "bundle misaligned: barriers B" + std::to_string(level) +
+                " vs B" + std::to_string(head));
+        }
+    }
+    if (any_data && level != -1) {
+        throw std::runtime_error(
+            "bundle misaligned: data vs barrier at channel heads");
+    }
+    return any_data ? Heads{0, cap} : Heads{level, 0};
 }
 
-/** Move the aligned data run at the heads of @p from (every head is
- * data) to @p outs, lane by lane: at most @p budget threads and what
- * @p outs have room for (at least one). Unbounded channels never wake
- * a producer on consume, so lane-by-lane wakes consumers in the same
- * order as taking the whole bundle before pushing. */
+/** Move the @p n threads readHeads put in @p cols from @p from to
+ * @p outs, lane by lane. Unbounded channels never wake a producer on
+ * consume, so lane-by-lane wakes consumers in the same order as taking
+ * the whole bundle before pushing. */
 int
-forwardRun(Lanes from, Lanes outs, int budget)
+moveRun(Lanes from, Lanes outs, const Word *cols, size_t n)
 {
-    Word *cols = scratch(from.n * kMaxRun);
-    const size_t n = readRun(from, runCap(budget, outs), cols);
     for (size_t i = 0; i < outs.n; ++i) {
         from.ch[i]->consume(n);
         outs.ch[i]->pushData(cols + i * kMaxRun, n);
@@ -218,17 +251,18 @@ int
 ElementWise::fire(int budget)
 {
     const size_t cap = runCap(budget, outs_);
-    if (!allHaveToken(ins_) || cap == 0)
+    if (cap == 0)
         return 0;
     Word *cols = scratch((ins_.size() + outs_.size()) * kMaxRun);
-    const size_t n = readRun(ins_, cap, cols);
-    if (n == 0) {
-        // Some head is a barrier: all of them must be the same one.
-        const int kind = bundleHeadKind(ins_);
+    const Heads heads = readHeads(ins_, cap, cols);
+    if (heads.kind < 0)
+        return 0;
+    if (heads.kind > 0) {
         dropLanes(ins_);
-        pushBarrier(outs_, kind);
+        pushBarrier(outs_, heads.kind);
         return 1;
     }
+    const size_t n = heads.n;
     for (size_t i = 0; i < ins_.size(); ++i)
         in_cols_[i] = cols + i * kMaxRun;
     for (size_t j = 0; j < outs_.size(); ++j)
@@ -245,29 +279,33 @@ ElementWise::fire(int budget)
 int
 Broadcast::fire(int budget)
 {
-    if (deep_->empty() || !out_->canPush())
+    const size_t cap = runCap(budget, out_);
+    if (cap == 0)
         return 0;
-    const Token head = deep_->front();
-    if (head.isData()) {
-        if (shallow_->empty())
+    Word *col = scratch(kMaxRun);
+    const Heads deep = readHeads(deep_, cap, col);
+    if (deep.kind < 0)
+        return 0;
+    // The shallow stream moves at its own rate: read its head only
+    // when the deep head needs it, and its element only for data.
+    Word sh = 0;
+    if (deep.kind == 0) {
+        const Heads shallow = readHeads(shallow_, 1, &sh);
+        if (shallow.kind < 0)
             return 0;
-        const Token sh = shallow_->front();
-        if (!sh.isData()) {
+        if (shallow.kind > 0) {
             throw std::runtime_error(
                 name() + ": shallow stream has a barrier where the deep "
                          "structure still carries data");
         }
         // Every thread of the deep run takes the current shallow
         // element.
-        const size_t n =
-            deep_->readData(runCap(budget, out_), [](Word, size_t) {});
-        Word *col = scratch(n);
-        std::fill(col, col + n, sh.word());
-        deep_->consume(n);
-        out_->pushData(col, n);
-        return static_cast<int>(n);
+        std::fill(col, col + deep.n, sh);
+        deep_->consume(deep.n);
+        out_->pushData(col, deep.n);
+        return static_cast<int>(deep.n);
     }
-    int j = head.barrierLevel();
+    const int j = deep.kind;
     if (j < level_) {
         // Barrier below the broadcast level: structure internal to one
         // broadcast element; pass through.
@@ -275,21 +313,16 @@ Broadcast::fire(int budget)
         out_->push(Token::barrier(j));
         return 1;
     }
-    if (shallow_->empty())
+    const int shallow = readHeads(shallow_, 0, &sh).kind;
+    if (shallow < 0)
         return 0;
-    const Token sh = shallow_->front();
     if (j == level_) {
         // One broadcast group ends: retire the shallow element.
-        if (!sh.isData())
+        if (shallow != 0)
             throw std::runtime_error(name() + ": expected shallow data");
-        deep_->consume(1);
-        shallow_->consume(1);
-        out_->push(Token::barrier(j));
-        return 1;
-    }
-    // j > level_: the shallow stream's own barrier must match, one level
-    // shallower.
-    if (!sh.isBarrier() || sh.barrierLevel() != j - level_) {
+    } else if (shallow != j - level_) {
+        // j > level_: the shallow stream's own barrier must match, one
+        // level shallower.
         throw std::runtime_error(
             name() + ": shallow barrier mismatch at deep B" +
             std::to_string(j));
@@ -304,19 +337,21 @@ int
 Counter::fire(int budget)
 {
     if (mode_ == Mode::idle) {
-        if (!allHaveToken(ins_))
+        Word *cols = scratch(ins_.size() * kMaxRun);
+        const Heads heads = readHeads(ins_, 1, cols);
+        if (heads.kind < 0)
             return 0;
-        int kind = bundleHeadKind(ins_);
-        if (kind > 0) {
+        if (heads.kind > 0) {
             if (!out_->canPush())
                 return 0;
             dropLanes(ins_);
-            out_->push(Token::barrier(kind + 1));
+            out_->push(Token::barrier(heads.kind + 1));
             return 1;
         }
-        cur_ = ins_[0]->pop().asInt();
-        lim_ = ins_[1]->pop().asInt();
-        stride_ = ins_[2]->pop().asInt();
+        cur_ = static_cast<int32_t>(cols[0]);
+        lim_ = static_cast<int32_t>(cols[kMaxRun]);
+        stride_ = static_cast<int32_t>(cols[2 * kMaxRun]);
+        dropLanes(ins_);
         if (stride_ == 0)
             throw std::runtime_error(name() + ": zero counter stride");
         mode_ = Mode::run;
@@ -362,19 +397,21 @@ Counter::reset()
 int
 Reduce::fire(int budget)
 {
-    if (in_->empty())
+    Word *col = scratch(kMaxRun);
+    const Heads heads =
+        readHeads(in_, std::min(static_cast<size_t>(budget), kMaxRun), col);
+    if (heads.kind < 0)
         return 0;
-    const Token head = in_->front();
-    if (head.isData()) {
-        const size_t n = in_->readData(static_cast<size_t>(budget),
-                                       [this](Word w, size_t) { acc_ += w; });
+    if (heads.kind == 0) {
+        for (size_t i = 0; i < heads.n; ++i)
+            acc_ += col[i];
         in_group_ = true;
-        in_->consume(n);
-        return static_cast<int>(n);
+        in_->consume(heads.n);
+        return static_cast<int>(heads.n);
     }
     if (!out_->canPush())
         return 0;
-    int j = head.barrierLevel();
+    const int j = heads.kind;
     in_->consume(1);
     if (j == 1) {
         out_->push(Token::data(acc_));
@@ -412,40 +449,42 @@ Reduce::reset()
 int
 Flatten::fire(int budget)
 {
-    if (in_->empty())
+    // A full output still lets B1 vanish: read with its room as the cap.
+    const size_t cap = runCap(budget, out_);
+    Word *col = scratch(kMaxRun);
+    const Heads heads = readHeads(in_, cap, col);
+    if (heads.kind < 0)
         return 0;
-    const Token head = in_->front();
-    if (head.isBarrier() && head.barrierLevel() == 1) {
+    if (heads.kind == 1) {
         in_->consume(1); // the stripped level vanishes
         return 1;
     }
-    if (!out_->canPush())
+    if (cap == 0)
         return 0;
-    if (head.isData())
-        return forwardRun(in_, out_, budget);
+    if (heads.kind == 0)
+        return moveRun(in_, out_, col, heads.n);
     in_->consume(1);
-    out_->push(Token::barrier(head.barrierLevel() - 1));
+    out_->push(Token::barrier(heads.kind - 1));
     return 1;
 }
 
 int
 Filter::fire(int budget)
 {
-    if (!allHaveToken(ins_))
-        return 0;
     const size_t lanes = ins_.size();
     Word *cols = scratch(lanes * kMaxRun);
-    const size_t n = readRun(
+    const Heads heads = readHeads(
         ins_, std::min(static_cast<size_t>(budget), kMaxRun), cols);
-    if (n == 0) {
-        // Some head is a barrier: all of them must be the same one.
-        const int kind = bundleHeadKind(ins_);
-        if (!allCanPush(outs_))
+    if (heads.kind < 0)
+        return 0;
+    if (heads.kind > 0) {
+        if (runCap(budget, outs_) == 0)
             return 0;
         dropLanes(ins_);
-        pushBarrier(outs_, kind);
+        pushBarrier(outs_, heads.kind);
         return 1;
     }
+    const size_t n = heads.n;
     // Each thread of the run is kept or dropped by its predicate; a
     // kept thread needs room on the outputs, a dropped one does not,
     // so with the outputs full the run still drops the threads ahead
@@ -484,47 +523,55 @@ Filter::fire(int budget)
 int
 ForwardMerge::fire(int budget)
 {
-    // Snapshot each side's head exactly once (-1 = no token yet).
-    // Under Policy::parallel a producer can push mid-firing, so a head
+    // Read each side's heads exactly once (-1 = no token yet). Under
+    // Policy::parallel a producer can push mid-firing, so a head
     // observed absent must stay absent for the rest of this decision:
     // re-reading it could see freshly arrived data where the barrier
     // fall-through expects a barrier and throw a spurious mismatch.
     // The late token is the next firing's work — its push notification
     // re-queues this process. A data run comes from the side whose
-    // head was snapshotted as data.
-    const int ka = allHaveToken(a_) ? bundleHeadKind(a_) : -1;
-    const int kb = allHaveToken(b_) ? bundleHeadKind(b_) : -1;
-    if (ka == 0 || kb == 0) {
-        if (!allCanPush(outs_))
+    // read found data; when that is A, B is only classified (cap 0).
+    const size_t cap = runCap(budget, outs_);
+    Word *cols = scratch(std::max(a_.size(), b_.size()) * kMaxRun);
+    const Heads a = readHeads(a_, cap, cols);
+    const Heads b = readHeads(b_, a.kind == 0 ? 0 : cap, cols);
+    if (a.kind == 0 || b.kind == 0) {
+        if (cap == 0)
             return 0;
-        return forwardRun(ka == 0 ? a_ : b_, outs_, budget);
+        return a.kind == 0 ? moveRun(a_, outs_, cols, a.n)
+                           : moveRun(b_, outs_, cols, b.n);
     }
     // No data at either head: both must present the matching barrier.
-    if (ka < 0 || kb < 0)
+    if (a.kind < 0 || b.kind < 0)
         return 0;
-    if (ka != kb) {
+    if (a.kind != b.kind) {
         throw std::runtime_error(name() + ": branch barrier mismatch B" +
-                                 std::to_string(ka) + " vs B" +
-                                 std::to_string(kb));
+                                 std::to_string(a.kind) + " vs B" +
+                                 std::to_string(b.kind));
     }
-    if (!allCanPush(outs_))
+    if (cap == 0)
         return 0;
     dropLanes(a_);
     dropLanes(b_);
-    pushBarrier(outs_, ka);
+    pushBarrier(outs_, a.kind);
     return 1;
 }
 
 int
 FwdBackMerge::fire(int budget)
 {
-    // Snapshot the backedge head exactly once for the whole firing
-    // (-1 = no token yet): a recirculating token can arrive mid-firing
-    // under Policy::parallel, and the echo check, the flow-mode sanity
-    // check, and the drain below all branch on this one observation
-    // (see the negative-observation corollary in primitives.hh). An
-    // echo that arrives after the snapshot is the next firing's work.
-    const int bk = allHaveToken(back_) ? bundleHeadKind(back_) : -1;
+    // Read the backedge heads exactly once for the whole firing (-1 =
+    // no token yet): a recirculating token can arrive mid-firing under
+    // Policy::parallel, and the echo check, the flow-mode sanity check,
+    // and the drain below all branch on this one observation (see the
+    // negative-observation corollary in primitives.hh). An echo that
+    // arrives after the read is the next firing's work; only the drain
+    // reads the backedge run.
+    const size_t cap = runCap(budget, outs_);
+    Word *cols = scratch(std::max(fwd_.size(), back_.size()) * kMaxRun);
+    const Heads back =
+        readHeads(back_, mode_ == Mode::drain ? cap : 0, cols);
+    const int bk = back.kind;
 
     // The released flush's barrier recirculates through the body as an
     // echo; swallow it wherever it surfaces, before any run starts.
@@ -555,16 +602,18 @@ FwdBackMerge::fire(int budget)
                 name() + ": unexpected backedge barrier B" +
                 std::to_string(bk) + " outside a flush");
         }
-        if (!allHaveToken(fwd_) || !allCanPush(outs_))
+        if (cap == 0)
             return 0;
-        int kind = bundleHeadKind(fwd_);
-        if (kind == 0)
-            return forwardRun(fwd_, outs_, budget);
+        const Heads fwd = readHeads(fwd_, cap, cols);
+        if (fwd.kind < 0)
+            return 0;
+        if (fwd.kind == 0)
+            return moveRun(fwd_, outs_, cols, fwd.n);
         // A forward barrier: flush the loop. Terminate the batch with
         // the loop-control Omega(1) and drain.
         dropLanes(fwd_);
         pushBarrier(outs_, 1);
-        pending_level_ = kind;
+        pending_level_ = fwd.kind;
         back_data_since_barrier_ = false;
         mode_ = Mode::drain;
         return 1;
@@ -573,20 +622,18 @@ FwdBackMerge::fire(int budget)
     // Mode::drain: the forward input is stalled; iterate the body dry.
     if (bk < 0)
         return 0;
-    if (bk == 0) {
-        if (!allCanPush(outs_))
-            return 0;
-        back_data_since_barrier_ = true;
-        return forwardRun(back_, outs_, budget);
-    }
-    if (bk != 1) {
+    if (bk > 1) {
         throw std::runtime_error(name() +
                                  ": backedge barrier B" +
                                  std::to_string(bk) +
                                  " during drain (expected B1)");
     }
-    if (!allCanPush(outs_))
+    if (cap == 0)
         return 0;
+    if (bk == 0) {
+        back_data_since_barrier_ = true;
+        return moveRun(back_, outs_, cols, back.n);
+    }
     dropLanes(back_);
     if (back_data_since_barrier_) {
         // Threads are still circulating: close this iteration batch.

@@ -64,11 +64,16 @@
  *
  * Corollary: a *negative* observation (head absent, run ended) is NOT
  * stable — a producer may push mid-firing. A fire() that branches on
- * "no token there" must snapshot each head at most once and act only
- * on the snapshot; re-reading can see a different world than the
- * branch was chosen on (ForwardMerge's barrier fall-through is the
- * canonical case). A token that arrives mid-firing is the next
- * firing's work — its push notification re-queues the process.
+ * "no token there" must act on one observation of each head;
+ * re-reading can see a different world than the branch was chosen on
+ * (ForwardMerge's barrier fall-through is the canonical case). This
+ * holds by construction: every primitive reads its inputs only through
+ * one bundle reader (readHeads in primitives.cc), which reads each
+ * lane once per firing — one emptiness check, then one Channel::peek
+ * that classifies the head and copies the leading data run — and
+ * every decision of the firing branches on what that read returned. A
+ * token that arrives mid-firing is the next firing's work — its push
+ * notification re-queues the process.
  */
 
 #ifndef REVET_DATAFLOW_PRIMITIVES_HH

@@ -148,9 +148,9 @@ struct BytecodeProgram
  * image and stats. The SRAM arena is kept: a reused context hands the
  * next request the buffers the previous one grew, re-zeroed
  * (ExecStats::sramArenaReused). Contexts are single-request-at-a-time
- * (pool them for concurrency — core/serve.hh); handing a context
- * between threads across requests is safe when the handoff
- * synchronizes (the pool's mutex does).
+ * (use one per thread for concurrency, as core/serve.hh's workers
+ * do); handing a context between threads across requests is safe when
+ * the handoff synchronizes.
  *
  * The referenced program must outlive the context.
  */
@@ -174,7 +174,7 @@ class ExecutionContext
      * @throws std::runtime_error on machine-model violations,
      * livelock, or missing arguments (the context remains reusable:
      * the next run() starts from a full reset, but poisoned() reports
-     * the failure so pools can discard).
+     * the failure so servers can discard it).
      */
     ExecStats run(lang::DramImage &dram,
                   const std::vector<int32_t> &args,
@@ -193,8 +193,8 @@ class ExecutionContext
     uint64_t runsServed() const;
 
     /** True after a run() threw: state was left mid-request. run()
-     * self-heals via the full reset, but pools use this to retire the
-     * context instead of recycling it. */
+     * self-heals via the full reset, but serving uses this to retire
+     * the context instead of reusing it. */
     bool poisoned() const;
 
   private:

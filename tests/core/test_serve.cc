@@ -1,8 +1,8 @@
 /**
  * @file
  * Serving-layer test battery: immutable artifacts, reusable execution
- * contexts, the context pool, the artifact cache, and the batch
- * harness.
+ * contexts, the artifact cache, and the batch harness with its
+ * per-worker contexts.
  *
  * The central contract under test: serving is invisible in results.
  * Whether a request ran on a fresh context or a recycled one, alone or
@@ -10,7 +10,7 @@
  * scheduling policy — its DRAM image must be bit-identical to the AST
  * interpreter's and its per-link token/barrier counts to a worklist
  * run on a fresh context. Everything the serving layer is allowed to
- * change is in stats (arena-reuse counters, pool accounting, latency).
+ * change is in stats (arena-reuse counters, context accounting, latency).
  */
 
 #include <gtest/gtest.h>
@@ -111,7 +111,7 @@ runConcurrentBattery(Engine::Policy policy, int engine_threads)
             EXPECT_TRUE(res.stats.drained);
             EXPECT_EQ(res.stats.sramParkedEnd, 0u);
         }
-        // With 4 workers the pool never needs more than 4 contexts,
+        // With 4 workers the batch never needs more than 4 contexts,
         // and 16 requests guarantee recycling happened.
         EXPECT_LE(rep.pool.created, 4u) << fixture;
         EXPECT_GE(rep.pool.reused, static_cast<uint64_t>(kRequests - 4))
@@ -539,7 +539,6 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
         void main(int n) {
           out[0] = 100 / n;
         })");
-    serve::ContextPool pool(artifact);
     auto runWith = [&](graph::ExecutionContext &ctx, int32_t n) {
         lang::DramImage dram(artifact->hir());
         dram.resize("out", sizeof(int32_t));
@@ -547,43 +546,52 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
         return dram.read<int32_t>("out")[0];
     };
 
-    bool reused = true;
-    auto c1 = pool.acquire(&reused);
-    EXPECT_FALSE(reused);
-    pool.release(std::move(c1));
-    EXPECT_EQ(pool.stats().idle, 1u);
-
-    auto c2 = pool.acquire(&reused);
-    EXPECT_TRUE(reused);
-
     // Poison: the fault throws mid-run, leaving the context
     // mid-request.
+    auto ctx = artifact->makeContext();
     try {
-        runWith(*c2, 0);
+        runWith(*ctx, 0);
         ADD_FAILURE() << "a run dividing by zero did not throw";
     } catch (const std::runtime_error &e) {
         EXPECT_NE(std::string(e.what()).find("division by zero in dataflow"),
                   std::string::npos)
             << e.what();
     }
-    EXPECT_TRUE(c2->poisoned());
+    EXPECT_TRUE(ctx->poisoned());
 
     // A poisoned context still self-heals on the next run (full
     // reset)...
-    EXPECT_EQ(runWith(*c2, 4), 25);
-    EXPECT_FALSE(c2->poisoned());
+    EXPECT_EQ(runWith(*ctx, 4), 25);
+    EXPECT_FALSE(ctx->poisoned());
 
-    // ...but a context released while poisoned is discarded, never
-    // re-parked.
-    EXPECT_THROW(runWith(*c2, 0), std::runtime_error);
-    pool.release(std::move(c2));
-    auto st = pool.stats();
-    EXPECT_EQ(st.discarded, 1u);
-    EXPECT_EQ(st.idle, 0u);
-    auto c3 = pool.acquire(&reused);
-    EXPECT_FALSE(reused) << "a poisoned context leaked back into the "
-                            "pool";
-    (void)c3;
+    // ...but a worker drops the context a run poisoned, and its next
+    // request builds a fresh one.
+    const std::vector<int32_t> ns = {4, 0, 5, 10};
+    std::vector<serve::Request> requests(ns.size());
+    for (size_t i = 0; i < ns.size(); ++i) {
+        requests[i].args = {ns[i]};
+        requests[i].prepare = [](lang::DramImage &dram) {
+            dram.resize("out", sizeof(int32_t));
+        };
+    }
+    serve::ServeOptions opts;
+    opts.workers = 1;
+    auto rep = serve::serveBatch(artifact, requests, opts);
+    ASSERT_EQ(rep.results.size(), ns.size());
+    const bool ok[] = {true, false, true, true};
+    const bool reused[] = {false, true, false, true};
+    for (size_t i = 0; i < ns.size(); ++i) {
+        EXPECT_EQ(rep.results[i].ok, ok[i]) << "request " << i;
+        EXPECT_EQ(rep.results[i].contextReused, reused[i])
+            << "request " << i;
+    }
+    ASSERT_TRUE(rep.results[2].dram && rep.results[3].dram);
+    EXPECT_EQ(rep.results[2].dram->read<int32_t>("out")[0], 20);
+    EXPECT_EQ(rep.results[3].dram->read<int32_t>("out")[0], 10);
+    EXPECT_EQ(rep.pool.created, 2u);
+    EXPECT_EQ(rep.pool.reused, 2u);
+    EXPECT_EQ(rep.pool.discarded, 1u)
+        << "a poisoned context served another request";
 }
 
 TEST(ServePool, MissingArgumentsIsPreflightNotPoison)

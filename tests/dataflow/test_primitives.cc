@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <string>
 
 #include "dataflow/engine.hh"
 #include "sltf/codec.hh"
@@ -835,4 +837,257 @@ TEST(Engine, LivelockGuardThrows)
                             return w;
                         }));
     EXPECT_THROW(e.run(1000), std::runtime_error);
+}
+
+namespace
+{
+
+/** One machine-model violation: a hand-built network whose run must
+ * throw @p message. @p build wires it on an engine and returns the
+ * channel to fill (with @p late) before a second run, or null when the
+ * first run must already throw. The primitives push @p moved tokens in
+ * all before the throw. */
+struct Violation
+{
+    const char *label;
+    std::function<Channel *(Engine &)> build;
+    TokenStream late;
+    std::string message;
+    uint64_t moved = 0;
+};
+
+/** A channel of @p e pre-filled with @p stream, with no producer. */
+Channel *
+filled(Engine &e, const std::string &name, const TokenStream &stream)
+{
+    Channel *ch = e.channel(name);
+    ch->pushAll(stream);
+    return ch;
+}
+
+LaneFn
+sumLanes()
+{
+    return perThread([](const std::vector<Word> &in, std::vector<Word> &out) {
+        Word s = 0;
+        for (Word w : in)
+            s += w;
+        out.push_back(s);
+    });
+}
+
+std::vector<Violation>
+violations()
+{
+    const TokenStream none;
+    return {
+        {"ElementWise data vs barrier",
+         [](Engine &e) -> Channel * {
+             auto *a = filled(e, "a", StreamBuilder().d(1).b(1));
+             auto *b = filled(e, "b", StreamBuilder().b(1).d(1));
+             auto *o = e.channel("o");
+             e.make<ElementWise>("ew", Bundle{a, b}, Bundle{o}, sumLanes());
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[ew] bundle misaligned: data vs barrier at channel heads"},
+        {"ElementWise barrier levels",
+         [](Engine &e) -> Channel * {
+             auto *a = filled(e, "a", StreamBuilder().b(1));
+             auto *b = filled(e, "b", StreamBuilder().b(2));
+             auto *o = e.channel("o");
+             e.make<ElementWise>("ew", Bundle{a, b}, Bundle{o}, sumLanes());
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[ew] bundle misaligned: barriers B1 vs B2"},
+        {"ElementWise misaligned once the empty third lane fills",
+         [](Engine &e) -> Channel * {
+             auto *a = filled(e, "a", StreamBuilder().d(1));
+             auto *b = filled(e, "b", StreamBuilder().b(1));
+             auto *c = e.channel("c");
+             auto *o = e.channel("o");
+             e.make<ElementWise>("ew", Bundle{a, b, c}, Bundle{o},
+                                 sumLanes());
+             e.make<Sink>("sink", o);
+             return c;
+         },
+         StreamBuilder().d(1),
+         "[ew] bundle misaligned: data vs barrier at channel heads"},
+        {"ElementWise barrier levels once the empty third lane fills",
+         [](Engine &e) -> Channel * {
+             auto *a = filled(e, "a", StreamBuilder().b(1));
+             auto *b = filled(e, "b", StreamBuilder().b(2));
+             auto *c = e.channel("c");
+             auto *o = e.channel("o");
+             e.make<ElementWise>("ew", Bundle{a, b, c}, Bundle{o},
+                                 sumLanes());
+             e.make<Sink>("sink", o);
+             return c;
+         },
+         StreamBuilder().b(1), "[ew] bundle misaligned: barriers B1 vs B2"},
+        {"Filter misaligned",
+         [](Engine &e) -> Channel * {
+             auto *p = filled(e, "p", StreamBuilder().d(1).b(1));
+             auto *x = filled(e, "x", StreamBuilder().b(1));
+             auto *o = e.channel("o");
+             e.make<Filter>("filt", p, Bundle{x}, Bundle{o});
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[filt] bundle misaligned: data vs barrier at channel heads"},
+        {"Counter misaligned",
+         [](Engine &e) -> Channel * {
+             auto *lo = filled(e, "lo", StreamBuilder().d(0));
+             auto *hi = filled(e, "hi", StreamBuilder().b(1));
+             auto *st = filled(e, "st", StreamBuilder().d(1));
+             auto *o = e.channel("o");
+             e.make<Counter>("ctr", lo, hi, st, o);
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[ctr] bundle misaligned: data vs barrier at channel heads"},
+        {"Counter zero stride",
+         [](Engine &e) -> Channel * {
+             auto *lo = filled(e, "lo", StreamBuilder().d(0).b(1));
+             auto *hi = filled(e, "hi", StreamBuilder().d(4).b(1));
+             auto *st = filled(e, "st", StreamBuilder().d(0).b(1));
+             auto *o = e.channel("o");
+             e.make<Counter>("ctr", lo, hi, st, o);
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[ctr] ctr: zero counter stride"},
+        {"ForwardMerge branch barrier mismatch",
+         [](Engine &e) -> Channel * {
+             auto *a = filled(e, "a", StreamBuilder().b(1));
+             auto *b = filled(e, "b", StreamBuilder().b(2));
+             auto *o = e.channel("o");
+             e.make<ForwardMerge>("join", Bundle{a}, Bundle{b}, Bundle{o});
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[join] join: branch barrier mismatch B1 vs B2"},
+        {"ForwardMerge B misaligned while A's head is data",
+         [](Engine &e) -> Channel * {
+             auto *a0 = filled(e, "a0", StreamBuilder().d(1).b(1));
+             auto *a1 = filled(e, "a1", StreamBuilder().d(10).b(1));
+             auto *b0 = filled(e, "b0", StreamBuilder().d(2).b(1));
+             auto *b1 = filled(e, "b1", StreamBuilder().b(1));
+             auto *o0 = e.channel("o0");
+             auto *o1 = e.channel("o1");
+             e.make<ForwardMerge>("join", Bundle{a0, a1}, Bundle{b0, b1},
+                                  Bundle{o0, o1});
+             e.make<Sink>("sink0", o0);
+             e.make<Sink>("sink1", o1);
+             return nullptr;
+         },
+         none, "[join] bundle misaligned: data vs barrier at channel heads"},
+        {"FwdBackMerge forward bundle misaligned",
+         [](Engine &e) -> Channel * {
+             auto *f0 = filled(e, "f0", StreamBuilder().d(1).b(1));
+             auto *f1 = filled(e, "f1", StreamBuilder().b(1));
+             auto *k0 = e.channel("k0");
+             auto *k1 = e.channel("k1");
+             auto *o0 = e.channel("o0");
+             auto *o1 = e.channel("o1");
+             e.make<FwdBackMerge>("head", Bundle{f0, f1}, Bundle{k0, k1},
+                                  Bundle{o0, o1});
+             e.make<Sink>("sink0", o0);
+             e.make<Sink>("sink1", o1);
+             return nullptr;
+         },
+         none, "[head] bundle misaligned: data vs barrier at channel heads"},
+        {"FwdBackMerge backedge barrier outside a flush",
+         [](Engine &e) -> Channel * {
+             auto *f = filled(e, "f", StreamBuilder().d(1));
+             auto *k = filled(e, "k", StreamBuilder().b(1));
+             auto *o = e.channel("o");
+             e.make<FwdBackMerge>("head", Bundle{f}, Bundle{k}, Bundle{o});
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[head] head: unexpected backedge barrier B1 outside a flush"},
+        {"FwdBackMerge backedge barrier during drain",
+         [](Engine &e) -> Channel * {
+             auto *f = filled(e, "f", StreamBuilder().b(1));
+             auto *k = e.channel("k");
+             auto *o = e.channel("o");
+             e.make<FwdBackMerge>("head", Bundle{f}, Bundle{k}, Bundle{o});
+             e.make<Sink>("sink", o);
+             return k;
+         },
+         StreamBuilder().b(2),
+         "[head] head: backedge barrier B2 during drain (expected B1)", 1},
+        {"Broadcast shallow barrier under deep data",
+         [](Engine &e) -> Channel * {
+             auto *deep = filled(e, "deep", StreamBuilder().d(1).b(1));
+             auto *sh = filled(e, "sh", StreamBuilder().b(1));
+             auto *o = e.channel("o");
+             e.make<Broadcast>("bc", deep, sh, o);
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none,
+         "[bc] bc: shallow stream has a barrier where the deep structure "
+         "still carries data"},
+        {"Broadcast shallow barrier at the group end",
+         [](Engine &e) -> Channel * {
+             auto *deep = filled(e, "deep", StreamBuilder().b(1));
+             auto *sh = filled(e, "sh", StreamBuilder().b(1));
+             auto *o = e.channel("o");
+             e.make<Broadcast>("bc", deep, sh, o);
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[bc] bc: expected shallow data"},
+        {"Broadcast shallow barrier mismatch",
+         [](Engine &e) -> Channel * {
+             auto *deep = filled(e, "deep", StreamBuilder().b(2));
+             auto *sh = filled(e, "sh", StreamBuilder().b(2));
+             auto *o = e.channel("o");
+             e.make<Broadcast>("bc", deep, sh, o);
+             e.make<Sink>("sink", o);
+             return nullptr;
+         },
+         none, "[bc] bc: shallow barrier mismatch at deep B2"},
+    };
+}
+
+} // namespace
+
+TEST(MachineModel, ViolationsThrowTheirMessage)
+{
+    // Every machine-model violation a primitive detects throws one
+    // message, prefixed with the process name, under both policies.
+    // A violation is detected only once every lane it reads has a
+    // token, and before the firing moves anything.
+    for (const Violation &v : violations()) {
+        for (Engine::Policy policy :
+             {Engine::Policy::worklist, Engine::Policy::parallel}) {
+            const std::string label =
+                std::string(v.label) +
+                (policy == Engine::Policy::worklist ? " (worklist)"
+                                                    : " (parallel)");
+            Engine e(policy);
+            e.setNumThreads(4);
+            Channel *late = v.build(e);
+            if (late != nullptr) {
+                EXPECT_NO_THROW(e.run()) << label;
+                late->pushAll(v.late);
+            }
+            try {
+                e.run();
+                ADD_FAILURE() << label << ": no throw";
+            } catch (const std::runtime_error &err) {
+                EXPECT_EQ(std::string(err.what()), v.message) << label;
+            }
+            uint64_t moved = 0;
+            for (const auto &ch : e.channels()) {
+                if (ch->producer() != nullptr)
+                    moved += ch->totalPushed();
+            }
+            EXPECT_EQ(moved, v.moved) << label;
+        }
+    }
 }

@@ -456,10 +456,12 @@ TEST(ChannelRuns, RunWrapsTheRingEnd)
     ch.pushData(run.data(), run.size());
     EXPECT_EQ(ch.ringSlots(), 16u);
     std::vector<Word> got(12);
-    EXPECT_EQ(ch.peekData(got.data(), 64), 12u);
+    int head = -1;
+    EXPECT_EQ(ch.peek(got.data(), 64, head), 12u);
+    EXPECT_EQ(head, 0);
     EXPECT_EQ(got, run);
     ch.consume(5);
-    EXPECT_EQ(ch.peekData(got.data(), 64), 7u);
+    EXPECT_EQ(ch.peek(got.data(), 64, head), 7u);
     EXPECT_EQ(got[0], 105u);
 }
 
