@@ -17,6 +17,13 @@
  * graph's shape fixes) prices the work itself, and is the figure to
  * compare across executor changes.
  *
+ * One invocation takes about a second, inside one phase of the host,
+ * so its IQR shows the spread within that phase only: it is not a
+ * confidence interval, and two invocations of one binary can differ
+ * by more than either IQR. Compare two trees by alternating
+ * invocations of their builds (ten or more per side) and comparing
+ * the medians of the invocations' medians.
+ *
  * Acceptance gate (exit non-zero on violation, like engine_sched):
  * every run drains and its DRAM image is byte-identical to the AST
  * interpreter's. There is no timing gate: the number is a report, to

@@ -224,6 +224,15 @@ dropLanes(const Bundle &bundle)
 
 } // namespace
 
+Word *
+laneScratch(size_t words)
+{
+    thread_local std::vector<Word> buf;
+    if (buf.size() < words)
+        buf.resize(words);
+    return buf.data();
+}
+
 int
 Source::fire(int budget)
 {

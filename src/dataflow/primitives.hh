@@ -35,7 +35,8 @@
  * memory, and only the keyed restore is a process of its own), as do
  * the hand-built networks of the tests and benches. Their fire()
  * bodies allocate nothing once warm, except Sink's growing collection:
- * runs go through a per-thread column scratch.
+ * runs go through a per-thread column scratch, and a lane function's
+ * own working memory through a second one (laneScratch).
  *
  * Link fan-out is not a primitive here. As on the vRDA, where the
  * network delivers a vector to every consumer, every channel is a ring
@@ -245,6 +246,12 @@ struct LaneRun
 /** Lane function: maps a run of threads' input lanes to their output
  * lanes, writing every output word of every thread. */
 using LaneFn = std::function<void(const LaneRun &)>;
+
+/** Working memory for the lane function running on this thread: at
+ * least @p words words, grown once and reused. It is apart from the
+ * column scratch the function's LaneRun points into, and lane
+ * functions do not nest, so one call may use all of it. */
+Word *laneScratch(size_t words);
 
 /**
  * Element-wise operation over aligned streams (Section III-B(a)).

@@ -1,10 +1,12 @@
 #include "graph/bytecode.hh"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "dataflow/primitives.hh"
 
@@ -41,6 +43,84 @@ toString(BcOp op)
     return "?";
 }
 
+namespace
+{
+
+/** A DRAM region a block references, and whether any of its ops
+ * writes it. */
+struct RegionUse
+{
+    int region;
+    int refs;
+    bool written;
+};
+
+/**
+ * True when running @p ops column by column (each op over every thread
+ * of a run before the next op) leaves what thread after thread leaves.
+ * Pure ops cannot tell the orders apart; memory ops can, unless
+ *  - every DRAM region the block writes is referenced by one op only,
+ *  - a block that writes SRAM accesses SRAM once,
+ *  - an sramAlloc (handles come in call order) is the block's only
+ *    SRAM op, and
+ *  - a block with a memory op has no div or rem, whose throw would
+ *    leave memory as the columns left it, not as thread order would.
+ * @p regions is the caller's scratch, reused across blocks.
+ */
+bool
+columnSafe(const std::vector<BlockOp> &ops, std::vector<RegionUse> &regions)
+{
+    regions.clear();
+    int sram = 0, sram_writes = 0, allocs = 0;
+    bool divides = false;
+    for (const BlockOp &op : ops) {
+        switch (op.kind) {
+          case OpKind::divs:
+          case OpKind::divu:
+          case OpKind::rems:
+          case OpKind::remu:
+            divides = true;
+            break;
+          case OpKind::sramAlloc:
+            ++allocs;
+            break;
+          case OpKind::sramWrite:
+          case OpKind::rmwAdd:
+          case OpKind::rmwSub:
+            ++sram_writes;
+            [[fallthrough]];
+          case OpKind::sramRead:
+            ++sram;
+            break;
+          case OpKind::dramRead:
+          case OpKind::dramWrite: {
+            auto it = std::find_if(
+                regions.begin(), regions.end(),
+                [&](const RegionUse &u) { return u.region == op.dram; });
+            if (it == regions.end())
+                it = regions.insert(it, {op.dram, 0, false});
+            ++it->refs;
+            it->written |= op.kind == OpKind::dramWrite;
+            break;
+          }
+          default:
+            break;
+        }
+    }
+    if (divides && (allocs > 0 || sram > 0 || !regions.empty()))
+        return false;
+    if ((sram_writes > 0 && sram > 1) || allocs > 1 ||
+        (allocs == 1 && sram > 0))
+        return false;
+    for (const RegionUse &u : regions) {
+        if (u.written && u.refs > 1)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 BytecodeProgram
 BytecodeProgram::compile(const Dfg &dfg)
 {
@@ -50,8 +130,21 @@ BytecodeProgram::compile(const Dfg &dfg)
     for (const auto &link : dfg.links)
         out.linkNames.push_back(link.name);
 
-    size_t arg_idx = 0;
+    // Size the pools once, so the loop below appends without regrowth.
+    size_t num_chans = 0, num_ops = 0, num_regs = 0;
+    for (const auto &node : dfg.nodes) {
+        num_chans += node.ins.size() + node.outs.size();
+        num_ops += node.ops.size();
+        num_regs += node.inputRegs.size() + node.outputRegs.size();
+    }
+    out.chans.reserve(num_chans);
+    out.ops.reserve(num_ops);
+    out.regs.reserve(num_regs);
+    out.names.reserve(dfg.nodes.size());
     out.insts.reserve(dfg.nodes.size());
+
+    size_t arg_idx = 0;
+    std::vector<RegionUse> regions;
     for (const auto &node : dfg.nodes) {
         BcInst inst;
         inst.ins = static_cast<uint32_t>(out.chans.size());
@@ -81,6 +174,7 @@ BytecodeProgram::compile(const Dfg &dfg)
             inst.nRegs = static_cast<uint32_t>(node.nRegs);
             inst.ops = static_cast<uint32_t>(out.ops.size());
             inst.nOps = static_cast<uint32_t>(node.ops.size());
+            inst.columnar = columnSafe(node.ops, regions);
             out.ops.insert(out.ops.end(), node.ops.begin(),
                            node.ops.end());
             inst.inRegs = static_cast<uint32_t>(out.regs.size());
@@ -143,7 +237,7 @@ namespace
  * Unlike channels (single producer/consumer each), this state is shared
  * by every block process, so under Engine::Policy::parallel each access
  * runs under `mu` — callers lock, the methods stay lock-free so a
- * locked caller can compose them (alloc inside evalMemoryOp's
+ * locked caller can compose them (alloc inside memoryOp's
  * section). The serialization does not perturb results: every
  * DRAM/SRAM cell has a single writer per program point in well-formed
  * Revet programs, and rmw ops are commutative (add/sub), so operation
@@ -224,20 +318,14 @@ struct MachineMemory
 };
 
 /**
- * Evaluate one block op that graph::evalPureOp declined: memory ops
- * (SRAM heap, DRAM image, rmw) and their stats, under @p mem's mutex,
- * plus the division/remainder-by-zero machine-model violations.
+ * Evaluate one block op that graph::evalPureOp declined, over operand
+ * values @p a, @p b, @p c: memory ops (SRAM heap, DRAM image, rmw) and
+ * their stats, plus the division/remainder-by-zero machine-model
+ * violations. The caller holds @p mem's mutex.
  */
-Word
-evalMemoryOp(const BlockOp &op, const std::vector<Word> &regs,
-             MachineMemory &mem)
+inline Word
+memoryOp(const BlockOp &op, Word a, Word b, Word c, MachineMemory &mem)
 {
-    auto A = [&] { return regs[op.a]; };
-    auto B = [&] { return regs[op.b]; };
-    auto C = [&] { return regs[op.c]; };
-    // One lock per op keeps workers serialized only on the memory ops
-    // themselves, never on the pure ALU fast path.
-    std::lock_guard<std::mutex> guard(mem.mu);
     switch (op.kind) {
       case OpKind::divs:
       case OpKind::divu:
@@ -249,40 +337,36 @@ evalMemoryOp(const BlockOp &op, const std::vector<Word> &regs,
         return mem.alloc(op.size);
       case OpKind::sramRead: {
         ++mem.stats->sramAccesses;
-        auto *buf = mem.buffer(A());
-        uint32_t idx = B();
-        return idx < buf->size() ? normalize(op.elem, (*buf)[idx]) : 0;
+        auto *buf = mem.buffer(a);
+        return b < buf->size() ? normalize(op.elem, (*buf)[b]) : 0;
       }
       case OpKind::sramWrite: {
         ++mem.stats->sramAccesses;
-        auto *buf = mem.buffer(A());
-        uint32_t idx = B();
-        if (idx < buf->size())
-            (*buf)[idx] = normalize(op.elem, C());
+        auto *buf = mem.buffer(a);
+        if (b < buf->size())
+            (*buf)[b] = normalize(op.elem, c);
         return 0;
       }
       case OpKind::rmwAdd:
       case OpKind::rmwSub: {
         ++mem.stats->sramAccesses;
-        auto *buf = mem.buffer(A());
-        uint32_t idx = B();
-        if (idx >= buf->size())
+        auto *buf = mem.buffer(a);
+        if (b >= buf->size())
             return 0;
-        uint32_t old = (*buf)[idx];
-        uint32_t next =
-            op.kind == OpKind::rmwAdd ? old + C() : old - C();
-        (*buf)[idx] = normalize(op.elem, next);
+        uint32_t old = (*buf)[b];
+        uint32_t next = op.kind == OpKind::rmwAdd ? old + c : old - c;
+        (*buf)[b] = normalize(op.elem, next);
         return normalize(op.elem, old);
       }
       case OpKind::dramRead: {
         ++mem.stats->dramReadElems;
         mem.stats->dramReadBytes += lang::dramElemBytes(op.elem);
-        return mem.dram->load(op.dram, A());
+        return mem.dram->load(op.dram, a);
       }
       case OpKind::dramWrite: {
         ++mem.stats->dramWriteElems;
         mem.stats->dramWriteBytes += lang::dramElemBytes(op.elem);
-        mem.dram->store(op.dram, A(), B());
+        mem.dram->store(op.dram, a, b);
         return 0;
       }
       default:
@@ -335,30 +419,103 @@ collectRunStats(dataflow::Engine &engine, size_t num_links, bool watched,
 // with the lane functions below; only the keyed restore, which
 // re-pairs threads across two streams, is a process of its own.
 
-/**
- * A block's lane function: a run of threads over a register file the
- * function owns, one thread at a time, so the memory effects of the
- * run's threads land in thread order, as the interpreter makes them.
- * Each thread re-zeroes the file (reads-before-writes yield 0), lands
- * its inputs by the lane map, and runs straight over this block's
- * slice of the program's flat BlockOp table.
- */
-dataflow::LaneFn
-blockLanes(const BytecodeProgram &prog, const BcInst &inst,
-           MachineMemory &mem)
+/** One op's columns over a run of n threads: thread t reads a[t],
+ * b[t] and c[t] and, unless g is set and g[t] is 0, writes d[t]. */
+struct OpColumns
 {
-    const BlockOp *ops = prog.ops.data() + inst.ops;
-    const int32_t *in_regs = prog.regs.data() + inst.inRegs;
-    const int32_t *out_regs = prog.regs.data() + inst.outRegs;
-    return [regs = std::vector<Word>(inst.nRegs, 0), ops,
-            num_ops = inst.nOps, in_regs, out_regs, num_ins = inst.nIns,
-            num_outs = inst.nOuts,
-            &mem](const dataflow::LaneRun &run) mutable {
+    const Word *g, *a, *b, *c;
+    Word *d;
+    size_t n;
+};
+
+/**
+ * Run one op of kind @p K over its columns, under one lock of @p mem
+ * for a memory op. The kind is a constant here, so the switch in
+ * evalPureOp or memoryOp folds away and the loop is the op's own.
+ * Returns false if a div or rem met a zero divisor in a thread the
+ * guard let through.
+ */
+template <OpKind K>
+bool
+opColumn(const BlockOp &op, const OpColumns &col, MachineMemory &mem)
+{
+    BlockOp k = op;
+    k.kind = K;
+    if constexpr (K >= OpKind::sramAlloc) {
+        std::lock_guard<std::mutex> guard(mem.mu);
+        for (size_t t = 0; t < col.n; ++t) {
+            if (!col.g || col.g[t] != 0)
+                col.d[t] = memoryOp(k, col.a[t], col.b[t], col.c[t], mem);
+        }
+        return true;
+    } else {
+        bool ok = true;
+        if (col.g) {
+            for (size_t t = 0; t < col.n; ++t) {
+                if (col.g[t] != 0)
+                    ok &= evalPureOp(k, col.a[t], col.b[t], col.c[t],
+                                     col.d[t]);
+            }
+        } else {
+            for (size_t t = 0; t < col.n; ++t)
+                ok &= evalPureOp(k, col.a[t], col.b[t], col.c[t], col.d[t]);
+        }
+        return ok;
+    }
+}
+
+using ColumnFn = bool (*)(const BlockOp &, const OpColumns &,
+                          MachineMemory &);
+
+template <size_t... K>
+constexpr std::array<ColumnFn, sizeof...(K)>
+columnTable(std::index_sequence<K...>)
+{
+    return {{&opColumn<static_cast<OpKind>(K)>...}};
+}
+
+/** opColumn for every OpKind, indexed by kind (dramWrite is the last). */
+constexpr auto kOpColumn = columnTable(
+    std::make_index_sequence<static_cast<size_t>(OpKind::dramWrite) + 1>());
+
+/** The per-thread register table of a columnar run: where each
+ * register's column is. */
+const Word **
+registerTable(size_t regs)
+{
+    thread_local std::vector<const Word *> table;
+    if (table.size() < regs)
+        table.resize(regs);
+    return table.data();
+}
+
+/**
+ * A block body over the program's flat tables, and the two orders its
+ * lane function runs a run of threads in. Either way a register read
+ * before it is written reads 0, and the run's memory effects are the
+ * ones thread order leaves; the working memory is laneScratch, so a
+ * context holds no register file per block.
+ */
+struct BlockBody
+{
+    const BlockOp *ops;
+    const int32_t *inRegs;
+    const int32_t *outRegs;
+    uint32_t nOps, nRegs, nIns, nOuts;
+    MachineMemory *mem;
+
+    /** Thread after thread over one register file: zero it, land the
+     * thread's inputs by the lane map, run every op, read the outputs.
+     * A memory op takes the lock for itself. */
+    void
+    threads(const dataflow::LaneRun &run) const
+    {
+        Word *regs = dataflow::laneScratch(nRegs);
         for (size_t t = 0; t < run.n; ++t) {
-            std::fill(regs.begin(), regs.end(), 0);
-            for (uint32_t i = 0; i < num_ins; ++i)
-                regs[in_regs[i]] = run.in[i][t];
-            for (uint32_t i = 0; i < num_ops; ++i) {
+            std::fill(regs, regs + nRegs, 0);
+            for (uint32_t i = 0; i < nIns; ++i)
+                regs[inRegs[i]] = run.in[i][t];
+            for (uint32_t i = 0; i < nOps; ++i) {
                 const BlockOp &op = ops[i];
                 if (op.guard >= 0 && regs[op.guard] == 0)
                     continue;
@@ -370,14 +527,85 @@ blockLanes(const BytecodeProgram &prog, const BcInst &inst,
                 const Word a = op.a >= 0 ? regs[op.a] : 0;
                 const Word b = op.b >= 0 ? regs[op.b] : 0;
                 const Word c = op.c >= 0 ? regs[op.c] : 0;
-                if (!evalPureOp(op, a, b, c, v))
-                    v = evalMemoryOp(op, regs, mem);
+                if (!evalPureOp(op, a, b, c, v)) {
+                    std::lock_guard<std::mutex> guard(mem->mu);
+                    v = memoryOp(op, a, b, c, *mem);
+                }
                 if (op.dst >= 0)
                     regs[op.dst] = v;
             }
-            for (uint32_t i = 0; i < num_outs; ++i)
-                run.out[i][t] = regs[out_regs[i]];
+            for (uint32_t i = 0; i < nOuts; ++i)
+                run.out[i][t] = regs[outRegs[i]];
         }
+    }
+
+    /**
+     * Column by column: each op runs once over the whole run (one
+     * dispatch, and one lock for a memory op). A register is a column
+     * of n words: an input lane's column read in place until an op
+     * writes the register, a shared zero column until anything does,
+     * then the register's own column in the scratch. A guarded op
+     * first copies the register's current column into its own, so
+     * the threads it masks off keep their value. Returns false, with
+     * no memory touched and no output written, if a div or rem met a
+     * zero divisor: compile() allows those only in blocks without
+     * memory ops, so threads() can run the run again and throw as
+     * thread order does.
+     */
+    bool
+    columns(const dataflow::LaneRun &run) const
+    {
+        const size_t n = run.n;
+        // nRegs register columns, then a zero and a discard column.
+        Word *cols = dataflow::laneScratch((nRegs + 2) * n);
+        Word *zero = cols + nRegs * n;
+        Word *discard = zero + n;
+        std::fill(zero, zero + n, 0);
+        const Word **reg = registerTable(nRegs);
+        std::fill(reg, reg + nRegs, zero);
+        for (uint32_t i = 0; i < nIns; ++i)
+            reg[inRegs[i]] = run.in[i];
+        auto col = [&](int r) { return r >= 0 ? reg[r] : zero; };
+        for (uint32_t i = 0; i < nOps; ++i) {
+            const BlockOp &op = ops[i];
+            Word *d = discard;
+            if (op.dst >= 0) {
+                d = cols + static_cast<size_t>(op.dst) * n;
+                if (op.guard >= 0 && reg[op.dst] != d)
+                    std::copy(reg[op.dst], reg[op.dst] + n, d);
+            }
+            const OpColumns c{op.guard >= 0 ? reg[op.guard] : nullptr,
+                              col(op.a), col(op.b), col(op.c), d, n};
+            if (!kOpColumn[static_cast<size_t>(op.kind)](op, c, *mem))
+                return false;
+            if (op.dst >= 0)
+                reg[op.dst] = d;
+        }
+        for (uint32_t i = 0; i < nOuts; ++i)
+            std::copy(reg[outRegs[i]], reg[outRegs[i]] + n, run.out[i]);
+        return true;
+    }
+};
+
+/** A block's lane function: its body column by column when compile()
+ * marked it columnar, else thread after thread. */
+dataflow::LaneFn
+blockLanes(const BytecodeProgram &prog, const BcInst &inst,
+           MachineMemory &mem)
+{
+    const BlockBody body{prog.ops.data() + inst.ops,
+                         prog.regs.data() + inst.inRegs,
+                         prog.regs.data() + inst.outRegs,
+                         inst.nOps,
+                         inst.nRegs,
+                         inst.nIns,
+                         inst.nOuts,
+                         &mem};
+    if (!inst.columnar)
+        return [body](const dataflow::LaneRun &run) { body.threads(run); };
+    return [body](const dataflow::LaneRun &run) {
+        if (!body.columns(run))
+            body.threads(run);
     };
 }
 

@@ -15,12 +15,15 @@
  * block body or the park bookkeeping over the shared machine memory
  * (bytecode.cc). Like every primitive, they fire a run at a time
  * (primitives.hh): one call of a block's lane function takes the whole
- * data run its firing snapshotted and runs the body over it thread
- * after thread, so the run's memory effects land in thread order, as
- * the interpreter makes them, and a park or restore books its whole
+ * data run its firing snapshotted. Most blocks run it column by column,
+ * each op over every thread of the run before the next op (the vRDA's
+ * lanes, in software); compile() marks them, and keeps thread after
+ * thread for the few blocks whose memory effects could come out
+ * differently in that order, so every run leaves memory as thread
+ * order, the interpreter's, does. A park or restore books its whole
  * run under one lock of the machine memory. A quantum stays one
- * thread or barrier moved. The keyed restore is the one role with a private
- * process: it re-pairs values with keys across two streams. A fanout
+ * thread or barrier moved. The keyed restore is the one role with a
+ * private process: it re-pairs values with keys across two streams. A fanout
  * runs no process: as in the vRDA network, Engine::multicast folds
  * its outputs' rings into its input's, so each output reads the one
  * ring through its own cursor, each token is written once, and every
@@ -97,6 +100,7 @@ struct BcInst
 {
     BcOp op = BcOp::sink;
     bool sense = true;   ///< filter polarity
+    bool columnar = false; ///< block body may run column by column
     uint32_t nRegs = 0;  ///< block register-file size
     int32_t level = 1;   ///< broadcast hierarchy distance
     Word init = 0;       ///< reduce initial value

@@ -5,7 +5,14 @@
  * diagnostic names, argument slots in source-node order), pinned so
  * the format documented in README.md cannot drift silently.
  *
- * Execution results are certified elsewhere: against the AST
+ * The rule that picks each block's loop order is pinned here from
+ * both sides: the per-app count of blocks that run column by column,
+ * programs whose blocks must stay thread after thread (their memory
+ * effects would come out differently column by column), and a
+ * columnar block's guard masks and register columns at run lengths
+ * around the firing cap, all against the AST interpreter.
+ *
+ * Execution results are otherwise certified elsewhere: against the AST
  * interpreter and across scheduling policies by the scheduler
  * equivalence suite (tests/dataflow/test_scheduler.cc), and
  * raw-vs-optimized by the fuzz sweep (test_fuzz_optimize.cc).
@@ -13,12 +20,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "apps/apps.hh"
 #include "core/revet.hh"
 #include "graph/bytecode.hh"
 #include "lang/dram_image.hh"
+#include "oracle.hh"
 
 using namespace revet;
 using lang::DramImage;
@@ -115,3 +127,272 @@ TEST(BytecodeProgram, ArgSlotsFollowSourceNodeOrder)
     dram2.resize("out", 4);
     EXPECT_THROW(prog->execute(dram2, {9}), std::runtime_error);
 }
+
+namespace
+{
+
+using graph::BcOp;
+using graph::BlockOp;
+using graph::OpKind;
+using Policy = dataflow::Engine::Policy;
+
+/** Blocks of @p bc that run column by column, and all its blocks. */
+std::pair<int, int>
+columnarBlocks(const graph::BytecodeProgram &bc)
+{
+    int columnar = 0, blocks = 0;
+    for (const graph::BcInst &inst : bc.insts) {
+        if (inst.op == BcOp::block) {
+            ++blocks;
+            columnar += inst.columnar;
+        }
+    }
+    return {columnar, blocks};
+}
+
+/** True if a thread-major block of @p bc has an op of kind @p kind. */
+bool
+threadMajorBlockHas(const graph::BytecodeProgram &bc, OpKind kind)
+{
+    for (const graph::BcInst &inst : bc.insts) {
+        if (inst.op != BcOp::block || inst.columnar)
+            continue;
+        for (uint32_t i = 0; i < inst.nOps; ++i) {
+            if (bc.ops[inst.ops + i].kind == kind)
+                return true;
+        }
+    }
+    return false;
+}
+
+graph::BytecodeProgram
+rawBytecode(const std::string &source)
+{
+    CompileOptions raw;
+    raw.graphOpt.enable = false;
+    return CompiledArtifact::build(source, raw)->bytecode();
+}
+
+/** Run @p source's bytecode and the interpreter on images from
+ * @p generate; both must stay thread-major for @p kind and agree under
+ * both policies, unoptimized and fully optimized. */
+void
+expectThreadMajorMatches(const std::string &source,
+                         const fixtures::Generate &generate, OpKind kind,
+                         const std::string &label)
+{
+    EXPECT_TRUE(threadMajorBlockHas(rawBytecode(source), kind)) << label;
+    fixtures::expectMatchesInterpreter(source, generate, "none", label);
+    fixtures::expectMatchesInterpreter(source, generate, "full",
+                                       label + "/full");
+}
+
+} // namespace
+
+TEST(BytecodeProgram, ColumnarBlocksPerApp)
+{
+    // Blocks that run column by column, of all blocks, per app. The
+    // rest are blocks with several SRAM accesses beside an SRAM write,
+    // an sramAlloc beside other SRAM ops, or a div/rem beside memory.
+    const std::map<std::string, std::pair<int, int>> want = {
+        {"isipv4", {19, 20}},   {"ip2int", {15, 16}},
+        {"murmur3", {9, 10}},   {"hash-table", {12, 14}},
+        {"search", {35, 37}},   {"huff-dec", {22, 24}},
+        {"huff-enc", {45, 48}}, {"kD-tree", {20, 22}},
+    };
+    ASSERT_EQ(apps::allApps().size(), want.size());
+    for (const apps::App &app : apps::allApps()) {
+        auto prog = CompiledArtifact::build(app.source);
+        EXPECT_EQ(columnarBlocks(prog->bytecode()), want.at(app.name))
+            << app.name;
+    }
+}
+
+TEST(BytecodeColumns, DramReadAndWriteOfOneRegionStayThreadMajor)
+{
+    // Each thread reads the cell the previous thread wrote: thread
+    // order carries a count up the array, column order would not.
+    expectThreadMajorMatches(
+        R"(
+        DRAM<int> a;
+        void main(int n) {
+          foreach (n) { int i =>
+            a[i + 1] = a[i] + 1;
+          };
+        })",
+        [](DramImage &d) {
+            d.resize("a", 41 * 4); // bytes
+            return std::vector<int32_t>{40};
+        },
+        OpKind::dramWrite, "dram-chain");
+}
+
+TEST(BytecodeColumns, SramHistogramStaysThreadMajor)
+{
+    // A read-modify-write through separate SRAM read and write ops:
+    // column order would read every bucket before any thread wrote it.
+    expectThreadMajorMatches(
+        R"(
+        DRAM<int> keys; DRAM<int> out;
+        void main(int n) {
+          SRAM<int, 16> hist;
+          foreach (n) { int i =>
+            int k = keys[i];
+            hist[k] = hist[k] + 1;
+          };
+          foreach (16) { int k => out[k] = hist[k]; };
+        })",
+        [](DramImage &d) {
+            std::vector<int32_t> keys(100);
+            for (size_t i = 0; i < keys.size(); ++i)
+                keys[i] = static_cast<int32_t>(i * i % 7);
+            d.fill("keys", keys);
+            d.resize("out", 16 * 4);
+            return std::vector<int32_t>{100};
+        },
+        OpKind::sramWrite, "sram-histogram");
+}
+
+TEST(BytecodeColumns, DivNextToGuardedWriteStaysThreadMajor)
+{
+    // Thread 7 divides by zero. Thread order has written the guarded
+    // out[] of threads 0-6 when it throws; column order would have
+    // written every even thread's.
+    const std::string src = R"(
+        DRAM<int> d; DRAM<int> out; DRAM<int> q;
+        void main(int n) {
+          foreach (n) { int i =>
+            if (i % 2 == 0) { out[i] = i + 1; };
+            q[i] = 1000 / d[i];
+          };
+        })";
+    auto generate = [](DramImage &dram) {
+        std::vector<int32_t> d(12);
+        for (size_t i = 0; i < d.size(); ++i)
+            d[i] = i == 7 ? 0 : static_cast<int32_t>(i + 1);
+        dram.fill("d", d);
+        dram.resize("out", 12 * 4);
+        dram.resize("q", 12 * 4);
+        return std::vector<int32_t>{12};
+    };
+    CompileOptions raw;
+    raw.graphOpt.enable = false;
+    auto prog = CompiledArtifact::build(src, raw);
+    EXPECT_TRUE(threadMajorBlockHas(prog->bytecode(), OpKind::divs));
+
+    DramImage want_img(prog->hir());
+    const auto args = generate(want_img);
+    EXPECT_THROW(prog->interpret(want_img, args), std::runtime_error);
+    const fixtures::DramBytes want = fixtures::dramBytes(want_img);
+    ASSERT_NE(want_img.read<int32_t>("out")[6], 0);
+
+    for (Policy policy : {Policy::worklist, Policy::parallel}) {
+        DramImage dram(prog->hir());
+        generate(dram);
+        graph::ExecutionContext ctx(prog->bytecode());
+        EXPECT_THROW(ctx.run(dram, args, policy, fixtures::kOracleWorkers),
+                     std::runtime_error);
+        EXPECT_EQ(fixtures::dramBytes(dram), want)
+            << (policy == Policy::worklist ? "worklist" : "parallel");
+    }
+}
+
+class ColumnRunEdges : public ::testing::TestWithParam<int>
+{};
+
+TEST_P(ColumnRunEdges, GuardMasksMatchInterpreter)
+{
+    // One columnar block: a = input, out[] a guarded write in the even
+    // threads, both[] an unguarded write of the same value v.
+    const std::string src = R"(
+        DRAM<int> a; DRAM<int> out; DRAM<int> both;
+        void main(int n) {
+          foreach (n) { int i =>
+            int v = a[i] + 5;
+            if ((i & 1) == 0) { out[i] = v; };
+            both[i] = v;
+          };
+        })";
+    const int n = GetParam();
+    auto generate = [n](DramImage &dram) {
+        std::vector<int32_t> a(static_cast<size_t>(n));
+        for (int i = 0; i < n; ++i)
+            a[static_cast<size_t>(i)] = i * 37 - 1000;
+        dram.fill("a", a);
+        dram.resize("out", static_cast<size_t>(n) * 4);
+        dram.resize("both", static_cast<size_t>(n) * 4);
+        return std::vector<int32_t>{n};
+    };
+    CompileOptions raw;
+    raw.graphOpt.enable = false;
+    auto prog = CompiledArtifact::build(src, raw);
+
+    // Rewrite both[]'s value and index so they pass through the cases
+    // the columns must get right, and still equal v and i in every
+    // thread:
+    //   m = mov v      [g]   guarded: fires in alternate threads
+    //   x = sel g, u, v      u is read but never written: 0
+    //   s = add m, x         reads m's column in every thread
+    //   i = add i, u   [g]   i is an input lane: masked threads keep it
+    //   v = mov s      [g]   masked threads keep v's earlier value
+    graph::Dfg g = graph::lower(prog->hir());
+    bool rewritten = false;
+    for (graph::Node &node : g.nodes) {
+        auto guarded = std::find_if(
+            node.ops.begin(), node.ops.end(), [](const BlockOp &op) {
+                return op.kind == OpKind::dramWrite && op.guard >= 0;
+            });
+        if (guarded == node.ops.end())
+            continue;
+        const int guard = guarded->guard;
+        const int v = guarded->b;
+        auto both = std::find_if(
+            guarded + 1, node.ops.end(), [](const BlockOp &op) {
+                return op.kind == OpKind::dramWrite && op.guard < 0;
+            });
+        ASSERT_NE(both, node.ops.end());
+        ASSERT_EQ(both->b, v);
+        const int i = both->a;
+        ASSERT_NE(std::find(node.inputRegs.begin(), node.inputRegs.end(), i),
+                  node.inputRegs.end());
+        const int m = node.nRegs, u = m + 1, x = m + 2, s = m + 3;
+        node.nRegs += 4;
+        auto op = [](OpKind kind, int dst, int a, int b, int c, int grd) {
+            BlockOp o;
+            o.kind = kind;
+            o.dst = dst;
+            o.a = a;
+            o.b = b;
+            o.c = c;
+            o.guard = grd;
+            return o;
+        };
+        node.ops.insert(both, {op(OpKind::mov, m, v, -1, -1, guard),
+                               op(OpKind::sel, x, guard, u, v, -1),
+                               op(OpKind::add, s, m, x, -1, -1),
+                               op(OpKind::add, i, i, u, -1, guard),
+                               op(OpKind::mov, v, s, -1, -1, guard)});
+        rewritten = true;
+        break;
+    }
+    ASSERT_TRUE(rewritten);
+    ASSERT_NO_THROW(g.verify());
+    const auto bc = graph::BytecodeProgram::compile(g);
+    EXPECT_TRUE(std::any_of(bc.insts.begin(), bc.insts.end(),
+                            [](const graph::BcInst &inst) {
+                                return inst.nOps > 4 && inst.columnar;
+                            }));
+
+    const fixtures::DramBytes want = fixtures::interpreted(*prog, generate);
+    for (Policy policy : {Policy::worklist, Policy::parallel}) {
+        const fixtures::CompiledRun run = fixtures::runCompiled(
+            bc, prog->hir(), generate, policy, fixtures::kOracleWorkers);
+        EXPECT_EQ(run.dram, want)
+            << "n=" << n
+            << (policy == Policy::worklist ? " worklist" : " parallel");
+    }
+}
+
+// 256 threads is the most one firing moves (primitives.cc kMaxRun).
+INSTANTIATE_TEST_SUITE_P(RunLengths, ColumnRunEdges,
+                         ::testing::Values(1, 2, 255, 256, 257));
