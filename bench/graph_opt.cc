@@ -260,7 +260,7 @@ fixtures(int scale)
                        for (int i = 0; i < n; ++i)
                            data[i] = i * 91 + 5;
                        dram.fill("data", data);
-                       dram.resize("out", n * 4);
+                       dram.resize("out", n);
                        return std::vector<int32_t>{n};
                    },
                    Verify{}, true});
@@ -270,7 +270,7 @@ fixtures(int scale)
                        for (int i = 0; i < n; ++i)
                            words[i] = i * 2654435761u;
                        dram.fill("words", words);
-                       dram.resize("out", n * 4);
+                       dram.resize("out", n);
                        return std::vector<int32_t>{n};
                    },
                    Verify{}, true});
@@ -282,13 +282,13 @@ fixtures(int scale)
                        for (int i = 0; i < n; ++i)
                            data[i] = i * 91 + 5;
                        dram.fill("data", data);
-                       dram.resize("out", n * 4);
+                       dram.resize("out", n);
                        return std::vector<int32_t>{n};
                    },
                    Verify{}, true});
     out.push_back({"cbcp-mode", cbcpModeSrc,
                    [n](lang::DramImage &dram) {
-                       dram.resize("out", n * 4);
+                       dram.resize("out", n);
                        return std::vector<int32_t>{n};
                    },
                    Verify{}, false});
@@ -298,7 +298,7 @@ fixtures(int scale)
                        for (int i = 0; i < n; ++i)
                            src[i] = i * 2654435761u;
                        dram.fill("src", src);
-                       dram.resize("out", n * 4);
+                       dram.resize("out", n);
                        return std::vector<int32_t>{n};
                    },
                    Verify{}, false});

@@ -42,14 +42,9 @@ main()
         double revet = run.perf.gbPerSec;
         double gpu =
             revet::baselines::gpuThroughputGBs(app, 1u << 20, gpu_cfg);
-        int cpu_scale = app.name == "kD-tree" ? (1 << 15)
-            : app.name == "search" || app.name == "huff-dec" ||
-                    app.name == "huff-enc" || app.name == "hash-table"
-                ? (1 << 17)
-                : (1 << 20);
         double cpu = NAN;
         try {
-            cpu = revet::baselines::cpuThroughputGBs(app, cpu_scale);
+            cpu = revet::baselines::cpuThroughputGBs(app, app.cpuScale);
         } catch (const std::runtime_error &e) {
             std::printf("FAIL(%s): %s\n", app.name.c_str(), e.what());
             ok = false;

@@ -37,7 +37,7 @@ main()
     for (int i = 0; i < 16; ++i)
         data[i] = i + 1;
     dram.fill("data", data);
-    dram.resize("out", 17 * 4);
+    dram.resize("out", 17);
 
     auto stats = art->execute(dram, {16}); // compiled dataflow machine
     auto out = dram.read<int32_t>("out");

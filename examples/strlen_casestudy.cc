@@ -54,7 +54,7 @@ main()
     }
     dram.fill("input", text);
     dram.fill("offsets", offsets);
-    dram.resize("lengths", count * 4);
+    dram.resize("lengths", count);
 
     prog->execute(dram, {count});
     auto lengths = dram.read<int32_t>("lengths");

@@ -149,7 +149,7 @@ makeIsipv4()
                 text[t * 16 + k] = rec[k];
         }
         dram.fill("text", text);
-        dram.resize("valid", 4 * scale);
+        dram.resize("valid", scale);
         return std::vector<int32_t>{scale};
     };
     app.reference = [](DramImage &dram, const std::vector<int32_t> &,
@@ -186,6 +186,7 @@ makeIsipv4()
     };
     app.dramOverfetch = 1.6;
     app.gpu = {13, 60, 1, true, 1, 0};
+    app.gpu.divergence = 21;
     app.paper = {34, 443, 121, 7.3, 1.04, 1.07, 1.18, 83.0, 0.5};
     return app;
 }
@@ -247,7 +248,7 @@ makeIp2int()
                 text[t * 16 + k] = rec[k];
         }
         dram.fill("text", text);
-        dram.resize("packed", 4 * scale);
+        dram.resize("packed", scale);
         return std::vector<int32_t>{scale};
     };
     app.reference = [](DramImage &dram, const std::vector<int32_t> &,
@@ -273,6 +274,7 @@ makeIp2int()
     };
     app.dramOverfetch = 1.6;
     app.gpu = {13, 55, 1, true, 1, 0};
+    app.gpu.divergence = 7.5;
     app.paper = {41, 508, 381, 9.1, 1.42, 1.03, 1.55, 68.5, 13.1};
     return app;
 }
@@ -326,7 +328,7 @@ makeMurmur3()
         for (auto &w : blobs)
             w = static_cast<int32_t>(rng());
         dram.fill("blobs", blobs);
-        dram.resize("hashes", 4 * scale);
+        dram.resize("hashes", scale);
         return std::vector<int32_t>{scale};
     };
     app.reference = [](DramImage &dram, const std::vector<int32_t> &,
@@ -356,6 +358,7 @@ makeMurmur3()
         return static_cast<uint64_t>(scale) * (64 + 4);
     };
     app.gpu = {64, 180, 2, false, 1, 0};
+    app.gpu.divergence = 14;
     app.paper = {62, 628, 218, 122.2, 1.55, 1.07, 2.37, 73.9, 4.1};
     return app;
 }
@@ -454,7 +457,7 @@ makeHashTable()
         HashFixture fx = buildHashFixture(scale);
         dram.fill("keys", fx.keys);
         dram.fill("table", fx.table);
-        dram.resize("found", 4 * scale * 16);
+        dram.resize("found", scale * 16);
         return std::vector<int32_t>{scale, fx.slots};
     };
     app.reference = [](DramImage &dram, const std::vector<int32_t> &args,
@@ -485,6 +488,8 @@ makeHashTable()
         return static_cast<uint64_t>(scale) * 16 * (4 + 4);
     };
     app.gpu = {8, 40, 2, false, 1, 0, 16};
+    app.gpu.divergence = 39;
+    app.cpuScale = 1 << 17;
     app.paper = {56, 42, 40, 7.4, 2.70, 1.00, 3.23, 29.6, 2.3};
     return app;
 }
@@ -578,7 +583,7 @@ makeSearch()
         dram.fill("text", fx.text);
         dram.fill("patd", fx.pat);
         dram.fill("shiftd", fx.shift);
-        dram.resize("counts", 4 * scale);
+        dram.resize("counts", scale);
         return std::vector<int32_t>{scale, fx.m};
     };
     app.reference = [](DramImage &dram, const std::vector<int32_t> &args,
@@ -609,6 +614,8 @@ makeSearch()
         return static_cast<uint64_t>(scale) * (256 + 4);
     };
     app.gpu = {256, 900, 8, false, 1, 0};
+    app.gpu.divergence = 44;
+    app.cpuScale = 1 << 17;
     app.paper = {54, 481, 51, 120.6, 1.37, 1.18, 1.38, 66.3, 0.8};
     return app;
 }
@@ -781,7 +788,7 @@ makeHuffDec()
         HuffFixture fx = buildHuffFixture(scale);
         dram.fill("enc", fx.enc);
         dram.fill("tables", fx.tables);
-        dram.resize("dec", 4 * scale * kHuffS);
+        dram.resize("dec", scale * kHuffS);
         return std::vector<int32_t>{scale, kHuffS, kHuffW};
     };
     // S and W are the kHuffS and kHuffW that generate() passes as
@@ -819,6 +826,8 @@ makeHuffDec()
     };
     app.accountedBytes = huffAccountedBytes;
     app.gpu = {140, 1400, 4, false, 1, 0};
+    app.gpu.divergence = 47;
+    app.cpuScale = 1 << 17;
     app.paper = {40, 380, 97, 19.0, 0.98, 1.07, 1.08, 17.1, 31.6};
     return app;
 }
@@ -900,7 +909,7 @@ makeHuffEnc()
         dram.fill("symbols", fx.symbols);
         dram.fill("codesd", fx.codes);
         dram.fill("lensd", fx.lens);
-        dram.resize("enc", 4 * scale * kHuffW);
+        dram.resize("enc", scale * kHuffW);
         return std::vector<int32_t>{scale, kHuffS, kHuffW};
     };
     // S and W: as in huff-dec's reference.
@@ -917,6 +926,8 @@ makeHuffEnc()
     };
     app.accountedBytes = huffAccountedBytes;
     app.gpu = {140, 1100, 4, false, 1, 0};
+    app.gpu.divergence = 34;
+    app.cpuScale = 1 << 17;
     app.paper = {58, 409, 172, 35.0, 1.01, 1.17, 1.18, 35.0, 17.5};
     return app;
 }
@@ -1101,7 +1112,7 @@ makeKdTree()
         KdFixture fx = buildKdFixture(scale);
         dram.fill("tree", fx.tree);
         dram.fill("queries", fx.queries);
-        dram.resize("results", 4 * scale);
+        dram.resize("results", scale);
         return std::vector<int32_t>{scale};
     };
     app.reference = [](DramImage &dram, const std::vector<int32_t> &,
@@ -1119,6 +1130,8 @@ makeKdTree()
         return static_cast<uint64_t>(scale) * 16 * 4;
     };
     app.gpu = {64, 600, 12, false, 4, 0.0085};
+    app.gpu.divergence = 20;
+    app.cpuScale = 1 << 15;
     app.paper = {74, 52, 1.5, 3.4, 1.28, 0.92, 1.65, 57.1, 0.2};
     return app;
 }

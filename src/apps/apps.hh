@@ -37,6 +37,11 @@ struct GpuProfile
     int kernelsPerBatch = 1;      ///< multi-kernel launches (kD-tree)
     double launchesPerItem = 0;   ///< per-item kernel relaunch overhead
     double threadsPerScale = 1;   ///< GPU threads per app scale unit
+    /** Warp-serialization multiplier, calibrated so the model
+     * reproduces the paper's V100 measurements (Table V): uniform
+     * inner loops diverge little, data-dependent parsing, probing and
+     * matching serialize heavily. */
+    double divergence = 8;
 };
 
 struct PaperNumbers
@@ -83,6 +88,9 @@ struct App
     double dramOverfetch = 1.0;
     /** Default replicate factor used by the program (resource model). */
     int replicateFactor = 1;
+    /** Scale Table V's CPU column times reference() at: smaller for
+     * apps with long per-thread work, so each timing stays short. */
+    int cpuScale = 1 << 20;
 
     GpuProfile gpu;
     PaperNumbers paper;

@@ -42,9 +42,6 @@ struct GpuConfig
     double areaMM2 = 815.0;    ///< GV100 die
 };
 
-/** Per-workload divergence factors (warp serialization multiplier). */
-double gpuDivergence(const std::string &app_name);
-
 /** Modeled V100 throughput in GB/s for @p app at @p items threads. */
 double gpuThroughputGBs(const apps::App &app, uint64_t items,
                         const GpuConfig &cfg = {});

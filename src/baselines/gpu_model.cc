@@ -1,28 +1,11 @@
 #include "baselines/baselines.hh"
 
 #include <algorithm>
-#include <map>
 
 namespace revet
 {
 namespace baselines
 {
-
-double
-gpuDivergence(const std::string &app_name)
-{
-    // Warp-serialization multipliers, calibrated so the model reproduces
-    // the paper's V100 measurements (Table V). Uniform inner loops
-    // (murmur3) diverge little; data-dependent parsing/probing/matching
-    // serializes heavily.
-    static const std::map<std::string, double> div = {
-        {"isipv4", 21.0},  {"ip2int", 7.5},  {"murmur3", 14.0},
-        {"hash-table", 39.0}, {"search", 44.0}, {"huff-dec", 47.0},
-        {"huff-enc", 34.0},   {"kD-tree", 20.0},
-    };
-    auto it = div.find(app_name);
-    return it == div.end() ? 8.0 : it->second;
-}
 
 double
 gpuThroughputGBs(const apps::App &app, uint64_t items,
@@ -35,7 +18,7 @@ gpuThroughputGBs(const apps::App &app, uint64_t items,
 
     // Compute: dynamic instructions serialized by divergence.
     double compute_s =
-        threads * p.instrPerThread * gpuDivergence(app.name) / lane_rate;
+        threads * p.instrPerThread * p.divergence / lane_rate;
 
     // Memory: coalesced traffic is bandwidth-limited; uncoalesced
     // traffic is additionally limited by L1 tag checks (one line per

@@ -318,21 +318,14 @@ struct MachineMemory
 };
 
 /**
- * Evaluate one block op that graph::evalPureOp declined, over operand
- * values @p a, @p b, @p c: memory ops (SRAM heap, DRAM image, rmw) and
- * their stats, plus the division/remainder-by-zero machine-model
- * violations. The caller holds @p mem's mutex.
+ * Evaluate one memory op (SRAM heap, DRAM image, rmw) over operand
+ * values @p a, @p b, @p c, and count it in the stats. The caller holds
+ * @p mem's mutex.
  */
 inline Word
 memoryOp(const BlockOp &op, Word a, Word b, Word c, MachineMemory &mem)
 {
     switch (op.kind) {
-      case OpKind::divs:
-      case OpKind::divu:
-        throw std::runtime_error("division by zero in dataflow");
-      case OpKind::rems:
-      case OpKind::remu:
-        throw std::runtime_error("remainder by zero in dataflow");
       case OpKind::sramAlloc:
         return mem.alloc(op.size);
       case OpKind::sramRead: {
@@ -373,6 +366,16 @@ memoryOp(const BlockOp &op, Word a, Word b, Word c, MachineMemory &mem)
         break; // pure ops are evalPureOp's
     }
     return 0;
+}
+
+/** The machine-model violation of a div or rem @p op that met a zero
+ * divisor. */
+[[noreturn]] void
+throwZeroDivisor(const BlockOp &op)
+{
+    const bool rem = op.kind == OpKind::rems || op.kind == OpKind::remu;
+    throw std::runtime_error(rem ? "remainder by zero in dataflow"
+                                 : "division by zero in dataflow");
 }
 
 /**
@@ -490,11 +493,11 @@ registerTable(size_t regs)
 }
 
 /**
- * A block body over the program's flat tables, and the two orders its
- * lane function runs a run of threads in. Either way a register read
- * before it is written reads 0, and the run's memory effects are the
- * ones thread order leaves; the working memory is laneScratch, so a
- * context holds no register file per block.
+ * A block body over the program's flat tables. columns() is its one
+ * interpreter: blockLanes hands it a whole run or one thread at a
+ * time. Either way a register read before it is written reads 0; the
+ * working memory is laneScratch, so a context holds no register file
+ * per block.
  */
 struct BlockBody
 {
@@ -504,58 +507,20 @@ struct BlockBody
     uint32_t nOps, nRegs, nIns, nOuts;
     MachineMemory *mem;
 
-    /** Thread after thread over one register file: zero it, land the
-     * thread's inputs by the lane map, run every op, read the outputs.
-     * A memory op takes the lock for itself. */
-    void
-    threads(const dataflow::LaneRun &run) const
-    {
-        Word *regs = dataflow::laneScratch(nRegs);
-        for (size_t t = 0; t < run.n; ++t) {
-            std::fill(regs, regs + nRegs, 0);
-            for (uint32_t i = 0; i < nIns; ++i)
-                regs[inRegs[i]] = run.in[i][t];
-            for (uint32_t i = 0; i < nOps; ++i) {
-                const BlockOp &op = ops[i];
-                if (op.guard >= 0 && regs[op.guard] == 0)
-                    continue;
-                // ALU semantics live in graph::evalPureOp (shared with
-                // the optimizer's constant folder); it declines memory
-                // traffic and division by zero, which take the locked
-                // slow path.
-                Word v;
-                const Word a = op.a >= 0 ? regs[op.a] : 0;
-                const Word b = op.b >= 0 ? regs[op.b] : 0;
-                const Word c = op.c >= 0 ? regs[op.c] : 0;
-                if (!evalPureOp(op, a, b, c, v)) {
-                    std::lock_guard<std::mutex> guard(mem->mu);
-                    v = memoryOp(op, a, b, c, *mem);
-                }
-                if (op.dst >= 0)
-                    regs[op.dst] = v;
-            }
-            for (uint32_t i = 0; i < nOuts; ++i)
-                run.out[i][t] = regs[outRegs[i]];
-        }
-    }
-
     /**
-     * Column by column: each op runs once over the whole run (one
-     * dispatch, and one lock for a memory op). A register is a column
-     * of n words: an input lane's column read in place until an op
-     * writes the register, a shared zero column until anything does,
-     * then the register's own column in the scratch. A guarded op
-     * first copies the register's current column into its own, so
-     * the threads it masks off keep their value. Returns false, with
-     * no memory touched and no output written, if a div or rem met a
-     * zero divisor: compile() allows those only in blocks without
-     * memory ops, so threads() can run the run again and throw as
-     * thread order does.
+     * Threads t0 .. t0 + n - 1 of @p run, column by column: each op
+     * runs once over the n threads (one dispatch, and one lock for a
+     * memory op). A register is a column of n words: an input lane's
+     * column read in place until an op writes the register, a shared
+     * zero column until anything does, then the register's own column
+     * in the scratch. A guarded op first copies the register's current
+     * column into its own, so the threads it masks off keep their
+     * value. Returns the div or rem that met a zero divisor, with no
+     * output written and the ops before it done, or null.
      */
-    bool
-    columns(const dataflow::LaneRun &run) const
+    const BlockOp *
+    columns(const dataflow::LaneRun &run, size_t t0, size_t n) const
     {
-        const size_t n = run.n;
         // nRegs register columns, then a zero and a discard column.
         Word *cols = dataflow::laneScratch((nRegs + 2) * n);
         Word *zero = cols + nRegs * n;
@@ -564,7 +529,7 @@ struct BlockBody
         const Word **reg = registerTable(nRegs);
         std::fill(reg, reg + nRegs, zero);
         for (uint32_t i = 0; i < nIns; ++i)
-            reg[inRegs[i]] = run.in[i];
+            reg[inRegs[i]] = run.in[i] + t0;
         auto col = [&](int r) { return r >= 0 ? reg[r] : zero; };
         for (uint32_t i = 0; i < nOps; ++i) {
             const BlockOp &op = ops[i];
@@ -577,18 +542,24 @@ struct BlockBody
             const OpColumns c{op.guard >= 0 ? reg[op.guard] : nullptr,
                               col(op.a), col(op.b), col(op.c), d, n};
             if (!kOpColumn[static_cast<size_t>(op.kind)](op, c, *mem))
-                return false;
+                return &op;
             if (op.dst >= 0)
                 reg[op.dst] = d;
         }
         for (uint32_t i = 0; i < nOuts; ++i)
-            std::copy(reg[outRegs[i]], reg[outRegs[i]] + n, run.out[i]);
-        return true;
+            std::copy(reg[outRegs[i]], reg[outRegs[i]] + n, run.out[i] + t0);
+        return nullptr;
     }
 };
 
-/** A block's lane function: its body column by column when compile()
- * marked it columnar, else thread after thread. */
+/**
+ * A block's lane function. A block compile() marked columnar runs the
+ * whole run in one columns() call. Any other block runs it one thread
+ * at a time, so its memory effects come in thread order, and so does
+ * a columnar run that met a zero divisor: compile() allows a div or
+ * rem there only without memory ops, so the rerun redoes no effect and
+ * throws for the first thread that fails, as thread order does.
+ */
 dataflow::LaneFn
 blockLanes(const BytecodeProgram &prog, const BcInst &inst,
            MachineMemory &mem)
@@ -601,11 +572,13 @@ blockLanes(const BytecodeProgram &prog, const BcInst &inst,
                          inst.nIns,
                          inst.nOuts,
                          &mem};
-    if (!inst.columnar)
-        return [body](const dataflow::LaneRun &run) { body.threads(run); };
-    return [body](const dataflow::LaneRun &run) {
-        if (!body.columns(run))
-            body.threads(run);
+    return [body, columnar = inst.columnar](const dataflow::LaneRun &run) {
+        if (columnar && !body.columns(run, 0, run.n))
+            return;
+        for (size_t t = 0; t < run.n; ++t) {
+            if (const BlockOp *op = body.columns(run, t, 1))
+                throwZeroDivisor(*op);
+        }
     };
 }
 

@@ -15,12 +15,13 @@
  * block body or the park bookkeeping over the shared machine memory
  * (bytecode.cc). Like every primitive, they fire a run at a time
  * (primitives.hh): one call of a block's lane function takes the whole
- * data run its firing snapshotted. Most blocks run it column by column,
- * each op over every thread of the run before the next op (the vRDA's
- * lanes, in software); compile() marks them, and keeps thread after
- * thread for the few blocks whose memory effects could come out
- * differently in that order, so every run leaves memory as thread
- * order, the interpreter's, does. A park or restore books its whole
+ * data run its firing snapshotted. One loop runs every block body
+ * column by column, each op over a slice of the run before the next
+ * op (the vRDA's lanes, in software): the whole run for most blocks,
+ * which compile() marks columnar, and one thread at a time for the few
+ * whose memory effects could come out differently in that order, so
+ * every run leaves memory as thread order, the interpreter's, does.
+ * A park or restore books its whole
  * run under one lock of the machine memory. A quantum stays one
  * thread or barrier moved. The keyed restore is the one role with a
  * private process: it re-pairs values with keys across two streams. A fanout
@@ -100,7 +101,7 @@ struct BcInst
 {
     BcOp op = BcOp::sink;
     bool sense = true;   ///< filter polarity
-    bool columnar = false; ///< block body may run column by column
+    bool columnar = false; ///< block runs a whole run per op, not a thread
     uint32_t nRegs = 0;  ///< block register-file size
     int32_t level = 1;   ///< broadcast hierarchy distance
     Word init = 0;       ///< reduce initial value

@@ -28,9 +28,10 @@ DramImage::indexOf(const std::string &name) const
 }
 
 void
-DramImage::resize(const std::string &name, size_t bytes)
+DramImage::resize(const std::string &name, size_t count)
 {
-    regions_[indexOf(name)].assign(bytes, 0);
+    const int d = indexOf(name);
+    regions_[d].assign(count * dramElemBytes(elems_[d]), 0);
 }
 
 std::vector<uint8_t> &

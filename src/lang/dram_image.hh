@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,8 +31,9 @@ class DramImage
      * bind sizes with resize()). */
     explicit DramImage(const Program &program);
 
-    /** Size region @p name to @p bytes (zero-filled). */
-    void resize(const std::string &name, size_t bytes);
+    /** Size region @p name to @p count elements of its element type
+     * (zero-filled). */
+    void resize(const std::string &name, size_t count);
 
     /** Raw bytes of a region. */
     std::vector<uint8_t> &bytes(const std::string &name);
@@ -51,14 +53,19 @@ class DramImage
     /** Write element @p idx (no-op out of range). */
     void store(int dram, uint64_t idx, uint32_t value);
 
-    /** Convenience typed fill from a host vector. */
+    /** Convenience typed fill from a host vector: one element per
+     * entry of @p data, whose type must be the region's element width.
+     * @throws std::invalid_argument on a width mismatch. */
     template <typename T>
     void
     fill(const std::string &region, const std::vector<T> &data)
     {
-        resize(region, data.size() * sizeof(T));
-        std::memcpy(bytes(region).data(), data.data(),
-                    data.size() * sizeof(T));
+        resize(region, data.size());
+        auto &b = bytes(region);
+        if (b.size() != data.size() * sizeof(T))
+            throw std::invalid_argument("fill of DRAM region '" + region +
+                                        "' with entries of another width");
+        std::memcpy(b.data(), data.data(), b.size());
     }
 
     /** Convenience typed read-back. */

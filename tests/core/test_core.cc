@@ -37,7 +37,7 @@ TEST(CoreApi, InterpretAndExecuteAgree)
           out[0] = acc;
         })");
     const fixtures::Generate gen = [](lang::DramImage &dram) {
-        dram.resize("out", 4);
+        dram.resize("out", 1);
         return std::vector<int32_t>{10};
     };
     lang::DramImage b(prog->hir());
@@ -160,7 +160,7 @@ TEST(CoreApi, RandomizedCollatzStress)
             src,
             [&](lang::DramImage &dram) {
                 dram.fill("data", data);
-                dram.resize("out", 40 * 4);
+                dram.resize("out", 40);
                 return std::vector<int32_t>{40};
             },
             "full", "trial " + std::to_string(trial));

@@ -541,7 +541,7 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
         })");
     auto runWith = [&](graph::ExecutionContext &ctx, int32_t n) {
         lang::DramImage dram(artifact->hir());
-        dram.resize("out", sizeof(int32_t));
+        dram.resize("out", 1);
         ctx.run(dram, {n});
         return dram.read<int32_t>("out")[0];
     };
@@ -571,7 +571,7 @@ TEST(ServePool, RecyclesDiscardsAndSelfHeals)
     for (size_t i = 0; i < ns.size(); ++i) {
         requests[i].args = {ns[i]};
         requests[i].prepare = [](lang::DramImage &dram) {
-            dram.resize("out", sizeof(int32_t));
+            dram.resize("out", 1);
         };
     }
     serve::ServeOptions opts;

@@ -388,7 +388,7 @@ TEST(Multicast, CompiledFanoutChainRunsAsOneGroup)
             const bool watched = rep == 1;
             ctx.setValueWatch(watched);
             lang::DramImage dram(hir);
-            dram.resize("out", 3 * n * 4);
+            dram.resize("out", 3 * n);
             auto stats = ctx.run(dram, {}, policy, kTestWorkers);
             const std::string label = std::string(policyName(policy)) +
                 " run " + std::to_string(rep);

@@ -46,7 +46,7 @@ languageFixtures()
            out[0] = x;
          })",
          [](DramImage &d) {
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{8};
          }},
         {"while-loop",
@@ -58,7 +58,7 @@ languageFixtures()
            out[0] = acc;
          })",
          [](DramImage &d) {
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{37};
          }},
         {"nested-while",
@@ -74,7 +74,7 @@ languageFixtures()
            out[0] = acc;
          })",
          [](DramImage &d) {
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{12};
          }},
         {"collatz-while-in-foreach",
@@ -96,7 +96,7 @@ languageFixtures()
              for (int i = 0; i < 24; ++i)
                  data[i] = i + 1;
              d.fill("data", data);
-             d.resize("out", 24 * 4);
+             d.resize("out", 24);
              return std::vector<int32_t>{24};
          }},
         {"nested-foreach-reduce",
@@ -112,7 +112,7 @@ languageFixtures()
            out[0] = total;
          })",
          [](DramImage &d) {
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{6};
          }},
         {"foreach-with-exit",
@@ -126,7 +126,7 @@ languageFixtures()
            out[0] = total;
          })",
          [](DramImage &d) {
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{20};
          }},
         {"fork-and-rmw",
@@ -144,7 +144,7 @@ languageFixtures()
            };
          })",
          [](DramImage &d) {
-             d.resize("out", 64);
+             d.resize("out", 16);
              return std::vector<int32_t>{5};
          }},
         {"read-iterator",
@@ -160,7 +160,7 @@ languageFixtures()
              std::vector<int8_t> text(60, 'x');
              text[47] = 0;
              d.fill("text", text);
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{0};
          }},
         {"sram-scratchpad",
@@ -177,7 +177,7 @@ languageFixtures()
            out[0] = total;
          })",
          [](DramImage &d) {
-             d.resize("out", 4);
+             d.resize("out", 1);
              return std::vector<int32_t>{0};
          }},
         // Narrow loop-carried values: the while header's fbMerge gets
@@ -201,7 +201,7 @@ languageFixtures()
            };
          })",
          [](DramImage &d) {
-             d.resize("out", 24 * 4);
+             d.resize("out", 24);
              return std::vector<int32_t>{24};
          }},
         // A fork inside the replicate body multiplies the thread
@@ -222,7 +222,7 @@ languageFixtures()
            };
          })",
          [](DramImage &d) {
-             d.resize("out", 32 * 4);
+             d.resize("out", 32);
              return std::vector<int32_t>{12};
          }},
         // Pass-over values around a thread-reordering replicate body
@@ -250,7 +250,7 @@ languageFixtures()
              for (int i = 0; i < 20; ++i)
                  data[i] = i * 91 + 5;
              d.fill("data", data);
-             d.resize("out", 20 * 4);
+             d.resize("out", 20);
              return std::vector<int32_t>{20};
          }},
         // Threads dying inside the region (exit under an if): their
@@ -271,7 +271,7 @@ languageFixtures()
            };
          })",
          [](DramImage &d) {
-             d.resize("out", 18 * 4);
+             d.resize("out", 18);
              return std::vector<int32_t>{18};
          }},
         // Pass-over values around an order-preserving replicate
@@ -299,7 +299,7 @@ languageFixtures()
              for (int i = 0; i < 20; ++i)
                  data[i] = i * 91 + 5;
              d.fill("data", data);
-             d.resize("out", 20 * 4);
+             d.resize("out", 20);
              return std::vector<int32_t>{20};
          }},
     };

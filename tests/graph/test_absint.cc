@@ -228,7 +228,7 @@ void main(int n) {
 }
 )";
     auto gen = [](DramImage &dram) {
-        dram.resize("out", 48 * 4);
+        dram.resize("out", 48);
         return std::vector<int32_t>{48};
     };
 
@@ -286,7 +286,7 @@ void main(int n) {
         for (int i = 0; i < n; ++i)
             data[i] = static_cast<int32_t>(i * 2654435761u);
         dram.fill("src", data);
-        dram.resize("out", n * 4);
+        dram.resize("out", n);
         return std::vector<int32_t>{n};
     };
     Dfg g = fixtures::expectMatchesInterpreter(src, gen, "full",
@@ -342,7 +342,7 @@ strlenHandleImage(DramImage &dram)
     }
     dram.fill("input", text);
     dram.fill("offsets", offsets);
-    dram.resize("lengths", count * 4);
+    dram.resize("lengths", count);
     return {count};
 }
 

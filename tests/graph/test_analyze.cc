@@ -968,7 +968,7 @@ TEST(AnalyzeDeadlock, KeyedParkMinSafeMatchesExecutedPeak)
     for (auto policy : {dataflow::Engine::Policy::worklist,
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(prog);
-        dram.resize("out", n * 4);
+        dram.resize("out", n);
         const auto bc = graph::BytecodeProgram::compile(g);
         auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_TRUE(stats.drained);

@@ -5,12 +5,14 @@
  * diagnostic names, argument slots in source-node order), pinned so
  * the format documented in README.md cannot drift silently.
  *
- * The rule that picks each block's loop order is pinned here from
- * both sides: the per-app count of blocks that run column by column,
- * programs whose blocks must stay thread after thread (their memory
- * effects would come out differently column by column), and a
- * columnar block's guard masks and register columns at run lengths
- * around the firing cap, all against the AST interpreter.
+ * Every block body runs through one column loop, over a whole run or
+ * one thread at a time; the rule that picks which is pinned here from
+ * both sides: the per-app count of blocks that run whole runs,
+ * programs whose blocks must stay one thread at a time (their memory
+ * effects would come out differently column by column), a columnar
+ * block's guard masks and register columns at run lengths around the
+ * firing cap, all against the AST interpreter, and the zero-divisor
+ * message of a columnar run, which must follow thread order.
  *
  * Execution results are otherwise certified elsewhere: against the AST
  * interpreter and across scheduling policies by the scheduler
@@ -118,13 +120,13 @@ TEST(BytecodeProgram, ArgSlotsFollowSourceNodeOrder)
     EXPECT_EQ(seen, (std::vector<int32_t>{0, 1}));
 
     DramImage dram(prog->hir());
-    dram.resize("out", 4);
+    dram.resize("out", 1);
     prog->execute(dram, {9, 4});
     EXPECT_EQ(dram.read<int32_t>("out")[0], 5);
 
     // Missing arguments are a machine-model error, not a silent 0.
     DramImage dram2(prog->hir());
-    dram2.resize("out", 4);
+    dram2.resize("out", 1);
     EXPECT_THROW(prog->execute(dram2, {9}), std::runtime_error);
 }
 
@@ -150,7 +152,8 @@ columnarBlocks(const graph::BytecodeProgram &bc)
     return {columnar, blocks};
 }
 
-/** True if a thread-major block of @p bc has an op of kind @p kind. */
+/** True if a block of @p bc that runs one thread at a time has an op
+ * of kind @p kind. */
 bool
 threadMajorBlockHas(const graph::BytecodeProgram &bc, OpKind kind)
 {
@@ -165,6 +168,26 @@ threadMajorBlockHas(const graph::BytecodeProgram &bc, OpKind kind)
     return false;
 }
 
+/** True if a columnar block of @p bc has an op of kind @p first and a
+ * later op of kind @p second. */
+bool
+columnarBlockHasInOrder(const graph::BytecodeProgram &bc, OpKind first,
+                        OpKind second)
+{
+    for (const graph::BcInst &inst : bc.insts) {
+        if (inst.op != BcOp::block || !inst.columnar)
+            continue;
+        bool seen_first = false;
+        for (uint32_t i = 0; i < inst.nOps; ++i) {
+            const OpKind kind = bc.ops[inst.ops + i].kind;
+            if (seen_first && kind == second)
+                return true;
+            seen_first |= kind == first;
+        }
+    }
+    return false;
+}
+
 graph::BytecodeProgram
 rawBytecode(const std::string &source)
 {
@@ -174,8 +197,9 @@ rawBytecode(const std::string &source)
 }
 
 /** Run @p source's bytecode and the interpreter on images from
- * @p generate; both must stay thread-major for @p kind and agree under
- * both policies, unoptimized and fully optimized. */
+ * @p generate; a block with @p kind must run one thread at a time,
+ * and both must agree under both policies, unoptimized and fully
+ * optimized. */
 void
 expectThreadMajorMatches(const std::string &source,
                          const fixtures::Generate &generate, OpKind kind,
@@ -221,7 +245,7 @@ TEST(BytecodeColumns, DramReadAndWriteOfOneRegionStayThreadMajor)
           };
         })",
         [](DramImage &d) {
-            d.resize("a", 41 * 4); // bytes
+            d.resize("a", 41);
             return std::vector<int32_t>{40};
         },
         OpKind::dramWrite, "dram-chain");
@@ -247,7 +271,7 @@ TEST(BytecodeColumns, SramHistogramStaysThreadMajor)
             for (size_t i = 0; i < keys.size(); ++i)
                 keys[i] = static_cast<int32_t>(i * i % 7);
             d.fill("keys", keys);
-            d.resize("out", 16 * 4);
+            d.resize("out", 16);
             return std::vector<int32_t>{100};
         },
         OpKind::sramWrite, "sram-histogram");
@@ -271,8 +295,8 @@ TEST(BytecodeColumns, DivNextToGuardedWriteStaysThreadMajor)
         for (size_t i = 0; i < d.size(); ++i)
             d[i] = i == 7 ? 0 : static_cast<int32_t>(i + 1);
         dram.fill("d", d);
-        dram.resize("out", 12 * 4);
-        dram.resize("q", 12 * 4);
+        dram.resize("out", 12);
+        dram.resize("q", 12);
         return std::vector<int32_t>{12};
     };
     CompileOptions raw;
@@ -294,6 +318,58 @@ TEST(BytecodeColumns, DivNextToGuardedWriteStaysThreadMajor)
                      std::runtime_error);
         EXPECT_EQ(fixtures::dramBytes(dram), want)
             << (policy == Policy::worklist ? "worklist" : "parallel");
+    }
+}
+
+TEST(BytecodeColumns, ZeroDivisorMessageFollowsThreadOrder)
+{
+    // One memory-free columnar block: thread 1 meets % by zero in its
+    // later op, thread 3 meets / by zero in its earlier one. Column
+    // order meets thread 3's first; the run must fail as thread order,
+    // the interpreter's, does: with thread 1's remainder.
+    const std::string src = R"(
+        DRAM<int> out;
+        void main(int n) {
+          int acc = foreach (n) { int i =>
+            int q = 100 / (i - 3);
+            return q + 100 % (i - 1);
+          };
+          out[0] = acc;
+        })";
+    for (const char *pipeline : {"none", "full"}) {
+        CompileOptions opts;
+        opts.graphOpt.enable = std::string(pipeline) == "full";
+        auto prog = CompiledArtifact::build(src, opts);
+        EXPECT_TRUE(columnarBlockHasInOrder(prog->bytecode(), OpKind::divs,
+                                            OpKind::rems))
+            << pipeline;
+
+        DramImage want(prog->hir());
+        want.resize("out", 1);
+        try {
+            prog->interpret(want, {8});
+            ADD_FAILURE() << pipeline << ": the interpreter did not throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "remainder by zero") << pipeline;
+        }
+
+        for (Policy policy : {Policy::worklist, Policy::parallel}) {
+            const char *which =
+                policy == Policy::worklist ? "worklist" : "parallel";
+            DramImage dram(prog->hir());
+            dram.resize("out", 1);
+            graph::ExecutionContext ctx(prog->bytecode());
+            try {
+                ctx.run(dram, {8}, policy, fixtures::kOracleWorkers);
+                ADD_FAILURE() << pipeline << " " << which << ": no throw";
+            } catch (const std::runtime_error &e) {
+                // The engine prefixes the failing process's name.
+                const std::string what = e.what();
+                EXPECT_NE(what.find("] remainder by zero in dataflow"),
+                          std::string::npos)
+                    << pipeline << " " << which << ": " << what;
+            }
+        }
     }
 }
 
@@ -319,8 +395,8 @@ TEST_P(ColumnRunEdges, GuardMasksMatchInterpreter)
         for (int i = 0; i < n; ++i)
             a[static_cast<size_t>(i)] = i * 37 - 1000;
         dram.fill("a", a);
-        dram.resize("out", static_cast<size_t>(n) * 4);
-        dram.resize("both", static_cast<size_t>(n) * 4);
+        dram.resize("out", static_cast<size_t>(n));
+        dram.resize("both", static_cast<size_t>(n));
         return std::vector<int32_t>{n};
     };
     CompileOptions raw;

@@ -59,7 +59,7 @@ TEST(DataflowExec, StraightLine)
           int b = (a ^ 21) & 0xff;
           out[0] = a; out[1] = b; out[2] = a - b;
         })",
-        [](DramImage &d) { d.resize("out", 12); }, {14});
+        [](DramImage &d) { d.resize("out", 3); }, {14});
 }
 
 TEST(DataflowExec, IfStatementBothArms)
@@ -73,7 +73,7 @@ TEST(DataflowExec, IfStatementBothArms)
               if (n > 5) { x = n * 2; } else { x = n + 100; };
               out[0] = x;
             })",
-            [](DramImage &d) { d.resize("out", 4); }, {arg});
+            [](DramImage &d) { d.resize("out", 1); }, {arg});
     }
 }
 
@@ -90,7 +90,7 @@ TEST(DataflowExec, IfWithDivisionStaysBranchy)
               if (n != 0) { x = 1000 / n; };
               out[0] = x;
             })",
-            [](DramImage &d) { d.resize("out", 4); }, {arg});
+            [](DramImage &d) { d.resize("out", 1); }, {arg});
     }
 }
 
@@ -104,7 +104,7 @@ TEST(DataflowExec, WhileLoopZeroTrips)
           while (i < n) { i++; };
           out[0] = i + 55;
         })",
-        [](DramImage &d) { d.resize("out", 4); }, {0});
+        [](DramImage &d) { d.resize("out", 1); }, {0});
 }
 
 TEST(DataflowExec, ForeachParallelStores)
@@ -117,7 +117,7 @@ TEST(DataflowExec, ForeachParallelStores)
             out[i] = i * 7 + 3;
           };
         })",
-        [](DramImage &d) { d.resize("out", 64 * 4); }, {64});
+        [](DramImage &d) { d.resize("out", 64); }, {64});
 }
 
 TEST(DataflowExec, ForeachReduction)
@@ -131,7 +131,7 @@ TEST(DataflowExec, ForeachReduction)
           };
           out[0] = total;
         })",
-        [](DramImage &d) { d.resize("out", 4); }, {50});
+        [](DramImage &d) { d.resize("out", 1); }, {50});
 }
 
 TEST(DataflowExec, ForeachBroadcastsParentValues)
@@ -147,7 +147,7 @@ TEST(DataflowExec, ForeachBroadcastsParentValues)
           out[0] = total;
           out[1] = scale;
         })",
-        [](DramImage &d) { d.resize("out", 8); }, {17});
+        [](DramImage &d) { d.resize("out", 2); }, {17});
 }
 
 TEST(DataflowExec, ForeachInsideWhile)
@@ -169,7 +169,7 @@ TEST(DataflowExec, ForeachInsideWhile)
           };
           out[0] = acc;
         })",
-        [](DramImage &d) { d.resize("out", 4); }, {9});
+        [](DramImage &d) { d.resize("out", 1); }, {9});
 }
 
 TEST(DataflowExec, AtomicRmw)
@@ -186,7 +186,7 @@ TEST(DataflowExec, AtomicRmw)
           out[0] = cell[0];
           out[1] = last;
         })",
-        [](DramImage &d) { d.resize("out", 8); }, {10});
+        [](DramImage &d) { d.resize("out", 2); }, {10});
 }
 
 TEST(DataflowExec, EliminatedHierarchy)
@@ -201,7 +201,7 @@ TEST(DataflowExec, EliminatedHierarchy)
           };
           out[n] = 999;
         })",
-        [](DramImage &d) { d.resize("out", 33 * 4); }, {32});
+        [](DramImage &d) { d.resize("out", 33); }, {32});
 }
 
 TEST(DataflowExec, StrlenFigure7Complete)
@@ -240,7 +240,7 @@ TEST(DataflowExec, StrlenFigure7Complete)
         }
         d.fill("input", text);
         d.fill("offsets", offsets);
-        d.resize("lengths", 32 * 4);
+        d.resize("lengths", 32);
     };
     expectDataflowMatches(src, fill, {32});
 }
@@ -288,7 +288,7 @@ TEST(DataflowExec, HashProbeLoop)
             keys.push_back(1 + static_cast<int32_t>(rng() % 1000));
         d.fill("keys", keys);
         d.fill("table", table);
-        d.resize("out", 32 * 4);
+        d.resize("out", 32);
     };
     expectDataflowMatches(src, fill, {32});
 }
@@ -462,7 +462,7 @@ TEST(DataflowExec, KeyedRestoreRepairsOutOfOrderThreads)
     for (auto policy : {dataflow::Engine::Policy::worklist,
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
-        dram.resize("out", n * 4);
+        dram.resize("out", n);
         const auto bc = graph::BytecodeProgram::compile(g);
         auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_TRUE(stats.drained);
@@ -485,7 +485,7 @@ TEST(DataflowExec, ParkedSlotHighWaterMark)
     for (auto policy : {dataflow::Engine::Policy::worklist,
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
-        dram.resize("out", n * 4);
+        dram.resize("out", n);
         const auto bc = graph::BytecodeProgram::compile(g);
         auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_EQ(stats.sramParkedPeak, static_cast<uint64_t>(n));
@@ -504,7 +504,7 @@ TEST(DataflowExec, DeadThreadParkSlotsReclaimedAtBatchClose)
     for (auto policy : {dataflow::Engine::Policy::worklist,
                         dataflow::Engine::Policy::parallel}) {
         DramImage dram(outProgram());
-        dram.resize("out", n * 4);
+        dram.resize("out", n);
         auto stats = graph::ExecutionContext(bc).run(dram, {}, policy, 2);
         EXPECT_TRUE(stats.drained);
         // All n values parked; none left behind after batch close.
@@ -526,7 +526,7 @@ TEST(DataflowExec, KeyedRestoreLeavesNoResidueOnHealthyGraphs)
     const int n = 8;
     auto bc = graph::BytecodeProgram::compile(reversedRestoreGraph(n));
     DramImage dram(outProgram());
-    dram.resize("out", n * 4);
+    dram.resize("out", n);
     auto stats = graph::ExecutionContext(bc).run(dram, {});
     EXPECT_EQ(stats.sramParkedEnd, 0u);
 }
@@ -545,7 +545,7 @@ TEST(DataflowExec, BytecodeStallReportNamesProcesses)
     }
     auto bc = graph::BytecodeProgram::compile(g);
     DramImage dram(outProgram());
-    dram.resize("out", (n + 1) * 4);
+    dram.resize("out", n + 1);
     try {
         graph::ExecutionContext(bc).run(dram, {});
         FAIL() << "expected the missing-key graph to stall";

@@ -907,8 +907,8 @@ diffOnce(uint32_t seed, int stages, const std::string &config)
         for (auto &v : input)
             v = static_cast<int32_t>(data());
         dram.fill("in", input);
-        dram.resize("scratch", static_cast<size_t>(gen.scratchElems) * 4);
-        dram.resize("out", static_cast<size_t>(gen.outElems) * 4);
+        dram.resize("scratch", static_cast<size_t>(gen.scratchElems));
+        dram.resize("out", static_cast<size_t>(gen.outElems));
         return std::vector<int32_t>{};
     };
     const BytecodeProgram raw_bc = BytecodeProgram::compile(gen.graph);

@@ -1413,7 +1413,7 @@ TEST(GraphOptPipeline, ReplicateParkRoundTripExecutes)
         for (int i = 0; i < 16; ++i)
             data[i] = i * 37 + 11;
         dram.fill("data", data);
-        dram.resize("out", 64);
+        dram.resize("out", 16);
         return std::vector<int32_t>{16};
     };
     const auto run = fixtures::runCompiled(
@@ -1458,7 +1458,7 @@ TEST(GraphOptPipeline, OrdinalParkRoundTripExecutes)
         for (int i = 0; i < 20; ++i)
             data[i] = i * 91 + 5;
         dram.fill("data", data);
-        dram.resize("out", 80);
+        dram.resize("out", 20);
         return std::vector<int32_t>{20};
     };
     const auto want = fixtures::interpreted(*prog, gen);
@@ -1492,7 +1492,7 @@ TEST(GraphOptPipeline, SourceOrderSurvivesOptimization)
     EXPECT_EQ(sources[2], "__arg1");
 
     lang::DramImage dram(prog->hir());
-    dram.resize("out", 4);
+    dram.resize("out", 1);
     prog->execute(dram, {11, 22});
     EXPECT_EQ(dram.read<int32_t>("out")[0], 22);
 }

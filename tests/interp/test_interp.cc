@@ -50,7 +50,7 @@ TEST(Interp, ScalarArithmetic)
           uint v = u >> 4;
           out[0] = a; out[1] = b; out[2] = c; out[3] = v & 0xff;
         })");
-    r.dram.resize("out", 4 * 4);
+    r.dram.resize("out", 4);
     r.go({10});
     auto out = r.dram.read<int32_t>("out");
     EXPECT_EQ(out[0], 31);
@@ -70,7 +70,7 @@ TEST(Interp, SignedOperations)
           out[2] = neg < 0 ? 1 : 0;
           out[3] = -neg;
         })");
-    r.dram.resize("out", 16);
+    r.dram.resize("out", 4);
     r.go({9});
     auto out = r.dram.read<int32_t>("out");
     EXPECT_EQ(out[0], -3);
@@ -89,7 +89,7 @@ TEST(Interp, NarrowTypesWrap)
           short s = 40000; // wraps negative
           out[0] = c; out[1] = u; out[2] = s;
         })");
-    r.dram.resize("out", 12);
+    r.dram.resize("out", 3);
     r.go({0});
     auto out = r.dram.read<int32_t>("out");
     EXPECT_EQ(out[0], -56);
@@ -112,7 +112,7 @@ TEST(Interp, WhileAndIf)
           if (fib1 > 100) { out[0] = 1; } else { out[0] = 0; };
           out[1] = fib1;
         })");
-    r.dram.resize("out", 8);
+    r.dram.resize("out", 2);
     auto stats = r.go({10});
     auto out = r.dram.read<int32_t>("out");
     EXPECT_EQ(out[1], 89);
@@ -130,7 +130,7 @@ TEST(Interp, ForeachSpawnsThreadsAndReduces)
           };
           out[0] = total;
         })");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     auto stats = r.go({100});
     EXPECT_EQ(r.dram.read<int32_t>("out")[0], 328350);
     EXPECT_EQ(stats.foreachThreads, 100u);
@@ -146,7 +146,7 @@ TEST(Interp, ForeachByStep)
           };
           out[0] = total;
         })");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     auto stats = r.go({64});
     // base in {0,16,32,48} -> 96.
     EXPECT_EQ(r.dram.read<int32_t>("out")[0], 96);
@@ -164,7 +164,7 @@ TEST(Interp, ExitSkipsReduction)
           };
           out[0] = total;
         })");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     r.go({10});
     EXPECT_EQ(r.dram.read<int32_t>("out")[0], 5);
 }
@@ -182,7 +182,7 @@ TEST(Interp, NestedForeachBroadcastSemantics)
           };
           out[0] = total;
         })");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     r.go({3});
     // i=0: 0; i=1: 10+11=21; i=2: 20+21+22=63 -> 84.
     EXPECT_EQ(r.dram.read<int32_t>("out")[0], 84);
@@ -203,7 +203,7 @@ TEST(Interp, ForkContinuation)
             out[k] = acc[k];
           };
         })");
-    r.dram.resize("out", 32);
+    r.dram.resize("out", 8);
     auto stats = r.go({3});
     auto out = r.dram.read<int32_t>("out");
     // fork(3) x fork(2) = 6 threads covering cells 0..5 exactly once.
@@ -231,7 +231,7 @@ TEST(Interp, ForkInsideWhile)
           };
           out[0] = acc[0];
         })");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     r.go({8});
     EXPECT_EQ(r.dram.read<int32_t>("out")[0], 8);
 }
@@ -249,7 +249,7 @@ TEST(Interp, DramRandomAccess)
     std::vector<int32_t> table(32);
     std::iota(table.begin(), table.end(), 100);
     r.dram.fill("table", table);
-    r.dram.resize("out", 32 * 4);
+    r.dram.resize("out", 32);
     r.go({32});
     auto out = r.dram.read<int32_t>("out");
     for (int i = 0; i < 32; ++i)
@@ -273,7 +273,7 @@ TEST(Interp, ViewsRoundTrip)
     std::vector<int32_t> src(64);
     std::iota(src.begin(), src.end(), 0);
     r.dram.fill("src", src);
-    r.dram.resize("dst", 64 * 4);
+    r.dram.resize("dst", 64);
     r.go({64});
     auto out = r.dram.read<int32_t>("dst");
     for (int i = 0; i < 64; ++i)
@@ -300,7 +300,7 @@ TEST(Interp, ReadIteratorWalksDram)
     for (int i = 0; i < 100; ++i)
         text[i] = static_cast<int8_t>(i % 50);
     r.dram.fill("text", text);
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     auto stats = r.go({100});
     int expect = 0;
     for (int i = 0; i < 100; ++i)
@@ -330,7 +330,7 @@ TEST(Interp, PeekIteratorAndSkip)
     std::vector<int32_t> data(64);
     std::iota(data.begin(), data.end(), 0);
     r.dram.fill("data", data);
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     r.go({5});
     int expect = 0;
     for (int i = 0; i < 5; ++i)
@@ -351,7 +351,7 @@ TEST(Interp, WriteIteratorFlushesTiles)
             i++;
           };
         })");
-    r.dram.resize("out", 40);
+    r.dram.resize("out", 10);
     r.go({10});
     auto out = r.dram.read<int32_t>("out");
     for (int i = 0; i < 10; ++i)
@@ -372,7 +372,7 @@ TEST(Interp, ManualWriteItNeedsFlush)
           };
           if (n % 4 != 0) { flush(it); };
         })");
-    r.dram.resize("out", 40);
+    r.dram.resize("out", 10);
     r.go({6});
     auto out = r.dram.read<int32_t>("out");
     for (int i = 0; i < 6; ++i)
@@ -392,7 +392,7 @@ TEST(Interp, ManualWriteItWithoutFlushLosesTail)
             i++;
           };
         })");
-    r.dram.resize("out", 40);
+    r.dram.resize("out", 10);
     r.go({6});
     auto out = r.dram.read<int32_t>("out");
     // First full tile flushed automatically; the partial tail is lost.
@@ -443,7 +443,7 @@ TEST(Interp, StrlenFigure7EndToEnd)
     }
     r.dram.fill("input", text);
     r.dram.fill("offsets", offsets);
-    r.dram.resize("lengths", 128 * 4);
+    r.dram.resize("lengths", 128);
     auto stats = r.go({128});
     auto lengths = r.dram.read<int32_t>("lengths");
     for (int i = 0; i < 128; ++i)
@@ -464,7 +464,7 @@ TEST(Interp, AtomicsAreReadModifyWrite)
           out[0] = cell[0];
           out[1] = last;
         })");
-    r.dram.resize("out", 8);
+    r.dram.resize("out", 2);
     r.go({10});
     auto out = r.dram.read<int32_t>("out");
     EXPECT_EQ(out[0], 20);
@@ -483,7 +483,7 @@ TEST(Interp, CompoundSramUpdate)
           buf[1] |= 32;
           out[0] = buf[1];
         })");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     r.go({0});
     EXPECT_EQ(r.dram.read<int32_t>("out")[0], 47);
 }
@@ -491,7 +491,7 @@ TEST(Interp, CompoundSramUpdate)
 TEST(Interp, DivisionByZeroThrows)
 {
     Rig r("DRAM<int> out; void main(int n) { out[0] = 1 / n; }");
-    r.dram.resize("out", 4);
+    r.dram.resize("out", 1);
     EXPECT_THROW(r.go({0}), std::runtime_error);
 }
 
@@ -515,9 +515,40 @@ TEST(Interp, ReplicateIsSemanticallyTransparent)
             out[i] = v;
           };
         })");
-    r.dram.resize("out", 16 * 4);
+    r.dram.resize("out", 16);
     r.go({16});
     auto out = r.dram.read<int32_t>("out");
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(out[i], i * 2);
+}
+
+TEST(DramImage, ResizeCountsIntElements)
+{
+    Rig r(R"(
+        DRAM<int> out;
+        void main(int n) {
+          foreach (n) { int i => out[i] = i + 1; };
+        })");
+    r.dram.resize("out", 3);
+    EXPECT_EQ(r.dram.bytes("out").size(), 3 * sizeof(int32_t));
+    r.go({3});
+    EXPECT_EQ(r.dram.read<int32_t>("out"), (std::vector<int32_t>{1, 2, 3}));
+}
+
+TEST(DramImage, ResizeCountsCharElements)
+{
+    Rig r(R"(
+        DRAM<char> out;
+        void main(int n) {
+          foreach (n) { int i => out[i] = 97 + i; };
+        })");
+    r.dram.resize("out", 5);
+    EXPECT_EQ(r.dram.bytes("out").size(), 5u);
+    r.go({5});
+    EXPECT_EQ(r.dram.read<int8_t>("out"),
+              (std::vector<int8_t>{'a', 'b', 'c', 'd', 'e'}));
+    // A fill sizes by the same count, so its entries must be as wide
+    // as the region's elements.
+    EXPECT_THROW(r.dram.fill("out", std::vector<int32_t>{1}),
+                 std::invalid_argument);
 }

@@ -101,7 +101,7 @@ TEST(LowerAdapters, ReadViewSemantics)
             std::vector<int32_t> data(64);
             std::iota(data.begin(), data.end(), 5);
             dram.fill("src", data);
-            dram.resize("dst", 64 * 4);
+            dram.resize("dst", 64);
         },
         {64});
 }
@@ -126,7 +126,7 @@ TEST(LowerAdapters, ReadIteratorSemantics)
             text[0] = 9;
             text[77] = 0; // terminator
             dram.fill("text", text);
-            dram.resize("out", 4);
+            dram.resize("out", 1);
         },
         {0});
 }
@@ -152,7 +152,7 @@ TEST(LowerAdapters, PeekIteratorSemantics)
             std::vector<int32_t> data(64);
             std::iota(data.begin(), data.end(), 1);
             dram.fill("data", data);
-            dram.resize("out", 4);
+            dram.resize("out", 1);
         },
         {12});
 }
@@ -173,7 +173,7 @@ TEST(LowerAdapters, ManualWriteItSemantics)
           flush(w);
         })",
         passes::lowerAdapters,
-        [](DramImage &dram) { dram.resize("out", 30 * 4); }, {11});
+        [](DramImage &dram) { dram.resize("out", 30); }, {11});
 }
 
 TEST(LowerAdapters, ModifyViewSemantics)
@@ -231,7 +231,7 @@ TEST(EliminateHierarchy, PreservesSemantics)
           out[n] = 12345;
         })",
         passes::eliminateHierarchy,
-        [](DramImage &dram) { dram.resize("out", 65 * 4); }, {64});
+        [](DramImage &dram) { dram.resize("out", 65); }, {64});
 }
 
 TEST(EliminateHierarchy, PreservesReduction)
@@ -247,7 +247,7 @@ TEST(EliminateHierarchy, PreservesReduction)
           out[0] = total;
         })",
         passes::eliminateHierarchy,
-        [](DramImage &dram) { dram.resize("out", 4); }, {100});
+        [](DramImage &dram) { dram.resize("out", 1); }, {100});
 }
 
 TEST(EliminateHierarchy, ZeroThreads)
@@ -263,7 +263,7 @@ TEST(EliminateHierarchy, ZeroThreads)
           out[0] = total + 1;
         })",
         passes::eliminateHierarchy,
-        [](DramImage &dram) { dram.resize("out", 4); }, {0});
+        [](DramImage &dram) { dram.resize("out", 1); }, {0});
 }
 
 TEST(EliminateHierarchy, ByStepSemantics)
@@ -278,7 +278,7 @@ TEST(EliminateHierarchy, ByStepSemantics)
           };
         })",
         passes::eliminateHierarchy,
-        [](DramImage &dram) { dram.resize("out", 8 * 4); }, {100});
+        [](DramImage &dram) { dram.resize("out", 8); }, {100});
 }
 
 TEST(EliminateHierarchy, RejectsExitInBody)
@@ -327,7 +327,7 @@ TEST(IfToSelect, PreservesSemanticsBothBranches)
               out[2] = x + y;
             })",
             passes::ifToSelect,
-            [](DramImage &dram) { dram.resize("out", 12); }, {arg});
+            [](DramImage &dram) { dram.resize("out", 3); }, {arg});
     }
 }
 
@@ -361,7 +361,7 @@ TEST(IfToSelect, LeavesDivisionAlone)
     EXPECT_TRUE(hasStmt(*p.main(), StmtKind::ifStmt));
     // And it still runs with n = 0.
     DramImage dram(p);
-    dram.resize("out", 4);
+    dram.resize("out", 1);
     EXPECT_NO_THROW(interp::run(p, dram, {0}));
 }
 
@@ -382,7 +382,7 @@ TEST(IfToSelect, NestedIfsConvertInnerFirst)
               out[0] = r;
             })",
             [](Program &p) { passes::ifToSelect(p); },
-            [](DramImage &dram) { dram.resize("out", 4); }, {arg});
+            [](DramImage &dram) { dram.resize("out", 1); }, {arg});
     }
 }
 
@@ -421,7 +421,7 @@ TEST(Pipeline, FullStrlenThroughAllPasses)
         }
         dram.fill("input", text);
         dram.fill("offsets", offsets);
-        dram.resize("lengths", 64 * 4);
+        dram.resize("lengths", 64);
     };
     expectPassPreservesSemantics(
         src, [](Program &p) { passes::runPipeline(p); }, fill, {64});
@@ -445,7 +445,7 @@ TEST(Pipeline, PassOrderIndependentResults)
         for (int i = 0; i < 32; ++i)
             data[i] = (i * 37) % 100;
         dram.fill("data", data);
-        dram.resize("out", 32 * 4);
+        dram.resize("out", 32);
     };
     expectPassPreservesSemantics(
         src,
