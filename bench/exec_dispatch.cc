@@ -1,10 +1,12 @@
 /**
  * @file
  * Dispatch cost of the executor on the ALU-dense Table III apps
- * (ip2int, murmur3), whose graphs are dominated by block firings, and
- * on huff-dec, whose short runs over wide bundles are the case where
- * run-at-a-time firing gains least: wall time per scheduler quantum
- * and per token.
+ * (ip2int, murmur3), whose graphs are dominated by block firings, on
+ * huff-dec, whose short runs over wide bundles are the case where
+ * run-at-a-time firing gains least, and on huff-enc, search, kD-tree
+ * and hash-table, whose bundles are wide and channel work dominates:
+ * wall time per scheduler quantum and per token, with the run's
+ * cursor notifications and the wakeups they made.
  *
  * Each fixture is compiled once and run under the worklist policy
  * kRepeats times, the fixtures interleaved repetition by repetition so
@@ -71,6 +73,8 @@ struct Fixture
     std::vector<double> ms; ///< wall time of each repetition
     uint64_t quanta = 0;
     uint64_t tokens = 0; ///< summed over every link
+    uint64_t notifications = 0;
+    uint64_t wakeups = 0;
     bool drained = true;
     bool matches = true;
 };
@@ -89,6 +93,8 @@ runOnce(Fixture &f)
     if (f.ms.size() > 1)
         return;
     f.quanta = stats.schedQuanta;
+    f.notifications = stats.schedNotifications;
+    f.wakeups = stats.schedWakeups;
     for (uint64_t n : stats.linkTokens)
         f.tokens += n;
     f.drained = stats.drained;
@@ -132,7 +138,11 @@ main()
     std::vector<Fixture> fixtures;
     for (auto [name, scale] : {std::pair<const char *, int>{"ip2int", 192},
                                {"murmur3", 192},
-                               {"huff-dec", 3}}) {
+                               {"huff-dec", 3},
+                               {"huff-enc", 5},
+                               {"search", 5},
+                               {"kD-tree", 13},
+                               {"hash-table", 36}}) {
         Fixture f;
         f.name = name;
         f.scale = scale;
@@ -153,25 +163,32 @@ main()
         const Spread q = nsPer(f, f.quanta);
         const Spread t = nsPer(f, f.tokens);
         const double ms = quantile(f.ms, 0.5);
-        std::printf("  %-9s scale %-4d %7.2f ms  %llu quanta  %.1f "
+        std::printf("  %-10s scale %-4d %7.2f ms  %llu quanta  %.1f "
                     "[%.1f, %.1f] ns/quantum  %llu tokens  %.2f "
-                    "[%.2f, %.2f] ns/token\n",
+                    "[%.2f, %.2f] ns/token  %llu notifications  %llu "
+                    "wakeups\n",
                     f.name.c_str(), f.scale, ms,
                     static_cast<unsigned long long>(f.quanta), q.median,
                     q.q1, q.q3, static_cast<unsigned long long>(f.tokens),
-                    t.median, t.q1, t.q3);
+                    t.median, t.q1, t.q3,
+                    static_cast<unsigned long long>(f.notifications),
+                    static_cast<unsigned long long>(f.wakeups));
         std::printf("{\"bench\":\"exec_dispatch\",\"fixture\":\"%s\","
                     "\"scale\":%d,\"repeats\":%d,\"ms\":%.3f,"
                     "\"quanta\":%llu,\"ns_per_quantum\":%.1f,"
                     "\"ns_per_quantum_q1\":%.1f,"
                     "\"ns_per_quantum_q3\":%.1f,\"tokens\":%llu,"
                     "\"ns_per_token\":%.2f,\"ns_per_token_q1\":%.2f,"
-                    "\"ns_per_token_q3\":%.2f,\"drained\":%s,"
+                    "\"ns_per_token_q3\":%.2f,\"notifications\":%llu,"
+                    "\"wakeups\":%llu,\"drained\":%s,"
                     "\"matches_interpreter\":%s}\n",
                     f.name.c_str(), f.scale, kRepeats, ms,
                     static_cast<unsigned long long>(f.quanta), q.median,
                     q.q1, q.q3, static_cast<unsigned long long>(f.tokens),
-                    t.median, t.q1, t.q3, f.drained ? "true" : "false",
+                    t.median, t.q1, t.q3,
+                    static_cast<unsigned long long>(f.notifications),
+                    static_cast<unsigned long long>(f.wakeups),
+                    f.drained ? "true" : "false",
                     f.matches ? "true" : "false");
         if (!f.drained) {
             std::printf("  FAIL(%s): execution did not drain\n",

@@ -47,9 +47,19 @@ App::verify(DramImage &dram, int scale) const
         const auto diff = std::mismatch(want.begin(), want.end(),
                                         got.begin());
         if (diff.first != want.end()) {
-            os << dram.name(r) << " byte " << diff.first - want.begin()
-               << ": expected " << int{*diff.first} << ", got "
-               << int{*diff.second};
+            // Report the element in the region's own width and sign.
+            const lang::Scalar elem = dram.elemType(r);
+            const uint64_t at =
+                static_cast<uint64_t>(diff.first - want.begin()) /
+                static_cast<uint64_t>(lang::dramElemBytes(elem));
+            auto value = [&](const DramImage &img) {
+                const uint32_t v = img.load(r, at);
+                return lang::isSigned(elem)
+                    ? std::to_string(static_cast<int32_t>(v))
+                    : std::to_string(v);
+            };
+            os << dram.name(r) << " element " << at << ": expected "
+               << value(expect) << ", got " << value(dram);
             return os.str();
         }
     }

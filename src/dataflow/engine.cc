@@ -1,5 +1,6 @@
 #include "dataflow/engine.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -21,7 +22,7 @@ namespace
 {
 
 // Per-process scheduling states for Policy::parallel: the atomic
-// replacement for the worklist's in_queue_ bitmap. Deque entries map
+// replacement for the worklist's per-process queued flag. Deque entries map
 // 1:1 onto transitions *into* kQueued (CAS winners in notify, plus the
 // unique runner in the requeue paths), and only a deque pop or the
 // quiescence leader's claim CAS moves kQueued -> kRunning, so a process
@@ -432,36 +433,122 @@ Engine::registerProcess(Process *proc)
     // One writer and one reader per link, checked before anything is
     // wired: a second endpoint would silently steal the first one's
     // wakeups.
-    for (const Channel *ch : proc->inputs()) {
-        if (!ch->reader_) {
+    const std::vector<Channel *> &ins = proc->inputs();
+    const std::vector<Channel *> &outs = proc->outputs();
+    auto twice = [](const std::vector<Channel *> &lanes, size_t i) {
+        for (size_t j = 0; j < i; ++j) {
+            if (lanes[j] == lanes[i])
+                return true;
+        }
+        return false;
+    };
+    for (size_t i = 0; i < ins.size(); ++i) {
+        const Channel *ch = ins[i];
+        if (ch->cursor_ == nullptr) {
             throw std::logic_error(
                 proc->name() + ": channel '" + ch->name() +
                 "' feeds a multicast; read one of its cursors");
         }
-        if (ch->consumer_ != nullptr) {
+        if (ch->consumer() != nullptr) {
             throw std::logic_error(
                 proc->name() + ": channel '" + ch->name() +
-                "' is already read by " + ch->consumer_->name());
+                "' is already read by " + ch->consumer()->name());
+        }
+        if (twice(ins, i)) {
+            throw std::logic_error(proc->name() + ": channel '" +
+                                   ch->name() + "' is read twice");
         }
     }
-    for (const Channel *ch : proc->outputs()) {
-        if (ch->ring_ != ch) {
+    for (size_t i = 0; i < outs.size(); ++i) {
+        const Channel *ch = outs[i];
+        if (ch->root_ != ch) {
             throw std::logic_error(
                 proc->name() + ": channel '" + ch->name() +
                 "' carries multicast root '" + ch->ringRoot()->name() +
                 "''s ring; write the root");
         }
-        if (ch->producer_ != nullptr) {
+        if (ch->producer() != nullptr) {
             throw std::logic_error(
                 proc->name() + ": channel '" + ch->name() +
-                "' is already written by " + ch->producer_->name());
+                "' is already written by " + ch->producer()->name());
+        }
+        if (twice(outs, i)) {
+            throw std::logic_error(proc->name() + ": channel '" +
+                                   ch->name() + "' is written twice");
+        }
+        if (outs.size() > 1 && ch->ring_->pending()) {
+            throw std::logic_error(proc->name() + ": channel '" +
+                                   ch->name() + "' is not empty");
         }
     }
     proc->sched_id_ = procs_.size();
-    for (Channel *ch : proc->inputs())
-        ch->setConsumer(proc);
-    for (Channel *ch : proc->outputs())
-        ch->setProducer(proc);
+
+    // The output lanes fold into one ring, column j carrying lane j;
+    // each lane's cursors keep their order, lane after lane.
+    if (!outs.empty()) {
+        Ring &ring = *outs[0]->ring_;
+        Cursor **at = nullptr;
+        for (size_t j = 1; j < outs.size(); ++j) {
+            ring.widen();
+            at = ring.absorb(*outs[j]->ring_, static_cast<uint32_t>(j),
+                             nullptr, at);
+        }
+        ring.producer_ = proc;
+        proc->out_ = &ring;
+        if (outs.size() > 1) {
+            std::vector<Process *> touched;
+            ring.groupCursors(touched);
+            for (Process *p : touched)
+                rewire(p);
+        }
+    }
+
+    // Each input lane's cursor becomes the process's, and joins an
+    // earlier lane's of its argument on the same ring: the group keeps
+    // the cursor first in the ring's wakeup order.
+    for (size_t a = 0; a < proc->args_; ++a) {
+        const uint32_t first = proc->argEnds_[a];
+        for (uint32_t i = first; i < proc->argEnds_[a + 1]; ++i) {
+            Cursor *c = ins[i]->cursor_;
+            c->consumer_ = proc;
+            c->arg_ = static_cast<uint32_t>(a);
+            c->lanes_.front().pos = i - first;
+            for (uint32_t j = first; j < i; ++j) {
+                Cursor *d = ins[j]->cursor_;
+                if (d->ring_ != c->ring_ || d->head_ != c->head_ ||
+                    d->count_ != c->count_)
+                    continue;
+                Ring &ring = *c->ring_;
+                if (ring.precedes(c, d))
+                    ring.merge(*c, *d);
+                else
+                    ring.merge(*d, *c);
+                break;
+            }
+        }
+    }
+    for (Channel *ch : ins)
+        ch->ring_->dropMerged();
+    rewire(proc);
+}
+
+void
+Engine::rewire(Process *proc)
+{
+    proc->cursors_.clear();
+    for (size_t a = 0; a < proc->args_; ++a) {
+        const size_t first = proc->cursors_.size();
+        for (uint32_t i = proc->argEnds_[a]; i < proc->argEnds_[a + 1];
+             ++i) {
+            Cursor *c = proc->inputs()[i]->cursor_;
+            if (std::find(proc->cursors_.begin() + first,
+                          proc->cursors_.end(),
+                          c) == proc->cursors_.end())
+                proc->cursors_.push_back(c);
+        }
+        proc->cursorEnds_[a + 1] =
+            static_cast<uint32_t>(proc->cursors_.size());
+    }
 }
 
 void
@@ -476,28 +563,39 @@ Engine::multicast(Channel *in, const std::vector<Channel *> &outs)
     foreign(in);
     for (const Channel *out : outs)
         foreign(out);
-    Channel::wireMulticast(in, outs);
+    for (Process *proc : Channel::wireMulticast(in, outs))
+        rewire(proc);
+}
+
+void
+Engine::resetChannels()
+{
+    // A live ring is the own ring of the channel that embeds it.
+    for (auto &ch : channels_) {
+        if (ch->ring_ == &ch->ownRing_)
+            ch->ownRing_.reset();
+    }
 }
 
 bool
 Engine::enqueue(Process *proc)
 {
-    if (!scheduling_ || proc == nullptr)
+    if (!scheduling_ || proc == nullptr || proc->queued_)
         return false;
-    const size_t id = proc->sched_id_;
-    if (id >= in_queue_.size() || in_queue_[id])
-        return false;
-    in_queue_[id] = true;
+    proc->queued_ = true;
     ready_.push_back(proc);
     return true;
 }
 
 void
-Engine::parallelNotify(Process *proc)
+Engine::parallelNotify(Process *proc, bool token)
 {
     Par *par = par_.load(std::memory_order_seq_cst);
-    if (par != nullptr)
-        par->notify(proc);
+    if (par == nullptr)
+        return;
+    if (token && Par::tlWorker != nullptr && Par::tlWorker->par == par)
+        ++Par::tlWorker->stats.notifications;
+    par->notify(proc);
 }
 
 int
@@ -560,12 +658,11 @@ Engine::runWorklist(uint64_t max_rounds)
 {
     scheduling_ = true;
     ready_.clear();
-    in_queue_.assign(procs_.size(), false);
     // Everything starts ready: callers may have pushed tokens between
     // runs, and self-driving primitives (sources, counters) have no
     // input edge to wake them.
     for (auto &proc : procs_) {
-        in_queue_[proc->sched_id_] = true;
+        proc->queued_ = true;
         ready_.push_back(proc.get());
     }
 
@@ -605,7 +702,7 @@ Engine::runWorklist(uint64_t max_rounds)
                  --n) {
                 Process *proc = ready_.front();
                 ready_.pop_front();
-                in_queue_[proc->sched_id_] = false;
+                proc->queued_ = false;
                 int quanta = proc->runQuanta(kBurst);
                 ++sched_.steps;
                 if (quanta == 0)
@@ -624,6 +721,9 @@ Engine::runWorklist(uint64_t max_rounds)
         }
     } catch (...) {
         scheduling_ = false;
+        for (Process *proc : ready_)
+            proc->queued_ = false;
+        ready_.clear();
         throw;
     }
     scheduling_ = false;
@@ -679,6 +779,7 @@ Engine::runParallel(uint64_t max_rounds)
         sched_.idleSteps += w->stats.idleSteps;
         sched_.quanta += w->stats.quanta;
         sched_.wakeups += w->stats.wakeups;
+        sched_.notifications += w->stats.notifications;
         sched_.verifyPasses += w->stats.verifyPasses;
         sched_.missedWakeups += w->stats.missedWakeups;
         sched_.steals += w->stats.steals;

@@ -12,7 +12,8 @@
  *  - Policy::worklist (default) — readiness-driven: channels notify the
  *    engine on empty->non-empty (wakes the consumer) and full->non-full
  *    (wakes the producer) transitions, and only primitives on the ready
- *    deque are stepped; an in-queue bitmap deduplicates wakeups.
+ *    deque are stepped; a per-process queued flag deduplicates
+ *    wakeups, read inline by the ring that notifies.
  *    Primitives only examine channel heads, emptiness, and free
  *    capacity, so these transitions cover every way a blocked primitive
  *    can become runnable. Quiescence is still *certified* by a full
@@ -23,7 +24,7 @@
  *  - Policy::parallel — the worklist sharded across N worker threads
  *    with per-worker run deques and Chase-Lev-style work stealing
  *    (owners run LIFO from the back, thieves take FIFO from the front).
- *    The global in-queue bitmap becomes a per-process atomic state
+ *    The queued flag becomes a per-process atomic state
  *    machine (idle/queued/running) plus a notification latch, and the
  *    single-threaded verification rescan becomes a distributed
  *    quiescence protocol: an atomic active-work counter plus an idle
@@ -74,6 +75,10 @@ struct SchedStats
     /** Ready-deque insertions triggered by channel transitions
      * (full-burst self-requeues are not counted). */
     uint64_t wakeups = 0;
+    /** Cursor empty -> non-empty edges, each one notification of the
+     * cursor's consumer, counted before the already-queued check that
+     * turns most of them into no wakeup. */
+    uint64_t notifications = 0;
     /** Full verification rescans used to certify quiescence. */
     uint64_t verifyPasses = 0;
     /** Verification rescans that found progress. For the single-thread
@@ -143,9 +148,9 @@ class Engine
     }
 
     /**
-     * Link fan-out as the network does it: @p in stops reading its
-     * ring and every ring of @p outs is folded into it (see
-     * channel.hh), so each out becomes a read cursor of that ring, each
+     * Link fan-out as the network does it: @p in stops reading, and
+     * every ring of @p outs is folded into @p in's ring column (see
+     * channel.hh), so each out reads that column through a cursor, each
      * token pushed into it is written once and delivered to every
      * out's consumer, and no process copies it. When @p in is itself a
      * cursor, @p outs join its ring, so a chain of fanouts is one
@@ -155,6 +160,10 @@ class Engine
      *         writers or two readers.
      */
     void multicast(Channel *in, const std::vector<Channel *> &outs);
+
+    /** Channel::resetForReuse of every channel, with each ring reset
+     * once. Setup-only. */
+    void resetChannels();
 
     /** Construct and register a primitive. */
     template <typename P, typename... Args>
@@ -206,46 +215,57 @@ class Engine
         return channels_;
     }
 
-    /** Channel notification: @p ch went empty -> non-empty. */
+    /** Ring notification: a cursor read by @p consumer went empty ->
+     * non-empty. Serial runs skip the enqueue when the consumer is
+     * already queued. */
     void
-    onTokenAvailable(Channel *ch)
+    onTokenAvailable(Process *consumer)
     {
         if (par_.load(std::memory_order_relaxed) != nullptr) {
-            parallelNotify(ch->consumer());
+            parallelNotify(consumer, true);
             return;
         }
-        if (enqueue(ch->consumer()))
+        ++sched_.notifications;
+        if (consumer != nullptr && !consumer->queued_ && enqueue(consumer))
             ++sched_.wakeups;
     }
 
-    /** Channel notification: @p ch went full -> non-full. */
+    /** Cursor notification: a bounded cursor of @p producer's ring went
+     * full -> non-full. */
     void
-    onSpaceAvailable(Channel *ch)
+    onSpaceAvailable(Process *producer)
     {
         if (par_.load(std::memory_order_relaxed) != nullptr) {
-            parallelNotify(ch->producer());
+            parallelNotify(producer, false);
             return;
         }
-        if (enqueue(ch->producer()))
+        if (enqueue(producer))
             ++sched_.wakeups;
     }
 
   private:
     struct Par; // one parallel run's scheduler state (engine.cc)
 
-    /** Wire @p proc's channel back-references and give it the next
-     * scheduler id. @throws std::logic_error (wiring nothing) when it
-     * would read a multicast root, write a multicast cursor, or give a
-     * channel a second reader or writer. */
+    /** Give @p proc the next scheduler id and wire its channels: its
+     * output lanes' rings fold into one, its input lanes' cursors
+     * become its, and the cursors of one bundle argument on one ring
+     * group into one. @throws std::logic_error (wiring nothing) when
+     * it would read a multicast root, write a multicast cursor, give a
+     * channel a second reader or writer, or fold a ring holding
+     * tokens. */
     void registerProcess(Process *proc);
     /** Put @p proc on the ready deque unless it is already queued (or
      * no worklist run is active). Returns true if it was inserted;
      * only channel-event insertions count as SchedStats::wakeups. */
     bool enqueue(Process *proc);
+    /** Rebuild @p proc's cursor lists after wiring grouped its
+     * cursors. */
+    static void rewire(Process *proc);
     uint64_t runWorklist(uint64_t max_rounds);
     uint64_t runParallel(uint64_t max_rounds);
-    /** Parallel-mode readiness notification for @p proc. */
-    void parallelNotify(Process *proc);
+    /** Parallel-mode readiness notification for @p proc; @p token
+     * marks a cursor's empty -> non-empty edge. */
+    void parallelNotify(Process *proc, bool token);
     [[noreturn]] void throwLivelock(uint64_t max_rounds) const;
 
     Policy policy_;
@@ -255,7 +275,6 @@ class Engine
 
     // Worklist scheduler state (valid while runWorklist is active).
     std::deque<Process *> ready_;
-    std::vector<bool> in_queue_;
     bool scheduling_ = false;
     // Parallel scheduler state (non-null while runParallel is active);
     // atomic so stallReport and the channel notification hooks can

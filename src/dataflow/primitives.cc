@@ -9,9 +9,28 @@ namespace revet
 namespace dataflow
 {
 
-// Note on backpressure: Channel::push throws on a full bounded channel,
-// so every run is sized by its outputs' room() and every one-token push
-// is preceded by a canPush() / runCap() guard in the same firing.
+// Note on backpressure: a push throws on a full bounded cursor, so
+// every run is sized by its output ring's room() and every one-token
+// push is preceded by a canPush() / runCap() guard in the same firing.
+
+void
+Process::declareIo(std::initializer_list<Lanes> args, Lanes outs)
+{
+    if (args.size() > kMaxArgs)
+        throw std::logic_error(name_ + ": more bundle arguments than " +
+                               std::to_string(kMaxArgs));
+    size_t lanes = 0;
+    for (const Lanes &arg : args)
+        lanes += arg.n;
+    io_ins_.clear();
+    io_ins_.reserve(lanes);
+    args_ = 0;
+    for (const Lanes &arg : args) {
+        io_ins_.insert(io_ins_.end(), arg.ch, arg.ch + arg.n);
+        argEnds_[++args_] = static_cast<uint32_t>(io_ins_.size());
+    }
+    io_outs_.assign(outs.ch, outs.ch + outs.n);
+}
 
 bool
 Process::idle() const
@@ -132,26 +151,20 @@ scratch(size_t words)
     return buf.data();
 }
 
-/** The lanes a run helper works on: a bundle's, or one channel (which
- * must outlive the call). */
-struct Lanes
-{
-    Lanes(const Bundle &bundle) : ch(bundle.data()), n(bundle.size()) {}
-    Lanes(Channel *const &one) : ch(&one), n(1) {}
-
-    Channel *const *ch;
-    size_t n;
-};
-
-/** The threads a firing into @p outs may move: at most @p budget and
- * kMaxRun, and no more than every channel of @p outs has room for. */
+/** The threads a firing may move with @p room free on its outputs:
+ * at most @p budget and kMaxRun. */
 size_t
-runCap(int budget, Lanes outs)
+runCap(int budget, size_t room)
 {
-    size_t cap = std::min(static_cast<size_t>(budget), kMaxRun);
-    for (size_t i = 0; i < outs.n; ++i)
-        cap = std::min(cap, outs.ch[i]->room());
-    return cap;
+    return std::min({static_cast<size_t>(budget), kMaxRun, room});
+}
+
+/** The free room of the output ring @p out (unbounded without
+ * outputs). */
+size_t
+roomOf(const Ring *out)
+{
+    return out ? out->room() : Channel::unbounded;
 }
 
 /** What a bundle's heads show: kind -1 when some lane is empty
@@ -164,25 +177,26 @@ struct Heads
 };
 
 /**
- * The one read of @p lanes a firing makes: blocked if any lane is
- * empty, else each lane read once (Channel::peek), its leading data
- * run — at most @p cap words — into column @p cols + i * kMaxRun.
+ * The one read of bundle argument @p in a firing makes: blocked if any
+ * cursor is empty, else each cursor read once (Cursor::peekRun), the
+ * leading data run of the lane at position i — at most @p cap words —
+ * into column @p cols + i * kMaxRun.
  * @throws std::runtime_error if the heads are misaligned (a mix of
  * data and barriers, or differing barrier levels) — a machine-model
  * violation.
  */
 Heads
-readHeads(Lanes lanes, size_t cap, Word *cols)
+readHeads(Reader in, size_t cap, Word *cols)
 {
-    for (size_t i = 0; i < lanes.n; ++i) {
-        if (lanes.ch[i]->empty())
+    for (size_t i = 0; i < in.n; ++i) {
+        if (in.cur[i]->empty())
             return {-1, 0};
     }
     bool any_data = false;
     int level = -1;
-    for (size_t i = 0; i < lanes.n; ++i) {
+    for (size_t i = 0; i < in.n; ++i) {
         int head = 0;
-        const size_t n = lanes.ch[i]->peek(cols + i * kMaxRun, cap, head);
+        const size_t n = in.cur[i]->peekRun(cols, kMaxRun, cap, head);
         if (head == 0) {
             any_data = true;
             cap = n;
@@ -201,25 +215,38 @@ readHeads(Lanes lanes, size_t cap, Word *cols)
     return any_data ? Heads{0, cap} : Heads{level, 0};
 }
 
-/** Move the @p n threads readHeads put in @p cols from @p from to
- * @p outs, lane by lane. Unbounded channels never wake a producer on
- * consume, so lane-by-lane wakes consumers in the same order as taking
- * the whole bundle before pushing. */
-int
-moveRun(Lanes from, Lanes outs, const Word *cols, size_t n)
+/** Take @p n tokens from every lane of @p in. */
+void
+consumeRun(Reader in, size_t n)
 {
-    for (size_t i = 0; i < outs.n; ++i) {
-        from.ch[i]->consume(n);
-        outs.ch[i]->pushData(cols + i * kMaxRun, n);
-    }
-    return static_cast<int>(n);
+    for (size_t i = 0; i < in.n; ++i)
+        in.cur[i]->consume(n);
 }
 
-inline void
-dropLanes(const Bundle &bundle)
+/** Append the run of @p n threads in columns @p cols + j * kMaxRun to
+ * @p out (nothing without outputs). */
+void
+pushRun(Ring *out, const Word *cols, size_t n)
 {
-    for (Channel *ch : bundle)
-        ch->consume(1);
+    if (out)
+        out->pushRun(cols, kMaxRun, n);
+}
+
+void
+pushBarrier(Ring *out, int level)
+{
+    if (out)
+        out->pushBarrier(level);
+}
+
+/** Move the @p n threads readHeads put in @p cols from @p from to
+ * @p out: one consume per cursor, then one push. */
+int
+moveRun(Reader from, Ring *out, const Word *cols, size_t n)
+{
+    consumeRun(from, n);
+    pushRun(out, cols, n);
+    return static_cast<int>(n);
 }
 
 } // namespace
@@ -259,16 +286,17 @@ Sink::fire(int budget)
 int
 ElementWise::fire(int budget)
 {
-    const size_t cap = runCap(budget, outs_);
+    const size_t cap = runCap(budget, roomOf(outRing()));
     if (cap == 0)
         return 0;
     Word *cols = scratch((ins_.size() + outs_.size()) * kMaxRun);
-    const Heads heads = readHeads(ins_, cap, cols);
+    const Reader in = reader(0);
+    const Heads heads = readHeads(in, cap, cols);
     if (heads.kind < 0)
         return 0;
     if (heads.kind > 0) {
-        dropLanes(ins_);
-        pushBarrier(outs_, heads.kind);
+        consumeRun(in, 1);
+        pushBarrier(outRing(), heads.kind);
         return 1;
     }
     const size_t n = heads.n;
@@ -278,28 +306,26 @@ ElementWise::fire(int budget)
         out_cols_[j] = cols + (ins_.size() + j) * kMaxRun;
     fn_(LaneRun{n, ins_.size(), outs_.size(), in_cols_.data(),
                 out_cols_.data()});
-    for (Channel *ch : ins_)
-        ch->consume(n);
-    for (size_t j = 0; j < outs_.size(); ++j)
-        outs_[j]->pushData(out_cols_[j], n);
+    consumeRun(in, n);
+    pushRun(outRing(), cols + ins_.size() * kMaxRun, n);
     return static_cast<int>(n);
 }
 
 int
 Broadcast::fire(int budget)
 {
-    const size_t cap = runCap(budget, out_);
+    const size_t cap = runCap(budget, out_->room());
     if (cap == 0)
         return 0;
     Word *col = scratch(kMaxRun);
-    const Heads deep = readHeads(deep_, cap, col);
+    const Heads deep = readHeads(reader(0), cap, col);
     if (deep.kind < 0)
         return 0;
     // The shallow stream moves at its own rate: read its head only
     // when the deep head needs it, and its element only for data.
     Word sh = 0;
     if (deep.kind == 0) {
-        const Heads shallow = readHeads(shallow_, 1, &sh);
+        const Heads shallow = readHeads(reader(1), 1, &sh);
         if (shallow.kind < 0)
             return 0;
         if (shallow.kind > 0) {
@@ -322,7 +348,7 @@ Broadcast::fire(int budget)
         out_->push(Token::barrier(j));
         return 1;
     }
-    const int shallow = readHeads(shallow_, 0, &sh).kind;
+    const int shallow = readHeads(reader(1), 0, &sh).kind;
     if (shallow < 0)
         return 0;
     if (j == level_) {
@@ -347,20 +373,20 @@ Counter::fire(int budget)
 {
     if (mode_ == Mode::idle) {
         Word *cols = scratch(ins_.size() * kMaxRun);
-        const Heads heads = readHeads(ins_, 1, cols);
+        const Heads heads = readHeads(reader(0), 1, cols);
         if (heads.kind < 0)
             return 0;
         if (heads.kind > 0) {
             if (!out_->canPush())
                 return 0;
-            dropLanes(ins_);
+            consumeRun(reader(0), 1);
             out_->push(Token::barrier(heads.kind + 1));
             return 1;
         }
         cur_ = static_cast<int32_t>(cols[0]);
         lim_ = static_cast<int32_t>(cols[kMaxRun]);
         stride_ = static_cast<int32_t>(cols[2 * kMaxRun]);
-        dropLanes(ins_);
+        consumeRun(reader(0), 1);
         if (stride_ == 0)
             throw std::runtime_error(name() + ": zero counter stride");
         mode_ = Mode::run;
@@ -374,7 +400,7 @@ Counter::fire(int budget)
             mode_ = Mode::term;
         } else {
             const size_t n = std::min(
-                runCap(budget, out_),
+                runCap(budget, out_->room()),
                 static_cast<size_t>((span + step - 1) / step));
             if (n == 0)
                 return 0;
@@ -407,8 +433,8 @@ int
 Reduce::fire(int budget)
 {
     Word *col = scratch(kMaxRun);
-    const Heads heads =
-        readHeads(in_, std::min(static_cast<size_t>(budget), kMaxRun), col);
+    const Heads heads = readHeads(
+        reader(0), std::min(static_cast<size_t>(budget), kMaxRun), col);
     if (heads.kind < 0)
         return 0;
     if (heads.kind == 0) {
@@ -459,9 +485,9 @@ int
 Flatten::fire(int budget)
 {
     // A full output still lets B1 vanish: read with its room as the cap.
-    const size_t cap = runCap(budget, out_);
+    const size_t cap = runCap(budget, out_->room());
     Word *col = scratch(kMaxRun);
-    const Heads heads = readHeads(in_, cap, col);
+    const Heads heads = readHeads(reader(0), cap, col);
     if (heads.kind < 0)
         return 0;
     if (heads.kind == 1) {
@@ -471,7 +497,7 @@ Flatten::fire(int budget)
     if (cap == 0)
         return 0;
     if (heads.kind == 0)
-        return moveRun(in_, out_, col, heads.n);
+        return moveRun(reader(0), outRing(), col, heads.n);
     in_->consume(1);
     out_->push(Token::barrier(heads.kind - 1));
     return 1;
@@ -482,23 +508,24 @@ Filter::fire(int budget)
 {
     const size_t lanes = ins_.size();
     Word *cols = scratch(lanes * kMaxRun);
+    const Reader in = reader(0);
     const Heads heads = readHeads(
-        ins_, std::min(static_cast<size_t>(budget), kMaxRun), cols);
+        in, std::min(static_cast<size_t>(budget), kMaxRun), cols);
     if (heads.kind < 0)
         return 0;
+    // A kept thread needs room on the outputs, a dropped one does not.
+    const size_t room = runCap(budget, roomOf(outRing()));
     if (heads.kind > 0) {
-        if (runCap(budget, outs_) == 0)
+        if (room == 0)
             return 0;
-        dropLanes(ins_);
-        pushBarrier(outs_, heads.kind);
+        consumeRun(in, 1);
+        pushBarrier(outRing(), heads.kind);
         return 1;
     }
     const size_t n = heads.n;
-    // Each thread of the run is kept or dropped by its predicate; a
-    // kept thread needs room on the outputs, a dropped one does not,
-    // so with the outputs full the run still drops the threads ahead
-    // of the first kept one.
-    const size_t room = runCap(budget, outs_);
+    // Each thread of the run is kept or dropped by its predicate, so
+    // with the outputs full the run still drops the threads ahead of
+    // the first kept one.
     size_t fired = 0, kept = 0;
     for (; fired < n; ++fired) {
         if ((cols[fired] != 0) != sense_)
@@ -512,20 +539,8 @@ Filter::fire(int budget)
     }
     if (fired == 0)
         return 0;
-    // Lane order of the one-thread firings: a run that opens with a
-    // kept thread forwards lane by lane, one that opens with a dropped
-    // one takes every lane before its first push.
-    const bool forward_first = (cols[0] != 0) == sense_;
-    ins_[0]->consume(fired);
-    for (size_t i = 1; i < lanes; ++i) {
-        ins_[i]->consume(fired);
-        if (forward_first)
-            outs_[i - 1]->pushData(cols + i * kMaxRun, kept);
-    }
-    if (!forward_first) {
-        for (size_t i = 1; i < lanes; ++i)
-            outs_[i - 1]->pushData(cols + i * kMaxRun, kept);
-    }
+    consumeRun(in, fired);
+    pushRun(outRing(), cols + kMaxRun, kept);
     return static_cast<int>(fired);
 }
 
@@ -540,15 +555,15 @@ ForwardMerge::fire(int budget)
     // The late token is the next firing's work — its push notification
     // re-queues this process. A data run comes from the side whose
     // read found data; when that is A, B is only classified (cap 0).
-    const size_t cap = runCap(budget, outs_);
+    const size_t cap = runCap(budget, roomOf(outRing()));
     Word *cols = scratch(std::max(a_.size(), b_.size()) * kMaxRun);
-    const Heads a = readHeads(a_, cap, cols);
-    const Heads b = readHeads(b_, a.kind == 0 ? 0 : cap, cols);
+    const Heads a = readHeads(reader(0), cap, cols);
+    const Heads b = readHeads(reader(1), a.kind == 0 ? 0 : cap, cols);
     if (a.kind == 0 || b.kind == 0) {
         if (cap == 0)
             return 0;
-        return a.kind == 0 ? moveRun(a_, outs_, cols, a.n)
-                           : moveRun(b_, outs_, cols, b.n);
+        return a.kind == 0 ? moveRun(reader(0), outRing(), cols, a.n)
+                           : moveRun(reader(1), outRing(), cols, b.n);
     }
     // No data at either head: both must present the matching barrier.
     if (a.kind < 0 || b.kind < 0)
@@ -560,9 +575,9 @@ ForwardMerge::fire(int budget)
     }
     if (cap == 0)
         return 0;
-    dropLanes(a_);
-    dropLanes(b_);
-    pushBarrier(outs_, a.kind);
+    consumeRun(reader(0), 1);
+    consumeRun(reader(1), 1);
+    pushBarrier(outRing(), a.kind);
     return 1;
 }
 
@@ -576,17 +591,19 @@ FwdBackMerge::fire(int budget)
     // negative-observation corollary in primitives.hh). An echo that
     // arrives after the read is the next firing's work; only the drain
     // reads the backedge run.
-    const size_t cap = runCap(budget, outs_);
+    const size_t cap = runCap(budget, roomOf(outRing()));
     Word *cols = scratch(std::max(fwd_.size(), back_.size()) * kMaxRun);
+    const Reader fwd_in = reader(0);
+    const Reader back_in = reader(1);
     const Heads back =
-        readHeads(back_, mode_ == Mode::drain ? cap : 0, cols);
+        readHeads(back_in, mode_ == Mode::drain ? cap : 0, cols);
     const int bk = back.kind;
 
     // The released flush's barrier recirculates through the body as an
     // echo; swallow it wherever it surfaces, before any run starts.
     if (bk > 0 && !pending_echoes_.empty() &&
         bk == pending_echoes_.front()) {
-        dropLanes(back_);
+        consumeRun(back_in, 1);
         pending_echoes_.pop_front();
         return 1;
     }
@@ -613,15 +630,15 @@ FwdBackMerge::fire(int budget)
         }
         if (cap == 0)
             return 0;
-        const Heads fwd = readHeads(fwd_, cap, cols);
+        const Heads fwd = readHeads(fwd_in, cap, cols);
         if (fwd.kind < 0)
             return 0;
         if (fwd.kind == 0)
-            return moveRun(fwd_, outs_, cols, fwd.n);
+            return moveRun(fwd_in, outRing(), cols, fwd.n);
         // A forward barrier: flush the loop. Terminate the batch with
         // the loop-control Omega(1) and drain.
-        dropLanes(fwd_);
-        pushBarrier(outs_, 1);
+        consumeRun(fwd_in, 1);
+        pushBarrier(outRing(), 1);
         pending_level_ = fwd.kind;
         back_data_since_barrier_ = false;
         mode_ = Mode::drain;
@@ -641,17 +658,17 @@ FwdBackMerge::fire(int budget)
         return 0;
     if (bk == 0) {
         back_data_since_barrier_ = true;
-        return moveRun(back_, outs_, cols, back.n);
+        return moveRun(back_in, outRing(), cols, back.n);
     }
-    dropLanes(back_);
+    consumeRun(back_in, 1);
     if (back_data_since_barrier_) {
         // Threads are still circulating: close this iteration batch.
-        pushBarrier(outs_, 1);
+        pushBarrier(outRing(), 1);
         back_data_since_barrier_ = false;
         return 1;
     }
     // Two barriers in a row: the body is empty. Release the flush.
-    pushBarrier(outs_, pending_level_ + 1);
+    pushBarrier(outRing(), pending_level_ + 1);
     pending_echoes_.push_back(pending_level_ + 1);
     mode_ = Mode::flow;
     return 1;

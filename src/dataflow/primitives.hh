@@ -19,13 +19,17 @@
  * thread of the run the same way: one fire() call takes the leading
  * data run at its inputs (the threads aligned on every lane, at most
  * the budget it is given and, on bounded outputs, the free room), does
- * the whole run's work, and moves it with one consume per input and
- * one push per output. A barrier still fires alone. A quantum stays
- * one thread or barrier moved, so a run of n counts n quanta and a
- * burst of quanta moves exactly the tokens the same number of
- * one-token firings would: runQuanta hands each firing what is left of
- * the burst, so no run crosses a scheduling decision. A run is
- * snapshotted once: tokens that arrive while it fires are the next
+ * the whole run's work, and moves it with one consume per input
+ * cursor and one push onto its output ring (channel.hh): a bundle
+ * argument whose lanes share a producer ring is read, classified and
+ * consumed once, and all of a primitive's output lanes are one ring,
+ * so a firing pays one push and at most one wakeup per consumer
+ * cursor, however wide its bundles. A barrier still fires alone. A
+ * quantum stays one thread or barrier moved, so a run of n counts n
+ * quanta and a burst of quanta moves exactly the tokens the same
+ * number of one-token firings would: runQuanta hands each firing what
+ * is left of the burst, so no run crosses a scheduling decision. A run
+ * is snapshotted once: tokens that arrive while it fires are the next
  * firing's work.
  *
  * These classes are the one definition of each firing rule: compiled
@@ -39,17 +43,19 @@
  * own working memory through a second one (laneScratch).
  *
  * Link fan-out is not a primitive here. As on the vRDA, where the
- * network delivers a vector to every consumer, every channel is a ring
- * its producer writes once and each reader reads through its own
- * cursor (channel.hh); Engine::multicast gives a producer's ring one
- * cursor per fanout output. No process copies tokens, and every
+ * network delivers a vector to every consumer, each producer writes
+ * its ring once and each consumer argument reads it through its own
+ * cursor (channel.hh); Engine::multicast gives a fanout's outputs
+ * cursors on the producer's ring. No process copies tokens, and every
  * consumer still sees an ordinary channel.
  *
- * Every primitive declares its input and output channels to the base
- * class (declareIo) at construction. The Engine uses the declaration to
- * wire channel back-references for the worklist scheduler, and the base
- * class uses it for generic stall diagnostics: a blocked primitive can
- * say which inputs it is starved on and which outputs are full.
+ * Every primitive declares its input bundle arguments and its output
+ * channels to the base class (declareIo) at construction. The Engine
+ * uses the declaration to wire the channels — the outputs' rings fold
+ * into one, and each argument's lanes group into cursors, which the
+ * primitive reads through reader() — and the base class uses it for
+ * generic stall diagnostics: a blocked primitive can say which inputs
+ * it is starved on and which outputs are full.
  *
  * Concurrency contract (Engine::Policy::parallel): the engine never
  * runs one Process on two workers at once, so primitive internal state
@@ -70,8 +76,9 @@
  * (ForwardMerge's barrier fall-through is the canonical case). This
  * holds by construction: every primitive reads its inputs only through
  * one bundle reader (readHeads in primitives.cc), which reads each
- * lane once per firing — one emptiness check, then one Channel::peek
- * that classifies the head and copies the leading data run — and
+ * cursor once per firing — one emptiness check, then one
+ * Cursor::peekRun that classifies the head from the tag column and
+ * copies each lane's leading data run — and
  * every decision of the firing branches on what that read returned. A
  * token that arrives mid-firing is the next firing's work — its push
  * notification re-queues the process.
@@ -80,7 +87,9 @@
 #ifndef REVET_DATAFLOW_PRIMITIVES_HH
 #define REVET_DATAFLOW_PRIMITIVES_HH
 
+#include <array>
 #include <deque>
+#include <initializer_list>
 #include <stdexcept>
 #include <functional>
 #include <string>
@@ -92,6 +101,14 @@ namespace revet
 {
 namespace dataflow
 {
+
+/** The cursors one bundle argument of a process reads through, in
+ * the order of the first lane each serves. */
+struct Reader
+{
+    Cursor *const *cur;
+    size_t n;
+};
 
 /** Base class for all streaming primitives. */
 class Process
@@ -132,7 +149,8 @@ class Process
 
     const std::string &name() const { return name_; }
 
-    /** Channels this primitive pops from, as declared at construction. */
+    /** Channels this primitive pops from, as declared at construction:
+     * its bundle arguments, one after another. */
     const std::vector<Channel *> &inputs() const { return io_ins_; }
     /** Channels this primitive pushes to, as declared at construction. */
     const std::vector<Channel *> &outputs() const { return io_outs_; }
@@ -162,13 +180,33 @@ class Process
     virtual void reset() {}
 
   protected:
-    /** Record the channel sets this primitive reads and writes. */
-    void
-    declareIo(std::vector<Channel *> ins, std::vector<Channel *> outs)
+    /** The lanes of a declaration: a bundle's, one channel (either
+     * must outlive the call), or none. */
+    struct Lanes
     {
-        io_ins_ = std::move(ins);
-        io_outs_ = std::move(outs);
+        Lanes() = default;
+        Lanes(const Bundle &bundle) : ch(bundle.data()), n(bundle.size()) {}
+        Lanes(Channel *const &one) : ch(&one), n(1) {}
+
+        Channel *const *ch = nullptr;
+        size_t n = 0;
+    };
+
+    /** Record the channels this primitive reads, one Lanes per bundle
+     * argument (lanes the primitive consumes together; at most
+     * kMaxArgs), and the channels it writes. */
+    void declareIo(std::initializer_list<Lanes> args, Lanes outs);
+
+    /** The cursors of input argument @p arg (wired at registration). */
+    Reader
+    reader(size_t arg) const
+    {
+        return {cursors_.data() + cursorEnds_[arg],
+                cursorEnds_[arg + 1] - cursorEnds_[arg]};
     }
+
+    /** The ring of this primitive's outputs (null without outputs). */
+    Ring *outRing() const { return out_; }
 
     /** Channel-derived stall description, for overrides to extend. */
     std::string ioStallDetail() const;
@@ -179,8 +217,21 @@ class Process
     std::string name_;
     std::vector<Channel *> io_ins_;
     std::vector<Channel *> io_outs_;
-    /** Index into the owning engine's scheduler tables (the worklist
-     * bitmap, or the parallel per-process state/latch arrays). */
+    /** Bundle arguments a primitive reads: a merge's two sides. */
+    static constexpr size_t kMaxArgs = 2;
+    size_t args_ = 0;
+    /** Argument a is io_ins_[argEnds_[a], argEnds_[a + 1]). */
+    std::array<uint32_t, kMaxArgs + 1> argEnds_{};
+    /** Argument a reads through cursors_[cursorEnds_[a],
+     * cursorEnds_[a + 1]). */
+    std::vector<Cursor *> cursors_;
+    std::array<uint32_t, kMaxArgs + 1> cursorEnds_{};
+    Ring *out_ = nullptr;
+    /** On the worklist's ready deque (serial runs only): a ring skips
+     * notifying a queued consumer. */
+    bool queued_ = false;
+    /** Index into the owning engine's scheduler tables (the parallel
+     * per-process state/latch arrays). */
     size_t sched_id_ = static_cast<size_t>(-1);
 };
 
@@ -191,7 +242,7 @@ class Source : public Process
     Source(std::string name, Channel *out, TokenStream stream)
         : Process(std::move(name)), out_(out), stream_(std::move(stream))
     {
-        declareIo({}, {out_});
+        declareIo({}, out_);
     }
 
     int fire(int budget) override;
@@ -271,7 +322,7 @@ class ElementWise : public Process
     {
         if (ins_.empty())
             throw std::logic_error(this->name() + ": no input lanes");
-        declareIo(ins_, outs_);
+        declareIo({ins_}, outs_);
         in_cols_.resize(ins_.size());
         out_cols_.resize(outs_.size());
     }
@@ -301,7 +352,7 @@ class Broadcast : public Process
         : Process(std::move(name)), deep_(deep), shallow_(shallow),
           out_(out), level_(level)
     {
-        declareIo({deep_, shallow_}, {out_});
+        declareIo({deep_, shallow_}, out_);
     }
 
     int fire(int budget) override;
@@ -326,7 +377,7 @@ class Counter : public Process
             Channel *out)
         : Process(std::move(name)), ins_{min, max, step}, out_(out)
     {
-        declareIo(ins_, {out_});
+        declareIo({ins_}, out_);
     }
 
     int fire(int budget) override;
@@ -358,7 +409,7 @@ class Reduce : public Process
         : Process(std::move(name)), in_(in), out_(out), init_(init),
           acc_(init)
     {
-        declareIo({in_}, {out_});
+        declareIo({in_}, out_);
     }
 
     int fire(int budget) override;
@@ -387,7 +438,7 @@ class Flatten : public Process
     Flatten(std::string name, Channel *in, Channel *out)
         : Process(std::move(name)), in_(in), out_(out)
     {
-        declareIo({in_}, {out_});
+        declareIo({in_}, out_);
     }
 
     int fire(int budget) override;
@@ -412,7 +463,7 @@ class Filter : public Process
           sense_(sense)
     {
         ins_.insert(ins_.end(), ins.begin(), ins.end());
-        declareIo(ins_, outs_);
+        declareIo({ins_}, outs_);
     }
 
     int fire(int budget) override;
@@ -437,9 +488,7 @@ class ForwardMerge : public Process
         : Process(std::move(name)), a_(std::move(a)), b_(std::move(b)),
           outs_(std::move(outs))
     {
-        std::vector<Channel *> all_ins(a_);
-        all_ins.insert(all_ins.end(), b_.begin(), b_.end());
-        declareIo(std::move(all_ins), outs_);
+        declareIo({a_, b_}, outs_);
     }
 
     int fire(int budget) override;
@@ -477,9 +526,7 @@ class FwdBackMerge : public Process
         : Process(std::move(name)), fwd_(std::move(fwd)),
           back_(std::move(back)), outs_(std::move(outs))
     {
-        std::vector<Channel *> all_ins(fwd_);
-        all_ins.insert(all_ins.end(), back_.begin(), back_.end());
-        declareIo(std::move(all_ins), outs_);
+        declareIo({fwd_, back_}, outs_);
     }
 
     int fire(int budget) override;

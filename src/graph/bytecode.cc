@@ -391,6 +391,7 @@ collectRunStats(dataflow::Engine &engine, size_t num_links, bool watched,
 {
     const dataflow::SchedStats &sched = engine.schedStats();
     stats.schedWakeups = sched.wakeups;
+    stats.schedNotifications = sched.notifications;
     stats.schedSteps = sched.steps;
     stats.schedIdleSteps = sched.idleSteps;
     stats.schedVerifyPasses = sched.verifyPasses;
@@ -654,7 +655,7 @@ class KeyedRestore final : public dataflow::Process
         : Process(std::move(name)), value_(value), key_(key), out_(out),
           mem_(mem)
     {
-        declareIo({value_, key_}, {out_});
+        declareIo({value_, key_}, out_);
     }
 
     /** One token per firing: a value absorbed, or a key served. */
@@ -926,8 +927,7 @@ ExecutionContext::run(lang::DramImage &dram,
     // channels to empty, every process's mode machines re-armed and
     // every source re-seeded with this request's arguments.
     im.mem.rebind(dram, stats);
-    for (Channel *ch : im.chans)
-        ch->resetForReuse();
+    im.engine.resetChannels();
     for (dataflow::Process *proc : im.procs)
         proc->reset();
     for (const auto &[src, arg] : im.sources)

@@ -24,11 +24,14 @@
  * A park or restore books its whole
  * run under one lock of the machine memory. A quantum stays one
  * thread or barrier moved. The keyed restore is the one role with a
- * private process: it re-pairs values with keys across two streams. A fanout
- * runs no process: as in the vRDA network, Engine::multicast folds
- * its outputs' rings into its input's, so each output reads the one
- * ring through its own cursor, each token is written once, and every
- * output link still reports the whole stream in its per-link counts.
+ * private process: it re-pairs values with keys across two streams.
+ * Registering an instruction's process folds its output links into one
+ * ring, and groups the links of each bundle argument that share a
+ * producer ring into one cursor (dataflow/channel.hh). A fanout runs
+ * no process: as in the vRDA network, Engine::multicast makes each
+ * output a cursor on its input's ring column, each token is written
+ * once, and every output link still reports the whole stream in its
+ * per-link counts.
  * The program
  * plugs into dataflow::Engine unchanged, so both scheduling policies
  * run it and neither is observable through results. Its DRAM

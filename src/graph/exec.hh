@@ -22,6 +22,8 @@ struct ExecStats
 {
     /** Scheduler observability (see dataflow::SchedStats). */
     uint64_t schedWakeups = 0;
+    /** Cursor empty -> non-empty edges (dataflow::SchedStats). */
+    uint64_t schedNotifications = 0;
     uint64_t schedSteps = 0;
     uint64_t schedIdleSteps = 0;
     uint64_t schedVerifyPasses = 0;

@@ -42,6 +42,8 @@ class DramImage
 
     int dramCount() const { return static_cast<int>(regions_.size()); }
     const std::string &name(int dram) const { return names_[dram]; }
+    /** Element type of a region. */
+    Scalar elemType(int dram) const { return elems_.at(dram); }
 
     /**
      * Read element @p idx (sign-/zero-extended to a 32-bit lane).

@@ -118,6 +118,23 @@ TEST_P(AppCorrectness, VerifyRejectsOneCorruptedOutputElement)
     EXPECT_NE(err.find(out), std::string::npos) << err;
 }
 
+TEST(AppVerify, ReportsTheElementInTheRegionsWidth)
+{
+    // isipv4's output is DRAM<int>: damage the high byte of element 11
+    // and the message names element 11 and both of its int values.
+    const apps::App &app = apps::findApp("isipv4");
+    lang::DramImage dram = undamagedImage(app);
+    std::vector<uint8_t> &bytes = dram.bytes("valid");
+    ASSERT_GT(bytes.size(), 12u * 4);
+    const int32_t want = dram.read<int32_t>("valid")[11];
+    bytes[11 * 4 + 3] ^= 0x80;
+    const int32_t got = dram.read<int32_t>("valid")[11];
+    ASSERT_LT(got, 0);
+    EXPECT_EQ(app.verify(dram, 16),
+              "valid element 11: expected " + std::to_string(want) +
+                  ", got " + std::to_string(got));
+}
+
 TEST_P(AppCorrectness, VerifyRejectsOneChangedInputByte)
 {
     const apps::App &app = apps::findApp(GetParam());

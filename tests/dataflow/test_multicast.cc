@@ -661,3 +661,266 @@ TEST(Multicast, RingGrowsRightAfterTheWriteThatFillsIt)
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Bundle rings: a producer's output lanes share one ring, and the lanes
+// of one consumer argument on one ring share one cursor.
+
+namespace
+{
+
+/** An ElementWise fanning one lane out to @p outs lanes, lane j
+ * carrying v * (j + 1). */
+ElementWise *
+spread(Engine &e, const std::string &name, Channel *in, const Bundle &outs)
+{
+    return e.make<ElementWise>(name, Bundle{in}, outs,
+                               [](const LaneRun &run) {
+                                   for (size_t j = 0; j < run.outs; ++j) {
+                                       for (size_t t = 0; t < run.n; ++t)
+                                           run.out[j][t] =
+                                               run.in[0][t] *
+                                               static_cast<Word>(j + 1);
+                                   }
+                               });
+}
+
+/** An ElementWise summing its input lanes into one. */
+ElementWise *
+sum(Engine &e, const std::string &name, const Bundle &ins, Channel *out)
+{
+    return e.make<ElementWise>(name, ins, Bundle{out},
+                               [](const LaneRun &run) {
+                                   for (size_t t = 0; t < run.n; ++t) {
+                                       Word s = 0;
+                                       for (size_t i = 0; i < run.ins; ++i)
+                                           s += run.in[i][t];
+                                       run.out[0][t] = s;
+                                   }
+                               });
+}
+
+/** @p stream with every data word mapped through @p f. */
+TokenStream
+mapData(const TokenStream &stream, Word (*f)(Word))
+{
+    TokenStream out;
+    for (const Token &tok : stream)
+        out.push_back(tok.isData() ? Token::data(f(tok.word())) : tok);
+    return out;
+}
+
+} // namespace
+
+TEST(Multicast, ArgumentGroupsTwoColumnsOfOneRingBesideAnotherRing)
+{
+    // x0 and x1 are two columns of one ring; y is another producer's.
+    // The consumer's one argument {x1, y, x0} reads through two
+    // cursors, and a barrier-level mismatch between them is still a
+    // misaligned bundle.
+    const TokenStream stream = longStream(40);
+    for (Engine::Policy policy : kAllPolicies) {
+        const std::string label = policyName(policy);
+        Engine e(policy);
+        e.setNumThreads(kTestWorkers);
+        Channel *in = e.channel("in");
+        Channel *x0 = e.channel("x0");
+        Channel *x1 = e.channel("x1");
+        Channel *y = e.channel("y");
+        Channel *z = e.channel("z");
+        e.make<Source>("srcX", in, stream);
+        e.make<Source>("srcY", y, stream);
+        spread(e, "spread", in, {x0, x1});
+        sum(e, "sum", {x1, y, x0}, z);
+        auto *sink = e.make<Sink>("sink", z);
+        EXPECT_EQ(x0->ring(), x1->ring()) << label;
+        EXPECT_EQ(x0->ring()->width(), 2u) << label;
+        EXPECT_EQ(x0->cursor(), x1->cursor()) << label;
+        EXPECT_NE(y->cursor(), x0->cursor()) << label;
+        e.run();
+        EXPECT_TRUE(e.drained()) << label << ": " << e.stallReport();
+        EXPECT_EQ(sink->collected(),
+                  mapData(stream, [](Word w) { return w * 4; }))
+            << label;
+
+        // The same wiring with y's first barrier one level deeper.
+        Engine bad(policy);
+        bad.setNumThreads(kTestWorkers);
+        in = bad.channel("in");
+        x0 = bad.channel("x0");
+        x1 = bad.channel("x1");
+        y = bad.channel("y");
+        z = bad.channel("z");
+        bad.make<Source>("srcX", in, StreamBuilder().d(1).d(2).b(1));
+        bad.make<Source>("srcY", y, StreamBuilder().d(3).d(4).b(2));
+        spread(bad, "spread", in, {x0, x1});
+        sum(bad, "sum", {x1, y, x0}, z);
+        bad.make<Sink>("sink", z);
+        try {
+            bad.run();
+            ADD_FAILURE() << label << ": no misalignment reported";
+        } catch (const std::runtime_error &err) {
+            EXPECT_NE(std::string(err.what()).find(
+                          "[sum] bundle misaligned: barriers B1 vs B2"),
+                      std::string::npos)
+                << label << ": " << err.what();
+        }
+    }
+}
+
+TEST(Multicast, OneCursorReadsAColumnTwice)
+{
+    // Both outputs of one fanout feed one argument: a single cursor
+    // whose column map names the column twice.
+    const TokenStream stream = longStream(60);
+    for (Engine::Policy policy : kAllPolicies) {
+        const std::string label = policyName(policy);
+        Engine e(policy);
+        e.setNumThreads(kTestWorkers);
+        Channel *in = e.channel("in");
+        Channel *o = e.channel("o");
+        Channel *o1 = e.channel("o1");
+        Channel *o2 = e.channel("o2");
+        Channel *z = e.channel("z");
+        e.make<Source>("src", in, stream);
+        spread(e, "copy", in, {o});
+        e.multicast(o, {o1, o2});
+        sum(e, "sum", {o1, o2}, z);
+        auto *sink = e.make<Sink>("sink", z);
+        ASSERT_EQ(o1->cursor(), o2->cursor()) << label;
+        const auto &lanes = o1->cursor()->lanes();
+        ASSERT_EQ(lanes.size(), 2u) << label;
+        EXPECT_EQ(lanes[0].col, lanes[1].col) << label;
+        EXPECT_NE(lanes[0].pos, lanes[1].pos) << label;
+        e.run();
+        EXPECT_TRUE(e.drained()) << label << ": " << e.stallReport();
+        EXPECT_EQ(sink->collected(),
+                  mapData(stream, [](Word w) { return w * 2; }))
+            << label;
+        EXPECT_EQ(o1->totalPushed(), stream.size()) << label;
+    }
+}
+
+TEST(Backpressure, BoundedCursorInAGroupThrottlesItsRing)
+{
+    // Lane x1 holds two tokens and x0 none of its own bound: their
+    // shared cursor takes x1's capacity, so the producer's ring may run
+    // only two tokens ahead of the slow chain behind it, while x2's
+    // sink drains at once.
+    const TokenStream stream = longStream(50);
+    for (Engine::Policy policy : kAllPolicies) {
+        const std::string label = policyName(policy);
+        Engine e(policy);
+        e.setNumThreads(kTestWorkers);
+        Channel *in = e.channel("in");
+        Channel *x0 = e.channel("x0");
+        Channel *x1 = e.channel("x1", 2);
+        Channel *x2 = e.channel("x2");
+        Channel *z = e.channel("z");
+        e.make<Source>("src", in, stream);
+        spread(e, "spread", in, {x0, x1, x2});
+        sum(e, "sum", {x0, x1}, z);
+        auto *slow = e.make<Sink>("slow", slowChain(e, z, "z", 4));
+        auto *fast = e.make<Sink>("fast", x2);
+        ASSERT_EQ(x0->cursor(), x1->cursor()) << label;
+        EXPECT_EQ(x2->room(), 2u) << label;
+        e.run();
+        EXPECT_TRUE(e.drained()) << label << ": " << e.stallReport();
+        EXPECT_EQ(fast->collected(),
+                  mapData(stream, [](Word w) { return w * 3; }))
+            << label;
+        EXPECT_EQ(slow->collected(),
+                  mapData(stream, [](Word w) { return w * 3; }))
+            << label;
+        if (policy == Engine::Policy::worklist) {
+            EXPECT_EQ(e.schedStats().missedWakeups, 0u)
+                << label << ": the producer's wakeup came from the rescan";
+        }
+    }
+}
+
+TEST(Multicast, LanesArrivingDirectlyAndThroughFanoutsShareACursor)
+{
+    // a and b are one producer's two columns; a reaches the consumer
+    // through a fanout (a -> {a1, a2}), b directly. Whatever order the
+    // producer, the consumer and the fanout are wired in, {b, a1} is
+    // one cursor.
+    const TokenStream stream = longStream(30);
+    for (Engine::Policy policy : kAllPolicies) {
+        std::vector<int> order = {0, 1, 2};
+        do {
+            std::string label = policyName(policy);
+            for (int step : order)
+                label += " " + std::to_string(step);
+            Engine e(policy);
+            e.setNumThreads(kTestWorkers);
+            Channel *in = e.channel("in");
+            Channel *a = e.channel("a");
+            Channel *b = e.channel("b");
+            Channel *a1 = e.channel("a1");
+            Channel *a2 = e.channel("a2");
+            Channel *z = e.channel("z");
+            e.make<Source>("src", in, stream);
+            for (int step : order) {
+                if (step == 0)
+                    spread(e, "spread", in, {a, b});
+                else if (step == 1)
+                    sum(e, "sum", {b, a1}, z);
+                else
+                    e.multicast(a, {a1, a2});
+            }
+            auto *sum_sink = e.make<Sink>("sumSink", z);
+            auto *a2_sink = e.make<Sink>("a2Sink", a2);
+            EXPECT_EQ(a1->cursor(), b->cursor()) << label;
+            EXPECT_EQ(a1->ring(), b->ring()) << label;
+            EXPECT_EQ(a1->ringRoot(), a) << label;
+            EXPECT_EQ(a1->cursor()->lanes().size(), 2u) << label;
+            e.run();
+            EXPECT_TRUE(e.drained()) << label << ": " << e.stallReport();
+            EXPECT_EQ(sum_sink->collected(),
+                      mapData(stream, [](Word w) { return w * 3; }))
+                << label;
+            EXPECT_EQ(a2_sink->collected(), stream) << label;
+        } while (std::next_permutation(order.begin(), order.end()));
+    }
+}
+
+TEST(Multicast, BundleRingNotifiesOncePerPush)
+{
+    // A 4-lane bundle from one producer reaches its consumer through
+    // one cursor. Capacity-1 lanes make every push land on an empty
+    // cursor, so each push is one notification: one per token, plus
+    // the source's single push, where a cursor per lane made four per
+    // token.
+    StreamBuilder sb;
+    for (int i = 0; i < 12; ++i) {
+        sb.d(static_cast<Word>(i));
+        if (i % 4 == 3)
+            sb.b(1);
+    }
+    const TokenStream stream = sb.build();
+    for (Engine::Policy policy : kAllPolicies) {
+        const std::string label = policyName(policy);
+        Engine e(policy);
+        e.setNumThreads(kTestWorkers);
+        Channel *in = e.channel("in");
+        Bundle lanes;
+        for (int j = 0; j < 4; ++j)
+            lanes.push_back(e.channel("l" + std::to_string(j), 1));
+        e.make<Source>("src", in, stream);
+        spread(e, "spread", in, lanes);
+        std::vector<Word> seen;
+        e.make<ElementWise>("take", lanes, Bundle{},
+                            [&seen](const LaneRun &run) {
+                                for (size_t t = 0; t < run.n; ++t) {
+                                    for (size_t i = 0; i < run.ins; ++i)
+                                        seen.push_back(run.in[i][t]);
+                                }
+                            });
+        ASSERT_EQ(lanes[0]->cursor()->lanes().size(), 4u) << label;
+        e.run();
+        EXPECT_TRUE(e.drained()) << label << ": " << e.stallReport();
+        EXPECT_EQ(seen.size(), 4u * 12) << label;
+        EXPECT_EQ(e.schedStats().notifications, 1 + stream.size()) << label;
+    }
+}
